@@ -75,10 +75,11 @@ class _Parser(argparse.ArgumentParser):
 def _effective_seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    env = os.environ.get("RTP_SEED")
-    if env is not None:
+    env = os.environ.get("RTP_SEED", "0")
+    try:
         return int(env)
-    return 0
+    except ValueError:
+        raise UsageError(f"RTP_SEED must be an integer, got {env!r}") from None
 
 
 def _cmd_synthesize(args) -> int:
@@ -90,6 +91,8 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_augment(args) -> int:
+    if args.n < 0:
+        raise UsageError(f"--n must be non-negative, got {args.n}")
     observations = [row_to_observation(r) for r in parse_log(args.infile)]
     generated = over_sample(
         observations,
@@ -125,11 +128,14 @@ def _load_training_config(path: str | None, variant_id: str, seed: int) -> Train
     config = default_training_config(variant_id, seed)
     if path is None:
         return config
-    with open(path) as handle:
-        doc = json.load(handle)
-    if "adam_betas" in doc:
-        doc["adam_betas"] = tuple(doc["adam_betas"])
-    return replace(config, **doc)
+    try:
+        with open(path) as handle:
+            doc = json.load(handle)
+        if "adam_betas" in doc:
+            doc["adam_betas"] = tuple(doc["adam_betas"])
+        return replace(config, **doc)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"config file {path}: {exc}") from exc
 
 
 def _cmd_train(args) -> int:
@@ -274,7 +280,10 @@ def _encode_for(variant_id, obs):
 
 def _cmd_pipeline(args) -> int:
     if args.config:
-        config = PipelineConfig.from_file(args.config)
+        try:
+            config = PipelineConfig.from_file(args.config)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"config file {args.config}: {exc}") from exc
     else:
         config = PipelineConfig()
     if args.out_dir:

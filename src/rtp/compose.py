@@ -93,15 +93,15 @@ def load_two_stage(path: Union[str, Path]) -> TwoStageModel:
     try:
         with open(path) as handle:
             doc = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"corrupt model file {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("kind") != "two-stage":
-        raise ModelFormatError(f"{path} is not a two-stage model file")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise ModelFormatError(
-            f"unsupported format_version {doc.get('format_version')!r}; expected {FORMAT_VERSION}"
-        )
-    return compose_models(model_from_dict(doc["stage1"]), model_from_dict(doc["stage2"]))
+        if not isinstance(doc, dict) or doc.get("kind") != "two-stage":
+            raise ModelFormatError("not a two-stage model file")
+        version = doc.get("format_version")
+        if version != FORMAT_VERSION:
+            raise ModelFormatError(f"unsupported format_version {version!r}; expected {FORMAT_VERSION}")
+        stage1, stage2 = model_from_dict(doc["stage1"]), model_from_dict(doc["stage2"])
+    except (json.JSONDecodeError, KeyError, ModelFormatError) as exc:
+        raise ModelFormatError(f"model file {path}: {exc}") from exc
+    return compose_models(stage1, stage2)
 
 
 def predict_batch(

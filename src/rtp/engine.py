@@ -7,10 +7,9 @@ followed by a trunk of dense layers whose last layer is the output head.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Union
 
@@ -64,13 +63,22 @@ class DenseLayer:
 
 @dataclass
 class NetworkModel:
-    """Two-branch-merge dense network (single-branch covers the AIO case)."""
+    """Two-branch-merge dense network (single-branch covers the AIO case).
+
+    All weights and biases live in one float64 vector, `params`, layer by
+    layer in all_layers() order, each layer's weights (row-major) before its
+    biases; every layer's arrays are views into it. `l1` and `l2` hold each
+    parameter's penalty coefficient in the same layout (zero on biases).
+    """
 
     branches: dict[str, list[DenseLayer]]
     aux_width: int
     trunk: list[DenseLayer]
     head: str
     variant_id: str | None = None
+    params: np.ndarray = field(init=False, repr=False, compare=False)
+    l1: np.ndarray = field(init=False, repr=False, compare=False)
+    l2: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.head not in (HEAD_SOFTMAX, HEAD_SIGMOID):
@@ -84,21 +92,40 @@ class NetworkModel:
                 f"head layer ({head_layer.activation}, {head_layer.n_out}) "
                 f"does not match declared head {self.head}"
             )
-        for layers in list(self.branches.values()) + [self.trunk[:-1]]:
-            for layer in layers:
-                if layer.activation == "softmax":
-                    raise ValueError("softmax is only valid as the head activation")
+        for name, layers in [*self.branches.items(), ("trunk", self.trunk)]:
+            for below, above in zip(layers, layers[1:]):
+                if below.n_out != above.n_in:
+                    raise ValueError(f"{name}: output width {below.n_out} feeds input {above.n_in}")
+        widths = [layers[-1].n_out for layers in self.branches.values() if layers]
+        n_open = len(self.branches) - len(widths)
+        left = self.trunk[0].n_in - sum(widths) - self.aux_width
+        # At most one branch may have no layers; it takes the width left over.
+        if n_open > 1 or (left < 1 if n_open else left != 0):
+            raise ValueError(
+                f"trunk input width {self.trunk[0].n_in} != branches {widths} + aux {self.aux_width}"
+            )
+        layers = self.all_layers()
+        if any(layer.activation == "softmax" for layer in layers[:-1]):
+            raise ValueError("softmax is only valid as the head activation")
+
+        self.params = np.empty(sum(layer.weights.size + layer.n_out for layer in layers))
+        self.l1 = np.zeros_like(self.params)
+        self.l2 = np.zeros_like(self.params)
+        for layer, (w, b), (l1, _), (l2, _) in zip(
+            layers, _views(self, self.params), _views(self, self.l1), _views(self, self.l2)
+        ):
+            w[...] = layer.weights
+            b[...] = layer.biases
+            l1[...] = layer.l1
+            l2[...] = layer.l2
+            layer.weights, layer.biases = w, b
 
     @property
     def loss_kind(self) -> str:
         return LOSS_CCE if self.head == HEAD_SOFTMAX else LOSS_MAE
 
     def all_layers(self) -> list[DenseLayer]:
-        layers: list[DenseLayer] = []
-        for branch_layers in self.branches.values():
-            layers.extend(branch_layers)
-        layers.extend(self.trunk)
-        return layers
+        return [layer for layers in [*self.branches.values(), self.trunk] for layer in layers]
 
     def branch_input_width(self, name: str) -> int:
         layers = self.branches[name]
@@ -106,10 +133,20 @@ class NetworkModel:
             return layers[0].n_in
         # A branch with no layers feeds the merge directly; its width is
         # whatever the trunk expects after the other branches and aux.
-        other = sum(
-            (ls[-1].n_out if ls else 0) for key, ls in self.branches.items() if key != name
-        )
-        return self.trunk[0].n_in - other - self.aux_width
+        others = sum(ls[-1].n_out for ls in self.branches.values() if ls)
+        return self.trunk[0].n_in - self.aux_width - others
+
+
+def _views(model: NetworkModel, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer (weights, biases) views of a vector laid out like model.params."""
+    views = []
+    start = 0
+    for layer in model.all_layers():
+        split = start + layer.weights.size
+        end = split + layer.n_out
+        views.append((flat[start:split].reshape(layer.n_in, layer.n_out), flat[split:end]))
+        start = end
+    return views
 
 
 def init_layer(
@@ -158,6 +195,17 @@ def _as_batch(x: np.ndarray, width: int, name: str) -> np.ndarray:
     return arr
 
 
+def _forward_stack(layers: list[DenseLayer], a: np.ndarray):
+    """Run a layer stack, returning its output and each layer's (input, z, a)."""
+    cache = []
+    for layer in layers:
+        z = a @ layer.weights + layer.biases
+        a_next = _activate(z, layer.activation)
+        cache.append((a, z, a_next))
+        a = a_next
+    return a, cache
+
+
 def _forward_cached(model: NetworkModel, inputs: dict[str, np.ndarray]):
     """Forward pass keeping the (input, z, a) caches needed by backprop."""
     branch_caches: dict[str, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
@@ -171,13 +219,7 @@ def _forward_cached(model: NetworkModel, inputs: dict[str, np.ndarray]):
             n = a.shape[0]
         elif a.shape[0] != n:
             raise ShapeError(f"branch '{name}' batch size {a.shape[0]} != {n}")
-        cache = []
-        for layer in layers:
-            z = a @ layer.weights + layer.biases
-            a_next = _activate(z, layer.activation)
-            cache.append((a, z, a_next))
-            a = a_next
-        branch_caches[name] = cache
+        a, branch_caches[name] = _forward_stack(layers, a)
         branch_outputs.append(a)
 
     pieces = list(branch_outputs)
@@ -190,13 +232,7 @@ def _forward_cached(model: NetworkModel, inputs: dict[str, np.ndarray]):
         pieces.append(aux)
     merged = np.concatenate(pieces, axis=1) if len(pieces) > 1 else pieces[0]
 
-    trunk_cache = []
-    a = merged
-    for layer in model.trunk:
-        z = a @ layer.weights + layer.biases
-        a_next = _activate(z, layer.activation)
-        trunk_cache.append((a, z, a_next))
-        a = a_next
+    a, trunk_cache = _forward_stack(model.trunk, merged)
     return a, branch_caches, trunk_cache, [b.shape[1] for b in branch_outputs]
 
 
@@ -208,13 +244,7 @@ def forward(model: NetworkModel, inputs: dict[str, np.ndarray]) -> np.ndarray:
 
 
 def regularization_loss(model: NetworkModel) -> float:
-    total = 0.0
-    for layer in model.all_layers():
-        if layer.l1:
-            total += layer.l1 * float(np.abs(layer.weights).sum())
-        if layer.l2:
-            total += layer.l2 * float(np.square(layer.weights).sum())
-    return total
+    return float(model.l1 @ np.abs(model.params) + model.l2 @ np.square(model.params))
 
 
 def data_loss(prediction: np.ndarray, target: np.ndarray, kind: str) -> float:
@@ -230,35 +260,39 @@ def data_loss(prediction: np.ndarray, target: np.ndarray, kind: str) -> float:
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
-def loss(
-    prediction: np.ndarray, target: np.ndarray, kind: str, model: NetworkModel | None = None
-) -> float:
-    """Data loss plus the model's L1/L2 regularization penalty."""
-    total = data_loss(prediction, target, kind)
-    if model is not None:
-        total += regularization_loss(model)
-    return total
+def _backprop_stack(layers, cache, dz, grads) -> np.ndarray:
+    """Carry dz, the gradient at the top layer's pre-activation, down a stack.
+
+    Writes each layer's data gradient into its (weights, biases) views in
+    `grads` and returns the gradient at the stack's input.
+    """
+    for i in range(len(layers) - 1, -1, -1):
+        a_prev, _, _ = cache[i]
+        dw, db = grads[i]
+        dw[...] = a_prev.T @ dz
+        db[...] = dz.sum(axis=0)
+        da = dz @ layers[i].weights.T
+        if i > 0:
+            _, z, a = cache[i - 1]
+            dz = da * _activation_grad(z, a, layers[i - 1].activation)
+    return da
 
 
-def _backward_from_cache(
-    model: NetworkModel,
-    target: np.ndarray,
-    kind: str,
-    output: np.ndarray,
-    branch_caches,
-    trunk_cache,
-    branch_widths,
-) -> list[tuple[np.ndarray, np.ndarray]]:
+def backward_with_loss(
+    model: NetworkModel, inputs: dict[str, np.ndarray], target: np.ndarray, kind: str
+) -> tuple[np.ndarray, float]:
+    """Gradient of the total loss w.r.t. model.params (same layout), plus
+    that loss (data loss and L1/L2 penalty) from the same forward pass."""
+    output, branch_caches, trunk_cache, branch_widths = _forward_cached(model, inputs)
     targ = np.atleast_2d(np.asarray(target, dtype=np.float64))
     if targ.shape != output.shape:
         raise ShapeError(f"target shape {targ.shape} != output shape {output.shape}")
-    n = output.shape[0]
 
     head = model.trunk[-1]
     if kind == LOSS_CCE:
         if head.activation != "softmax":
             raise ValueError("categorical cross-entropy requires a softmax head")
-        dz = (output - targ) / n
+        dz = (output - targ) / output.shape[0]
     elif kind == LOSS_MAE:
         da = np.sign(output - targ) / targ.size  # subgradient 0 at ties
         _, z, a = trunk_cache[-1]
@@ -266,79 +300,34 @@ def _backward_from_cache(
     else:
         raise ValueError(f"unknown loss kind {kind!r}")
 
-    trunk_grads: list[tuple[np.ndarray, np.ndarray]] = []
-    d_merged = None
-    for i in range(len(model.trunk) - 1, -1, -1):
-        layer = model.trunk[i]
-        a_prev, _, _ = trunk_cache[i]
-        dw = a_prev.T @ dz + layer.l1 * np.sign(layer.weights) + 2.0 * layer.l2 * layer.weights
-        db = dz.sum(axis=0)
-        trunk_grads.append((dw, db))
-        da_prev = dz @ layer.weights.T
-        if i > 0:
-            below = model.trunk[i - 1]
-            _, z_below, a_below = trunk_cache[i - 1]
-            dz = da_prev * _activation_grad(z_below, a_below, below.activation)
-        else:
-            d_merged = da_prev
-    trunk_grads.reverse()
-
-    grads: list[tuple[np.ndarray, np.ndarray]] = []
+    grad = np.empty_like(model.params)
+    views = _views(model, grad)  # branch layers first, then the trunk
+    d_merged = _backprop_stack(model.trunk, trunk_cache, dz, views[-len(model.trunk) :])
     offset = 0
     for (name, layers), width in zip(model.branches.items(), branch_widths):
-        da = d_merged[:, offset : offset + width]
+        if layers:
+            _, z, a = branch_caches[name][-1]
+            da = d_merged[:, offset : offset + width]
+            dz = da * _activation_grad(z, a, layers[-1].activation)
+            _backprop_stack(layers, branch_caches[name], dz, views[: len(layers)])
+        del views[: len(layers)]
         offset += width
-        branch_grads: list[tuple[np.ndarray, np.ndarray]] = []
-        for layer, (a_prev, z, a) in zip(reversed(layers), reversed(branch_caches[name])):
-            dz_b = da * _activation_grad(z, a, layer.activation)
-            dw = (
-                a_prev.T @ dz_b
-                + layer.l1 * np.sign(layer.weights)
-                + 2.0 * layer.l2 * layer.weights
-            )
-            db = dz_b.sum(axis=0)
-            branch_grads.append((dw, db))
-            da = dz_b @ layer.weights.T
-        grads.extend(reversed(branch_grads))
-    grads.extend(trunk_grads)
-    return grads
-
-
-def backward(
-    model: NetworkModel, inputs: dict[str, np.ndarray], target: np.ndarray, kind: str
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Analytic gradients of loss() w.r.t. every (weights, biases) pair.
-
-    Gradient order matches model.all_layers().
-    """
-    grads, _ = backward_with_loss(model, inputs, target, kind)
-    return grads
-
-
-def backward_with_loss(
-    model: NetworkModel, inputs: dict[str, np.ndarray], target: np.ndarray, kind: str
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], float]:
-    """Gradients plus the total loss from the same forward pass."""
-    output, branch_caches, trunk_cache, branch_widths = _forward_cached(model, inputs)
-    grads = _backward_from_cache(
-        model, target, kind, output, branch_caches, trunk_cache, branch_widths
-    )
-    total = data_loss(output, np.atleast_2d(target), kind) + regularization_loss(model)
-    return grads, total
+    grad += model.l1 * np.sign(model.params)
+    grad += 2.0 * model.l2 * model.params
+    total = data_loss(output, targ, kind) + regularization_loss(model)
+    return grad, total
 
 
 def clone_model(model: NetworkModel) -> NetworkModel:
-    return copy.deepcopy(model)
-
-
-def snapshot_params(model: NetworkModel) -> list[tuple[np.ndarray, np.ndarray]]:
-    return [(layer.weights.copy(), layer.biases.copy()) for layer in model.all_layers()]
-
-
-def restore_params(model: NetworkModel, snapshot: list[tuple[np.ndarray, np.ndarray]]) -> None:
-    for layer, (w, b) in zip(model.all_layers(), snapshot):
-        layer.weights[...] = w
-        layer.biases[...] = b
+    """An independent copy: fresh layers packed into a fresh buffer."""
+    branches = {name: [replace(lr) for lr in layers] for name, layers in model.branches.items()}
+    return NetworkModel(
+        branches=branches,
+        aux_width=model.aux_width,
+        trunk=[replace(layer) for layer in model.trunk],
+        head=model.head,
+        variant_id=model.variant_id,
+    )
 
 
 def _layer_to_dict(layer: DenseLayer, branch: str) -> dict:
@@ -404,15 +393,15 @@ def model_from_dict(doc: dict) -> NetworkModel:
                 trunk.append(layer)
             else:
                 branches[layer_doc["branch"]].append(layer)
-        return NetworkModel(
-            branches=branches,
-            aux_width=aux_width,
-            trunk=trunk,
-            head=doc["head"],
-            variant_id=doc.get("variant_id"),
-        )
-    except (KeyError, TypeError) as exc:
+        head, variant_id = doc["head"], doc.get("variant_id")
+    except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"corrupt model document: {exc}") from exc
+    try:
+        return NetworkModel(
+            branches=branches, aux_width=aux_width, trunk=trunk, head=head, variant_id=variant_id
+        )
+    except ValueError as exc:
+        raise ModelFormatError(f"invalid model: {exc}") from exc
 
 
 def save_model(model: NetworkModel, path: Union[str, Path]) -> None:
@@ -426,6 +415,6 @@ def load_model(path: Union[str, Path]) -> NetworkModel:
     try:
         with open(path) as handle:
             doc = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"corrupt model file {path}: {exc}") from exc
-    return model_from_dict(doc)
+        return model_from_dict(doc)
+    except (json.JSONDecodeError, ModelFormatError) as exc:
+        raise ModelFormatError(f"model file {path}: {exc}") from exc

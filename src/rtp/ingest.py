@@ -158,6 +158,8 @@ def parse_log(source: Union[str, Path, TextIO]) -> list[RawLogRow]:
         date = _parse_field(record[0], "date", i, "date")
         start_time = _parse_field(record[1], "time", i, "start_time")
         end_time = _parse_field(record[2], "time", i, "end_time")
+        if end_time < start_time:
+            raise ParseError(f"row {i}: field 'end_time': {end_time} is before {start_time}")
         p_i = _parse_field(record[3], "float", i, "initial_power_w")
         p_f = _parse_field(record[4], "float", i, "final_power_w")
         if p_i <= 0:

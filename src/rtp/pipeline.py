@@ -32,7 +32,7 @@ from .model_zoo import (
     variant_spec,
 )
 from .preprocess import classify_power, encode_dataset, undersample_indices
-from .training import train
+from .training import TrainingConfig, train
 
 
 @dataclass
@@ -54,11 +54,14 @@ class PipelineConfig:
             raise ValueError("test_fraction must be in (0, 1)")
         if self.corpus_n <= 0:
             raise ValueError("corpus_n must be positive")
+        replace(TrainingConfig(), **self.training_overrides)  # unknown or invalid keys raise here
 
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> "PipelineConfig":
         with open(path) as handle:
             doc = json.load(handle)
+        if not isinstance(doc, dict):
+            raise ValueError("expected a JSON object")
         policy = PerturbationPolicy(**doc.pop("policy", {}))
         for key in ("classifier_ids", "regressor_ids", "compose_pair"):
             if key in doc:

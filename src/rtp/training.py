@@ -16,8 +16,6 @@ from .engine import (
     data_loss,
     forward,
     regularization_loss,
-    restore_params,
-    snapshot_params,
 )
 
 MONITORED_METRICS = ("val_accuracy", "val_loss", "val_mse")
@@ -75,10 +73,8 @@ class SGD:
     def __init__(self, learning_rate: float):
         self.lr = learning_rate
 
-    def step(self, params, grads) -> None:
-        for (w, b), (dw, db) in zip(params, grads):
-            w -= self.lr * dw
-            b -= self.lr * db
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
+        params -= self.lr * grad
 
 
 class Adam:
@@ -87,27 +83,21 @@ class Adam:
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.t = 0
-        self.m: list | None = None
-        self.v: list | None = None
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
 
-    def step(self, params, grads) -> None:
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         if self.m is None:
-            self.m = [(np.zeros_like(w), np.zeros_like(b)) for w, b in params]
-            self.v = [(np.zeros_like(w), np.zeros_like(b)) for w, b in params]
+            self.m = np.zeros_like(params)
+            self.v = np.zeros_like(params)
         self.t += 1
         correction1 = 1.0 - self.beta1**self.t
         correction2 = 1.0 - self.beta2**self.t
-        for (w, b), (dw, db), (mw, mb), (vw, vb) in zip(params, grads, self.m, self.v):
-            mw *= self.beta1
-            mw += (1.0 - self.beta1) * dw
-            mb *= self.beta1
-            mb += (1.0 - self.beta1) * db
-            vw *= self.beta2
-            vw += (1.0 - self.beta2) * np.square(dw)
-            vb *= self.beta2
-            vb += (1.0 - self.beta2) * np.square(db)
-            w -= self.lr * (mw / correction1) / (np.sqrt(vw / correction2) + self.eps)
-            b -= self.lr * (mb / correction1) / (np.sqrt(vb / correction2) + self.eps)
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grad
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * np.square(grad)
+        params -= self.lr * (self.m / correction1) / (np.sqrt(self.v / correction2) + self.eps)
 
 
 def _make_optimizer(config: TrainingConfig):
@@ -179,12 +169,11 @@ def train(
     n_train = train_targets.shape[0]
 
     optimizer = _make_optimizer(config)
-    params = [(layer.weights, layer.biases) for layer in model.all_layers()]
     mode = "max" if config.monitored_metric == "val_accuracy" else "min"
 
     history = TrainingHistory()
     best_value = -math.inf if mode == "max" else math.inf
-    best_snapshot = snapshot_params(model)
+    best = model.params.copy()
     wait = 0
 
     for epoch in range(1, config.max_epochs + 1):
@@ -192,7 +181,7 @@ def train(
         epoch_loss = 0.0
         for batch_no, start in enumerate(range(0, n_train, config.batch_size), start=1):
             batch_idx = order[start : start + config.batch_size]
-            grads, batch_loss = backward_with_loss(
+            grad, batch_loss = backward_with_loss(
                 model,
                 _subset(train_inputs, batch_idx),
                 train_targets[batch_idx],
@@ -201,7 +190,7 @@ def train(
             if not math.isfinite(batch_loss):
                 raise DivergenceError(epoch, batch_no)
             epoch_loss += batch_loss * len(batch_idx)
-            optimizer.step(params, grads)
+            optimizer.step(model.params, grad)
         epoch_loss /= n_train
 
         train_metrics = _evaluate_metrics(model, train_inputs, train_targets)
@@ -221,7 +210,7 @@ def train(
         )
         if improved or epoch == 1:
             best_value = value
-            best_snapshot = snapshot_params(model)
+            best = model.params.copy()
             history.best_epoch = epoch
             wait = 0
         else:
@@ -230,5 +219,5 @@ def train(
                 history.stopped_early = True
                 break
 
-    restore_params(model, best_snapshot)
+    model.params[...] = best
     return model, history

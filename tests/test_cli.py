@@ -234,7 +234,68 @@ class TestExitCodes:
         assert code == EXIT_USAGE
 
 
+    def test_unchained_model_file_is_data_error(self, workdir, tmp_path, capsys):
+        doc = json.loads((workdir / "model_a1.json").read_text())
+        first_trunk = next(i for i, layer in enumerate(doc["layers"]) if layer["branch"] == "trunk")
+        del doc["layers"][first_trunk]
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(doc))
+        code = main(
+            [
+                "evaluate",
+                "--model", str(broken),
+                "--data", str(workdir / "corpus.csv"),
+                "--out", str(tmp_path / "report.json"),
+            ]
+        )
+        assert code == EXIT_DATA
+        assert "broken.json" in capsys.readouterr().err
+
+    def test_unknown_train_config_key_is_usage_error(self, workdir, tmp_path, capsys):
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({"bogus": 1}))
+        code = main(
+            [
+                "train",
+                "--variant", "a1",
+                "--data", str(workdir / "enc_a1.jsonl"),
+                "--config", str(config),
+                "--out", str(tmp_path / "model.json"),
+            ]
+        )
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "bogus" in err and "train.json" in err
+
+    def test_unknown_pipeline_config_key_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps({"bogus": 1}))
+        assert main(["pipeline", "--config", str(config)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "bogus" in err and "pipeline.json" in err
+
+    def test_unknown_training_override_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps({"training_overrides": {"bogus": 1}}))
+        assert main(["pipeline", "--config", str(config)]) == EXIT_USAGE
+        assert "bogus" in capsys.readouterr().err
+
+    def test_negative_augment_count_is_usage_error(self, workdir, tmp_path):
+        out = tmp_path / "augmented.csv"
+        code = main(
+            ["augment", "--in", str(workdir / "corpus.csv"), "--out", str(out), "--n", "-5"]
+        )
+        assert code == EXIT_USAGE
+        assert not out.exists()
+
+
 class TestSeedHandling:
+    def test_non_integer_env_seed_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("RTP_SEED", "abc")
+        code = main(["synthesize", "--n", "10", "--out", str(tmp_path / "corpus.csv")])
+        assert code == EXIT_USAGE
+        assert "RTP_SEED" in capsys.readouterr().err
+
     def test_env_seed_matches_flag(self, tmp_path, monkeypatch):
         by_flag = tmp_path / "flag.csv"
         by_env = tmp_path / "env.csv"

@@ -1,5 +1,7 @@
 """Tests for the dense network engine: forward, backprop, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,21 +15,18 @@ from rtp.engine import (
     ModelFormatError,
     NetworkModel,
     ShapeError,
-    backward,
     backward_with_loss,
     clone_model,
     data_loss,
     forward,
     init_layer,
     load_model,
-    loss,
     model_from_dict,
     model_to_dict,
     regularization_loss,
-    restore_params,
     save_model,
-    snapshot_params,
 )
+from rtp.training import TrainingConfig, train
 
 
 def build_classifier(rng, n_initial=2, n_final=1, aux=1, hidden=6):
@@ -59,27 +58,25 @@ def classifier_inputs(rng, n):
     }
 
 
-def flatten_params(model):
-    return [(layer.weights, layer.biases) for layer in model.all_layers()]
+def total_loss(model, inputs, target, kind):
+    """Data loss of a fresh forward pass plus the L1/L2 penalty."""
+    pred = np.atleast_2d(forward(model, inputs))
+    return data_loss(pred, target, kind) + regularization_loss(model)
 
 
 def numeric_gradients(model, inputs, target, kind, step=1e-6):
-    """Central finite differences of loss() over every parameter."""
-    grads = []
-    for weights, biases in flatten_params(model):
-        for arr, grad in ((weights, np.zeros_like(weights)), (biases, np.zeros_like(biases))):
-            flat = arr.reshape(-1)
-            gflat = grad.reshape(-1)
-            for k in range(flat.size):
-                orig = flat[k]
-                flat[k] = orig + step
-                up = loss(np.atleast_2d(forward(model, inputs)), target, kind, model)
-                flat[k] = orig - step
-                down = loss(np.atleast_2d(forward(model, inputs)), target, kind, model)
-                flat[k] = orig
-                gflat[k] = (up - down) / (2.0 * step)
-            grads.append(grad)
-    return [(grads[i], grads[i + 1]) for i in range(0, len(grads), 2)]
+    """Central finite differences of the total loss over every entry of model.params."""
+    params = model.params
+    grad = np.zeros_like(params)
+    for k in range(params.size):
+        orig = params[k]
+        params[k] = orig + step
+        up = total_loss(model, inputs, target, kind)
+        params[k] = orig - step
+        down = total_loss(model, inputs, target, kind)
+        params[k] = orig
+        grad[k] = (up - down) / (2.0 * step)
+    return grad
 
 
 class TestForward:
@@ -193,11 +190,9 @@ class TestBackward:
                 model = build_regressor(rng, hidden=4)
                 inputs = {"main": rng.normal(size=(3, 4)), "aux": rng.random(size=(3, 5))}
                 target = rng.random(size=(3, 1))
-            analytic = backward(model, inputs, target, kind)
+            analytic, _ = backward_with_loss(model, inputs, target, kind)
             numeric = numeric_gradients(model, inputs, target, kind)
-            for (adw, adb), (ndw, ndb) in zip(analytic, numeric):
-                np.testing.assert_allclose(adw, ndw, rtol=1e-5, atol=1e-7)
-                np.testing.assert_allclose(adb, ndb, rtol=1e-5, atol=1e-7)
+            np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-7)
 
     def test_backward_with_loss_matches_forward_loss(self):
         rng = np.random.default_rng(18)
@@ -206,7 +201,7 @@ class TestBackward:
         target = np.zeros((6, 5))
         target[np.arange(6), rng.integers(0, 5, size=6)] = 1.0
         _, total = backward_with_loss(model, inputs, target, LOSS_CCE)
-        direct = loss(np.atleast_2d(forward(model, inputs)), target, LOSS_CCE, model)
+        direct = total_loss(model, inputs, target, LOSS_CCE)
         assert total == pytest.approx(direct, abs=1e-12)
 
     def test_gradient_count_matches_layers(self):
@@ -215,12 +210,9 @@ class TestBackward:
         inputs = classifier_inputs(rng, 2)
         target = np.zeros((2, 5))
         target[:, 0] = 1.0
-        grads = backward(model, inputs, target, LOSS_CCE)
-        layers = model.all_layers()
-        assert len(grads) == len(layers)
-        for (dw, db), layer in zip(grads, layers):
-            assert dw.shape == layer.weights.shape
-            assert db.shape == layer.biases.shape
+        grad, _ = backward_with_loss(model, inputs, target, LOSS_CCE)
+        n_params = sum(layer.weights.size + layer.biases.size for layer in model.all_layers())
+        assert grad.shape == model.params.shape == (n_params,)
 
 
 class TestModelValidation:
@@ -255,6 +247,30 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             NetworkModel(branches={"main": []}, aux_width=0, trunk=[], head=HEAD_SIGMOID)
 
+    def test_branch_layers_must_chain(self):
+        rng = np.random.default_rng(30)
+        model = build_regressor(rng)
+        model.branches["main"].append(init_layer(5, 6, "relu", rng))  # 6 wide feeds 5
+        with pytest.raises(ValueError, match="main"):
+            NetworkModel(model.branches, model.aux_width, model.trunk, model.head)
+
+    def test_trunk_layers_must_chain(self):
+        rng = np.random.default_rng(31)
+        model = build_regressor(rng)
+        with pytest.raises(ValueError, match="trunk"):
+            NetworkModel(model.branches, model.aux_width, model.trunk[1:] * 2, model.head)
+
+    def test_trunk_input_must_match_merge(self):
+        rng = np.random.default_rng(32)
+        model = build_classifier(rng)
+        with pytest.raises(ValueError, match="trunk input width"):
+            NetworkModel(model.branches, model.aux_width + 1, model.trunk, model.head)
+
+    def test_at_most_one_branch_without_layers(self):
+        head = DenseLayer(np.ones((2, 1)), np.zeros(1), "sigmoid")
+        with pytest.raises(ValueError):
+            NetworkModel({"a": [], "b": []}, 0, [head], HEAD_SIGMOID)
+
     def test_unknown_activation(self):
         with pytest.raises(ValueError):
             DenseLayer(np.ones((2, 2)), np.zeros(2), "swish")
@@ -264,11 +280,11 @@ class TestSnapshot:
     def test_snapshot_restore(self):
         rng = np.random.default_rng(20)
         model = build_regressor(rng)
-        snap = snapshot_params(model)
+        snap = model.params.copy()
         original = forward(model, {"main": np.ones(4), "aux": np.ones(5)})
         for layer in model.all_layers():
             layer.weights += 1.0
-        restore_params(model, snap)
+        model.params[...] = snap
         after = forward(model, {"main": np.ones(4), "aux": np.ones(5)})
         np.testing.assert_array_equal(original, after)
 
@@ -278,6 +294,63 @@ class TestSnapshot:
         twin = clone_model(model)
         twin.trunk[0].weights += 5.0
         assert not np.array_equal(model.trunk[0].weights, twin.trunk[0].weights)
+
+
+def assert_layers_view_params(model):
+    layers = model.all_layers()
+    for layer in layers:
+        assert np.shares_memory(layer.weights, model.params)
+        assert np.shares_memory(layer.biases, model.params)
+    packed = np.concatenate([np.append(layer.weights.ravel(), layer.biases) for layer in layers])
+    np.testing.assert_array_equal(packed, model.params)
+
+
+class TestParamsLayout:
+    def test_layers_are_views_of_params(self):
+        rng = np.random.default_rng(26)
+        model = build_classifier(rng)
+        assert_layers_view_params(model)
+        assert model.params.size == sum(
+            layer.weights.size + layer.biases.size for layer in model.all_layers()
+        )
+
+    def test_penalty_vectors_skip_biases(self):
+        rng = np.random.default_rng(27)
+        model = build_regressor(rng)
+        start = 0
+        for layer in model.all_layers():
+            split = start + layer.weights.size
+            end = split + layer.biases.size
+            assert np.all(model.l1[start:split] == layer.l1)
+            assert np.all(model.l2[start:split] == layer.l2)
+            assert not model.l1[split:end].any() and not model.l2[split:end].any()
+            start = end
+
+    def test_write_through_layer_shows_in_forward(self):
+        rng = np.random.default_rng(28)
+        model = build_regressor(rng)
+        inputs = {"main": np.ones(4), "aux": np.ones(5)}
+        before = forward(model, inputs)
+        model.trunk[-1].biases += 1.0
+        assert forward(model, inputs)[0] > before[0]
+        model.params[-1] -= 1.0
+        np.testing.assert_array_equal(forward(model, inputs), before)
+
+    def test_clone_load_and_train_pack_their_own_buffer(self, tmp_path):
+        rng = np.random.default_rng(29)
+        model = build_classifier(rng)
+        original = model.params.copy()
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        inputs = classifier_inputs(rng, 40)
+        targets = np.eye(5)[rng.integers(0, 5, size=40)]
+        trained, _ = train(model, inputs, targets, TrainingConfig(seed=0, max_epochs=2))
+        for other in (clone_model(model), load_model(path), trained):
+            assert other.params is not model.params
+            assert not np.shares_memory(other.params, model.params)
+            assert_layers_view_params(other)
+        np.testing.assert_array_equal(model.params, original)
+        assert_layers_view_params(model)
 
 
 class TestSerialization:
@@ -318,6 +391,23 @@ class TestSerialization:
         rng = np.random.default_rng(25)
         doc = model_to_dict(build_regressor(rng))
         doc["format_version"] = 99
+        with pytest.raises(ModelFormatError):
+            model_from_dict(doc)
+
+    def test_unchained_layers_rejected_at_load(self, tmp_path):
+        rng = np.random.default_rng(33)
+        path = tmp_path / "model.json"
+        save_model(build_classifier(rng), path)
+        doc = json.loads(path.read_text())
+        first_trunk = next(i for i, layer in enumerate(doc["layers"]) if layer["branch"] == "trunk")
+        del doc["layers"][first_trunk]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="model.json.*trunk input width"):
+            load_model(path)
+
+    def test_non_integer_aux_width(self):
+        doc = model_to_dict(build_regressor(np.random.default_rng(34)))
+        doc["merge_topology"]["aux_width"] = "five"
         with pytest.raises(ModelFormatError):
             model_from_dict(doc)
 

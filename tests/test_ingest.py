@@ -80,6 +80,11 @@ class TestParseLog:
         with pytest.raises(ParseError, match="initial_power_w"):
             parse_log(csv_source(bad))
 
+    def test_end_before_start_names_row(self):
+        swapped = GOOD_ROW.replace("10:00,10:30", "10:30,10:00")
+        with pytest.raises(ParseError, match="row 2: field 'end_time'"):
+            parse_log(csv_source(GOOD_ROW, swapped))
+
     def test_error_row_index_counts_data_rows(self):
         bad = GOOD_ROW.replace("1000.0", "oops")
         with pytest.raises(ParseError, match="row 2"):

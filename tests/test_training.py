@@ -56,26 +56,23 @@ class TestTrainingConfig:
 
 class TestOptimizers:
     def test_sgd_step(self):
-        w = np.array([[1.0]])
-        b = np.array([0.5])
-        SGD(learning_rate=0.1).step([(w, b)], [(np.array([[2.0]]), np.array([4.0]))])
-        assert w[0, 0] == pytest.approx(0.8)
-        assert b[0] == pytest.approx(0.1)
+        params = np.array([1.0, 0.5])
+        SGD(learning_rate=0.1).step(params, np.array([2.0, 4.0]))
+        assert params[0] == pytest.approx(0.8)
+        assert params[1] == pytest.approx(0.1)
 
     def test_adam_first_step_is_lr_sized(self):
         # With bias correction the first update is learning_rate * sign(grad).
-        w = np.array([[1.0]])
-        b = np.array([0.0])
-        Adam(learning_rate=0.01).step([(w, b)], [(np.array([[3.0]]), np.array([-2.0]))])
-        assert w[0, 0] == pytest.approx(1.0 - 0.01, abs=1e-6)
-        assert b[0] == pytest.approx(0.01, abs=1e-6)
+        params = np.array([1.0, 0.0])
+        Adam(learning_rate=0.01).step(params, np.array([3.0, -2.0]))
+        assert params[0] == pytest.approx(1.0 - 0.01, abs=1e-6)
+        assert params[1] == pytest.approx(0.01, abs=1e-6)
 
     def test_adam_state_persists(self):
         opt = Adam(learning_rate=0.01)
-        w = np.array([[1.0]])
-        b = np.array([0.0])
-        opt.step([(w, b)], [(np.array([[1.0]]), np.array([1.0]))])
-        opt.step([(w, b)], [(np.array([[1.0]]), np.array([1.0]))])
+        params = np.array([1.0, 0.0])
+        opt.step(params, np.array([1.0, 1.0]))
+        opt.step(params, np.array([1.0, 1.0]))
         assert opt.t == 2
 
 
