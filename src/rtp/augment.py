@@ -19,8 +19,8 @@ from .domain import (
     CoreConfiguration,
     ReactorState,
     TransientObservation,
-    config_for_date,
     reactivity_of_state,
+    rod_worths_by_ordinal,
 )
 from .ingest import SHUTDOWN_POWER_W
 
@@ -119,12 +119,6 @@ def perturb_state(
     return ReactorState(new_power, new_state_rods), True
 
 
-def _worth_matrix(
-    dataset: Sequence[TransientObservation], configs: tuple[CoreConfiguration, ...]
-) -> np.ndarray:
-    return np.array([config_for_date(obs.date, configs).rod_worths for obs in dataset])
-
-
 def over_sample(
     dataset: Sequence[TransientObservation],
     configs: tuple[CoreConfiguration, ...] = DEFAULT_CONFIGS,
@@ -152,7 +146,7 @@ def over_sample(
     powers_f = np.array([obs.final.power for obs in dataset])
     rods_i = np.array([obs.initial.rod_heights for obs in dataset])
     rods_f = np.array([obs.final.rod_heights for obs in dataset])
-    worths = _worth_matrix(dataset, configs)
+    worths = rod_worths_by_ordinal(np.array([obs.date.toordinal() for obs in dataset]), configs)
 
     out: list[TransientObservation] = []
     attempts = 0

@@ -19,13 +19,14 @@ from .augment import PerturbationPolicy, ProgressError, over_sample
 from .compose import (
     CompositionError,
     compose,
+    evaluate_two_stage,
     load_two_stage,
     predict_batch,
     save_two_stage,
 )
-from .domain import DEFAULT_CONFIGS, PowerClassBins, config_for_date
+from .domain import DEFAULT_CONFIGS, PowerClassBins
 from .engine import ModelFormatError, ShapeError, forward, load_model, save_model
-from .evaluate import class_metrics, confusion, regression_report
+from .evaluate import class_metrics, confusion
 from .ingest import (
     CorpusSpec,
     DataError,
@@ -48,6 +49,7 @@ from .pipeline import PipelineConfig, run_pipeline
 from .preprocess import (
     LAYOUTS,
     encode_dataset,
+    encode_tables,
     read_encoded,
     undersample,
     write_encoded,
@@ -112,13 +114,13 @@ def _cmd_preprocess(args) -> int:
     if args.layout not in LAYOUTS:
         raise UsageError(f"unknown layout {args.layout!r}; valid: {sorted(LAYOUTS)}")
     observations, counts = filter_report(parse_log(args.infile))
-    samples = encode_dataset(observations, LAYOUTS[args.layout], DEFAULT_CONFIGS)
+    table = encode_dataset(observations, LAYOUTS[args.layout], DEFAULT_CONFIGS)
     if args.balance:
-        samples = undersample(samples, _effective_seed(args))
-    write_encoded(samples, args.out)
+        table = undersample(table, _effective_seed(args))
+    write_encoded(table, args.out)
     if args.verbose:
         print(
-            f"encoded {len(samples)} samples (excluded: {counts.too_long} long, "
+            f"encoded {len(table)} samples (excluded: {counts.too_long} long, "
             f"{counts.shutdown} shutdowns, {counts.no_change} unchanged)"
         )
     return EXIT_OK
@@ -139,9 +141,7 @@ def _load_training_config(path: str | None, variant_id: str, seed: int) -> Train
 
 
 def _cmd_train(args) -> int:
-    samples = read_encoded(args.data)
-    if not samples:
-        raise DataError(f"no encoded samples in {args.data}")
+    table = read_encoded(args.data)
     seed = _effective_seed(args)
     spec = variant_spec(args.variant)
     probs = None
@@ -152,22 +152,22 @@ def _cmd_train(args) -> int:
                 "--stage1-data (encoded with the paired classifier layout) are required"
             )
         classifier = load_model(args.stage1_model)
-        stage1_samples = read_encoded(args.stage1_data)
-        if len(stage1_samples) != len(samples):
+        stage1_table = read_encoded(args.stage1_data)
+        if len(stage1_table) != len(table):
             raise DataError(
-                f"stage-1 data rows ({len(stage1_samples)}) do not align with "
-                f"training rows ({len(samples)})"
+                f"stage-1 data rows ({len(stage1_table)}) do not align with "
+                f"training rows ({len(table)})"
             )
         probs = np.atleast_2d(
-            forward(classifier, model_inputs(stage1_samples, classifier.variant_id))
+            forward(classifier, model_inputs(stage1_table, classifier.variant_id))
         )
-        targets = regression_targets(samples)
+        targets = regression_targets(table)
     else:
-        targets = classification_targets(samples)
+        targets = classification_targets(table)
 
     model = build_variant(args.variant, seeds.subseed(seed, f"init/{args.variant}"))
     tc = _load_training_config(args.config, args.variant, seeds.subseed(seed, f"train/{args.variant}"))
-    trained, history = train(model, model_inputs(samples, args.variant, class_probs=probs), targets, tc)
+    trained, history = train(model, model_inputs(table, args.variant, class_probs=probs), targets, tc)
     save_model(trained, args.out)
     if args.verbose:
         best = history.records[history.best_epoch - 1]
@@ -194,40 +194,33 @@ def _cmd_evaluate(args) -> int:
     is_two_stage = isinstance(doc, dict) and doc.get("kind") == "two-stage"
 
     report: dict
-    rows: list[list]
+    columns: list[list]  # per row: true class, predicted class[, absolute error]
     if is_two_stage:
         model = load_two_stage(args.model)
-        s1 = encode_dataset(observations, variant_spec(model.stage1.variant_id).layout, DEFAULT_CONFIGS, bins)
-        s2 = encode_dataset(observations, variant_spec(model.stage2.variant_id).layout, DEFAULT_CONFIGS, bins)
-        joint = predict_batch(model, s1, s2)
-        true = [s.class_index for s in s1]
-        pred = [p.predicted_class for p in joint]
-        metrics = class_metrics(confusion(true, pred))
-        targets = np.array([s.regression_target for s in s2])
-        norms = np.array([p.power_norm for p in joint])
-        correct = [p == t for p, t in zip(pred, true)]
-        reg = regression_report(targets, norms, correct)
+        scores = evaluate_two_stage(
+            model, *encode_tables(observations, model.layouts, DEFAULT_CONFIGS, bins)
+        )
         report = {
-            "classification": metrics.to_dict(),
-            "confusion": confusion(true, pred).to_lists(),
-            "regression": reg.to_dict(),
+            "classification": scores.metrics.to_dict(),
+            "confusion": scores.confusion.to_lists(),
+            "regression": scores.regression.to_dict(),
         }
-        rows = [
-            [i, t, p, abs(float(n) - float(tg))]
-            for i, (t, p, n, tg) in enumerate(zip(true, pred, norms, targets), start=1)
+        columns = [
+            scores.true_classes.tolist(),
+            scores.predicted_classes.tolist(),
+            scores.regression.abs_errors.tolist(),
         ]
         header = ["row", "true_class", "predicted_class", "abs_error_norm"]
     else:
         model = load_model(args.model)
         if model.variant_id not in LAYOUTS:
             raise DataError(f"model {args.model} has unknown variant id {model.variant_id!r}")
-        samples = encode_dataset(observations, LAYOUTS[model.variant_id], DEFAULT_CONFIGS, bins)
-        out = np.atleast_2d(forward(model, model_inputs(samples, model.variant_id)))
-        true = [s.class_index for s in samples]
-        pred = [int(c) for c in np.argmax(out, axis=1)]
-        metrics = class_metrics(confusion(true, pred))
-        report = {"classification": metrics.to_dict(), "confusion": confusion(true, pred).to_lists()}
-        rows = [[i, t, p] for i, (t, p) in enumerate(zip(true, pred), start=1)]
+        table = encode_dataset(observations, LAYOUTS[model.variant_id], DEFAULT_CONFIGS, bins)
+        out = np.atleast_2d(forward(model, model_inputs(table, model.variant_id)))
+        predicted = np.argmax(out, axis=1)
+        cm = confusion(table.class_index, predicted)
+        report = {"classification": class_metrics(cm).to_dict(), "confusion": cm.to_lists()}
+        columns = [table.class_index.tolist(), predicted.tolist()]
         header = ["row", "true_class", "predicted_class"]
 
     with open(args.out, "w") as handle:
@@ -237,7 +230,7 @@ def _cmd_evaluate(args) -> int:
         with open(args.errors, "w", newline="") as handle:
             writer = csv.writer(handle)
             writer.writerow(header)
-            writer.writerows(rows)
+            writer.writerows(zip(range(1, len(columns[0]) + 1), *columns))
     if args.verbose:
         print(f"wrote report to {args.out}")
     return EXIT_OK
@@ -245,37 +238,24 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = load_two_stage(args.model)
-    observations = [row_to_observation(r) for r in parse_log(args.infile)]
-    predictions = [
-        (i, predict_batch(
-            model,
-            [  # encode per stage layout
-                *_encode_for(model.stage1.variant_id, obs)
-            ],
-            [*_encode_for(model.stage2.variant_id, obs)],
-        )[0])
-        for i, obs in enumerate(observations, start=1)
-    ]
+    # The observations are not kept: only their tables need to outlive encoding.
+    stage1_table, stage2_table = encode_tables(
+        [row_to_observation(r) for r in parse_log(args.infile)], model.layouts, DEFAULT_CONFIGS
+    )
+    predictions = predict_batch(model, stage1_table, stage2_table)
     with open(args.out, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(
             ["row"] + [f"prob_{i}" for i in range(5)] + ["predicted_class", "power_norm", "power_watts"]
         )
-        for i, p in predictions:
-            writer.writerow(
-                [i, *[repr(v) for v in p.class_probs], p.predicted_class,
-                 repr(p.power_norm), repr(p.power_watts)]
-            )
+        writer.writerows(
+            [i, *[repr(v) for v in p.class_probs], p.predicted_class,
+             repr(p.power_norm), repr(p.power_watts)]
+            for i, p in enumerate(predictions, start=1)
+        )
     if args.verbose:
         print(f"wrote {len(predictions)} predictions to {args.out}")
     return EXIT_OK
-
-
-def _encode_for(variant_id, obs):
-    from .preprocess import encode
-
-    config = config_for_date(obs.date, DEFAULT_CONFIGS)
-    return [encode(obs, LAYOUTS[variant_id], config)]
 
 
 def _cmd_pipeline(args) -> int:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -21,8 +21,16 @@ from .engine import (
     model_from_dict,
     model_to_dict,
 )
+from .evaluate import (
+    ClassMetrics,
+    ConfusionMatrix,
+    RegressionReport,
+    class_metrics,
+    confusion,
+    regression_report,
+)
 from .model_zoo import aux_width, model_inputs, variant_spec
-from .preprocess import EncodedSample, denormalize_power, encode
+from .preprocess import EncodedTable, FeatureLayout, denormalize_power, encode_tables
 
 
 class CompositionError(ValueError):
@@ -59,6 +67,14 @@ class TwoStageModel:
                 f"stage 2 aux width {self.stage2.aux_width} != expected {expected_aux} "
                 f"(5 class probabilities{' + direction' if expected_aux == 6 else ''})"
             )
+
+    @property
+    def layouts(self) -> tuple[FeatureLayout, FeatureLayout]:
+        """The feature layouts of stage 1 and stage 2."""
+        return (
+            variant_spec(self.stage1.variant_id).layout,
+            variant_spec(self.stage2.variant_id).layout,
+        )
 
 
 def _known_variants() -> set[str]:
@@ -106,36 +122,35 @@ def load_two_stage(path: Union[str, Path]) -> TwoStageModel:
 
 def predict_batch(
     model: TwoStageModel,
-    stage1_samples: Sequence[EncodedSample],
-    stage2_samples: Sequence[EncodedSample],
+    stage1_table: EncodedTable,
+    stage2_table: EncodedTable,
 ) -> list[JointPrediction]:
-    """Joint predictions for pre-encoded feature rows (aligned sequences).
+    """Joint predictions for the rows of two aligned tables, one per stage layout.
 
     The arithmetic path is exactly stage-1 forward, then stage-2 forward with
     the stage-1 probabilities as auxiliary input, so composed predictions are
     bitwise-identical to manual chaining.
     """
-    if len(stage1_samples) != len(stage2_samples):
-        raise CompositionError("stage 1 and stage 2 sample counts differ")
-    probs = np.atleast_2d(forward(model.stage1, model_inputs(stage1_samples, model.stage1.variant_id)))
+    if len(stage1_table) != len(stage2_table):
+        raise CompositionError("stage 1 and stage 2 row counts differ")
+    probs = np.atleast_2d(forward(model.stage1, model_inputs(stage1_table, model.stage1.variant_id)))
     norm = np.atleast_2d(
         forward(
             model.stage2,
-            model_inputs(stage2_samples, model.stage2.variant_id, class_probs=probs),
+            model_inputs(stage2_table, model.stage2.variant_id, class_probs=probs),
         )
     )
-    predictions = []
-    for row_probs, row_norm in zip(probs, norm):
-        p_norm = float(row_norm[0])
-        predictions.append(
-            JointPrediction(
-                class_probs=tuple(float(p) for p in row_probs),
-                predicted_class=int(np.argmax(row_probs)),
-                power_norm=p_norm,
-                power_watts=denormalize_power(p_norm),
-            )
+    return [
+        JointPrediction(
+            class_probs=tuple(row_probs),
+            predicted_class=predicted,
+            power_norm=p_norm,
+            power_watts=denormalize_power(p_norm),
         )
-    return predictions
+        for row_probs, predicted, p_norm in zip(
+            probs.tolist(), np.argmax(probs, axis=1).tolist(), norm[:, 0].tolist()
+        )
+    ]
 
 
 def predict(
@@ -144,7 +159,37 @@ def predict(
     config: CoreConfiguration,
     bins: PowerClassBins = PowerClassBins(),
 ) -> JointPrediction:
-    """Joint prediction for one observation, encoding per each stage's layout."""
-    s1 = encode(obs, variant_spec(model.stage1.variant_id).layout, config, bins)
-    s2 = encode(obs, variant_spec(model.stage2.variant_id).layout, config, bins)
-    return predict_batch(model, [s1], [s2])[0]
+    """Joint prediction for one observation under `config`, from one encoding
+    of it laid out for both stages."""
+    stage1_table, stage2_table = encode_tables([obs], model.layouts, (config,), bins)
+    return predict_batch(model, stage1_table, stage2_table)[0]
+
+
+@dataclass(frozen=True)
+class TwoStageEvaluation:
+    """Joint predictions on labelled rows, scored by class and by power."""
+
+    true_classes: np.ndarray
+    predicted_classes: np.ndarray
+    confusion: ConfusionMatrix
+    metrics: ClassMetrics
+    regression: RegressionReport
+
+
+def evaluate_two_stage(
+    model: TwoStageModel, stage1_table: EncodedTable, stage2_table: EncodedTable
+) -> TwoStageEvaluation:
+    """Score joint predictions against the tables' classes and targets; the
+    regression report conditions on rows whose class stage 1 got right."""
+    joint = predict_batch(model, stage1_table, stage2_table)
+    true = stage1_table.class_index
+    predicted = np.array([p.predicted_class for p in joint], dtype=np.int64)
+    norms = np.array([p.power_norm for p in joint], dtype=np.float64)
+    cm = confusion(true, predicted)
+    return TwoStageEvaluation(
+        true_classes=true,
+        predicted_classes=predicted,
+        confusion=cm,
+        metrics=class_metrics(cm),
+        regression=regression_report(stage2_table.target, norms, predicted == true),
+    )

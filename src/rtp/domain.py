@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import bisect
 import datetime as dt
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 FULL_POWER_W = 200_000.0
 MAX_ROD_TRAVEL_IN = 24.0
@@ -109,21 +113,36 @@ def direction_of(obs: TransientObservation) -> int:
     raise ValueError("zero-change transient has no direction")
 
 
+@lru_cache(maxsize=16)
+def _eras(configs: tuple[CoreConfiguration, ...]):
+    """Configurations sorted by start date, with read-only arrays of their
+    start-date ordinals (k,) and rod worths (k, 4) in the same order."""
+    ordered = tuple(sorted(configs, key=lambda c: c.start_date))
+    starts = np.array([c.start_date.toordinal() for c in ordered])
+    worths = np.array([c.rod_worths for c in ordered], dtype=np.float64)
+    starts.setflags(write=False)
+    worths.setflags(write=False)
+    return ordered, starts, worths
+
+
 def config_for_date(
     date: dt.date, configs: tuple[CoreConfiguration, ...] = DEFAULT_CONFIGS
 ) -> CoreConfiguration:
     """Resolve the core configuration operational on `date`.
 
-    Configurations are ordered by start date; dates before the second
-    configuration's start date fall back to the first, so the lookup is total.
+    The latest configuration started on or before `date` applies; dates
+    before the first start date fall back to the first, so the lookup is total.
     """
-    ordered = sorted(configs, key=lambda c: c.start_date)
-    ordinal = date.toordinal()
-    current = ordered[0]
-    for config in ordered[1:]:
-        if ordinal >= config.start_date.toordinal():
-            current = config
-    return current
+    ordered, starts, _ = _eras(tuple(configs))
+    return ordered[max(bisect.bisect_right(starts, date.toordinal()) - 1, 0)]
+
+
+def rod_worths_by_ordinal(
+    ordinals: np.ndarray, configs: tuple[CoreConfiguration, ...] = DEFAULT_CONFIGS
+) -> np.ndarray:
+    """(n, 4) rod worths in force on each day ordinal, by config_for_date's rule."""
+    _, starts, worths = _eras(tuple(configs))
+    return worths[np.maximum(starts.searchsorted(ordinals, "right") - 1, 0)]
 
 
 def reactivity_of_state(state: ReactorState, config: CoreConfiguration) -> float:

@@ -195,20 +195,37 @@ def _as_batch(x: np.ndarray, width: int, name: str) -> np.ndarray:
     return arr
 
 
-def _forward_stack(layers: list[DenseLayer], a: np.ndarray):
-    """Run a layer stack, returning its output and each layer's (input, z, a)."""
-    cache = []
+def _forward_stack(layers: list[DenseLayer], a: np.ndarray, cache: list | None = None):
+    """Run a layer stack; with a `cache` list, append each layer's (input, z, a).
+
+    Without a cache, relu overwrites z, so a layer holds only its input and output.
+    """
     for layer in layers:
-        z = a @ layer.weights + layer.biases
-        a_next = _activate(z, layer.activation)
-        cache.append((a, z, a_next))
+        z = a @ layer.weights
+        z += layer.biases
+        if cache is None and layer.activation == "relu":
+            a_next = np.maximum(z, 0.0, out=z)
+        else:
+            a_next = _activate(z, layer.activation)
+        if cache is not None:
+            cache.append((a, z, a_next))
         a = a_next
-    return a, cache
+    return a
 
 
-def _forward_cached(model: NetworkModel, inputs: dict[str, np.ndarray]):
-    """Forward pass keeping the (input, z, a) caches needed by backprop."""
-    branch_caches: dict[str, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
+def _forward(model: NetworkModel, inputs: dict[str, np.ndarray], caches: list | None = None):
+    """Network output and each branch's output width.
+
+    With a `caches` list, appends one per-layer cache list per branch, then
+    one for the trunk; without, each layer's arrays are freed as it is passed.
+    """
+
+    def run(layers: list[DenseLayer], a: np.ndarray) -> np.ndarray:
+        if caches is None:
+            return _forward_stack(layers, a)
+        caches.append([])
+        return _forward_stack(layers, a, caches[-1])
+
     branch_outputs: list[np.ndarray] = []
     n = None
     for name, layers in model.branches.items():
@@ -219,8 +236,7 @@ def _forward_cached(model: NetworkModel, inputs: dict[str, np.ndarray]):
             n = a.shape[0]
         elif a.shape[0] != n:
             raise ShapeError(f"branch '{name}' batch size {a.shape[0]} != {n}")
-        a, branch_caches[name] = _forward_stack(layers, a)
-        branch_outputs.append(a)
+        branch_outputs.append(run(layers, a))
 
     pieces = list(branch_outputs)
     if model.aux_width > 0:
@@ -231,15 +247,24 @@ def _forward_cached(model: NetworkModel, inputs: dict[str, np.ndarray]):
             raise ShapeError(f"aux batch size {aux.shape[0]} != {n}")
         pieces.append(aux)
     merged = np.concatenate(pieces, axis=1) if len(pieces) > 1 else pieces[0]
+    widths = [b.shape[1] for b in branch_outputs]
+    del branch_outputs, pieces  # merged holds their values; free them before the trunk runs
+    return run(model.trunk, merged), widths
 
-    a, trunk_cache = _forward_stack(model.trunk, merged)
-    return a, branch_caches, trunk_cache, [b.shape[1] for b in branch_outputs]
+
+def _forward_cached(model: NetworkModel, inputs: dict[str, np.ndarray]):
+    """Forward pass keeping the (input, z, a) caches needed by backprop:
+    returns the output, the caches (one per branch, then the trunk's) and
+    each branch's output width."""
+    caches: list = []
+    out, widths = _forward(model, inputs, caches)
+    return out, caches, widths
 
 
 def forward(model: NetworkModel, inputs: dict[str, np.ndarray]) -> np.ndarray:
     """Network output for a single sample (1-D inputs) or a batch (2-D)."""
     single = all(np.asarray(v).ndim == 1 for v in inputs.values())
-    out, _, _, _ = _forward_cached(model, inputs)
+    out, _ = _forward(model, inputs)
     return out[0] if single else out
 
 
@@ -281,9 +306,10 @@ def _backprop_stack(layers, cache, dz, grads) -> np.ndarray:
 def backward_with_loss(
     model: NetworkModel, inputs: dict[str, np.ndarray], target: np.ndarray, kind: str
 ) -> tuple[np.ndarray, float]:
-    """Gradient of the total loss w.r.t. model.params (same layout), plus
-    that loss (data loss and L1/L2 penalty) from the same forward pass."""
-    output, branch_caches, trunk_cache, branch_widths = _forward_cached(model, inputs)
+    """Gradient of the total loss (data loss plus L1/L2 penalty) w.r.t.
+    model.params (same layout), and the data loss from the same forward pass."""
+    output, caches, branch_widths = _forward_cached(model, inputs)
+    trunk_cache = caches[-1]
     targ = np.atleast_2d(np.asarray(target, dtype=np.float64))
     if targ.shape != output.shape:
         raise ShapeError(f"target shape {targ.shape} != output shape {output.shape}")
@@ -304,18 +330,17 @@ def backward_with_loss(
     views = _views(model, grad)  # branch layers first, then the trunk
     d_merged = _backprop_stack(model.trunk, trunk_cache, dz, views[-len(model.trunk) :])
     offset = 0
-    for (name, layers), width in zip(model.branches.items(), branch_widths):
+    for layers, cache, width in zip(model.branches.values(), caches, branch_widths):
         if layers:
-            _, z, a = branch_caches[name][-1]
+            _, z, a = cache[-1]
             da = d_merged[:, offset : offset + width]
             dz = da * _activation_grad(z, a, layers[-1].activation)
-            _backprop_stack(layers, branch_caches[name], dz, views[: len(layers)])
+            _backprop_stack(layers, cache, dz, views[: len(layers)])
         del views[: len(layers)]
         offset += width
     grad += model.l1 * np.sign(model.params)
     grad += 2.0 * model.l2 * model.params
-    total = data_loss(output, targ, kind) + regularization_loss(model)
-    return grad, total
+    return grad, data_loss(output, targ, kind)
 
 
 def clone_model(model: NetworkModel) -> NetworkModel:

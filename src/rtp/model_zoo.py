@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .engine import HEAD_SIGMOID, HEAD_SOFTMAX, DenseLayer, NetworkModel, init_layer
-from .preprocess import LAYOUTS, EncodedSample, FeatureLayout
+from .preprocess import LAYOUTS, EncodedTable, FeatureLayout
 from .training import TrainingConfig
 
 CLASSIFIER_IDS = ("a1", "b1", "c1", "d1", "e1", "f1")
@@ -119,26 +118,23 @@ def pair_for_regressor(regressor_id: str) -> str:
 
 
 def model_inputs(
-    samples: Sequence[EncodedSample],
+    table: EncodedTable,
     variant_id: str,
     class_probs: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
-    """Stack encoded samples into the input matrices a variant expects.
+    """The input matrices a variant expects, picked from an encoded table.
 
     Regressor variants require `class_probs`, the (n, 5) stage-1 output.
     """
     spec = variant_spec(variant_id)
     if spec.layout.input_mode == "separated":
-        inputs = {
-            "initial": np.stack([s.initial_branch for s in samples]),
-            "final": np.stack([s.final_branch for s in samples]),
-        }
+        inputs = {"initial": table.initial, "final": table.final}
     else:
-        inputs = {"main": np.stack([s.initial_branch for s in samples])}
+        inputs = {"main": table.initial}
 
     aux_parts: list[np.ndarray] = []
     if spec.layout.input_mode == "separated" and spec.layout.uses_direction:
-        aux_parts.append(np.array([[float(s.direction)] for s in samples]))
+        aux_parts.append(table.direction.astype(np.float64)[:, np.newaxis])
     if spec.task == "regressor":
         if class_probs is None:
             raise ValueError(f"regressor {variant_id!r} needs stage-1 class probabilities")
@@ -148,12 +144,12 @@ def model_inputs(
     return inputs
 
 
-def classification_targets(samples: Sequence[EncodedSample]) -> np.ndarray:
-    return np.stack([s.class_onehot for s in samples])
+def classification_targets(table: EncodedTable) -> np.ndarray:
+    return table.class_onehot
 
 
-def regression_targets(samples: Sequence[EncodedSample]) -> np.ndarray:
-    return np.array([[s.regression_target] for s in samples])
+def regression_targets(table: EncodedTable) -> np.ndarray:
+    return table.target.reshape(-1, 1)
 
 
 def default_training_config(variant_id: str, seed: int) -> TrainingConfig:

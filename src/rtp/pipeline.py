@@ -15,7 +15,7 @@ import numpy as np
 
 from . import seeds
 from .augment import PerturbationPolicy, over_sample
-from .compose import compose_models, predict_batch, save_two_stage
+from .compose import compose_models, evaluate_two_stage, save_two_stage
 from .domain import DEFAULT_CONFIGS, PowerClassBins
 from .engine import forward, save_model
 from .evaluate import class_metrics, confusion, regression_report
@@ -31,7 +31,7 @@ from .model_zoo import (
     regression_targets,
     variant_spec,
 )
-from .preprocess import classify_power, encode_dataset, undersample_indices
+from .preprocess import classify_power, encode_tables, undersample_indices
 from .training import TrainingConfig, train
 
 
@@ -69,18 +69,18 @@ class PipelineConfig:
         return cls(policy=policy, **doc)
 
 
-def _train_variant(variant_id, train_samples, test_samples, config: PipelineConfig,
+def _train_variant(variant_id, train_table, test_table, config: PipelineConfig,
                    train_probs=None, test_probs=None):
     model = build_variant(variant_id, seeds.subseed(config.seed, f"init/{variant_id}"))
     tc = default_training_config(variant_id, seeds.subseed(config.seed, f"train/{variant_id}"))
     if config.training_overrides:
         tc = replace(tc, **config.training_overrides)
-    inputs = model_inputs(train_samples, variant_id, class_probs=train_probs)
+    inputs = model_inputs(train_table, variant_id, class_probs=train_probs)
     spec = variant_spec(variant_id)
     if spec.task == "classifier":
-        targets = classification_targets(train_samples)
+        targets = classification_targets(train_table)
     else:
-        targets = regression_targets(train_samples)
+        targets = regression_targets(train_table)
     trained, history = train(model, inputs, targets, tc)
 
     best = history.records[history.best_epoch - 1]
@@ -91,13 +91,11 @@ def _train_variant(variant_id, train_samples, test_samples, config: PipelineConf
         "stopped_early": history.stopped_early,
         "best_val_loss": best["val_loss"],
     }
-    test_inputs = model_inputs(test_samples, variant_id, class_probs=test_probs)
+    test_inputs = model_inputs(test_table, variant_id, class_probs=test_probs)
     test_out = np.atleast_2d(forward(trained, test_inputs))
     if spec.task == "classifier":
         summary["best_val_accuracy"] = best["val_accuracy"]
-        true = [s.class_index for s in test_samples]
-        pred = [int(c) for c in np.argmax(test_out, axis=1)]
-        cm = confusion(true, pred)
+        cm = confusion(test_table.class_index, np.argmax(test_out, axis=1))
         metrics = class_metrics(cm)
         summary["test_accuracy"] = metrics.accuracy
         summary["test_macro_f1"] = metrics.macro_f1
@@ -107,11 +105,8 @@ def _train_variant(variant_id, train_samples, test_samples, config: PipelineConf
         # Table-5 analogue: the regressor "accuracy" column is really MSE.
         summary["best_val_mse"] = best["val_mse"]
         summary["best_val_mae"] = best["val_mae"]
-        targets_test = np.array([s.regression_target for s in test_samples])
-        stage1_correct = [
-            int(np.argmax(p)) == s.class_index for p, s in zip(test_probs, test_samples)
-        ]
-        report = regression_report(targets_test, test_out[:, 0], stage1_correct)
+        stage1_correct = np.argmax(test_probs, axis=1) == test_table.class_index
+        report = regression_report(test_table.target, test_out[:, 0], stage1_correct)
         summary["regression"] = report.to_dict()
     return trained, test_out, summary
 
@@ -148,19 +143,16 @@ def run_pipeline(config: PipelineConfig) -> dict:
     train_pool = train_obs + augmented
 
     # Stage 4: class-balance the training pool (observation-level, so every
-    # variant sees the same balanced rows).
+    # variant sees the same balanced rows), then encode the balanced rows and
+    # the test split once for every variant's layout.
     labels = [classify_power(obs.final.power, bins) for obs in train_pool]
     balanced_idx = undersample_indices(labels, seeds.subseed(config.seed, "balance"))
     balanced_obs = [train_pool[i] for i in balanced_idx]
 
-    encoded_train = {
-        vid: encode_dataset(balanced_obs, variant_spec(vid).layout, DEFAULT_CONFIGS, bins)
-        for vid in set(config.classifier_ids) | set(config.regressor_ids)
-    }
-    encoded_test = {
-        vid: encode_dataset(test_obs, variant_spec(vid).layout, DEFAULT_CONFIGS, bins)
-        for vid in set(config.classifier_ids) | set(config.regressor_ids)
-    }
+    variant_ids = sorted(set(config.classifier_ids) | set(config.regressor_ids))
+    layouts = [variant_spec(vid).layout for vid in variant_ids]
+    encoded_train = dict(zip(variant_ids, encode_tables(balanced_obs, layouts, DEFAULT_CONFIGS, bins)))
+    encoded_test = dict(zip(variant_ids, encode_tables(test_obs, layouts, DEFAULT_CONFIGS, bins)))
 
     report: dict = {
         "seed": config.seed,
@@ -213,19 +205,13 @@ def run_pipeline(config: PipelineConfig) -> dict:
     if stage1_id in classifier_models and stage2_id in regressor_models:
         two_stage = compose_models(classifier_models[stage1_id], regressor_models[stage2_id])
         save_two_stage(two_stage, out_dir / "twostage.json")
-        joint = predict_batch(two_stage, encoded_test[stage1_id], encoded_test[stage2_id])
-        true = [s.class_index for s in encoded_test[stage1_id]]
-        cm = confusion(true, [p.predicted_class for p in joint])
-        metrics = class_metrics(cm)
-        targets = np.array([s.regression_target for s in encoded_test[stage2_id]])
-        preds = np.array([p.power_norm for p in joint])
-        correct = [p.predicted_class == t for p, t in zip(joint, true)]
+        scores = evaluate_two_stage(two_stage, encoded_test[stage1_id], encoded_test[stage2_id])
         report["composed"] = {
             "stage1": stage1_id,
             "stage2": stage2_id,
-            "test_accuracy": metrics.accuracy,
-            "test_macro_f1": metrics.macro_f1,
-            "regression": regression_report(targets, preds, correct).to_dict(),
+            "test_accuracy": scores.metrics.accuracy,
+            "test_macro_f1": scores.metrics.macro_f1,
+            "regression": scores.regression.to_dict(),
         }
 
     with open(out_dir / "report.json", "w") as handle:

@@ -4,22 +4,23 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence, Union
 
 import numpy as np
 
 from .domain import (
+    DEFAULT_CONFIGS,
     FULL_POWER_W,
     MAX_ROD_TRAVEL_IN,
     CoreConfiguration,
     PowerClassBins,
-    ReactorState,
     TransientObservation,
-    direction_of,
-    reactivity_of_state,
+    rod_worths_by_ordinal,
 )
+from .ingest import DataError
 
 LN_FULL_POWER = math.log(FULL_POWER_W)
 
@@ -34,14 +35,6 @@ class PowerRangeError(ValueError):
 
 class EmptyClassError(ValueError):
     """A class with no samples cannot be undersampled."""
-
-
-@dataclass(frozen=True)
-class NormalizedState:
-    """Feature-space image of a ReactorState."""
-
-    power_norm: float
-    rods_norm: tuple[float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -73,24 +66,39 @@ LAYOUTS: dict[str, FeatureLayout] = {
 }
 
 
-@dataclass
-class EncodedSample:
-    """Per-variant feature vectors plus classification and regression targets.
+@dataclass(frozen=True)
+class EncodedTable:
+    """Feature matrices and targets of n observations, as one layout sees them.
 
-    For all-in-one layouts the whole feature vector (direction included)
-    lives in initial_branch and final_branch is empty.
+    For all-in-one layouts the whole feature matrix (direction included)
+    is `initial` and `final` has no columns.
     """
 
-    initial_branch: np.ndarray
-    final_branch: np.ndarray
-    direction: int
-    class_onehot: np.ndarray
-    regression_target: float
-    variant_id: str
+    layout: FeatureLayout
+    initial: np.ndarray  # (n, initial-branch width)
+    final: np.ndarray  # (n, final-branch width)
+    direction: np.ndarray  # (n,) +1 or -1
+    class_index: np.ndarray  # (n,) power class of the final state
+    target: np.ndarray  # (n,) normalized final power
+    n_classes: int
+
+    def __len__(self) -> int:
+        return self.target.shape[0]
+
+    def take(self, idx) -> "EncodedTable":
+        """The rows at `idx`, in that order (indices may repeat)."""
+        return replace(
+            self,
+            initial=self.initial[idx],
+            final=self.final[idx],
+            direction=self.direction[idx],
+            class_index=self.class_index[idx],
+            target=self.target[idx],
+        )
 
     @property
-    def class_index(self) -> int:
-        return int(np.argmax(self.class_onehot))
+    def class_onehot(self) -> np.ndarray:
+        return np.eye(self.n_classes)[self.class_index]
 
 
 def normalize_power(power: float) -> float:
@@ -101,18 +109,6 @@ def normalize_power(power: float) -> float:
 
 def denormalize_power(power_norm: float) -> float:
     return math.exp(power_norm * LN_FULL_POWER)
-
-
-def normalize_state(state: ReactorState) -> NormalizedState:
-    return NormalizedState(
-        power_norm=normalize_power(state.power),
-        rods_norm=tuple(h / MAX_ROD_TRAVEL_IN for h in state.rod_heights),
-    )
-
-
-def normalize(obs: TransientObservation) -> tuple[NormalizedState, NormalizedState]:
-    """Normalize both states of an observation."""
-    return normalize_state(obs.initial), normalize_state(obs.final)
 
 
 def classify_power(power: float, bins: PowerClassBins = PowerClassBins()) -> int:
@@ -153,111 +149,173 @@ def undersample_indices(class_labels: Sequence[int], seed: int, n_classes: int =
     return chosen
 
 
-def undersample(samples: Sequence[EncodedSample], seed: int) -> list[EncodedSample]:
-    """Class-balance encoded samples to the minority-class count."""
-    labels = [s.class_index for s in samples]
-    n_classes = len(samples[0].class_onehot) if samples else 5
-    return [samples[i] for i in undersample_indices(labels, seed, n_classes)]
+def undersample(table: EncodedTable, seed: int) -> EncodedTable:
+    """Class-balance an encoded table to the minority-class count."""
+    return table.take(undersample_indices(table.class_index.tolist(), seed, table.n_classes))
 
 
-def _state_features(
-    norm: NormalizedState,
-    state: ReactorState,
-    layout: FeatureLayout,
-    config: CoreConfiguration,
-    include_power: bool,
-) -> list[float]:
-    feats: list[float] = []
-    if include_power:
-        feats.append(norm.power_norm)
-    if layout.rod_feature == "heights":
-        feats.extend(norm.rods_norm)
-    else:
-        feats.append(reactivity_of_state(state, config) / REACTIVITY_FEATURE_SCALE)
-    return feats
+# Columns of the feature matrix that encode_tables builds once for all layouts.
+_POWER, _RODS_I, _RODS_F, _RHO_I, _RHO_F, _DIRECTION = 0, [1, 2, 3, 4], [5, 6, 7, 8], 9, 10, 11
 
 
-def encode(
-    obs: TransientObservation,
-    layout: FeatureLayout,
-    config: CoreConfiguration,
+@lru_cache(maxsize=None)
+def _layout_columns(layout: FeatureLayout) -> tuple[np.ndarray, np.ndarray]:
+    """Feature-matrix columns of a layout's initial and final branch."""
+    rods_i, rods_f = (_RODS_I, _RODS_F) if layout.rod_feature == "heights" else ([_RHO_I], [_RHO_F])
+    initial, final = [_POWER, *rods_i], rods_f
+    if layout.input_mode == "all_in_one":
+        initial, final = initial + final + ([_DIRECTION] if layout.uses_direction else []), []
+    return np.array(initial, dtype=np.intp), np.array(final, dtype=np.intp)
+
+
+def encode_tables(
+    observations: Sequence[TransientObservation],
+    layouts: Sequence[FeatureLayout],
+    configs: tuple[CoreConfiguration, ...] = DEFAULT_CONFIGS,
     bins: PowerClassBins = PowerClassBins(),
-) -> EncodedSample:
-    """Encode one observation for a model variant.
+) -> list[EncodedTable]:
+    """Encode the observations once, then pick each layout's columns.
 
     Initial power appears only in the initial branch; the final power is
-    the target (class bin and normalized regression value), never a feature.
+    the target (class index and normalized regression value), never a
+    feature. Each row's rod worths come from the configuration operational
+    on its date. Errors name the row, counting from 1.
     """
-    norm_i, norm_f = normalize(obs)
-    direction = direction_of(obs)
+    n = len(observations)
+    # math.log per element, as normalize_power: np.log can differ in the last bit.
+    raw = np.array(
+        [
+            (*o.initial.rod_heights, *o.final.rod_heights, math.log(o.initial.power),
+             math.log(o.final.power), o.final.power - o.initial.power, o.final.power,
+             o.date.toordinal())
+            for o in observations
+        ],
+        dtype=np.float64,
+    ).reshape(n, 13)
+    features = np.empty((n, 12))
+    rods = features[:, 1:9]
+    np.divide(raw[:, :8], MAX_ROD_TRAVEL_IN, out=rods)
+    power_norm = raw[:, 8:10] / LN_FULL_POWER
+    features[:, _POWER] = power_norm[:, 0]
+    # Rod by rod, in order, as reactivity_of_state sums them.
+    terms = (rods.reshape(n, 2, 4) * rod_worths_by_ordinal(raw[:, 12], configs)[:, None, :]).T
+    rho = ((terms[0] + terms[1]) + terms[2]) + terms[3]
+    np.divide(rho.T, REACTIVITY_FEATURE_SCALE, out=features[:, _RHO_I : _RHO_F + 1])
 
-    initial = _state_features(norm_i, obs.initial, layout, config, include_power=True)
-    final = _state_features(norm_f, obs.final, layout, config, include_power=False)
+    direction = np.sign(raw[:, 10]).astype(np.int64)
+    if not direction.all():
+        row = int(np.flatnonzero(direction == 0)[0]) + 1
+        raise ValueError(f"row {row}: zero-change transient has no direction")
+    features[:, _DIRECTION] = direction
+    # Ceiling-inclusive, as classify_power; states never exceed the top ceiling.
+    class_index = np.array(bins.ceilings).searchsorted(raw[:, 11], "left")
+    target = power_norm[:, 1].copy()
 
-    if layout.input_mode == "all_in_one":
-        vector = initial + final
-        if layout.uses_direction:
-            vector.append(float(direction))
-        initial_branch = np.asarray(vector, dtype=np.float64)
-        final_branch = np.empty(0, dtype=np.float64)
-    else:
-        initial_branch = np.asarray(initial, dtype=np.float64)
-        final_branch = np.asarray(final, dtype=np.float64)
-
-    onehot = np.zeros(bins.n_classes, dtype=np.float64)
-    onehot[classify_power(obs.final.power, bins)] = 1.0
-
-    return EncodedSample(
-        initial_branch=initial_branch,
-        final_branch=final_branch,
-        direction=direction,
-        class_onehot=onehot,
-        regression_target=norm_f.power_norm,
-        variant_id=layout.variant_id,
-    )
+    tables = []
+    for layout in layouts:
+        initial, final = _layout_columns(layout)
+        tables.append(
+            EncodedTable(
+                layout=layout,
+                initial=features[:, initial],
+                final=features[:, final],
+                direction=direction,
+                class_index=class_index,
+                target=target,
+                n_classes=bins.n_classes,
+            )
+        )
+    return tables
 
 
 def encode_dataset(
     observations: Sequence[TransientObservation],
     layout: FeatureLayout,
-    configs,
+    configs: tuple[CoreConfiguration, ...] = DEFAULT_CONFIGS,
     bins: PowerClassBins = PowerClassBins(),
-) -> list[EncodedSample]:
-    from .domain import config_for_date
+) -> EncodedTable:
+    """One layout's table of the observations."""
+    return encode_tables(observations, [layout], configs, bins)[0]
 
-    return [encode(obs, layout, config_for_date(obs.date, configs), bins) for obs in observations]
 
-
-def write_encoded(samples: Sequence[EncodedSample], path: Union[str, Path]) -> None:
-    """Serialize encoded samples as JSON records, one per line."""
+def write_encoded(table: EncodedTable, path: Union[str, Path]) -> None:
+    """Serialize an encoded table as JSON records, one per row."""
     with open(path, "w") as handle:
-        for s in samples:
+        for initial, final, direction, onehot, target in zip(
+            table.initial.tolist(),
+            table.final.tolist(),
+            table.direction.tolist(),
+            table.class_onehot.tolist(),
+            table.target.tolist(),
+        ):
             record = {
-                "initial_branch": list(s.initial_branch),
-                "final_branch": list(s.final_branch),
-                "direction": s.direction,
-                "class_onehot": list(s.class_onehot),
-                "regression_target": s.regression_target,
-                "variant_id": s.variant_id,
+                "initial_branch": initial,
+                "final_branch": final,
+                "direction": direction,
+                "class_onehot": onehot,
+                "regression_target": target,
+                "variant_id": table.layout.variant_id,
             }
             handle.write(json.dumps(record) + "\n")
 
 
-def read_encoded(path: Union[str, Path]) -> list[EncodedSample]:
-    samples: list[EncodedSample] = []
+_VECTOR_FIELDS = ("initial_branch", "final_branch", "class_onehot")
+_RECORD_FIELDS = (*_VECTOR_FIELDS, "direction", "regression_target", "variant_id")
+
+
+def _read_record(line: str, first: tuple | None) -> tuple:
+    """(variant id, initial, final, one-hot, direction, target) of one record,
+    checked against the first record's variant and vector widths."""
+    record = json.loads(line)
+    if not isinstance(record, dict):
+        raise ValueError("expected a JSON object")
+    missing = [name for name in _RECORD_FIELDS if name not in record]
+    if missing:
+        raise ValueError(f"missing field {missing[0]!r}")
+    variant_id = record["variant_id"]
+    if variant_id not in LAYOUTS:
+        raise ValueError(f"unknown variant_id {variant_id!r}")
+    vectors = [np.asarray(record[name], dtype=np.float64) for name in _VECTOR_FIELDS]
+    for name, vector in zip(_VECTOR_FIELDS, vectors):
+        if vector.ndim != 1:
+            raise ValueError(f"field {name!r} must be a list of numbers")
+    if not vectors[2].size:
+        raise ValueError("field 'class_onehot' is empty")
+    row = (variant_id, *vectors, int(record["direction"]), float(record["regression_target"]))
+    if first is not None:
+        if variant_id != first[0]:
+            raise ValueError(f"variant_id {variant_id!r} differs from the first record's {first[0]!r}")
+        for name, vector, expected in zip(_VECTOR_FIELDS, vectors, first[1:4]):
+            if vector.size != expected.size:
+                raise ValueError(f"field {name!r} has {vector.size} values, the first record {expected.size}")
+    return row
+
+
+def read_encoded(path: Union[str, Path]) -> EncodedTable:
+    """Load a file written by write_encoded.
+
+    A malformed, inconsistent or missing record raises DataError naming the
+    file and line; so does a file with no records.
+    """
+    rows: list[tuple] = []
     with open(path) as handle:
-        for line in handle:
+        for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
-            record = json.loads(line)
-            samples.append(
-                EncodedSample(
-                    initial_branch=np.asarray(record["initial_branch"], dtype=np.float64),
-                    final_branch=np.asarray(record["final_branch"], dtype=np.float64),
-                    direction=int(record["direction"]),
-                    class_onehot=np.asarray(record["class_onehot"], dtype=np.float64),
-                    regression_target=float(record["regression_target"]),
-                    variant_id=record["variant_id"],
-                )
-            )
-    return samples
+            try:
+                rows.append(_read_record(line, rows[0] if rows else None))
+            except (ValueError, TypeError) as exc:
+                raise DataError(f"{path} line {line_no}: {exc}") from None
+    if not rows:
+        raise DataError(f"no encoded samples in {path}")
+    variant_ids, initial, final, onehot, direction, target = zip(*rows)
+    onehot = np.array(onehot)
+    return EncodedTable(
+        layout=LAYOUTS[variant_ids[0]],
+        initial=np.array(initial),
+        final=np.array(final).reshape(len(rows), -1),
+        direction=np.array(direction, dtype=np.int64),
+        class_index=np.argmax(onehot, axis=1),
+        target=np.array(target),
+        n_classes=onehot.shape[1],
+    )

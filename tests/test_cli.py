@@ -3,9 +3,12 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
+from rtp import compose
 from rtp.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from rtp.domain import config_for_date
 from rtp.ingest import read_observations
 from rtp.preprocess import read_encoded
 
@@ -86,7 +89,7 @@ class TestArtifacts:
         b2 = read_encoded(workdir / "enc_b2.jsonl")
         assert len(a1) == len(b2) > 0
         # Same seed and labels, so the balanced row order matches across layouts.
-        assert [s.class_index for s in a1] == [s.class_index for s in b2]
+        np.testing.assert_array_equal(a1.class_index, b2.class_index)
 
     def test_augment(self, workdir, tmp_path):
         out = tmp_path / "augmented.csv"
@@ -155,6 +158,55 @@ class TestArtifacts:
         assert len(rows) == 121
         probs = [float(v) for v in rows[1][1:6]]
         assert sum(probs) == pytest.approx(1.0, abs=1e-9)
+
+    def test_predict_runs_the_file_in_one_batch(self, workdir, tmp_path, monkeypatch):
+        calls = []
+        original = compose.forward
+
+        def counting_forward(model, inputs):
+            calls.append(len(next(iter(inputs.values()))))
+            return original(model, inputs)
+
+        monkeypatch.setattr(compose, "forward", counting_forward)
+        code = main(
+            [
+                "predict",
+                "--model", str(workdir / "twostage.json"),
+                "--in", str(workdir / "corpus.csv"),
+                "--out", str(tmp_path / "predictions.csv"),
+            ]
+        )
+        assert code == EXIT_OK
+        assert calls == [120, 120]  # one forward per stage, over every row
+
+    def test_predict_matches_per_row_predict(self, workdir, tmp_path):
+        out = tmp_path / "predictions.csv"
+        args = ["--model", str(workdir / "twostage.json"), "--in", str(workdir / "corpus.csv")]
+        assert main(["predict", *args, "--out", str(out)]) == EXIT_OK
+        with open(out) as handle:
+            rows = list(csv.DictReader(handle))
+        model = compose.load_two_stage(workdir / "twostage.json")
+        observations = read_observations(workdir / "corpus.csv")
+        assert len(rows) == len(observations)
+        for row, obs in zip(rows, observations):
+            single = compose.predict(model, obs, config_for_date(obs.date))
+            assert int(row["predicted_class"]) == single.predicted_class
+            assert abs(float(row["power_norm"]) - single.power_norm) <= 1e-12
+
+    def test_predict_names_zero_change_row(self, workdir, tmp_path, capsys):
+        with open(workdir / "corpus.csv") as handle:
+            rows = list(csv.reader(handle))
+        header = rows[0]
+        rows[3][header.index("final_power_w")] = rows[3][header.index("initial_power_w")]
+        bad = tmp_path / "zero.csv"
+        with open(bad, "w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        out = tmp_path / "predictions.csv"
+        code = main(
+            ["predict", "--model", str(workdir / "twostage.json"), "--in", str(bad), "--out", str(out)]
+        )
+        assert code == EXIT_DATA
+        assert "row 3: zero-change transient has no direction" in capsys.readouterr().err
 
 
 class TestPipelineCommand:
@@ -233,6 +285,32 @@ class TestExitCodes:
         )
         assert code == EXIT_USAGE
 
+
+    def test_train_on_record_without_field_names_file_and_line(self, workdir, tmp_path, capsys):
+        lines = (workdir / "enc_a1.jsonl").read_text().splitlines()
+        doc = json.loads(lines[1])
+        del doc["initial_branch"]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join([lines[0], json.dumps(doc), *lines[2:]]) + "\n")
+        code = main(
+            ["train", "--variant", "a1", "--data", str(bad), "--out", str(tmp_path / "m.json")]
+        )
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "bad.jsonl line 2" in err and "initial_branch" in err
+        assert "Traceback" not in err
+
+    def test_train_on_csv_names_file_and_line(self, workdir, tmp_path, capsys):
+        code = main(
+            [
+                "train",
+                "--variant", "a1",
+                "--data", str(workdir / "corpus.csv"),
+                "--out", str(tmp_path / "m.json"),
+            ]
+        )
+        assert code == EXIT_DATA
+        assert "corpus.csv line 1:" in capsys.readouterr().err
 
     def test_unchained_model_file_is_data_error(self, workdir, tmp_path, capsys):
         doc = json.loads((workdir / "model_a1.json").read_text())

@@ -1,7 +1,9 @@
 """Tests for core reactor data types and configuration lookup."""
 
 import datetime as dt
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from rtp.domain import (
@@ -14,6 +16,7 @@ from rtp.domain import (
     config_for_date,
     direction_of,
     reactivity_of_state,
+    rod_worths_by_ordinal,
 )
 
 
@@ -103,6 +106,26 @@ class TestConfigForDate:
     def test_order_independent(self):
         shuffled = (DEFAULT_CONFIGS[2], DEFAULT_CONFIGS[0], DEFAULT_CONFIGS[3], DEFAULT_CONFIGS[1])
         assert config_for_date(dt.date(2014, 10, 10), shuffled).id == 122
+
+    def test_vectorized_lookup_agrees_every_day(self):
+        first, last = dt.date(2012, 1, 1), dt.date(2016, 12, 31)
+        days = [first + dt.timedelta(days=k) for k in range((last - first).days + 1)]
+        assert {c.start_date for c in DEFAULT_CONFIGS} <= set(days)
+        ordinals = np.array([day.toordinal() for day in days])
+        # Distinct worths per era, so that the worths identify the era.
+        distinct = tuple(
+            replace(c, rod_worths=tuple(w + k for w in c.rod_worths))
+            for k, c in enumerate(DEFAULT_CONFIGS)
+        )
+        order = (2, 0, 3, 1)
+        for configs in (DEFAULT_CONFIGS, distinct, tuple(distinct[k] for k in order)):
+            by_start = sorted(configs, key=lambda c: c.start_date)
+            worths = rod_worths_by_ordinal(ordinals, configs)
+            for day, row in zip(days, worths):
+                started = [c for c in by_start if c.start_date <= day]
+                expected = started[-1] if started else by_start[0]
+                assert config_for_date(day, configs) == expected, day
+                assert tuple(row) == expected.rod_worths, day
 
 
 class TestReactivity:

@@ -15,6 +15,7 @@ from rtp.engine import (
     ModelFormatError,
     NetworkModel,
     ShapeError,
+    _forward_cached,
     backward_with_loss,
     clone_model,
     data_loss,
@@ -80,6 +81,18 @@ def numeric_gradients(model, inputs, target, kind, step=1e-6):
 
 
 class TestForward:
+    def test_matches_cached_forward_bitwise(self):
+        rng = np.random.default_rng(23)
+        for model, inputs in (
+            (build_classifier(rng, hidden=64), classifier_inputs(rng, 257)),
+            (
+                build_regressor(rng, hidden=64),
+                {"main": rng.normal(size=(257, 4)), "aux": rng.random(size=(257, 5))},
+            ),
+        ):
+            cached, _, _ = _forward_cached(model, inputs)
+            assert forward(model, inputs).tobytes() == cached.tobytes()
+
     def test_hand_oracle_single_branch(self):
         # One relu layer plus a sigmoid head, checked against plain numpy.
         w1 = np.array([[0.5, -1.0], [2.0, 0.25]])
@@ -195,14 +208,17 @@ class TestBackward:
             np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-7)
 
     def test_backward_with_loss_matches_forward_loss(self):
+        # The returned loss is the data loss alone; the gradient still
+        # includes the penalty (see test_matches_finite_differences).
         rng = np.random.default_rng(18)
         model = build_classifier(rng)
         inputs = classifier_inputs(rng, 6)
         target = np.zeros((6, 5))
         target[np.arange(6), rng.integers(0, 5, size=6)] = 1.0
-        _, total = backward_with_loss(model, inputs, target, LOSS_CCE)
-        direct = total_loss(model, inputs, target, LOSS_CCE)
-        assert total == pytest.approx(direct, abs=1e-12)
+        _, loss = backward_with_loss(model, inputs, target, LOSS_CCE)
+        direct = data_loss(np.atleast_2d(forward(model, inputs)), target, LOSS_CCE)
+        assert loss == direct
+        assert regularization_loss(model) > 0.0
 
     def test_gradient_count_matches_layers(self):
         rng = np.random.default_rng(19)

@@ -167,10 +167,10 @@ class TestTargets:
         np.testing.assert_array_equal(targets.sum(axis=1), np.ones(6))
 
     def test_regression_targets(self):
-        samples = sample_batch("a2")
-        targets = regression_targets(samples)
+        table = sample_batch("a2")
+        targets = regression_targets(table)
         assert targets.shape == (6, 1)
-        assert targets[0, 0] == samples[0].regression_target
+        np.testing.assert_array_equal(targets[:, 0], table.target)
 
 
 class TestDefaultTrainingConfig:

@@ -1,19 +1,26 @@
 """Tests for normalization, class binning, undersampling, and feature encoding."""
 
 import datetime as dt
+import json
 import math
 
 import numpy as np
 import pytest
 
+from rtp import seeds
+from rtp.augment import over_sample
 from rtp.domain import (
     DEFAULT_CONFIGS,
     FULL_POWER_W,
+    MAX_ROD_TRAVEL_IN,
     PowerClassBins,
     ReactorState,
     TransientObservation,
+    config_for_date,
+    direction_of,
     reactivity_of_state,
 )
+from rtp.ingest import CorpusSpec, DataError, synthesize_corpus
 from rtp.preprocess import (
     LAYOUTS,
     REACTIVITY_FEATURE_SCALE,
@@ -21,11 +28,9 @@ from rtp.preprocess import (
     PowerRangeError,
     classify_power,
     denormalize_power,
-    encode,
     encode_dataset,
-    normalize,
+    encode_tables,
     normalize_power,
-    normalize_state,
     read_encoded,
     undersample,
     undersample_indices,
@@ -42,6 +47,35 @@ def make_obs(p_i=100.0, p_f=10_000.0):
         end_time=dt.time(8, 15),
         initial=ReactorState(p_i, (6.0, 6.0, 6.0, 12.0)),
         final=ReactorState(p_f, (9.0, 9.0, 9.0, 12.0)),
+    )
+
+
+def encode_one(obs, variant_id):
+    """The one-row table of `obs` under CONFIG."""
+    return encode_dataset([obs], LAYOUTS[variant_id], (CONFIG,))
+
+
+def reference_row(obs, layout, config, bins):
+    """One observation's features, direction, class and target, by the scalar
+    definitions the vectorized encoder must reproduce bit for bit."""
+    rho_i = reactivity_of_state(obs.initial, config) / REACTIVITY_FEATURE_SCALE
+    rho_f = reactivity_of_state(obs.final, config) / REACTIVITY_FEATURE_SCALE
+    if layout.rod_feature == "heights":
+        rods_i = [h / MAX_ROD_TRAVEL_IN for h in obs.initial.rod_heights]
+        rods_f = [h / MAX_ROD_TRAVEL_IN for h in obs.final.rod_heights]
+    else:
+        rods_i, rods_f = [rho_i], [rho_f]
+    initial, final = [normalize_power(obs.initial.power), *rods_i], rods_f
+    direction = direction_of(obs)
+    if layout.input_mode == "all_in_one":
+        initial = initial + final + ([float(direction)] if layout.uses_direction else [])
+        final = []
+    return (
+        initial,
+        final,
+        direction,
+        classify_power(obs.final.power, bins),
+        normalize_power(obs.final.power),
     )
 
 
@@ -68,13 +102,20 @@ class TestNormalization:
             normalize_power(0.0)
 
     def test_state_normalization(self):
-        norm = normalize_state(ReactorState(FULL_POWER_W, (0.0, 6.0, 12.0, 24.0)))
-        assert norm.rods_norm == (0.0, 0.25, 0.5, 1.0)
-        assert norm.power_norm == pytest.approx(1.0)
+        obs = TransientObservation(
+            date=dt.date(2014, 6, 1),
+            start_time=dt.time(8, 0),
+            end_time=dt.time(8, 15),
+            initial=ReactorState(FULL_POWER_W, (0.0, 6.0, 12.0, 24.0)),
+            final=ReactorState(100.0, (0.0, 6.0, 12.0, 18.0)),
+        )
+        table = encode_one(obs, "b1")
+        assert table.initial[0, 1:].tolist() == [0.0, 0.25, 0.5, 1.0]
+        assert table.initial[0, 0] == pytest.approx(1.0)
 
     def test_normalize_both_states(self):
-        norm_i, norm_f = normalize(make_obs())
-        assert norm_i.power_norm < norm_f.power_norm
+        table = encode_one(make_obs(), "a1")
+        assert table.initial[0, 0] < table.target[0]
 
 
 class TestClassifyPower:
@@ -133,81 +174,197 @@ class TestUndersample:
 
     def test_undersample_encoded(self):
         observations = [make_obs(p_f=p) for p in (50.0, 60.0, 500.0, 5000.0, 50_000.0, 150_000.0, 160_000.0)]
-        samples = encode_dataset(observations, LAYOUTS["a1"], DEFAULT_CONFIGS)
-        balanced = undersample(samples, seed=0)
-        counts = [0] * 5
-        for s in balanced:
-            counts[s.class_index] += 1
-        assert counts == [1] * 5
+        table = encode_dataset(observations, LAYOUTS["a1"], DEFAULT_CONFIGS)
+        balanced = undersample(table, seed=0)
+        assert np.bincount(balanced.class_index, minlength=5).tolist() == [1] * 5
+        assert len(balanced.initial) == len(balanced.target) == 5
 
 
 class TestEncode:
     def test_separated_reactivity_layout(self):
         obs = make_obs()
-        sample = encode(obs, LAYOUTS["a1"], CONFIG)
+        table = encode_one(obs, "a1")
         rho_i = reactivity_of_state(obs.initial, CONFIG) / REACTIVITY_FEATURE_SCALE
         rho_f = reactivity_of_state(obs.final, CONFIG) / REACTIVITY_FEATURE_SCALE
-        np.testing.assert_allclose(
-            sample.initial_branch, [normalize_power(100.0), rho_i], atol=1e-15
-        )
-        np.testing.assert_allclose(sample.final_branch, [rho_f], atol=1e-15)
-        assert sample.direction == 1
-        assert sample.class_index == 3  # 10000 W is in the fourth bin
-        assert sample.regression_target == pytest.approx(normalize_power(10_000.0))
+        np.testing.assert_allclose(table.initial, [[normalize_power(100.0), rho_i]], atol=1e-15)
+        np.testing.assert_allclose(table.final, [[rho_f]], atol=1e-15)
+        assert table.direction.tolist() == [1]
+        assert table.class_index.tolist() == [3]  # 10000 W is in the fourth bin
+        assert table.target[0] == pytest.approx(normalize_power(10_000.0))
 
     def test_separated_heights_layout(self):
-        obs = make_obs()
-        sample = encode(obs, LAYOUTS["b1"], CONFIG)
+        table = encode_one(make_obs(), "b1")
         np.testing.assert_allclose(
-            sample.initial_branch,
-            [normalize_power(100.0), 0.25, 0.25, 0.25, 0.5],
-            atol=1e-15,
+            table.initial, [[normalize_power(100.0), 0.25, 0.25, 0.25, 0.5]], atol=1e-15
         )
-        np.testing.assert_allclose(sample.final_branch, [0.375, 0.375, 0.375, 0.5], atol=1e-15)
+        np.testing.assert_allclose(table.final, [[0.375, 0.375, 0.375, 0.5]], atol=1e-15)
 
     def test_all_in_one_layout(self):
-        obs = make_obs()
-        sample = encode(obs, LAYOUTS["f1"], CONFIG)
+        table = encode_one(make_obs(), "f1")
         # power + 4 initial rods + 4 final rods + direction, all in one vector.
-        assert sample.initial_branch.shape == (10,)
-        assert sample.final_branch.shape == (0,)
-        assert sample.initial_branch[-1] == 1.0
+        assert table.initial.shape == (1, 10)
+        assert table.final.shape == (1, 0)
+        assert table.initial[0, -1] == 1.0
 
     def test_aio_reactivity_layout_width(self):
-        sample = encode(make_obs(), LAYOUTS["e1"], CONFIG)
-        assert sample.initial_branch.shape == (4,)  # power, rho_i, rho_f, direction
+        table = encode_one(make_obs(), "e1")
+        assert table.initial.shape == (1, 4)  # power, rho_i, rho_f, direction
 
     def test_final_power_never_a_feature(self):
         obs = make_obs()
         target_norm = normalize_power(obs.final.power)
         for layout in LAYOUTS.values():
-            sample = encode(obs, layout, CONFIG)
-            features = np.concatenate([sample.initial_branch, sample.final_branch])
+            table = encode_dataset([obs], layout, (CONFIG,))
+            features = np.concatenate([table.initial[0], table.final[0]])
             assert not np.any(np.isclose(features, target_norm, atol=1e-12))
 
     def test_down_transient_direction(self):
         obs = make_obs(p_i=10_000.0, p_f=100.0)
-        assert encode(obs, LAYOUTS["a1"], CONFIG).direction == -1
+        assert encode_one(obs, "a1").direction.tolist() == [-1]
 
     def test_onehot(self):
-        sample = encode(make_obs(p_f=50.0), LAYOUTS["a1"], CONFIG)
-        np.testing.assert_array_equal(sample.class_onehot, [1.0, 0.0, 0.0, 0.0, 0.0])
+        table = encode_one(make_obs(p_f=50.0), "a1")
+        np.testing.assert_array_equal(table.class_onehot, [[1.0, 0.0, 0.0, 0.0, 0.0]])
+
+    def test_zero_change_row_is_named(self):
+        observations = [make_obs(), make_obs(p_f=500.0), make_obs(p_f=100.0), make_obs(p_f=100.0)]
+        with pytest.raises(ValueError, match="^row 3: zero-change transient has no direction"):
+            encode_dataset(observations, LAYOUTS["a1"], DEFAULT_CONFIGS)
+
+    def test_tables_share_one_encoding(self):
+        observations = [make_obs(p_f=p) for p in (50.0, 500.0, 5000.0)]
+        tables = encode_tables(observations, [LAYOUTS["a1"], LAYOUTS["b2"]], DEFAULT_CONFIGS)
+        alone = encode_dataset(observations, LAYOUTS["b2"], DEFAULT_CONFIGS)
+        assert [t.layout.variant_id for t in tables] == ["a1", "b2"]
+        for name in ("initial", "final", "direction", "class_index", "target"):
+            np.testing.assert_array_equal(getattr(tables[1], name), getattr(alone, name))
+
+    def test_take_selects_rows(self):
+        observations = [make_obs(p_f=p) for p in (50.0, 500.0, 5000.0)]
+        table = encode_dataset(observations, LAYOUTS["b1"], DEFAULT_CONFIGS)
+        picked = table.take([2, 0, 2])
+        assert len(picked) == 3
+        assert picked.class_index.tolist() == [2, 0, 2]
+        np.testing.assert_array_equal(picked.initial, table.initial[[2, 0, 2]])
+        np.testing.assert_array_equal(picked.final, table.final[[2, 0, 2]])
+
+
+@pytest.fixture(scope="module")
+def desk_rows():
+    """The seed-0 desk corpus plus its augmentation, as the pipeline draws them."""
+    corpus = synthesize_corpus(CorpusSpec(n_observations=5000, seed=seeds.subseed(0, "corpus")))
+    return corpus + over_sample(corpus, n=1000, seed=seeds.subseed(0, "augment"))
+
+
+def test_encoder_matches_scalar_reference_bitwise(desk_rows):
+    bins = PowerClassBins()
+    tables = encode_tables(desk_rows, list(LAYOUTS.values()), DEFAULT_CONFIGS, bins)
+    for layout, table in zip(LAYOUTS.values(), tables):
+        rows = [
+            reference_row(obs, layout, config_for_date(obs.date, DEFAULT_CONFIGS), bins)
+            for obs in desk_rows
+        ]
+        initial, final, direction, class_index, target = (list(c) for c in zip(*rows))
+        n = len(desk_rows)
+        want_initial = np.array(initial, dtype=np.float64)
+        want_final = np.array(final, dtype=np.float64).reshape(n, -1)
+        assert table.initial.shape == want_initial.shape, layout.variant_id
+        assert table.final.shape == want_final.shape, layout.variant_id
+        # Bitwise, so that a 0.0 / -0.0 or last-bit difference fails too.
+        assert table.initial.tobytes() == want_initial.tobytes(), layout.variant_id
+        assert table.final.tobytes() == want_final.tobytes(), layout.variant_id
+        assert table.target.tobytes() == np.array(target).tobytes(), layout.variant_id
+        assert table.direction.tolist() == direction
+        assert table.class_index.tolist() == class_index
 
 
 class TestEncodedRoundTrip:
     def test_write_read_exact(self, tmp_path):
         observations = [make_obs(p_f=p) for p in (50.0, 500.0, 5000.0)]
-        samples = encode_dataset(observations, LAYOUTS["b2"], DEFAULT_CONFIGS)
+        table = encode_dataset(observations, LAYOUTS["b2"], DEFAULT_CONFIGS)
         path = tmp_path / "encoded.jsonl"
-        write_encoded(samples, path)
+        write_encoded(table, path)
         back = read_encoded(path)
-        assert len(back) == len(samples)
-        for a, b in zip(samples, back):
-            np.testing.assert_array_equal(a.initial_branch, b.initial_branch)
-            np.testing.assert_array_equal(a.final_branch, b.final_branch)
-            assert a.direction == b.direction
-            assert a.regression_target == b.regression_target
-            assert a.variant_id == b.variant_id
+        assert len(back) == len(table)
+        assert back.layout == table.layout
+        for name in ("initial", "final", "direction", "class_index", "target"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(table, name))
+
+    def test_aio_round_trip(self, tmp_path):
+        table = encode_dataset([make_obs(), make_obs(p_f=50.0)], LAYOUTS["e1"], DEFAULT_CONFIGS)
+        path = tmp_path / "encoded.jsonl"
+        write_encoded(table, path)
+        back = read_encoded(path)
+        assert back.final.shape == (2, 0)
+        np.testing.assert_array_equal(back.initial, table.initial)
+
+    def test_reads_existing_record_format(self, tmp_path):
+        # One record exactly as earlier releases wrote it.
+        path = tmp_path / "encoded.jsonl"
+        path.write_text(
+            '{"initial_branch": [0.5, 0.25], "final_branch": [0.3], "direction": -1, '
+            '"class_onehot": [0.0, 0.0, 1.0, 0.0, 0.0], "regression_target": 0.4, '
+            '"variant_id": "a1"}\n'
+        )
+        table = read_encoded(path)
+        assert table.layout == LAYOUTS["a1"]
+        assert table.initial.tolist() == [[0.5, 0.25]]
+        assert table.final.tolist() == [[0.3]]
+        assert table.direction.tolist() == [-1]
+        assert table.class_index.tolist() == [2]
+        assert table.target.tolist() == [0.4]
+
+
+class TestReadEncodedErrors:
+    def write_records(self, tmp_path, records):
+        path = tmp_path / "encoded.jsonl"
+        table = encode_dataset([make_obs(), make_obs(p_f=50.0)], LAYOUTS["a1"], DEFAULT_CONFIGS)
+        write_encoded(table, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(records(lines)) + "\n")
+        return path
+
+    def test_missing_field_names_file_and_line(self, tmp_path):
+        def drop_initial_branch(lines):
+            doc = json.loads(lines[1])
+            del doc["initial_branch"]
+            return [lines[0], json.dumps(doc)]
+
+        path = self.write_records(tmp_path, drop_initial_branch)
+        with pytest.raises(DataError, match=r"encoded\.jsonl line 2: missing field 'initial_branch'"):
+            read_encoded(path)
+
+    def test_csv_input_names_file_and_line(self, tmp_path):
+        path = tmp_path / "corpus.csv"
+        path.write_text("date,start_time\n2014-06-01,08:00\n")
+        with pytest.raises(DataError, match=r"corpus\.csv line 1: "):
+            read_encoded(path)
+
+    def test_inconsistent_width(self, tmp_path):
+        def widen(lines):
+            doc = json.loads(lines[1])
+            doc["initial_branch"].append(0.0)
+            return [lines[0], json.dumps(doc)]
+
+        path = self.write_records(tmp_path, widen)
+        with pytest.raises(DataError, match="line 2: field 'initial_branch'"):
+            read_encoded(path)
+
+    def test_mixed_variants(self, tmp_path):
+        def relabel(lines):
+            doc = json.loads(lines[1])
+            doc["variant_id"] = "c1"
+            return [lines[0], json.dumps(doc)]
+
+        path = self.write_records(tmp_path, relabel)
+        with pytest.raises(DataError, match="line 2: variant_id 'c1'"):
+            read_encoded(path)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("\n")
+        with pytest.raises(DataError, match="no encoded samples"):
+            read_encoded(path)
 
 
 def test_layout_table():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rtp.engine import forward
+from rtp.engine import forward, regularization_loss
 from rtp.model_zoo import build_variant, model_inputs
 from rtp.training import (
     Adam,
@@ -109,6 +109,19 @@ class TestTrain:
         for l1, l2 in zip(m1.all_layers(), m2.all_layers()):
             np.testing.assert_array_equal(l1.weights, l2.weights)
         assert h1.records == h2.records
+
+    def test_batch_loss_is_the_data_loss(self):
+        # With a zero learning rate the weights never move, so the mean batch
+        # loss is the training-set data loss: the evaluated loss without the
+        # L1/L2 penalty.
+        inputs, targets = toy_classifier_data()
+        model = build_variant("a1", seed=0)
+        config = TrainingConfig(optimizer="sgd", learning_rate=0.0, seed=0, max_epochs=1)
+        _, history = train(model, inputs, targets, config)
+        record = history.records[0]
+        penalty = regularization_loss(model)
+        assert penalty > 1e-6
+        assert record["train_batch_loss"] == pytest.approx(record["train_loss"] - penalty, abs=1e-12)
 
     def test_empty_dataset(self):
         model = build_variant("a1", seed=0)
