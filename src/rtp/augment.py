@@ -7,7 +7,7 @@ power-ratio relation, valid only for small (<= 0.5 $) reactivity changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -19,25 +19,12 @@ from .domain import (
     CoreConfiguration,
     ReactorState,
     TransientObservation,
-    reactivity_of_state,
     rod_worths_by_ordinal,
 )
 from .ingest import SHUTDOWN_POWER_W
 
 # The power-ratio relation loses validity above this reactivity change.
 MAX_VALID_DELTA_RHO = 0.5
-
-
-class ValidityError(ValueError):
-    """Reactivity change too large for the power-ratio relation."""
-
-
-class SingularityError(ValueError):
-    """Power ratio undefined or non-positive for the given reactivities."""
-
-
-class OverPowerError(ValueError):
-    """Resulting power exceeds full power."""
 
 
 class ProgressError(RuntimeError):
@@ -64,59 +51,39 @@ class PerturbationPolicy:
             raise ValueError("max_delta_rho must be positive")
 
 
-def apply_power_ratio(power: float, rho_i: float, rho_f: float) -> float:
-    """New stable power after a small reactivity change rho_i -> rho_f.
-
-    Returns power * (1 - rho_f) / (1 - rho_i), the executable form of the
-    power-ratio relation.
-    """
-    if abs(rho_f - rho_i) > MAX_VALID_DELTA_RHO:
-        raise ValidityError(
-            f"|delta rho| = {abs(rho_f - rho_i):.4f} $ exceeds {MAX_VALID_DELTA_RHO} $"
-        )
-    denom = 1.0 - rho_i
-    if denom == 0.0:
-        raise SingularityError("initial reactivity of exactly 1 $ has no defined ratio")
-    ratio = (1.0 - rho_f) / denom
-    if ratio <= 0.0:
-        raise SingularityError(f"non-positive power ratio {ratio:.4f}")
-    new_power = power * ratio
-    if new_power > FULL_POWER_W:
-        raise OverPowerError(f"{new_power:.1f} W exceeds full power {FULL_POWER_W} W")
-    return new_power
-
-
-def perturb_state(
-    state: ReactorState,
-    config: CoreConfiguration,
+def perturb_rows(
+    powers: np.ndarray,
+    rods: np.ndarray,
+    worths: np.ndarray,
+    noise: np.ndarray,
     change: int,
     policy: PerturbationPolicy,
-    rng: np.random.Generator,
-) -> tuple[ReactorState, bool]:
-    """One perturbation draw; returns (new_state, accepted).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One perturbation draw per state; returns (new_rods, new_powers, ok).
 
-    Rejected draws (rod out of travel, reactivity change beyond the policy
-    cap, or power out of range) return the original state with accepted=False.
+    Row k is a state of power powers[k] with rod heights rods[k] under rod
+    worths worths[k]; noise[k] is its (4,) draw from N(0, base_noise_sigma).
+    Rods 1-3 move by the noise plus change * directional_bias, the
+    regulating rod by reg_rod_scale times its noise. The power follows the
+    power-ratio relation P * (1 - rho_new) / (1 - rho_old). A draw is
+    rejected (ok False) when a rod leaves its travel, the reactivity changes
+    by more than the policy cap or MAX_VALID_DELTA_RHO, the ratio is
+    undefined or not positive, or the power leaves (0, FULL_POWER_W].
     """
-    delta = rng.normal(0.0, policy.base_noise_sigma, size=4)
-    delta[:3] += change * policy.directional_bias
-    delta[3] *= policy.reg_rod_scale
-    new_rods = np.asarray(state.rod_heights) + delta
-    if new_rods.max() > MAX_ROD_TRAVEL_IN or new_rods.min() < 0.0:
-        return state, False
-
-    new_state_rods = tuple(float(h) for h in new_rods)
-    rho_old = reactivity_of_state(state, config)
-    rho_new = reactivity_of_state(ReactorState(state.power, new_state_rods), config)
-    if abs(rho_new - rho_old) > policy.max_delta_rho:
-        return state, False
-    try:
-        new_power = apply_power_ratio(state.power, rho_old, rho_new)
-    except (ValidityError, SingularityError, OverPowerError):
-        return state, False
-    if new_power <= 0.0:
-        return state, False
-    return ReactorState(new_power, new_state_rods), True
+    delta = noise * np.array([1.0, 1.0, 1.0, policy.reg_rod_scale])
+    delta[:, :3] += change * policy.directional_bias
+    new_rods = rods + delta
+    ok = (new_rods.max(axis=1) <= MAX_ROD_TRAVEL_IN) & (new_rods.min(axis=1) >= 0.0)
+    rho_old = np.sum(rods / MAX_ROD_TRAVEL_IN * worths, axis=1)
+    rho_new = np.sum(new_rods / MAX_ROD_TRAVEL_IN * worths, axis=1)
+    ok &= np.abs(rho_new - rho_old) <= min(policy.max_delta_rho, MAX_VALID_DELTA_RHO)
+    denom = 1.0 - rho_old
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(denom != 0.0, (1.0 - rho_new) / denom, -1.0)
+    ok &= ratio > 0.0
+    new_powers = powers * ratio
+    ok &= (new_powers > 0.0) & (new_powers <= FULL_POWER_W)
+    return new_rods, new_powers, ok
 
 
 def over_sample(
@@ -157,26 +124,15 @@ def over_sample(
         batch = max(256, 2 * (n - len(out)))
         idx = rng.integers(0, m, size=batch)
 
-        def perturb(powers: np.ndarray, rods: np.ndarray):
-            delta = rng.normal(0.0, policy.base_noise_sigma, size=(batch, 4))
-            delta[:, :3] += change * policy.directional_bias
-            delta[:, 3] *= policy.reg_rod_scale
-            new_rods = rods[idx] + delta
-            ok = (new_rods.max(axis=1) <= MAX_ROD_TRAVEL_IN) & (new_rods.min(axis=1) >= 0.0)
-            w = worths[idx]
-            rho_old = np.sum(rods[idx] / MAX_ROD_TRAVEL_IN * w, axis=1)
-            rho_new = np.sum(new_rods / MAX_ROD_TRAVEL_IN * w, axis=1)
-            ok &= np.abs(rho_new - rho_old) <= min(policy.max_delta_rho, MAX_VALID_DELTA_RHO)
-            denom = 1.0 - rho_old
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(denom != 0.0, (1.0 - rho_new) / denom, -1.0)
-            ok &= ratio > 0.0
-            new_powers = powers[idx] * ratio
-            ok &= (new_powers > 0.0) & (new_powers <= FULL_POWER_W)
-            return new_rods, new_powers, ok
-
-        new_rods_i, new_powers_i, ok_i = perturb(powers_i, rods_i)
-        new_rods_f, new_powers_f, ok_f = perturb(powers_f, rods_f)
+        w = worths[idx]
+        noise_i = rng.normal(0.0, policy.base_noise_sigma, size=(batch, 4))
+        new_rods_i, new_powers_i, ok_i = perturb_rows(
+            powers_i[idx], rods_i[idx], w, noise_i, change, policy
+        )
+        noise_f = rng.normal(0.0, policy.base_noise_sigma, size=(batch, 4))
+        new_rods_f, new_powers_f, ok_f = perturb_rows(
+            powers_f[idx], rods_f[idx], w, noise_f, change, policy
+        )
         ok = ok_i & ok_f
         # Keep the synthetic rows consistent with the ingestion filters.
         ok &= new_powers_f >= SHUTDOWN_POWER_W
@@ -189,21 +145,13 @@ def over_sample(
                 f"acceptance rate {accepted / attempts:.5f} below 0.1% after {attempts} draws"
             )
 
-        for k in np.nonzero(ok)[0]:
-            if len(out) == n:
-                break
-            src = dataset[int(idx[k])]
+        # Each output keeps its source's date and times.
+        for k in np.flatnonzero(ok)[: n - len(out)]:
             out.append(
-                TransientObservation(
-                    date=src.date,
-                    start_time=src.start_time,
-                    end_time=src.end_time,
-                    initial=ReactorState(
-                        float(new_powers_i[k]), tuple(float(h) for h in new_rods_i[k])
-                    ),
-                    final=ReactorState(
-                        float(new_powers_f[k]), tuple(float(h) for h in new_rods_f[k])
-                    ),
+                replace(
+                    dataset[int(idx[k])],
+                    initial=ReactorState(float(new_powers_i[k]), tuple(new_rods_i[k].tolist())),
+                    final=ReactorState(float(new_powers_f[k]), tuple(new_rods_f[k].tolist())),
                 )
             )
     return out

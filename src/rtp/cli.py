@@ -18,8 +18,10 @@ from . import seeds
 from .augment import PerturbationPolicy, ProgressError, over_sample
 from .compose import (
     CompositionError,
+    TwoStageModel,
     compose,
     evaluate_two_stage,
+    load_any_model,
     load_two_stage,
     predict_batch,
     save_two_stage,
@@ -189,14 +191,11 @@ def _cmd_compose(args) -> int:
 def _cmd_evaluate(args) -> int:
     observations, _ = filter_report(parse_log(args.data))
     bins = PowerClassBins()
-    with open(args.model) as handle:
-        doc = json.load(handle)
-    is_two_stage = isinstance(doc, dict) and doc.get("kind") == "two-stage"
+    model = load_any_model(args.model)
 
     report: dict
     columns: list[list]  # per row: true class, predicted class[, absolute error]
-    if is_two_stage:
-        model = load_two_stage(args.model)
+    if isinstance(model, TwoStageModel):
         scores = evaluate_two_stage(
             model, *encode_tables(observations, model.layouts, DEFAULT_CONFIGS, bins)
         )
@@ -212,7 +211,6 @@ def _cmd_evaluate(args) -> int:
         ]
         header = ["row", "true_class", "predicted_class", "abs_error_norm"]
     else:
-        model = load_model(args.model)
         if model.variant_id not in LAYOUTS:
             raise DataError(f"model {args.model} has unknown variant id {model.variant_id!r}")
         table = encode_dataset(observations, LAYOUTS[model.variant_id], DEFAULT_CONFIGS, bins)

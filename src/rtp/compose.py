@@ -17,6 +17,7 @@ from .engine import (
     ModelFormatError,
     NetworkModel,
     forward,
+    load_document,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -30,7 +31,7 @@ from .evaluate import (
     regression_report,
 )
 from .model_zoo import aux_width, model_inputs, variant_spec
-from .preprocess import EncodedTable, FeatureLayout, denormalize_power, encode_tables
+from .preprocess import LAYOUTS, EncodedTable, FeatureLayout, denormalize_power, encode_tables
 
 
 class CompositionError(ValueError):
@@ -56,7 +57,7 @@ class TwoStageModel:
         if self.stage2.head != HEAD_SIGMOID:
             raise CompositionError(f"stage 2 head is {self.stage2.head}, need {HEAD_SIGMOID}")
         for stage, model in (("stage 1", self.stage1), ("stage 2", self.stage2)):
-            if model.variant_id is None or model.variant_id not in _known_variants():
+            if model.variant_id not in LAYOUTS:
                 raise CompositionError(f"{stage} has no recognized variant id")
         spec2 = variant_spec(self.stage2.variant_id)
         if spec2.task != "regressor":
@@ -75,12 +76,6 @@ class TwoStageModel:
             variant_spec(self.stage1.variant_id).layout,
             variant_spec(self.stage2.variant_id).layout,
         )
-
-
-def _known_variants() -> set[str]:
-    from .preprocess import LAYOUTS
-
-    return set(LAYOUTS)
 
 
 def compose_models(stage1: NetworkModel, stage2: NetworkModel) -> TwoStageModel:
@@ -105,19 +100,28 @@ def save_two_stage(model: TwoStageModel, path: Union[str, Path]) -> None:
         handle.write("\n")
 
 
+def two_stage_from_dict(doc: dict) -> TwoStageModel:
+    if not isinstance(doc, dict) or doc.get("kind") != "two-stage":
+        raise ModelFormatError("not a two-stage model file")
+    version = doc.get("format_version")
+    if version != FORMAT_VERSION:
+        raise ModelFormatError(f"unsupported format_version {version!r}; expected {FORMAT_VERSION}")
+    return compose_models(model_from_dict(doc["stage1"]), model_from_dict(doc["stage2"]))
+
+
 def load_two_stage(path: Union[str, Path]) -> TwoStageModel:
-    try:
-        with open(path) as handle:
-            doc = json.load(handle)
-        if not isinstance(doc, dict) or doc.get("kind") != "two-stage":
-            raise ModelFormatError("not a two-stage model file")
-        version = doc.get("format_version")
-        if version != FORMAT_VERSION:
-            raise ModelFormatError(f"unsupported format_version {version!r}; expected {FORMAT_VERSION}")
-        stage1, stage2 = model_from_dict(doc["stage1"]), model_from_dict(doc["stage2"])
-    except (json.JSONDecodeError, KeyError, ModelFormatError) as exc:
-        raise ModelFormatError(f"model file {path}: {exc}") from exc
-    return compose_models(stage1, stage2)
+    return load_document(path, two_stage_from_dict)
+
+
+def load_any_model(path: Union[str, Path]) -> Union[TwoStageModel, NetworkModel]:
+    """The two-stage model or the single network in `path`, by the document's kind."""
+
+    def from_dict(doc):
+        if isinstance(doc, dict) and doc.get("kind") == "two-stage":
+            return two_stage_from_dict(doc)
+        return model_from_dict(doc)
+
+    return load_document(path, from_dict)
 
 
 def predict_batch(

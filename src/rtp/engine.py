@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Union
+from typing import Any, Callable, Union
 
 import numpy as np
 
@@ -436,10 +436,15 @@ def save_model(model: NetworkModel, path: Union[str, Path]) -> None:
         handle.write("\n")
 
 
-def load_model(path: Union[str, Path]) -> NetworkModel:
+def load_document(path: Union[str, Path], from_dict: Callable[[Any], Any]) -> Any:
+    """from_dict of the JSON document in `path`; a malformed document raises
+    ModelFormatError naming the file."""
     try:
         with open(path) as handle:
-            doc = json.load(handle)
-        return model_from_dict(doc)
-    except (json.JSONDecodeError, ModelFormatError) as exc:
+            return from_dict(json.load(handle))
+    except (json.JSONDecodeError, KeyError, ModelFormatError) as exc:
         raise ModelFormatError(f"model file {path}: {exc}") from exc
+
+
+def load_model(path: Union[str, Path]) -> NetworkModel:
+    return load_document(path, model_from_dict)

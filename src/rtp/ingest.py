@@ -18,6 +18,7 @@ from .domain import (
     CoreConfiguration,
     ReactorState,
     TransientObservation,
+    _eras,
     reactivity_of_state,
 )
 
@@ -106,7 +107,7 @@ class CorpusSpec:
 
 @dataclass
 class FilterCounts:
-    """Exclusion tallies from filter_observations."""
+    """Exclusion tallies from filter_report."""
 
     retained: int = 0
     too_long: int = 0
@@ -208,41 +209,27 @@ def filter_report(rows: Iterable[RawLogRow]) -> tuple[list[TransientObservation]
     counts = FilterCounts()
     kept: list[TransientObservation] = []
     for row in rows:
-        start = row.start_time.hour * 60 + row.start_time.minute
-        end = row.end_time.hour * 60 + row.end_time.minute
-        if end - start > MAX_DURATION_MINUTES:
+        obs = row_to_observation(row)
+        if obs.duration_minutes > MAX_DURATION_MINUTES:
             counts.too_long += 1
-            continue
-        if row.final_power < SHUTDOWN_POWER_W:
+        elif obs.final.power < SHUTDOWN_POWER_W:
             counts.shutdown += 1
-            continue
-        if row.final_power == row.initial_power:
+        elif obs.final.power == obs.initial.power:
             counts.no_change += 1
-            continue
-        kept.append(row_to_observation(row))
-        counts.retained += 1
+        else:
+            kept.append(obs)
+            counts.retained += 1
     return kept, counts
-
-
-def filter_observations(rows: Iterable[RawLogRow]) -> list[TransientObservation]:
-    """Exclusion filtering without the counts report."""
-    kept, _ = filter_report(rows)
-    return kept
 
 
 def _era_bounds(
     configs: tuple[CoreConfiguration, ...],
 ) -> list[tuple[CoreConfiguration, int, int]]:
-    ordered = sorted(configs, key=lambda c: c.start_date)
-    bounds = []
-    for idx, config in enumerate(ordered):
-        start = config.start_date.toordinal()
-        if idx + 1 < len(ordered):
-            end = ordered[idx + 1].start_date.toordinal()
-        else:
-            end = CORPUS_END_DATE.toordinal() + 1
-        bounds.append((config, start, end))
-    return bounds
+    """(config, first day, day after the last) of each era, as day ordinals in
+    start-date order; the last era ends on CORPUS_END_DATE."""
+    ordered, starts, _ = _eras(tuple(configs))
+    starts = starts.tolist()
+    return list(zip(ordered, starts, starts[1:] + [CORPUS_END_DATE.toordinal() + 1]))
 
 
 def _rho_of_power(power: float) -> float:
@@ -364,4 +351,4 @@ def write_observations(observations: Iterable[TransientObservation], path: Union
 
 def read_observations(path: Union[str, Path]) -> list[TransientObservation]:
     """Parse and filter a transient-log CSV in one step."""
-    return filter_observations(parse_log(path))
+    return filter_report(parse_log(path))[0]

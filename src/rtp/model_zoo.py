@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import HEAD_SIGMOID, HEAD_SOFTMAX, DenseLayer, NetworkModel, init_layer
-from .preprocess import LAYOUTS, EncodedTable, FeatureLayout
+from .preprocess import LAYOUTS, EncodedTable, FeatureLayout, _layout_columns
 from .training import TrainingConfig
 
 CLASSIFIER_IDS = ("a1", "b1", "c1", "d1", "e1", "f1")
@@ -36,13 +36,10 @@ def variant_spec(variant_id: str) -> VariantSpec:
 
 def branch_widths(layout: FeatureLayout) -> dict[str, int]:
     """Input width per branch for a layout, before any auxiliary inputs."""
-    per_state = 4 if layout.rod_feature == "heights" else 1
+    initial, final = _layout_columns(layout)
     if layout.input_mode == "separated":
-        return {"initial": 1 + per_state, "final": per_state}
-    width = (1 + per_state) + per_state
-    if layout.uses_direction:
-        width += 1
-    return {"main": width}
+        return {"initial": initial.size, "final": final.size}
+    return {"main": initial.size}
 
 
 def aux_width(variant_id: str) -> int:

@@ -31,7 +31,7 @@ from .model_zoo import (
     regression_targets,
     variant_spec,
 )
-from .preprocess import classify_power, encode_tables, undersample_indices
+from .preprocess import LAYOUTS, encode_tables, undersample_indices
 from .training import TrainingConfig, train
 
 
@@ -142,16 +142,17 @@ def run_pipeline(config: PipelineConfig) -> dict:
     write_observations(augmented, out_dir / "augmented.csv")
     train_pool = train_obs + augmented
 
-    # Stage 4: class-balance the training pool (observation-level, so every
-    # variant sees the same balanced rows), then encode the balanced rows and
-    # the test split once for every variant's layout.
-    labels = [classify_power(obs.final.power, bins) for obs in train_pool]
-    balanced_idx = undersample_indices(labels, seeds.subseed(config.seed, "balance"))
-    balanced_obs = [train_pool[i] for i in balanced_idx]
-
+    # Stage 4: encode the training pool and the test split once for every
+    # variant's layout, then class-balance the pool's rows (the same rows for
+    # every variant). With no variants, one layout still supplies the labels.
     variant_ids = sorted(set(config.classifier_ids) | set(config.regressor_ids))
     layouts = [variant_spec(vid).layout for vid in variant_ids]
-    encoded_train = dict(zip(variant_ids, encode_tables(balanced_obs, layouts, DEFAULT_CONFIGS, bins)))
+    pool_tables = encode_tables(train_pool, layouts or [LAYOUTS["a1"]], DEFAULT_CONFIGS, bins)
+    balanced_idx = undersample_indices(
+        pool_tables[0].class_index.tolist(), seeds.subseed(config.seed, "balance")
+    )
+    encoded_train = {vid: table.take(balanced_idx) for vid, table in zip(variant_ids, pool_tables)}
+    del pool_tables  # training keeps only the balanced rows
     encoded_test = dict(zip(variant_ids, encode_tables(test_obs, layouts, DEFAULT_CONFIGS, bins)))
 
     report: dict = {
@@ -159,7 +160,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "corpus_n": len(corpus),
         "train_n": len(train_obs),
         "augmented_n": len(augmented),
-        "balanced_n": len(balanced_obs),
+        "balanced_n": len(balanced_idx),
         "test_n": len(test_obs),
         "classifiers": {},
         "regressors": {},

@@ -46,10 +46,6 @@ class FeatureLayout:
     rod_feature: str  # "heights" | "reactivity"
     uses_direction: bool
 
-    @property
-    def is_regressor(self) -> bool:
-        return self.variant_id.endswith("2")
-
 
 # Flag matrix for the six classifier and four regressor variants.
 LAYOUTS: dict[str, FeatureLayout] = {

@@ -7,14 +7,10 @@ import pytest
 
 from rtp.augment import (
     MAX_VALID_DELTA_RHO,
-    OverPowerError,
     PerturbationPolicy,
     ProgressError,
-    SingularityError,
-    ValidityError,
-    apply_power_ratio,
     over_sample,
-    perturb_state,
+    perturb_rows,
 )
 from rtp.domain import (
     DEFAULT_CONFIGS,
@@ -38,33 +34,57 @@ def make_obs(p_i=500.0, p_f=5000.0, heights_i=(8.0, 8.0, 8.0, 12.0), heights_f=(
     )
 
 
+def draw_one(power, rod1, worth1, noise1=0.0, change=0, policy=PerturbationPolicy()):
+    """perturb_rows on one state whose reactivity comes from rod 1 alone
+    (worths (worth1, 0, 0, 0)); noise1 is rod 1's noise, the others get none."""
+    rods = np.array([[rod1, 8.0, 8.0, 12.0]])
+    worths = np.array([[worth1, 0.0, 0.0, 0.0]])
+    noise = np.array([[noise1, 0.0, 0.0, 0.0]])
+    new_rods, new_powers, ok = perturb_rows(np.array([power]), rods, worths, noise, change, policy)
+    return new_rods[0], float(new_powers[0]), bool(ok[0])
+
+
 class TestApplyPowerRatio:
+    """The power-ratio relation as the perturbation kernel applies it."""
+
     def test_hand_value(self):
-        # [DERIVED] 100 * (1 - 3.2) / (1 - 3.0) = 110.0
-        assert apply_power_ratio(100.0, 3.0, 3.2) == pytest.approx(110.0, abs=1e-12)
+        # [DERIVED] rho = 12/24 * 6 = 3.0 -> 12.8/24 * 6 = 3.2;
+        # 100 * (1 - 3.2) / (1 - 3.0) = 110.0
+        new_rods, power, ok = draw_one(100.0, 12.0, 6.0, noise1=0.8)
+        assert ok
+        assert new_rods[0] == 12.8
+        assert power == pytest.approx(110.0, abs=1e-12)
 
     def test_no_change(self):
-        assert apply_power_ratio(42.0, 5.0, 5.0) == 42.0
+        new_rods, power, ok = draw_one(42.0, 12.0, 6.0)
+        assert ok
+        assert power == 42.0
+        assert new_rods.tolist() == [12.0, 8.0, 8.0, 12.0]
 
     def test_validity_limit(self):
-        with pytest.raises(ValidityError):
-            apply_power_ratio(100.0, 3.0, 3.0 + MAX_VALID_DELTA_RHO + 1e-6)
+        # [DERIVED] rho = 12/24 * 8 = 4.0 -> 13.5/24 * 8 = 4.5, exactly the limit.
+        assert MAX_VALID_DELTA_RHO == 0.5
+        policy = PerturbationPolicy(max_delta_rho=1.0)
+        assert not draw_one(100.0, 12.0, 8.0, noise1=1.5 + 1e-6, policy=policy)[2]
         # Exactly at the limit is allowed.
-        apply_power_ratio(100.0, 3.0, 3.0 + MAX_VALID_DELTA_RHO)
+        assert draw_one(100.0, 12.0, 8.0, noise1=1.5, policy=policy)[2]
 
     def test_singular_denominator(self):
-        with pytest.raises(SingularityError):
-            apply_power_ratio(100.0, 1.0, 1.3)
+        # [DERIVED] rho_i = 12/24 * 2 = 1.0 exactly: 1 - rho_i = 0.
+        assert not draw_one(100.0, 12.0, 2.0, noise1=0.1)[2]
+        assert not draw_one(100.0, 12.0, 2.0)[2]
 
     def test_nonpositive_ratio(self):
-        # rho_i just below 1, rho_f just above: ratio crosses zero.
-        with pytest.raises(SingularityError):
-            apply_power_ratio(100.0, 0.9, 1.05)
+        # rho_i = 0.9 just below 1, rho_f = 1.05 just above: ratio crosses zero.
+        _, power, ok = draw_one(100.0, 10.8, 2.0, noise1=1.8)
+        assert power < 0.0
+        assert not ok
 
     def test_over_power(self):
-        # [DERIVED] ratio (1-3.1)/(1-3.0) = 1.05; 199000 * 1.05 > 200000
-        with pytest.raises(OverPowerError):
-            apply_power_ratio(199_000.0, 3.0, 3.1)
+        # [DERIVED] rho 3.0 -> 3.1, ratio (1-3.1)/(1-3.0) = 1.05; 199000 * 1.05 > 200000
+        _, power, ok = draw_one(199_000.0, 12.0, 6.0, noise1=0.4)
+        assert power == pytest.approx(208_950.0)
+        assert not ok
 
 
 class TestPerturbationPolicy:
@@ -80,36 +100,46 @@ class TestPerturbationPolicy:
             PerturbationPolicy(max_delta_rho=-1.0)
 
 
+def draw_many(state, config, change, n, seed):
+    """n perturb_rows draws of one state, noise from a seeded generator."""
+    policy = PerturbationPolicy()
+    noise = np.random.default_rng(seed).normal(0.0, policy.base_noise_sigma, size=(n, 4))
+    return perturb_rows(
+        np.full(n, state.power),
+        np.tile(state.rod_heights, (n, 1)),
+        np.tile(config.rod_worths, (n, 1)),
+        noise,
+        change,
+        policy,
+    )
+
+
 class TestPerturbState:
     def test_accepted_draws_are_physical(self):
-        rng = np.random.default_rng(5)
         config = DEFAULT_CONFIGS[1]
         state = ReactorState(500.0, (8.0, 8.0, 8.0, 12.0))
         policy = PerturbationPolicy()
         rho_src = reactivity_of_state(state, config)
-        n_accepted = 0
-        for _ in range(300):
-            new_state, accepted = perturb_state(state, config, 0, policy, rng)
-            if not accepted:
-                assert new_state == state
-                continue
-            n_accepted += 1
+        new_rods, new_powers, ok = draw_many(state, config, 0, 300, seed=5)
+        for rods, power in zip(new_rods[ok], new_powers[ok]):
+            new_state = ReactorState(float(power), tuple(float(h) for h in rods))
             assert 0.0 < new_state.power <= FULL_POWER_W
             for h in new_state.rod_heights:
                 assert 0.0 <= h <= MAX_ROD_TRAVEL_IN
             assert abs(reactivity_of_state(new_state, config) - rho_src) <= policy.max_delta_rho
-        assert n_accepted > 200  # mid-range state should mostly be accepted
+        assert ok.sum() > 200  # mid-range state should mostly be accepted
+
+    def test_rod_leaving_travel_is_rejected(self):
+        # Reactivity step 0.05 $ and ratio near 1: only the rod's travel rejects.
+        assert not draw_one(100.0, 23.9, 6.0, noise1=0.2)[2]
+        assert not draw_one(100.0, 0.1, 6.0, noise1=-0.2)[2]
+        assert draw_one(100.0, 23.9, 6.0, noise1=0.1)[2]
 
     def test_directional_bias_moves_rods(self):
-        rng = np.random.default_rng(6)
         config = DEFAULT_CONFIGS[1]
         state = ReactorState(500.0, (8.0, 8.0, 8.0, 12.0))
-        policy = PerturbationPolicy()
-        deltas = []
-        for _ in range(200):
-            new_state, accepted = perturb_state(state, config, 1, policy, rng)
-            if accepted:
-                deltas.append(sum(new_state.rod_heights[:3]) - sum(state.rod_heights[:3]))
+        new_rods, _, ok = draw_many(state, config, 1, 200, seed=6)
+        deltas = new_rods[ok, :3].sum(axis=1) - sum(state.rod_heights[:3])
         assert np.mean(deltas) > 0.5  # bias of +0.3 per rod over three rods
 
 

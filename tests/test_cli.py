@@ -6,11 +6,12 @@ import json
 import numpy as np
 import pytest
 
-from rtp import compose
+from rtp import compose, seeds
 from rtp.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from rtp.domain import config_for_date
 from rtp.ingest import read_observations
-from rtp.preprocess import read_encoded
+from rtp.pipeline import PipelineConfig, run_pipeline
+from rtp.preprocess import classify_power, read_encoded
 
 
 @pytest.fixture(scope="module")
@@ -235,6 +236,24 @@ class TestPipelineCommand:
         assert (out_dir / "corpus.csv").exists()
 
 
+    def test_pipeline_without_variants_balances_the_pool(self, tmp_path):
+        config = PipelineConfig(
+            out_dir=tmp_path, corpus_n=300, augment_n=50, classifier_ids=(), regressor_ids=()
+        )
+        report = run_pipeline(config)
+        assert report["classifiers"] == report["regressors"] == {}
+        assert "composed" not in report
+        pool = read_observations(tmp_path / "corpus.csv")
+        augmented = read_observations(tmp_path / "augmented.csv")
+        assert len(pool) == 300 and len(augmented) == 50
+        # The balanced count is five times the minority class of the training
+        # pool (training split plus augmentation), by the scalar class rule.
+        split = seeds.substream(0, "split").permutation(300)
+        train_pool = [pool[i] for i in split[round(0.3 * 300):]] + augmented
+        counts = np.bincount([classify_power(o.final.power) for o in train_pool], minlength=5)
+        assert report["balanced_n"] == 5 * counts.min() > 0
+
+
 class TestExitCodes:
     def test_unknown_layout_is_usage_error(self, workdir):
         code = main(
@@ -328,6 +347,22 @@ class TestExitCodes:
         )
         assert code == EXIT_DATA
         assert "broken.json" in capsys.readouterr().err
+
+    def test_evaluate_names_model_file_that_is_not_json(self, workdir, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("not json\n")
+        code = main(
+            [
+                "evaluate",
+                "--model", str(bad),
+                "--data", str(workdir / "corpus.csv"),
+                "--out", str(tmp_path / "report.json"),
+            ]
+        )
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"model file {bad}: Expecting value" in err
+        assert "Traceback" not in err
 
     def test_unknown_train_config_key_is_usage_error(self, workdir, tmp_path, capsys):
         config = tmp_path / "train.json"

@@ -21,6 +21,7 @@ from rtp.domain import (
     reactivity_of_state,
 )
 from rtp.ingest import CorpusSpec, DataError, synthesize_corpus
+from rtp.model_zoo import variant_spec
 from rtp.preprocess import (
     LAYOUTS,
     REACTIVITY_FEATURE_SCALE,
@@ -374,5 +375,5 @@ def test_layout_table():
     assert LAYOUTS["d1"].rod_feature == "heights" and not LAYOUTS["d1"].uses_direction
     assert LAYOUTS["e1"].input_mode == "all_in_one"
     assert all(LAYOUTS[v].uses_direction for v in ("a2", "b2", "c2", "d2"))
-    assert all(LAYOUTS[v].is_regressor for v in ("a2", "b2", "c2", "d2"))
-    assert not LAYOUTS["a1"].is_regressor
+    assert all(variant_spec(v).task == "regressor" for v in ("a2", "b2", "c2", "d2"))
+    assert variant_spec("a1").task == "classifier"
