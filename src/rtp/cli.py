@@ -8,9 +8,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import replace
+from itertools import count
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from .compose import (
     evaluate_two_stage,
     load_any_model,
     load_two_stage,
-    predict_batch,
+    predict_arrays,
     save_two_stage,
 )
 from .domain import DEFAULT_CONFIGS, PowerClassBins
@@ -34,8 +36,7 @@ from .ingest import (
     DataError,
     ParseError,
     filter_report,
-    parse_log,
-    row_to_observation,
+    read_log,
     synthesize_corpus,
     write_observations,
 )
@@ -50,7 +51,7 @@ from .model_zoo import (
 from .pipeline import PipelineConfig, run_pipeline
 from .preprocess import (
     LAYOUTS,
-    encode_dataset,
+    LN_FULL_POWER,
     encode_tables,
     read_encoded,
     undersample,
@@ -97,9 +98,8 @@ def _cmd_synthesize(args) -> int:
 def _cmd_augment(args) -> int:
     if args.n < 0:
         raise UsageError(f"--n must be non-negative, got {args.n}")
-    observations = [row_to_observation(r) for r in parse_log(args.infile)]
     generated = over_sample(
-        observations,
+        read_log(args.infile).observations(),
         DEFAULT_CONFIGS,
         n=args.n,
         change=CHANGE_BY_NAME[args.change],
@@ -115,8 +115,8 @@ def _cmd_augment(args) -> int:
 def _cmd_preprocess(args) -> int:
     if args.layout not in LAYOUTS:
         raise UsageError(f"unknown layout {args.layout!r}; valid: {sorted(LAYOUTS)}")
-    observations, counts = filter_report(parse_log(args.infile))
-    table = encode_dataset(observations, LAYOUTS[args.layout], DEFAULT_CONFIGS)
+    kept, counts = filter_report(read_log(args.infile))
+    (table,) = encode_tables(kept, [LAYOUTS[args.layout]], DEFAULT_CONFIGS)
     if args.balance:
         table = undersample(table, _effective_seed(args))
     write_encoded(table, args.out)
@@ -189,7 +189,7 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    observations, _ = filter_report(parse_log(args.data))
+    kept, _ = filter_report(read_log(args.data))
     bins = PowerClassBins()
     model = load_any_model(args.model)
 
@@ -197,7 +197,7 @@ def _cmd_evaluate(args) -> int:
     columns: list[list]  # per row: true class, predicted class[, absolute error]
     if isinstance(model, TwoStageModel):
         scores = evaluate_two_stage(
-            model, *encode_tables(observations, model.layouts, DEFAULT_CONFIGS, bins)
+            model, *encode_tables(kept, model.layouts, DEFAULT_CONFIGS, bins)
         )
         report = {
             "classification": scores.metrics.to_dict(),
@@ -213,7 +213,7 @@ def _cmd_evaluate(args) -> int:
     else:
         if model.variant_id not in LAYOUTS:
             raise DataError(f"model {args.model} has unknown variant id {model.variant_id!r}")
-        table = encode_dataset(observations, LAYOUTS[model.variant_id], DEFAULT_CONFIGS, bins)
+        (table,) = encode_tables(kept, [LAYOUTS[model.variant_id]], DEFAULT_CONFIGS, bins)
         out = np.atleast_2d(forward(model, model_inputs(table, model.variant_id)))
         predicted = np.argmax(out, axis=1)
         cm = confusion(table.class_index, predicted)
@@ -234,25 +234,29 @@ def _cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+def _csv_line(fields) -> str:
+    """One CSV record as the csv module writes it when no field needs quoting
+    (names and numbers): comma-separated, with a CRLF line end."""
+    return ",".join(fields) + "\r\n"
+
+
 def _cmd_predict(args) -> int:
     model = load_two_stage(args.model)
-    # The observations are not kept: only their tables need to outlive encoding.
-    stage1_table, stage2_table = encode_tables(
-        [row_to_observation(r) for r in parse_log(args.infile)], model.layouts, DEFAULT_CONFIGS
-    )
-    predictions = predict_batch(model, stage1_table, stage2_table)
+    tables = encode_tables(read_log(args.infile), model.layouts, DEFAULT_CONFIGS)
+    probs, classes, norm = predict_arrays(model, *tables)
+    # Element by element as denormalize_power, so each value keeps its bits.
+    watts = map(math.exp, (norm * LN_FULL_POWER).tolist())
+    header = ["row", *[f"prob_{i}" for i in range(5)], "predicted_class", "power_norm", "power_watts"]
     with open(args.out, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["row"] + [f"prob_{i}" for i in range(5)] + ["predicted_class", "power_norm", "power_watts"]
-        )
-        writer.writerows(
-            [i, *[repr(v) for v in p.class_probs], p.predicted_class,
-             repr(p.power_norm), repr(p.power_watts)]
-            for i, p in enumerate(predictions, start=1)
+        handle.write(_csv_line(header))
+        handle.writelines(
+            _csv_line((str(i), *map(repr, row_probs), str(predicted), repr(p_norm), repr(w)))
+            for i, row_probs, predicted, p_norm, w in zip(
+                count(1), probs.tolist(), classes.tolist(), norm.tolist(), watts
+            )
         )
     if args.verbose:
-        print(f"wrote {len(predictions)} predictions to {args.out}")
+        print(f"wrote {len(norm)} predictions to {args.out}")
     return EXIT_OK
 
 

@@ -16,6 +16,7 @@ from .engine import (
     HEAD_SOFTMAX,
     ModelFormatError,
     NetworkModel,
+    check_format_version,
     forward,
     load_document,
     load_model,
@@ -30,6 +31,7 @@ from .evaluate import (
     confusion,
     regression_report,
 )
+from .ingest import ObservationTable
 from .model_zoo import aux_width, model_inputs, variant_spec
 from .preprocess import LAYOUTS, EncodedTable, FeatureLayout, denormalize_power, encode_tables
 
@@ -103,10 +105,12 @@ def save_two_stage(model: TwoStageModel, path: Union[str, Path]) -> None:
 def two_stage_from_dict(doc: dict) -> TwoStageModel:
     if not isinstance(doc, dict) or doc.get("kind") != "two-stage":
         raise ModelFormatError("not a two-stage model file")
-    version = doc.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ModelFormatError(f"unsupported format_version {version!r}; expected {FORMAT_VERSION}")
-    return compose_models(model_from_dict(doc["stage1"]), model_from_dict(doc["stage2"]))
+    check_format_version(doc.get("format_version"))
+    stage1, stage2 = model_from_dict(doc["stage1"]), model_from_dict(doc["stage2"])
+    try:
+        return compose_models(stage1, stage2)
+    except CompositionError as exc:
+        raise ModelFormatError(str(exc)) from exc
 
 
 def load_two_stage(path: Union[str, Path]) -> TwoStageModel:
@@ -124,12 +128,13 @@ def load_any_model(path: Union[str, Path]) -> Union[TwoStageModel, NetworkModel]
     return load_document(path, from_dict)
 
 
-def predict_batch(
+def predict_arrays(
     model: TwoStageModel,
     stage1_table: EncodedTable,
     stage2_table: EncodedTable,
-) -> list[JointPrediction]:
-    """Joint predictions for the rows of two aligned tables, one per stage layout.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Class probabilities (n, 5), predicted classes (n,) and normalized
+    powers (n,) for the rows of two aligned tables, one per stage layout.
 
     The arithmetic path is exactly stage-1 forward, then stage-2 forward with
     the stage-1 probabilities as auxiliary input, so composed predictions are
@@ -137,24 +142,29 @@ def predict_batch(
     """
     if len(stage1_table) != len(stage2_table):
         raise CompositionError("stage 1 and stage 2 row counts differ")
-    probs = np.atleast_2d(forward(model.stage1, model_inputs(stage1_table, model.stage1.variant_id)))
-    norm = np.atleast_2d(
-        forward(
-            model.stage2,
-            model_inputs(stage2_table, model.stage2.variant_id, class_probs=probs),
-        )
+    # Table inputs are matrices, so forward returns (n, width) outputs.
+    probs = forward(model.stage1, model_inputs(stage1_table, model.stage1.variant_id))
+    norm = forward(model.stage2, model_inputs(stage2_table, model.stage2.variant_id, class_probs=probs))
+    return probs, np.argmax(probs, axis=1), norm[:, 0]
+
+
+def predict_batch(
+    model: TwoStageModel,
+    stage1_table: EncodedTable,
+    stage2_table: EncodedTable,
+) -> list[JointPrediction]:
+    """predict_arrays' rows as JointPredictions."""
+    probs, classes, norm = predict_arrays(model, stage1_table, stage2_table)
+    return list(map(_joint, probs.tolist(), classes.tolist(), norm.tolist()))
+
+
+def _joint(row_probs: list[float], predicted: int, p_norm: float) -> JointPrediction:
+    return JointPrediction(
+        class_probs=tuple(row_probs),
+        predicted_class=predicted,
+        power_norm=p_norm,
+        power_watts=denormalize_power(p_norm),
     )
-    return [
-        JointPrediction(
-            class_probs=tuple(row_probs),
-            predicted_class=predicted,
-            power_norm=p_norm,
-            power_watts=denormalize_power(p_norm),
-        )
-        for row_probs, predicted, p_norm in zip(
-            probs.tolist(), np.argmax(probs, axis=1).tolist(), norm[:, 0].tolist()
-        )
-    ]
 
 
 def predict(
@@ -165,8 +175,9 @@ def predict(
 ) -> JointPrediction:
     """Joint prediction for one observation under `config`, from one encoding
     of it laid out for both stages."""
-    stage1_table, stage2_table = encode_tables([obs], model.layouts, (config,), bins)
-    return predict_batch(model, stage1_table, stage2_table)[0]
+    table = ObservationTable.from_observations([obs])
+    probs, classes, norm = predict_arrays(model, *encode_tables(table, model.layouts, (config,), bins))
+    return _joint(probs[0].tolist(), int(classes[0]), float(norm[0]))
 
 
 @dataclass(frozen=True)
@@ -185,10 +196,8 @@ def evaluate_two_stage(
 ) -> TwoStageEvaluation:
     """Score joint predictions against the tables' classes and targets; the
     regression report conditions on rows whose class stage 1 got right."""
-    joint = predict_batch(model, stage1_table, stage2_table)
+    _, predicted, norms = predict_arrays(model, stage1_table, stage2_table)
     true = stage1_table.class_index
-    predicted = np.array([p.predicted_class for p in joint], dtype=np.int64)
-    norms = np.array([p.power_norm for p in joint], dtype=np.float64)
     cm = confusion(true, predicted)
     return TwoStageEvaluation(
         true_classes=true,

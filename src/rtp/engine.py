@@ -7,6 +7,7 @@ followed by a trunk of dense layers whose last layer is the output head.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -15,7 +16,9 @@ from typing import Any, Callable, Union
 
 import numpy as np
 
-FORMAT_VERSION = 1
+# Format 2 stores all parameters as one binary block; format 1 files still load.
+FORMAT_VERSION = 2
+READABLE_VERSIONS = (1, 2)
 
 HEAD_SOFTMAX = "softmax-5"
 HEAD_SIGMOID = "sigmoid-1"
@@ -362,28 +365,12 @@ def _layer_to_dict(layer: DenseLayer, branch: str) -> dict:
         "activation": layer.activation,
         "l1": layer.l1,
         "l2": layer.l2,
-        "weights": [float(v) for v in layer.weights.reshape(-1)],  # row-major
-        "biases": [float(v) for v in layer.biases],
     }
 
 
-def _layer_from_dict(doc: dict) -> DenseLayer:
-    try:
-        n_in, n_out = doc["shape"]
-        weights = np.asarray(doc["weights"], dtype=np.float64).reshape(n_in, n_out)
-        biases = np.asarray(doc["biases"], dtype=np.float64)
-        return DenseLayer(
-            weights=weights,
-            biases=biases,
-            activation=doc["activation"],
-            l1=float(doc["l1"]),
-            l2=float(doc["l2"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"corrupt layer record: {exc}") from exc
-
-
 def model_to_dict(model: NetworkModel) -> dict:
+    """The format-2 document: layer records without values, and `params` as
+    base64 of the parameter vector in little-endian float64."""
     layers = []
     for name, branch_layers in model.branches.items():
         layers.extend(_layer_to_dict(layer, name) for layer in branch_layers)
@@ -397,40 +384,79 @@ def model_to_dict(model: NetworkModel) -> dict:
             "aux_width": model.aux_width,
         },
         "layers": layers,
+        "params": base64.b64encode(model.params.astype("<f8").tobytes()).decode("ascii"),
     }
 
 
+def check_format_version(version: Any) -> None:
+    if version not in READABLE_VERSIONS:
+        raise ModelFormatError(
+            f"unsupported format_version {version!r}; expected one of {list(READABLE_VERSIONS)}"
+        )
+
+
+def _layer_from_dict(doc: dict, params: np.ndarray | None, start: int) -> DenseLayer:
+    """The layer of a record: its values are in the record (format 1) or
+    start at params[start] (format 2)."""
+    try:
+        n_in, n_out = doc["shape"]
+        if params is None:
+            weights = np.asarray(doc["weights"], dtype=np.float64).reshape(n_in, n_out)
+            biases = np.asarray(doc["biases"], dtype=np.float64)
+        else:
+            split, end = start + n_in * n_out, start + (n_in + 1) * n_out
+            if end > params.size:
+                raise ValueError(f"params has {params.size} values, fewer than the layers need")
+            weights, biases = params[start:split].reshape(n_in, n_out), params[split:end]
+        return DenseLayer(
+            weights=weights,
+            biases=biases,
+            activation=doc["activation"],
+            l1=float(doc["l1"]),
+            l2=float(doc["l2"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelFormatError(f"corrupt layer record: {exc}") from exc
+
+
 def model_from_dict(doc: dict) -> NetworkModel:
+    """A model from a format-1 or format-2 document."""
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise ModelFormatError("not a model document: missing format_version")
-    if doc["format_version"] != FORMAT_VERSION:
-        raise ModelFormatError(
-            f"unsupported format_version {doc['format_version']!r}; expected {FORMAT_VERSION}"
-        )
+    check_format_version(doc["format_version"])
     try:
+        params = None
+        if doc["format_version"] == 2:
+            params = np.frombuffer(base64.b64decode(doc["params"], validate=True), dtype="<f8")
         branch_names = doc["merge_topology"]["branches"]
         aux_width = int(doc["merge_topology"]["aux_width"])
         branches: dict[str, list[DenseLayer]] = {name: [] for name in branch_names}
         trunk: list[DenseLayer] = []
+        used = 0
         for layer_doc in doc["layers"]:
-            layer = _layer_from_dict(layer_doc)
+            layer = _layer_from_dict(layer_doc, params, used)
+            used += layer.weights.size + layer.n_out
             if layer_doc["branch"] == "trunk":
                 trunk.append(layer)
             else:
                 branches[layer_doc["branch"]].append(layer)
         head, variant_id = doc["head"], doc.get("variant_id")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
         raise ModelFormatError(f"corrupt model document: {exc}") from exc
     try:
-        return NetworkModel(
+        model = NetworkModel(
             branches=branches, aux_width=aux_width, trunk=trunk, head=head, variant_id=variant_id
         )
     except ValueError as exc:
         raise ModelFormatError(f"invalid model: {exc}") from exc
+    # Checked once the layers are known to chain, so a missing layer reports as such.
+    if params is not None and used != params.size:
+        raise ModelFormatError(f"params has {params.size} values, the layers {used}")
+    return model
 
 
 def save_model(model: NetworkModel, path: Union[str, Path]) -> None:
-    """Write the model as JSON; floats keep full f64 precision."""
+    """Write the model as a format-2 JSON document; every parameter keeps its bits."""
     with open(path, "w") as handle:
         json.dump(model_to_dict(model), handle, sort_keys=True)
         handle.write("\n")

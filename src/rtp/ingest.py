@@ -5,9 +5,11 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, TextIO, Union
+from typing import Iterable, Iterator, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -115,32 +117,134 @@ class FilterCounts:
     no_change: int = 0
 
 
-def _parse_field(raw: str, kind: str, row_index: int, name: str):
+@dataclass
+class ObservationTable:
+    """n transients as columns: row k of every array is one transient.
+
+    `powers` holds the initial then the final power (W); `rods` holds the
+    initial rod1, rod2, rod3 and regulating-rod heights (inches), then the
+    final ones, in CSV column order. `row_index` is each row's 1-based CSV
+    data-row number (blank lines count), which errors report.
+    """
+
+    row_index: np.ndarray  # (n,) int64
+    date: np.ndarray  # (n,) int64 day ordinals
+    times: np.ndarray  # (n, 2) object: start and end datetime.time
+    powers: np.ndarray  # (n, 2) float64
+    rods: np.ndarray  # (n, 8) float64
+
+    def __len__(self) -> int:
+        return self.row_index.shape[0]
+
+    @classmethod
+    def from_observations(cls, observations: Sequence[TransientObservation]) -> "ObservationTable":
+        """The observations as a table, rows numbered from 1 in order."""
+        n = len(observations)
+        values = np.array(
+            [
+                (o.date.toordinal(), o.initial.power, o.final.power,
+                 *o.initial.rod_heights, *o.final.rod_heights)
+                for o in observations
+            ],
+            dtype=np.float64,
+        ).reshape(n, 11)
+        times = np.array([(o.start_time, o.end_time) for o in observations], dtype=object)
+        return cls(
+            np.arange(1, n + 1), values[:, 0].astype(np.int64), times.reshape(n, 2),
+            values[:, 1:3], values[:, 3:],
+        )
+
+    def take(self, idx) -> "ObservationTable":
+        """The rows at `idx` (indices or a boolean mask), in that order."""
+        return ObservationTable(*(getattr(self, f.name)[idx] for f in fields(self)))
+
+    @property
+    def duration_minutes(self) -> np.ndarray:
+        """Whole minutes from start to end, as TransientObservation.duration_minutes."""
+        return np.array(
+            [(end.hour - start.hour) * 60 + end.minute - start.minute for start, end in self.times],
+            dtype=np.float64,
+        )
+
+    def rows(self) -> list[RawLogRow]:
+        """One RawLogRow per row."""
+        return [
+            RawLogRow(i, dt.date.fromordinal(d), start, end, p_i, p_f, tuple(r[:4]), tuple(r[4:]))
+            for i, d, (start, end), (p_i, p_f), r in zip(
+                self.row_index.tolist(), self.date.tolist(), self.times.tolist(),
+                self.powers.tolist(), self.rods.tolist(),
+            )
+        ]
+
+    def observations(self) -> list[TransientObservation]:
+        """One TransientObservation per row."""
+        return [row_to_observation(row) for row in self.rows()]
+
+
+def _parse_column(raw: Sequence[str], parse, name: str, errors: list) -> list:
+    """parse() of each value; on a failure, the values before it, and the
+    failure's position and message appended to `errors`."""
     try:
-        if kind == "date":
-            return dt.date.fromisoformat(raw)
-        if kind == "time":
-            return dt.time.fromisoformat(raw)
-        return float(raw)
-    except ValueError as exc:
-        raise ParseError(f"row {row_index}: field '{name}': cannot parse {raw!r}") from exc
+        return list(map(parse, raw))
+    except ValueError:
+        for k, value in enumerate(raw):
+            try:
+                parse(value)
+            except ValueError:
+                errors.append((k, f"field '{name}': cannot parse {value!r}"))
+                return list(map(parse, raw[:k]))
+        raise
 
 
-def _check_range(value: float, lo: float, hi: float, row_index: int, name: str) -> float:
-    if not (lo <= value <= hi):
-        raise ParseError(f"row {row_index}: field '{name}': {value} outside [{lo}, {hi}]")
-    return value
+def _flag_first(bad, values: list, name: str, describe, errors: list) -> None:
+    """Append the position and message of the first True in `bad`, if any;
+    describe(value) words the fault."""
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        k = int(hits[0])
+        errors.append((k, f"field '{name}': {describe(values[k])}"))
+
+
+def _check_range(values: list, lo: float, hi: float, name: str, errors: list) -> np.ndarray:
+    column = np.array(values, dtype=np.float64)
+    outside = ~((lo <= column) & (column <= hi))
+    _flag_first(outside, values, name, lambda v: f"{v} outside [{lo}, {hi}]", errors)
+    return column
+
+
+# CSV lines parsed at a time, so that only one chunk's raw strings are alive
+# at once rather than the whole file's.
+CHUNK_ROWS = 256
+
+
+def read_log(source: Union[str, Path, TextIO]) -> ObservationTable:
+    """Parse a transient-log CSV into a table, column by column, CHUNK_ROWS
+    lines at a time.
+
+    Rows are numbered from 1 over data rows (header excluded, blank lines
+    counted) so errors point at the offending line. A failure raises
+    ParseError for the first failing row and, within it, the first failing
+    check in this order: field count, date, start and end time, end before
+    start, both powers, power positivity, power range, then each rod height
+    and its range.
+    """
+    chunks = list(_read_chunks(source))
+    return ObservationTable(
+        *(np.concatenate([getattr(c, f.name) for c in chunks]) for f in fields(ObservationTable))
+    )
 
 
 def parse_log(source: Union[str, Path, TextIO]) -> list[RawLogRow]:
-    """Parse a transient-log CSV into RawLogRows.
+    """read_log's rows as RawLogRows, built a chunk at a time."""
+    return [row for chunk in _read_chunks(source) for row in chunk.rows()]
 
-    Row indices are 1-based over data rows (header excluded) so errors point
-    at the offending line.
-    """
+
+def _read_chunks(source: Union[str, Path, TextIO]) -> Iterator[ObservationTable]:
+    """The tables of successive CHUNK_ROWS-line chunks of a transient-log CSV."""
     if isinstance(source, (str, Path)):
         with open(source, "r", newline="") as handle:
-            return parse_log(handle)
+            yield from _read_chunks(handle)
+        return
 
     reader = csv.reader(source)
     try:
@@ -149,45 +253,58 @@ def parse_log(source: Union[str, Path, TextIO]) -> list[RawLogRow]:
         raise DataError("empty CSV: no header row") from None
     if header != CSV_HEADER:
         raise DataError(f"unexpected CSV header {header}; expected {CSV_HEADER}")
-
-    rows: list[RawLogRow] = []
-    for i, record in enumerate(reader, start=1):
-        if not record:
-            continue
-        if len(record) != len(CSV_HEADER):
-            raise ParseError(f"row {i}: expected {len(CSV_HEADER)} fields, got {len(record)}")
-        date = _parse_field(record[0], "date", i, "date")
-        start_time = _parse_field(record[1], "time", i, "start_time")
-        end_time = _parse_field(record[2], "time", i, "end_time")
-        if end_time < start_time:
-            raise ParseError(f"row {i}: field 'end_time': {end_time} is before {start_time}")
-        p_i = _parse_field(record[3], "float", i, "initial_power_w")
-        p_f = _parse_field(record[4], "float", i, "final_power_w")
-        if p_i <= 0:
-            raise ParseError(f"row {i}: field 'initial_power_w': {p_i} must be positive")
-        if p_f <= 0:
-            raise ParseError(f"row {i}: field 'final_power_w': {p_f} must be positive")
-        _check_range(p_i, 0.0, FULL_POWER_W, i, "initial_power_w")
-        _check_range(p_f, 0.0, FULL_POWER_W, i, "final_power_w")
-        rods = []
-        for j, name in enumerate(CSV_HEADER[5:], start=5):
-            h = _parse_field(record[j], "float", i, name)
-            rods.append(_check_range(h, 0.0, MAX_ROD_TRAVEL_IN, i, name))
-        rows.append(
-            RawLogRow(
-                row_index=i,
-                date=date,
-                start_time=start_time,
-                end_time=end_time,
-                initial_power=p_i,
-                final_power=p_f,
-                initial_rods=tuple(rods[:4]),
-                final_rods=tuple(rods[4:]),
-            )
-        )
-    if not rows:
+    lines = enumerate(reader, start=1)
+    any_rows = False
+    while chunk := list(islice(lines, CHUNK_ROWS)):
+        numbered = [(i, record) for i, record in chunk if record]
+        if numbered:
+            any_rows = True
+            yield _parse_rows(*zip(*numbered))
+    if not any_rows:
         raise DataError("CSV contains a header but no data rows")
-    return rows
+
+
+def _parse_rows(row_index: tuple[int, ...], records: tuple[list[str], ...]) -> ObservationTable:
+    """The table of non-blank CSV records, numbered by `row_index`. Every
+    check runs on every record; a ParseError names the first failing row and
+    check."""
+    # (position, message) of each check's first failure, appended in the
+    # per-row check order; each check sees the rows whose inputs parsed.
+    errors: list[tuple[int, str]] = []
+    width = len(CSV_HEADER)
+    n = next((k for k, record in enumerate(records) if len(record) != width), len(records))
+    if n < len(records):
+        errors.append((n, f"expected {width} fields, got {len(records[n])}"))
+    columns = list(zip(*records[:n])) or [()] * width
+
+    dates = _parse_column(columns[0], dt.date.fromisoformat, "date", errors)
+    starts = _parse_column(columns[1], dt.time.fromisoformat, "start_time", errors)
+    ends = _parse_column(columns[2], dt.time.fromisoformat, "end_time", errors)
+    if any(map(operator.lt, ends, starts)):
+        k = next(k for k, before in enumerate(map(operator.lt, ends, starts)) if before)
+        errors.append((k, f"field 'end_time': {ends[k]} is before {starts[k]}"))
+    powers = [_parse_column(columns[j], float, CSV_HEADER[j], errors) for j in (3, 4)]
+    for values, name in zip(powers, CSV_HEADER[3:5]):
+        _flag_first(np.array(values) <= 0, values, name, lambda v: f"{v} must be positive", errors)
+    power_columns = [_check_range(values, 0.0, FULL_POWER_W, name, errors)
+                     for values, name in zip(powers, CSV_HEADER[3:5])]
+    rod_columns = []
+    for j in range(5, width):
+        values = _parse_column(columns[j], float, CSV_HEADER[j], errors)
+        rod_columns.append(_check_range(values, 0.0, MAX_ROD_TRAVEL_IN, CSV_HEADER[j], errors))
+
+    if errors:
+        position, message = min(errors, key=lambda error: error[0])
+        raise ParseError(f"row {row_index[position]}: {message}")
+    times = np.empty((n, 2), dtype=object)
+    times[:, 0], times[:, 1] = starts, ends
+    return ObservationTable(
+        row_index=np.array(row_index, dtype=np.int64),
+        date=np.array(list(map(dt.date.toordinal, dates)), dtype=np.int64),
+        times=times,
+        powers=np.stack(power_columns, axis=1),
+        rods=np.stack(rod_columns, axis=1),
+    )
 
 
 def row_to_observation(row: RawLogRow) -> TransientObservation:
@@ -200,26 +317,24 @@ def row_to_observation(row: RawLogRow) -> TransientObservation:
     )
 
 
-def filter_report(rows: Iterable[RawLogRow]) -> tuple[list[TransientObservation], FilterCounts]:
-    """Apply the exclusion rules, returning survivors plus exclusion counts.
+def filter_report(table: ObservationTable) -> tuple[ObservationTable, FilterCounts]:
+    """Apply the exclusion rules, returning the surviving rows plus exclusion counts.
 
     Excluded: transients longer than one hour, shutdowns (final power below
-    1 W), and zero-power-change rows.
+    1 W), and zero-power-change rows; a row is counted under the first rule
+    it breaks, in that order.
     """
-    counts = FilterCounts()
-    kept: list[TransientObservation] = []
-    for row in rows:
-        obs = row_to_observation(row)
-        if obs.duration_minutes > MAX_DURATION_MINUTES:
-            counts.too_long += 1
-        elif obs.final.power < SHUTDOWN_POWER_W:
-            counts.shutdown += 1
-        elif obs.final.power == obs.initial.power:
-            counts.no_change += 1
-        else:
-            kept.append(obs)
-            counts.retained += 1
-    return kept, counts
+    too_long = table.duration_minutes > MAX_DURATION_MINUTES
+    shutdown = ~too_long & (table.powers[:, 1] < SHUTDOWN_POWER_W)
+    no_change = ~too_long & ~shutdown & (table.powers[:, 1] == table.powers[:, 0])
+    kept = ~(too_long | shutdown | no_change)
+    counts = FilterCounts(
+        retained=int(kept.sum()),
+        too_long=int(too_long.sum()),
+        shutdown=int(shutdown.sum()),
+        no_change=int(no_change.sum()),
+    )
+    return table.take(kept), counts
 
 
 def _era_bounds(
@@ -351,4 +466,4 @@ def write_observations(observations: Iterable[TransientObservation], path: Union
 
 def read_observations(path: Union[str, Path]) -> list[TransientObservation]:
     """Parse and filter a transient-log CSV in one step."""
-    return filter_report(parse_log(path))[0]
+    return filter_report(read_log(path))[0].observations()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,6 +26,7 @@ class VariantSpec:
     layout: FeatureLayout
 
 
+@lru_cache(maxsize=None)
 def variant_spec(variant_id: str) -> VariantSpec:
     if variant_id not in LAYOUTS:
         raise ValueError(

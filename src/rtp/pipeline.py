@@ -19,7 +19,7 @@ from .compose import compose_models, evaluate_two_stage, save_two_stage
 from .domain import DEFAULT_CONFIGS, PowerClassBins
 from .engine import forward, save_model
 from .evaluate import class_metrics, confusion, regression_report
-from .ingest import CorpusSpec, synthesize_corpus, write_observations
+from .ingest import CorpusSpec, ObservationTable, synthesize_corpus, write_observations
 from .model_zoo import (
     CLASSIFIER_IDS,
     REGRESSOR_IDS,
@@ -147,13 +147,16 @@ def run_pipeline(config: PipelineConfig) -> dict:
     # every variant). With no variants, one layout still supplies the labels.
     variant_ids = sorted(set(config.classifier_ids) | set(config.regressor_ids))
     layouts = [variant_spec(vid).layout for vid in variant_ids]
-    pool_tables = encode_tables(train_pool, layouts or [LAYOUTS["a1"]], DEFAULT_CONFIGS, bins)
+    pool_tables = encode_tables(
+        ObservationTable.from_observations(train_pool), layouts or [LAYOUTS["a1"]], DEFAULT_CONFIGS, bins
+    )
     balanced_idx = undersample_indices(
         pool_tables[0].class_index.tolist(), seeds.subseed(config.seed, "balance")
     )
     encoded_train = {vid: table.take(balanced_idx) for vid, table in zip(variant_ids, pool_tables)}
     del pool_tables  # training keeps only the balanced rows
-    encoded_test = dict(zip(variant_ids, encode_tables(test_obs, layouts, DEFAULT_CONFIGS, bins)))
+    test_tables = encode_tables(ObservationTable.from_observations(test_obs), layouts, DEFAULT_CONFIGS, bins)
+    encoded_test = dict(zip(variant_ids, test_tables))
 
     report: dict = {
         "seed": config.seed,

@@ -20,7 +20,7 @@ from .domain import (
     TransientObservation,
     rod_worths_by_ordinal,
 )
-from .ingest import DataError
+from .ingest import DataError, ObservationTable
 
 LN_FULL_POWER = math.log(FULL_POWER_W)
 
@@ -62,7 +62,9 @@ LAYOUTS: dict[str, FeatureLayout] = {
 }
 
 
-@dataclass(frozen=True)
+# Not frozen, like ObservationTable: a one-row prediction builds three tables,
+# and a frozen dataclass's __init__ sets each field through object.__setattr__.
+@dataclass
 class EncodedTable:
     """Feature matrices and targets of n observations, as one layout sees them.
 
@@ -165,46 +167,39 @@ def _layout_columns(layout: FeatureLayout) -> tuple[np.ndarray, np.ndarray]:
 
 
 def encode_tables(
-    observations: Sequence[TransientObservation],
+    table: ObservationTable,
     layouts: Sequence[FeatureLayout],
     configs: tuple[CoreConfiguration, ...] = DEFAULT_CONFIGS,
     bins: PowerClassBins = PowerClassBins(),
 ) -> list[EncodedTable]:
-    """Encode the observations once, then pick each layout's columns.
+    """Encode the table's rows once, then pick each layout's columns.
 
     Initial power appears only in the initial branch; the final power is
     the target (class index and normalized regression value), never a
     feature. Each row's rod worths come from the configuration operational
-    on its date. Errors name the row, counting from 1.
+    on its date. Errors name the row by the table's row index.
     """
-    n = len(observations)
-    # math.log per element, as normalize_power: np.log can differ in the last bit.
-    raw = np.array(
-        [
-            (*o.initial.rod_heights, *o.final.rod_heights, math.log(o.initial.power),
-             math.log(o.final.power), o.final.power - o.initial.power, o.final.power,
-             o.date.toordinal())
-            for o in observations
-        ],
-        dtype=np.float64,
-    ).reshape(n, 13)
+    n = len(table)
+    powers = table.powers
     features = np.empty((n, 12))
     rods = features[:, 1:9]
-    np.divide(raw[:, :8], MAX_ROD_TRAVEL_IN, out=rods)
-    power_norm = raw[:, 8:10] / LN_FULL_POWER
+    np.divide(table.rods, MAX_ROD_TRAVEL_IN, out=rods)
+    # math.log per element, as normalize_power: np.log can differ in the last bit.
+    logs = np.fromiter(map(math.log, powers.flat), np.float64, powers.size)
+    power_norm = logs.reshape(n, 2) / LN_FULL_POWER
     features[:, _POWER] = power_norm[:, 0]
     # Rod by rod, in order, as reactivity_of_state sums them.
-    terms = (rods.reshape(n, 2, 4) * rod_worths_by_ordinal(raw[:, 12], configs)[:, None, :]).T
+    terms = (rods.reshape(n, 2, 4) * rod_worths_by_ordinal(table.date, configs)[:, None, :]).T
     rho = ((terms[0] + terms[1]) + terms[2]) + terms[3]
     np.divide(rho.T, REACTIVITY_FEATURE_SCALE, out=features[:, _RHO_I : _RHO_F + 1])
 
-    direction = np.sign(raw[:, 10]).astype(np.int64)
+    direction = np.sign(powers[:, 1] - powers[:, 0]).astype(np.int64)
     if not direction.all():
-        row = int(np.flatnonzero(direction == 0)[0]) + 1
+        row = table.row_index[np.flatnonzero(direction == 0)[0]]
         raise ValueError(f"row {row}: zero-change transient has no direction")
     features[:, _DIRECTION] = direction
     # Ceiling-inclusive, as classify_power; states never exceed the top ceiling.
-    class_index = np.array(bins.ceilings).searchsorted(raw[:, 11], "left")
+    class_index = np.array(bins.ceilings).searchsorted(powers[:, 1], "left")
     target = power_norm[:, 1].copy()
 
     tables = []
@@ -231,7 +226,7 @@ def encode_dataset(
     bins: PowerClassBins = PowerClassBins(),
 ) -> EncodedTable:
     """One layout's table of the observations."""
-    return encode_tables(observations, [layout], configs, bins)[0]
+    return encode_tables(ObservationTable.from_observations(observations), [layout], configs, bins)[0]
 
 
 def write_encoded(table: EncodedTable, path: Union[str, Path]) -> None:

@@ -193,10 +193,8 @@ def train(
             optimizer.step(model.params, grad)
         epoch_loss /= n_train
 
-        train_metrics = _evaluate_metrics(model, train_inputs, train_targets)
         val_metrics = _evaluate_metrics(model, val_inputs, val_targets)
         record = {"epoch": epoch, "train_batch_loss": epoch_loss}
-        record.update({f"train_{k}": v for k, v in train_metrics.items()})
         record.update({f"val_{k}": v for k, v in val_metrics.items()})
         history.records.append(record)
 

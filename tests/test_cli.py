@@ -2,16 +2,17 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rtp import compose, seeds
 from rtp.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from rtp.domain import config_for_date
-from rtp.ingest import read_observations
+from rtp.domain import DEFAULT_CONFIGS, config_for_date
+from rtp.ingest import read_log, read_observations
 from rtp.pipeline import PipelineConfig, run_pipeline
-from rtp.preprocess import classify_power, read_encoded
+from rtp.preprocess import classify_power, encode_tables, read_encoded
 
 
 @pytest.fixture(scope="module")
@@ -210,6 +211,58 @@ class TestArtifacts:
         assert "row 3: zero-change transient has no direction" in capsys.readouterr().err
 
 
+    def test_predict_output_matches_csv_writer(self, workdir, tmp_path):
+        # Byte for byte what the csv module writes for the same predictions,
+        # with repr of every float.
+        out = tmp_path / "predictions.csv"
+        args = ["--model", str(workdir / "twostage.json"), "--in", str(workdir / "corpus.csv")]
+        assert main(["predict", *args, "--out", str(out)]) == EXIT_OK
+        model = compose.load_two_stage(workdir / "twostage.json")
+        tables = encode_tables(read_log(workdir / "corpus.csv"), model.layouts, DEFAULT_CONFIGS)
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(
+                ["row"] + [f"prob_{i}" for i in range(5)] + ["predicted_class", "power_norm", "power_watts"]
+            )
+            writer.writerows(
+                [i, *[repr(v) for v in p.class_probs], p.predicted_class, repr(p.power_norm), repr(p.power_watts)]
+                for i, p in enumerate(compose.predict_batch(model, *tables), start=1)
+            )
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_predict_reads_format1_model_files(self, workdir, tmp_path):
+        # The committed format-1 fixture and its format-2 rewrite predict the same bytes.
+        v1 = Path(__file__).parent / "fixtures" / "twostage_v1.json"
+        v2 = tmp_path / "twostage_v2.json"
+        compose.save_two_stage(compose.load_two_stage(v1), v2)
+        outputs = []
+        for model in (v1, v2):
+            out = tmp_path / f"{model.stem}.csv"
+            args = ["--model", str(model), "--in", str(workdir / "corpus.csv"), "--out", str(out)]
+            assert main(["predict", *args]) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_zero_change_row_number_counts_blank_lines(self, workdir, tmp_path, capsys):
+        with open(workdir / "corpus.csv") as handle:
+            rows = list(csv.reader(handle))
+        header = rows[0]
+        rows[4][header.index("final_power_w")] = rows[4][header.index("initial_power_w")]
+        bad = tmp_path / "zero.csv"
+        with open(bad, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerows(rows[:4])
+            handle.write("\r\n")  # data row 4 is blank; the zero-change row is data row 5
+            writer.writerows(rows[4:])
+        out = tmp_path / "predictions.csv"
+        code = main(
+            ["predict", "--model", str(workdir / "twostage.json"), "--in", str(bad), "--out", str(out)]
+        )
+        assert code == EXIT_DATA
+        assert "error: row 5: zero-change transient has no direction" in capsys.readouterr().err
+
+
 class TestPipelineCommand:
     def test_pipeline_with_config_file(self, tmp_path):
         out_dir = tmp_path / "artifacts"
@@ -347,6 +400,31 @@ class TestExitCodes:
         )
         assert code == EXIT_DATA
         assert "broken.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "stage, variant_id, message",
+        [
+            ("stage1", "zz", "stage 1 has no recognized variant id"),
+            ("stage2", "a1", "stage 2 variant a1 is not a regressor"),
+        ],
+    )
+    def test_two_stage_file_that_does_not_compose_names_file(
+        self, workdir, tmp_path, capsys, stage, variant_id, message
+    ):
+        doc = json.loads((workdir / "twostage.json").read_text())
+        doc[stage]["variant_id"] = variant_id
+        bad = tmp_path / "twostage.json"
+        bad.write_text(json.dumps(doc))
+        data = str(workdir / "corpus.csv")
+        commands = [
+            ["predict", "--model", str(bad), "--in", data, "--out", str(tmp_path / "p.csv")],
+            ["evaluate", "--model", str(bad), "--data", data, "--out", str(tmp_path / "r.json")],
+        ]
+        for command in commands:
+            assert main(command) == EXIT_DATA
+            err = capsys.readouterr().err
+            assert f"error: model file {bad}: {message}" in err
+            assert "Traceback" not in err
 
     def test_evaluate_names_model_file_that_is_not_json(self, workdir, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,6 +1,8 @@
 """Tests for the dense network engine: forward, backprop, serialization."""
 
+import base64
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -434,3 +436,88 @@ class TestSerialization:
     def test_not_a_model(self):
         with pytest.raises(ModelFormatError):
             model_from_dict([1, 2, 3])
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def fixture_params(size, seed):
+    """The parameter vector the committed format-1 fixtures were written with:
+    seeded values over twelve decades, led by a negative zero, the smallest
+    subnormal, the smallest normal and values that need 17 digits."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=size) * 10.0 ** rng.integers(-12, 1, size=size)
+    values[:6] = [-0.0, 5e-324, 2.2250738585072014e-308, 1 / 3, 0.1, 0.123456789]
+    return values
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and bool((a.view(np.uint64) == b.view(np.uint64)).all())
+
+
+class TestModelFormat:
+    def test_format1_fixture_loads_bit_identical(self):
+        # model_a1_v1.json was written by the format-1 save_model: values as
+        # JSON numbers inside each layer record.
+        doc = json.loads((FIXTURES / "model_a1_v1.json").read_text())
+        assert doc["format_version"] == 1 and "params" not in doc
+        model = load_model(FIXTURES / "model_a1_v1.json")
+        assert same_bits(model.params, fixture_params(48, 1))
+        assert [layer.weights.shape for layer in model.all_layers()] == [(2, 3), (1, 2), (6, 5)]
+        assert (model.variant_id, model.head, model.aux_width) == ("a1", HEAD_SOFTMAX, 1)
+        assert model.l2.max() == 1e-4
+
+    def test_round_trip_is_bit_exact(self, tmp_path):
+        model = build_regressor(np.random.default_rng(40))
+        model.params[:] = fixture_params(model.params.size, 40)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        assert doc["format_version"] == 2
+        assert all(set(layer) == {"branch", "shape", "activation", "l1", "l2"} for layer in doc["layers"])
+        assert len(base64.b64decode(doc["params"])) == 8 * model.params.size
+        loaded = load_model(path)
+        assert same_bits(loaded.params, model.params)
+        assert same_bits(loaded.l1, model.l1) and same_bits(loaded.l2, model.l2)
+
+    def test_params_are_little_endian_float64(self):
+        model = build_classifier(np.random.default_rng(41))
+        raw = base64.b64decode(model_to_dict(model)["params"])
+        assert same_bits(np.frombuffer(raw, dtype="<f8"), model.params)
+
+    def test_format1_document_rewrites_as_format2(self):
+        doc = json.loads((FIXTURES / "model_a1_v1.json").read_text())
+        rewritten = model_to_dict(model_from_dict(doc))
+        assert rewritten["format_version"] == 2
+        assert same_bits(model_from_dict(rewritten).params, fixture_params(48, 1))
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ("not base64!", "corrupt model document"),
+            (base64.b64encode(b"\0" * 7).decode(), "corrupt model document"),
+            (base64.b64encode(b"\0" * 8).decode(), "fewer than the layers need"),
+        ],
+    )
+    def test_corrupt_params_name_the_file(self, tmp_path, params, message):
+        doc = model_to_dict(build_classifier(np.random.default_rng(42)))
+        doc["params"] = params
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=f"model.json: .*{message}"):
+            load_model(path)
+
+    def test_spare_params_rejected(self, tmp_path):
+        model = build_classifier(np.random.default_rng(43))
+        doc = model_to_dict(model)
+        doc["params"] = base64.b64encode(np.append(model.params, 1.0).astype("<f8").tobytes()).decode()
+        with pytest.raises(ModelFormatError, match=f"params has {model.params.size + 1} values"):
+            model_from_dict(doc)
+
+    def test_format1_two_stage_fixture_loads_bit_identical(self):
+        from rtp.compose import load_two_stage
+
+        model = load_two_stage(FIXTURES / "twostage_v1.json")
+        assert same_bits(model.stage1.params, fixture_params(48, 1))
+        assert same_bits(model.stage2.params, fixture_params(25, 2))
+        assert (model.stage1.variant_id, model.stage2.variant_id) == ("a1", "b2")

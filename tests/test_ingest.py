@@ -1,7 +1,9 @@
 """Tests for CSV parsing, exclusion filtering, and corpus synthesis."""
 
+import csv
 import datetime as dt
 import io
+import random
 
 import numpy as np
 import pytest
@@ -19,8 +21,10 @@ from rtp.ingest import (
     DataError,
     ParseError,
     _heights_for_reactivity,
+    RawLogRow,
     filter_report,
     parse_log,
+    read_log,
     read_observations,
     synthesize_corpus,
     write_observations,
@@ -91,31 +95,202 @@ class TestParseLog:
             parse_log(csv_source(GOOD_ROW, bad))
 
 
+def scalar_parse(text):
+    """Reference: the row-by-row parsing rule, checks in per-row order.
+
+    Returns the parsed rows, or the ParseError message of the first failing
+    row and field.
+    """
+    reader = csv.reader(io.StringIO(text))
+    next(reader)
+    rows = []
+    for i, record in enumerate(reader, start=1):
+        if not record:
+            continue
+
+        def fail(name, what):
+            return f"row {i}: field '{name}': {what}"
+
+        if len(record) != 13:
+            return f"row {i}: expected 13 fields, got {len(record)}"
+        parsed = []
+        for j, parse in enumerate([dt.date.fromisoformat, dt.time.fromisoformat, dt.time.fromisoformat]):
+            try:
+                parsed.append(parse(record[j]))
+            except ValueError:
+                return fail(CSV_HEADER[j], f"cannot parse {record[j]!r}")
+        date, start, end = parsed
+        if end < start:
+            return fail("end_time", f"{end} is before {start}")
+        powers = []
+        for j in (3, 4):
+            try:
+                powers.append(float(record[j]))
+            except ValueError:
+                return fail(CSV_HEADER[j], f"cannot parse {record[j]!r}")
+        for j, p in zip((3, 4), powers):
+            if p <= 0:
+                return fail(CSV_HEADER[j], f"{p} must be positive")
+        for j, p in zip((3, 4), powers):
+            if not (0.0 <= p <= FULL_POWER_W):
+                return fail(CSV_HEADER[j], f"{p} outside [0.0, {FULL_POWER_W}]")
+        rods = []
+        for j in range(5, 13):
+            try:
+                h = float(record[j])
+            except ValueError:
+                return fail(CSV_HEADER[j], f"cannot parse {record[j]!r}")
+            if not (0.0 <= h <= MAX_ROD_TRAVEL_IN):
+                return fail(CSV_HEADER[j], f"{h} outside [0.0, {MAX_ROD_TRAVEL_IN}]")
+            rods.append(h)
+        rows.append(RawLogRow(i, date, start, end, *powers, tuple(rods[:4]), tuple(rods[4:])))
+    return rows
+
+
+def parse_outcome(text):
+    """read_log's rows (through parse_log) or its ParseError message."""
+    try:
+        return parse_log(io.StringIO(text))
+    except ParseError as exc:
+        return str(exc)
+
+
+def with_field(name, value, row=GOOD_ROW):
+    fields = row.split(",")
+    fields[CSV_HEADER.index(name)] = value
+    return ",".join(fields)
+
+
+BAD_VALUES = [
+    *[(name, "oops") for name in CSV_HEADER],
+    ("start_time", "24:00"),
+    ("end_time", "09:59"),
+    ("end_time", "09:59:59.999999"),
+    *[(name, v) for name in ("initial_power_w", "final_power_w")
+      for v in ("0.0", "-0.0", "-5", "200000.5", "nan", "inf", "1e400")],
+    *[(name, v) for name in CSV_HEADER[5:] for v in ("-0.1", "24.000001", "nan", "-inf")],
+]
+
+
+class TestParseParity:
+    """read_log gives the reference rule's message for the first failing
+    row and field, and its values, bit for bit, when nothing fails."""
+
+    @pytest.mark.parametrize("name, value", BAD_VALUES)
+    def test_one_bad_field(self, name, value):
+        text = csv_source(GOOD_ROW, with_field(name, value), GOOD_ROW).getvalue()
+        expected = scalar_parse(text)
+        assert isinstance(expected, str) and expected.startswith("row 2: ")
+        assert parse_outcome(text) == expected
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # Two failing rows: the first one is reported.
+            [GOOD_ROW, with_field("rod2_f", "x"), with_field("date", "x")],
+            [with_field("reg_f", "99"), with_field("start_time", "x")],
+            # Two faults in one row: the first in per-row check order.
+            [with_field("rod1_i", "x", with_field("initial_power_w", "300000"))],
+            [with_field("final_power_w", "x", with_field("initial_power_w", "-1"))],
+            [with_field("end_time", "09:00", with_field("initial_power_w", "x"))],
+            [with_field("rod3_f", "x", with_field("rod1_f", "30"))],
+            # A short row after, and before, a bad row.
+            [with_field("rod1_f", "x"), "2014-06-01,10:00"],
+            ["2014-06-01,10:00", with_field("rod1_f", "x")],
+            # Blank lines count in the numbering.
+            [GOOD_ROW, "", "", with_field("reg_i", "-1")],
+        ],
+    )
+    def test_first_failure_wins(self, rows):
+        text = csv_source(*rows).getvalue()
+        expected = scalar_parse(text)
+        assert isinstance(expected, str)
+        assert parse_outcome(text) == expected
+
+    @pytest.mark.parametrize("bad_row", [None, 1, 255, 256, 300, 900])
+    def test_files_longer_than_a_chunk(self, bad_row):
+        # Blank lines fall on both sides of chunk boundaries; a fault in a
+        # later chunk is still found and numbered by its CSV line.
+        rows = [with_field("final_power_w", f"{1000 + k}.25") for k in range(900)]
+        for k in (200, 255, 256, 600):
+            rows[k] = ""
+        if bad_row is not None:
+            rows[bad_row - 1] = with_field("rod2_i", "x", rows[bad_row - 1] or GOOD_ROW)
+        text = csv_source(*rows).getvalue()
+        expected = scalar_parse(text)
+        assert repr(parse_outcome(text)) == repr(expected)
+        if bad_row is None:
+            assert len(expected) == 896 and expected[-1].row_index == 900
+
+    def test_blank_line_numbering(self):
+        text = csv_source(GOOD_ROW, "", with_field("date", "x")).getvalue()
+        assert parse_outcome(text) == "row 3: field 'date': cannot parse 'x'"
+
+    @pytest.mark.parametrize(
+        "name, value, parsed",
+        [("rod1_i", " 5 ", 5.0), ("initial_power_w", "1_000", 1000.0), ("reg_f", "\t24\n", 24.0)],
+    )
+    def test_python_float_spellings_accepted(self, name, value, parsed):
+        text = csv_source(with_field(name, value)).getvalue()
+        assert repr(parse_outcome(text)) == repr(scalar_parse(text))
+        (row,) = parse_outcome(text)
+        got = {"rod1_i": row.initial_rods[0], "initial_power_w": row.initial_power, "reg_f": row.final_rods[3]}
+        assert got[name] == parsed
+
+    def test_nan_is_out_of_range(self):
+        text = csv_source(with_field("initial_power_w", "nan")).getvalue()
+        assert parse_outcome(text) == "row 1: field 'initial_power_w': nan outside [0.0, 200000.0]"
+
+    def test_seeded_mutations_match_reference(self):
+        rng = random.Random(6)
+        pool = ["oops", "", " 5 ", "1_000", "nan", "-0.0", "0", "24", "24.5", "-1", "1e-320",
+                "199999.99999999997", "200000", "2014-02-30", "2015-10-10", "23:59", "00:00",
+                "10:00:30", "0.1", "12.000000000000002"]
+        base = [with_field("final_power_w", f"{100 + k}.5") for k in range(6)]
+        for case in range(300):
+            rows = list(base)
+            for _ in range(rng.randint(1, 3)):
+                k = rng.randrange(len(rows))
+                fields = rows[k].split(",")
+                action = rng.random()
+                if action < 0.05:
+                    fields.pop()
+                elif action < 0.1:
+                    rows.insert(k, "")
+                    continue
+                else:
+                    fields[rng.randrange(len(fields))] = rng.choice(pool)
+                rows[k] = ",".join(fields)
+            text = csv_source(*rows).getvalue()
+            got, expected = parse_outcome(text), scalar_parse(text)
+            assert repr(got) == repr(expected), f"case {case}: {rows}"
+
+
 class TestFilters:
     def row(self, start="10:00", end="10:30", p_i="100.0", p_f="1000.0"):
         return f"2014-06-01,{start},{end},{p_i},{p_f},5.0,5.0,5.0,5.0,6.0,6.0,6.0,6.0"
 
     def test_too_long_excluded(self):
-        kept, counts = filter_report(parse_log(csv_source(self.row(end="11:01"))))
-        assert kept == []
+        kept, counts = filter_report(read_log(csv_source(self.row(end="11:01"))))
+        assert len(kept) == 0
         assert counts.too_long == 1
 
     def test_exactly_one_hour_kept(self):
-        kept, counts = filter_report(parse_log(csv_source(self.row(end="11:00"))))
+        kept, counts = filter_report(read_log(csv_source(self.row(end="11:00"))))
         assert counts.retained == 1
 
     def test_shutdown_excluded(self):
-        kept, counts = filter_report(parse_log(csv_source(self.row(p_f="0.5"))))
-        assert kept == []
+        kept, counts = filter_report(read_log(csv_source(self.row(p_f="0.5"))))
+        assert len(kept) == 0
         assert counts.shutdown == 1
 
     def test_final_power_of_one_watt_kept(self):
-        _, counts = filter_report(parse_log(csv_source(self.row(p_f="1.0"))))
+        _, counts = filter_report(read_log(csv_source(self.row(p_f="1.0"))))
         assert counts.retained == 1
 
     def test_no_change_excluded(self):
-        kept, counts = filter_report(parse_log(csv_source(self.row(p_f="100.0"))))
-        assert kept == []
+        kept, counts = filter_report(read_log(csv_source(self.row(p_f="100.0"))))
+        assert len(kept) == 0
         assert counts.no_change == 1
 
     def test_mixed_counts(self):
@@ -126,7 +301,7 @@ class TestFilters:
             self.row(p_f="100.0"),
             self.row(p_i="50.0"),
         )
-        kept, counts = filter_report(parse_log(source))
+        kept, counts = filter_report(read_log(source))
         assert len(kept) == 2
         assert (counts.retained, counts.too_long, counts.shutdown, counts.no_change) == (2, 1, 1, 1)
 

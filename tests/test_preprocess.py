@@ -20,7 +20,7 @@ from rtp.domain import (
     direction_of,
     reactivity_of_state,
 )
-from rtp.ingest import CorpusSpec, DataError, synthesize_corpus
+from rtp.ingest import CorpusSpec, DataError, ObservationTable, synthesize_corpus
 from rtp.model_zoo import variant_spec
 from rtp.preprocess import (
     LAYOUTS,
@@ -234,7 +234,9 @@ class TestEncode:
 
     def test_tables_share_one_encoding(self):
         observations = [make_obs(p_f=p) for p in (50.0, 500.0, 5000.0)]
-        tables = encode_tables(observations, [LAYOUTS["a1"], LAYOUTS["b2"]], DEFAULT_CONFIGS)
+        tables = encode_tables(
+            ObservationTable.from_observations(observations), [LAYOUTS["a1"], LAYOUTS["b2"]], DEFAULT_CONFIGS
+        )
         alone = encode_dataset(observations, LAYOUTS["b2"], DEFAULT_CONFIGS)
         assert [t.layout.variant_id for t in tables] == ["a1", "b2"]
         for name in ("initial", "final", "direction", "class_index", "target"):
@@ -259,7 +261,8 @@ def desk_rows():
 
 def test_encoder_matches_scalar_reference_bitwise(desk_rows):
     bins = PowerClassBins()
-    tables = encode_tables(desk_rows, list(LAYOUTS.values()), DEFAULT_CONFIGS, bins)
+    table = ObservationTable.from_observations(desk_rows)
+    tables = encode_tables(table, list(LAYOUTS.values()), DEFAULT_CONFIGS, bins)
     for layout, table in zip(LAYOUTS.values(), tables):
         rows = [
             reference_row(obs, layout, config_for_date(obs.date, DEFAULT_CONFIGS), bins)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rtp.engine import forward, regularization_loss
+from rtp.engine import data_loss, forward, regularization_loss
 from rtp.model_zoo import build_variant, model_inputs
 from rtp.training import (
     Adam,
@@ -112,16 +112,18 @@ class TestTrain:
 
     def test_batch_loss_is_the_data_loss(self):
         # With a zero learning rate the weights never move, so the mean batch
-        # loss is the training-set data loss: the evaluated loss without the
-        # L1/L2 penalty.
+        # loss is the data loss of the training split, without the L1/L2
+        # penalty. Rebuild that split exactly as train() does.
         inputs, targets = toy_classifier_data()
         model = build_variant("a1", seed=0)
         config = TrainingConfig(optimizer="sgd", learning_rate=0.0, seed=0, max_epochs=1)
         _, history = train(model, inputs, targets, config)
-        record = history.records[0]
-        penalty = regularization_loss(model)
-        assert penalty > 1e-6
-        assert record["train_batch_loss"] == pytest.approx(record["train_loss"] - penalty, abs=1e-12)
+        perm = np.random.default_rng(config.seed).permutation(targets.shape[0])
+        train_idx = perm[max(1, round(config.check_fraction * targets.shape[0])) :]
+        out = forward(model, {k: v[train_idx] for k, v in inputs.items()})
+        expected = data_loss(out, targets[train_idx], model.loss_kind)
+        assert regularization_loss(model) > 1e-6
+        assert history.records[0]["train_batch_loss"] == pytest.approx(expected, abs=1e-12)
 
     def test_empty_dataset(self):
         model = build_variant("a1", seed=0)
