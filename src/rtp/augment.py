@@ -8,7 +8,6 @@ power-ratio relation, valid only for small (<= 0.5 $) reactivity changes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -17,11 +16,9 @@ from .domain import (
     FULL_POWER_W,
     MAX_ROD_TRAVEL_IN,
     CoreConfiguration,
-    ReactorState,
-    TransientObservation,
     rod_worths_by_ordinal,
 )
-from .ingest import SHUTDOWN_POWER_W
+from .ingest import SHUTDOWN_POWER_W, ObservationTable
 
 # The power-ratio relation loses validity above this reactivity change.
 MAX_VALID_DELTA_RHO = 0.5
@@ -87,51 +84,47 @@ def perturb_rows(
 
 
 def over_sample(
-    dataset: Sequence[TransientObservation],
+    dataset: ObservationTable,
     configs: tuple[CoreConfiguration, ...] = DEFAULT_CONFIGS,
     n: int = 0,
     change: int = 0,
     policy: PerturbationPolicy = PerturbationPolicy(),
     seed: int = 0,
-) -> list[TransientObservation]:
-    """Generate exactly n accepted synthetic observations.
+) -> ObservationTable:
+    """Generate exactly n accepted synthetic observations, rows numbered from 1.
 
-    Each draw picks a uniform-random source observation, resolves its core
-    configuration by date, and perturbs both the initial and the final state.
-    Rejected draws are resampled; a progress guard aborts if the acceptance
-    rate collapses. Deterministic per seed. Draws are batched for speed, which
-    does not affect the per-seed output.
+    Each draw picks a uniform-random source row, resolves its core
+    configuration by date, and perturbs both the initial and the final state;
+    the output row keeps its source's date and times. Rejected draws are
+    resampled; a progress guard aborts if the acceptance rate collapses.
+    Deterministic per seed. Draws are batched for speed, which does not affect
+    the per-seed output.
     """
     if n == 0:
-        return []
+        return dataset.take(slice(0, 0))
     if not dataset:
         raise ValueError("dataset must be non-empty")
 
     rng = np.random.default_rng(seed)
-    m = len(dataset)
-    powers_i = np.array([obs.initial.power for obs in dataset])
-    powers_f = np.array([obs.final.power for obs in dataset])
-    rods_i = np.array([obs.initial.rod_heights for obs in dataset])
-    rods_f = np.array([obs.final.rod_heights for obs in dataset])
-    worths = rod_worths_by_ordinal(np.array([obs.date.toordinal() for obs in dataset]), configs)
-
-    out: list[TransientObservation] = []
+    worths = rod_worths_by_ordinal(dataset.date, configs)
+    kept = []  # (source rows, powers, rods) of each batch's kept draws
+    n_kept = 0
     attempts = 0
     accepted = 0
     probe_window = 10_000
 
-    while len(out) < n:
-        batch = max(256, 2 * (n - len(out)))
-        idx = rng.integers(0, m, size=batch)
+    while n_kept < n:
+        batch = max(256, 2 * (n - n_kept))
+        idx = rng.integers(0, len(dataset), size=batch)
 
         w = worths[idx]
         noise_i = rng.normal(0.0, policy.base_noise_sigma, size=(batch, 4))
         new_rods_i, new_powers_i, ok_i = perturb_rows(
-            powers_i[idx], rods_i[idx], w, noise_i, change, policy
+            dataset.powers[idx, 0], dataset.rods[idx, :4], w, noise_i, change, policy
         )
         noise_f = rng.normal(0.0, policy.base_noise_sigma, size=(batch, 4))
         new_rods_f, new_powers_f, ok_f = perturb_rows(
-            powers_f[idx], rods_f[idx], w, noise_f, change, policy
+            dataset.powers[idx, 1], dataset.rods[idx, 4:], w, noise_f, change, policy
         )
         ok = ok_i & ok_f
         # Keep the synthetic rows consistent with the ingestion filters.
@@ -145,13 +138,15 @@ def over_sample(
                 f"acceptance rate {accepted / attempts:.5f} below 0.1% after {attempts} draws"
             )
 
-        # Each output keeps its source's date and times.
-        for k in np.flatnonzero(ok)[: n - len(out)]:
-            out.append(
-                replace(
-                    dataset[int(idx[k])],
-                    initial=ReactorState(float(new_powers_i[k]), tuple(new_rods_i[k].tolist())),
-                    final=ReactorState(float(new_powers_f[k]), tuple(new_rods_f[k].tolist())),
-                )
-            )
-    return out
+        take = np.flatnonzero(ok)[: n - n_kept]
+        kept.append((
+            idx[take],
+            np.column_stack([new_powers_i, new_powers_f])[take],
+            np.hstack([new_rods_i, new_rods_f])[take],
+        ))
+        n_kept += take.size
+
+    sources, new_powers, new_rods = (np.concatenate(column) for column in zip(*kept))
+    return replace(
+        dataset.take(sources), row_index=np.arange(1, n + 1), powers=new_powers, rods=new_rods
+    )

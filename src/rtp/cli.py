@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric divergence.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -35,6 +34,7 @@ from .ingest import (
     CorpusSpec,
     DataError,
     ParseError,
+    csv_line,
     filter_report,
     read_log,
     synthesize_corpus,
@@ -99,7 +99,7 @@ def _cmd_augment(args) -> int:
     if args.n < 0:
         raise UsageError(f"--n must be non-negative, got {args.n}")
     generated = over_sample(
-        read_log(args.infile).observations(),
+        read_log(args.infile),
         DEFAULT_CONFIGS,
         n=args.n,
         change=CHANGE_BY_NAME[args.change],
@@ -226,18 +226,11 @@ def _cmd_evaluate(args) -> int:
         handle.write("\n")
     if args.errors:
         with open(args.errors, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            writer.writerows(zip(range(1, len(columns[0]) + 1), *columns))
+            handle.write(csv_line(header))
+            handle.writelines(csv_line(map(str, row)) for row in zip(count(1), *columns))
     if args.verbose:
         print(f"wrote report to {args.out}")
     return EXIT_OK
-
-
-def _csv_line(fields) -> str:
-    """One CSV record as the csv module writes it when no field needs quoting
-    (names and numbers): comma-separated, with a CRLF line end."""
-    return ",".join(fields) + "\r\n"
 
 
 def _cmd_predict(args) -> int:
@@ -248,9 +241,9 @@ def _cmd_predict(args) -> int:
     watts = map(math.exp, (norm * LN_FULL_POWER).tolist())
     header = ["row", *[f"prob_{i}" for i in range(5)], "predicted_class", "power_norm", "power_watts"]
     with open(args.out, "w", newline="") as handle:
-        handle.write(_csv_line(header))
+        handle.write(csv_line(header))
         handle.writelines(
-            _csv_line((str(i), *map(repr, row_probs), str(predicted), repr(p_norm), repr(w)))
+            csv_line((str(i), *map(repr, row_probs), str(predicted), repr(p_norm), repr(w)))
             for i, row_probs, predicted, p_norm, w in zip(
                 count(1), probs.tolist(), classes.tolist(), norm.tolist(), watts
             )

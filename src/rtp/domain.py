@@ -52,12 +52,6 @@ class TransientObservation:
         if self.end_time < self.start_time:
             raise ValueError(f"end_time {self.end_time} before start_time {self.start_time}")
 
-    @property
-    def duration_minutes(self) -> float:
-        start = self.start_time.hour * 60 + self.start_time.minute
-        end = self.end_time.hour * 60 + self.end_time.minute
-        return float(end - start)
-
 
 @dataclass(frozen=True)
 class CoreConfiguration:

@@ -154,13 +154,19 @@ class ObservationTable:
             values[:, 1:3], values[:, 3:],
         )
 
+    @classmethod
+    def concat(cls, tables: Sequence["ObservationTable"]) -> "ObservationTable":
+        """The tables' rows one after another, each keeping its row_index."""
+        return cls(*(np.concatenate([getattr(t, f.name) for t in tables]) for f in fields(cls)))
+
     def take(self, idx) -> "ObservationTable":
         """The rows at `idx` (indices or a boolean mask), in that order."""
         return ObservationTable(*(getattr(self, f.name)[idx] for f in fields(self)))
 
     @property
     def duration_minutes(self) -> np.ndarray:
-        """Whole minutes from start to end, as TransientObservation.duration_minutes."""
+        """Wall-clock minutes from start to end, counting whole minutes (seconds
+        are ignored)."""
         return np.array(
             [(end.hour - start.hour) * 60 + end.minute - start.minute for start, end in self.times],
             dtype=np.float64,
@@ -175,10 +181,6 @@ class ObservationTable:
                 self.powers.tolist(), self.rods.tolist(),
             )
         ]
-
-    def observations(self) -> list[TransientObservation]:
-        """One TransientObservation per row."""
-        return [row_to_observation(row) for row in self.rows()]
 
 
 def _parse_column(raw: Sequence[str], parse, name: str, errors: list) -> list:
@@ -224,14 +226,11 @@ def read_log(source: Union[str, Path, TextIO]) -> ObservationTable:
     Rows are numbered from 1 over data rows (header excluded, blank lines
     counted) so errors point at the offending line. A failure raises
     ParseError for the first failing row and, within it, the first failing
-    check in this order: field count, date, start and end time, end before
-    start, both powers, power positivity, power range, then each rod height
-    and its range.
+    check in this order: field count, date, start and end time (each
+    parsed, then refused if it has a UTC offset), end before start, both
+    powers, power positivity, power range, then each rod height and its range.
     """
-    chunks = list(_read_chunks(source))
-    return ObservationTable(
-        *(np.concatenate([getattr(c, f.name) for c in chunks]) for f in fields(ObservationTable))
-    )
+    return ObservationTable.concat(list(_read_chunks(source)))
 
 
 def parse_log(source: Union[str, Path, TextIO]) -> list[RawLogRow]:
@@ -278,8 +277,15 @@ def _parse_rows(row_index: tuple[int, ...], records: tuple[list[str], ...]) -> O
     columns = list(zip(*records[:n])) or [()] * width
 
     dates = _parse_column(columns[0], dt.date.fromisoformat, "date", errors)
-    starts = _parse_column(columns[1], dt.time.fromisoformat, "start_time", errors)
-    ends = _parse_column(columns[2], dt.time.fromisoformat, "end_time", errors)
+    # Durations count wall-clock minutes, so a time with a UTC offset is
+    # refused; later checks see the times before the first such one.
+    clock = []
+    for j in (1, 2):
+        parsed = _parse_column(columns[j], dt.time.fromisoformat, CSV_HEADER[j], errors)
+        aware = [time.tzinfo is not None for time in parsed]
+        _flag_first(aware, columns[j], CSV_HEADER[j], lambda v: f"{v!r} has a UTC offset", errors)
+        clock.append(parsed[: aware.index(True)] if any(aware) else parsed)
+    starts, ends = clock
     if any(map(operator.lt, ends, starts)):
         k = next(k for k, before in enumerate(map(operator.lt, ends, starts)) if before)
         errors.append((k, f"field 'end_time': {ends[k]} is before {starts[k]}"))
@@ -395,8 +401,9 @@ def _synth_state(
 
 def synthesize_corpus(
     spec: CorpusSpec, configs: tuple[CoreConfiguration, ...] = DEFAULT_CONFIGS
-) -> list[TransientObservation]:
-    """Generate a deterministic synthetic corpus of transient observations.
+) -> ObservationTable:
+    """Generate a deterministic synthetic corpus of transient observations,
+    rows numbered from 1.
 
     Powers cluster around decade anchors; rod heights are allocated so total
     rod reactivity rises monotonically with the log of power, making the
@@ -405,11 +412,12 @@ def synthesize_corpus(
     rng = np.random.default_rng(spec.seed)
     eras = _era_bounds(configs)
     anchors = np.asarray(spec.power_anchors)
-    observations: list[TransientObservation] = []
+    values: list[tuple] = []  # day ordinal, both powers, both states' rod heights
+    times: list[tuple[dt.time, dt.time]] = []
 
-    while len(observations) < spec.n_observations:
+    while len(times) < spec.n_observations:
         config, lo, hi = eras[int(rng.integers(0, len(eras)))]
-        date = dt.date.fromordinal(int(rng.integers(lo, hi)))
+        day = int(rng.integers(lo, hi))
 
         idx_i, idx_f = rng.choice(len(anchors), size=2, replace=False)
         p_i = float(anchors[idx_i] * math.exp(rng.normal(0.0, POWER_JITTER_SIGMA)))
@@ -435,35 +443,34 @@ def synthesize_corpus(
         end_minute = start_minute + duration
         end = dt.time(end_minute // 60, end_minute % 60)
 
-        observations.append(
-            TransientObservation(
-                date=date, start_time=start, end_time=end, initial=state_i, final=state_f
-            )
-        )
-    return observations
+        values.append((day, p_i, p_f, *state_i.rod_heights, *state_f.rod_heights))
+        times.append((start, end))
+    columns = np.array(values)
+    return ObservationTable(
+        np.arange(1, len(times) + 1), columns[:, 0].astype(np.int64),
+        np.array(times, dtype=object), columns[:, 1:3], columns[:, 3:],
+    )
 
 
-def observation_to_record(obs: TransientObservation) -> list[str]:
-    return [
-        obs.date.isoformat(),
-        obs.start_time.strftime("%H:%M"),
-        obs.end_time.strftime("%H:%M"),
-        repr(obs.initial.power),
-        repr(obs.final.power),
-        *[repr(h) for h in obs.initial.rod_heights],
-        *[repr(h) for h in obs.final.rod_heights],
+def csv_line(fields: Iterable[str]) -> str:
+    """One CSV record as the csv module writes it when no field needs quoting
+    (names and numbers): comma-separated, with a CRLF line end."""
+    return ",".join(fields) + "\r\n"
+
+
+def write_observations(table: ObservationTable, path: Union[str, Path]) -> None:
+    """Write the table in the transient-log CSV schema, each float as its repr
+    so that reading the file back gives the same bits."""
+    columns = [
+        map(dt.date.isoformat, map(dt.date.fromordinal, table.date.tolist())),
+        *([time.isoformat("minutes") for time in table.times[:, j]] for j in (0, 1)),
+        *(map(repr, column) for column in np.hstack([table.powers, table.rods]).T.tolist()),
     ]
-
-
-def write_observations(observations: Iterable[TransientObservation], path: Union[str, Path]) -> None:
-    """Write observations in the transient-log CSV schema."""
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_HEADER)
-        for obs in observations:
-            writer.writerow(observation_to_record(obs))
+        handle.write(csv_line(CSV_HEADER))
+        handle.writelines(map(csv_line, zip(*columns)))
 
 
-def read_observations(path: Union[str, Path]) -> list[TransientObservation]:
+def read_observations(path: Union[str, Path]) -> ObservationTable:
     """Parse and filter a transient-log CSV in one step."""
-    return filter_report(read_log(path))[0].observations()
+    return filter_report(read_log(path))[0]

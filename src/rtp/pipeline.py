@@ -127,12 +127,12 @@ def run_pipeline(config: PipelineConfig) -> dict:
     split_rng = seeds.substream(config.seed, "split")
     perm = split_rng.permutation(len(corpus))
     n_test = round(config.test_fraction * len(corpus))
-    test_obs = [corpus[i] for i in perm[:n_test]]
-    train_obs = [corpus[i] for i in perm[n_test:]]
+    test_rows = corpus.take(perm[:n_test])
+    train_rows = corpus.take(perm[n_test:])
 
     # Stage 3: physics-guided augmentation of the training portion.
     augmented = over_sample(
-        train_obs,
+        train_rows,
         DEFAULT_CONFIGS,
         n=config.augment_n,
         change=config.augment_change,
@@ -140,31 +140,30 @@ def run_pipeline(config: PipelineConfig) -> dict:
         seed=seeds.subseed(config.seed, "augment"),
     )
     write_observations(augmented, out_dir / "augmented.csv")
-    train_pool = train_obs + augmented
+    # Each pool row keeps its row number in corpus.csv or augmented.csv.
+    train_pool = ObservationTable.concat([train_rows, augmented])
 
     # Stage 4: encode the training pool and the test split once for every
     # variant's layout, then class-balance the pool's rows (the same rows for
     # every variant). With no variants, one layout still supplies the labels.
     variant_ids = sorted(set(config.classifier_ids) | set(config.regressor_ids))
     layouts = [variant_spec(vid).layout for vid in variant_ids]
-    pool_tables = encode_tables(
-        ObservationTable.from_observations(train_pool), layouts or [LAYOUTS["a1"]], DEFAULT_CONFIGS, bins
-    )
+    pool_tables = encode_tables(train_pool, layouts or [LAYOUTS["a1"]], DEFAULT_CONFIGS, bins)
     balanced_idx = undersample_indices(
         pool_tables[0].class_index.tolist(), seeds.subseed(config.seed, "balance")
     )
     encoded_train = {vid: table.take(balanced_idx) for vid, table in zip(variant_ids, pool_tables)}
     del pool_tables  # training keeps only the balanced rows
-    test_tables = encode_tables(ObservationTable.from_observations(test_obs), layouts, DEFAULT_CONFIGS, bins)
+    test_tables = encode_tables(test_rows, layouts, DEFAULT_CONFIGS, bins)
     encoded_test = dict(zip(variant_ids, test_tables))
 
     report: dict = {
         "seed": config.seed,
         "corpus_n": len(corpus),
-        "train_n": len(train_obs),
+        "train_n": len(train_rows),
         "augmented_n": len(augmented),
         "balanced_n": len(balanced_idx),
-        "test_n": len(test_obs),
+        "test_n": len(test_rows),
         "classifiers": {},
         "regressors": {},
     }

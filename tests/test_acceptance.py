@@ -33,14 +33,20 @@ from rtp.engine import (
     regularization_loss,
 )
 from rtp.evaluate import class_metrics, confusion
-from rtp.ingest import SHUTDOWN_POWER_W, CorpusSpec, read_observations, synthesize_corpus
+from rtp.ingest import (
+    SHUTDOWN_POWER_W,
+    CorpusSpec,
+    read_observations,
+    row_to_observation,
+    synthesize_corpus,
+)
 from rtp.model_zoo import build_variant, model_inputs
 from rtp.pipeline import PipelineConfig, run_pipeline
 from rtp.preprocess import (
     LAYOUTS,
     classify_power,
     denormalize_power,
-    encode_dataset,
+    encode_tables,
     normalize_power,
     undersample_indices,
 )
@@ -133,15 +139,16 @@ def test_criterion_02_sampler_constraints():
     """100% of 1e5 augmented samples keep rods in [0, 24], powers in
     (0, 200000], and per-state |delta rho| <= 0.5 $, under 30 s."""
     started = time.monotonic()
-    source = synthesize_corpus(CorpusSpec(n_observations=1, seed=4))[0]
+    corpus = synthesize_corpus(CorpusSpec(n_observations=1, seed=4))
+    (source,) = map(row_to_observation, corpus.rows())
     config = config_for_date(source.date)
     rho_src = {
         "initial": reactivity_of_state(source.initial, config),
         "final": reactivity_of_state(source.final, config),
     }
-    generated = over_sample([source], DEFAULT_CONFIGS, n=100_000, seed=202)
+    generated = over_sample(corpus, DEFAULT_CONFIGS, n=100_000, seed=202)
     assert len(generated) == 100_000
-    for obs in generated:
+    for obs in map(row_to_observation, generated.rows()):
         for key, state in (("initial", obs.initial), ("final", obs.final)):
             assert 0.0 < state.power <= FULL_POWER_W
             for h in state.rod_heights:
@@ -266,9 +273,8 @@ def test_criterion_08_composition_exactness(pipeline_run):
     stage2 = load_model(out_dir / "model_b2.json")
     composed = compose_models(stage1, stage2)
 
-    observations = read_observations(out_dir / "corpus.csv")[:100]
-    s1 = encode_dataset(observations, LAYOUTS["a1"], DEFAULT_CONFIGS)
-    s2 = encode_dataset(observations, LAYOUTS["b2"], DEFAULT_CONFIGS)
+    observations = read_observations(out_dir / "corpus.csv").take(slice(100))
+    s1, s2 = encode_tables(observations, [LAYOUTS["a1"], LAYOUTS["b2"]], DEFAULT_CONFIGS)
 
     joint = predict_batch(composed, s1, s2)
     probs = np.atleast_2d(forward(stage1, model_inputs(s1, "a1")))

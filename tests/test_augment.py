@@ -21,7 +21,7 @@ from rtp.domain import (
     config_for_date,
     reactivity_of_state,
 )
-from rtp.ingest import SHUTDOWN_POWER_W
+from rtp.ingest import SHUTDOWN_POWER_W, ObservationTable, row_to_observation
 
 
 def make_obs(p_i=500.0, p_f=5000.0, heights_i=(8.0, 8.0, 8.0, 12.0), heights_f=(10.0, 10.0, 10.0, 12.0)):
@@ -32,6 +32,10 @@ def make_obs(p_i=500.0, p_f=5000.0, heights_i=(8.0, 8.0, 8.0, 12.0), heights_f=(
         initial=ReactorState(p_i, heights_i),
         final=ReactorState(p_f, heights_f),
     )
+
+
+def table_of(*observations):
+    return ObservationTable.from_observations(observations)
 
 
 def draw_one(power, rod1, worth1, noise1=0.0, change=0, policy=PerturbationPolicy()):
@@ -145,12 +149,13 @@ class TestPerturbState:
 
 class TestOverSample:
     def test_exact_count_and_determinism(self):
-        dataset = [make_obs(), make_obs(p_i=2000.0, p_f=200.0)]
+        dataset = table_of(make_obs(), make_obs(p_i=2000.0, p_f=200.0))
         first = over_sample(dataset, DEFAULT_CONFIGS, n=250, seed=42)
         second = over_sample(dataset, DEFAULT_CONFIGS, n=250, seed=42)
         assert len(first) == 250
-        assert first == second
-        assert over_sample(dataset, DEFAULT_CONFIGS, n=250, seed=43) != first
+        assert first.row_index.tolist() == list(range(1, 251))
+        assert first.rows() == second.rows()
+        assert over_sample(dataset, DEFAULT_CONFIGS, n=250, seed=43).rows() != first.rows()
 
     def test_constraints_single_source(self):
         # With one source observation the provenance of every output is known,
@@ -159,8 +164,8 @@ class TestOverSample:
         config = config_for_date(source.date)
         rho_i = reactivity_of_state(source.initial, config)
         rho_f = reactivity_of_state(source.final, config)
-        generated = over_sample([source], DEFAULT_CONFIGS, n=1000, seed=9)
-        for obs in generated:
+        generated = over_sample(table_of(source), DEFAULT_CONFIGS, n=1000, seed=9)
+        for obs in map(row_to_observation, generated.rows()):
             for state, rho_src in ((obs.initial, rho_i), (obs.final, rho_f)):
                 assert 0.0 < state.power <= FULL_POWER_W
                 for h in state.rod_heights:
@@ -171,20 +176,23 @@ class TestOverSample:
 
     def test_outputs_keep_source_metadata(self):
         source = make_obs()
-        generated = over_sample([source], DEFAULT_CONFIGS, n=10, seed=1)
-        for obs in generated:
-            assert obs.date == source.date
-            assert obs.start_time == source.start_time
+        generated = over_sample(table_of(source), DEFAULT_CONFIGS, n=10, seed=1)
+        for row in generated.rows():
+            assert row.date == source.date
+            assert row.start_time == source.start_time
+            assert row.end_time == source.end_time
 
     def test_zero_request(self):
-        assert over_sample([make_obs()], DEFAULT_CONFIGS, n=0, seed=0) == []
+        generated = over_sample(table_of(make_obs()), DEFAULT_CONFIGS, n=0, seed=0)
+        assert len(generated) == 0
+        assert generated.rows() == []
 
     def test_empty_dataset(self):
         with pytest.raises(ValueError):
-            over_sample([], DEFAULT_CONFIGS, n=10, seed=0)
+            over_sample(table_of(), DEFAULT_CONFIGS, n=10, seed=0)
 
     def test_progress_guard(self):
         # A vanishingly small reactivity cap rejects essentially every draw.
         policy = PerturbationPolicy(max_delta_rho=1e-12)
         with pytest.raises(ProgressError):
-            over_sample([make_obs()], DEFAULT_CONFIGS, n=10, policy=policy, seed=0)
+            over_sample(table_of(make_obs()), DEFAULT_CONFIGS, n=10, policy=policy, seed=0)

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -10,9 +11,11 @@ import pytest
 from rtp import compose, seeds
 from rtp.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from rtp.domain import DEFAULT_CONFIGS, config_for_date
-from rtp.ingest import read_log, read_observations
+from rtp.engine import forward
+from rtp.ingest import ObservationTable, read_log, read_observations, row_to_observation
+from rtp.model_zoo import model_inputs
 from rtp.pipeline import PipelineConfig, run_pipeline
-from rtp.preprocess import classify_power, encode_tables, read_encoded
+from rtp.preprocess import LAYOUTS, classify_power, encode_tables, read_encoded
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +146,37 @@ class TestArtifacts:
         assert "regression" in report
         assert report["regression"]["n_samples"] == 120
 
+    @pytest.mark.parametrize("model", ["model_a1.json", "twostage.json"])
+    def test_evaluate_errors_match_csv_writer(self, workdir, tmp_path, model):
+        # Byte for byte what the csv module writes for the same rows.
+        errors_path = tmp_path / "errors.csv"
+        args = ["--model", str(workdir / model), "--data", str(workdir / "corpus.csv")]
+        assert main(["evaluate", *args, "--out", str(tmp_path / "report.json"),
+                     "--errors", str(errors_path)]) == EXIT_OK
+        loaded = compose.load_any_model(workdir / model)
+        observations = read_observations(workdir / "corpus.csv")
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            if isinstance(loaded, compose.TwoStageModel):
+                scores = compose.evaluate_two_stage(
+                    loaded, *encode_tables(observations, loaded.layouts, DEFAULT_CONFIGS)
+                )
+                writer.writerow(["row", "true_class", "predicted_class", "abs_error_norm"])
+                writer.writerows(zip(
+                    range(1, len(observations) + 1), scores.true_classes.tolist(),
+                    scores.predicted_classes.tolist(), scores.regression.abs_errors.tolist(),
+                ))
+            else:
+                (table,) = encode_tables(observations, [LAYOUTS["a1"]], DEFAULT_CONFIGS)
+                out = forward(loaded, model_inputs(table, "a1"))
+                writer.writerow(["row", "true_class", "predicted_class"])
+                writer.writerows(zip(
+                    range(1, len(observations) + 1), table.class_index.tolist(),
+                    np.argmax(out, axis=1).tolist(),
+                ))
+        assert errors_path.read_bytes() == expected.read_bytes()
+
     def test_predict(self, workdir, tmp_path):
         out = tmp_path / "predictions.csv"
         code = main(
@@ -190,7 +224,7 @@ class TestArtifacts:
         model = compose.load_two_stage(workdir / "twostage.json")
         observations = read_observations(workdir / "corpus.csv")
         assert len(rows) == len(observations)
-        for row, obs in zip(rows, observations):
+        for row, obs in zip(rows, map(row_to_observation, observations.rows())):
             single = compose.predict(model, obs, config_for_date(obs.date))
             assert int(row["predicted_class"]) == single.predicted_class
             assert abs(float(row["power_norm"]) - single.power_norm) <= 1e-12
@@ -263,6 +297,21 @@ class TestArtifacts:
         assert "error: row 5: zero-change transient has no direction" in capsys.readouterr().err
 
 
+class TestPinnedOutputs:
+    # sha256 of each file as the parent of the columnar pipeline wrote it; a
+    # change to the corpus generator, the sampler or the CSV writer shows here.
+    SYNTHESIZE_SHA256 = "2e24041dafd17296bf4d30c66057f381af0b62be0ee6a30e32c6050fb4490fe3"
+    AUGMENT_SHA256 = "2d9bc4e1bf7d7de2c62aa3831e617b3368b22b418fcc81c3acd6e8d2300143eb"
+
+    def test_synthesize_and_augment_bytes(self, tmp_path):
+        corpus, augmented = tmp_path / "corpus.csv", tmp_path / "augmented.csv"
+        assert main(["--seed", "0", "synthesize", "--n", "300", "--out", str(corpus)]) == EXIT_OK
+        assert main(["--seed", "0", "augment", "--in", str(corpus), "--n", "100",
+                     "--change", "up", "--out", str(augmented)]) == EXIT_OK
+        assert hashlib.sha256(corpus.read_bytes()).hexdigest() == self.SYNTHESIZE_SHA256
+        assert hashlib.sha256(augmented.read_bytes()).hexdigest() == self.AUGMENT_SHA256
+
+
 class TestPipelineCommand:
     def test_pipeline_with_config_file(self, tmp_path):
         out_dir = tmp_path / "artifacts"
@@ -302,8 +351,8 @@ class TestPipelineCommand:
         # The balanced count is five times the minority class of the training
         # pool (training split plus augmentation), by the scalar class rule.
         split = seeds.substream(0, "split").permutation(300)
-        train_pool = [pool[i] for i in split[round(0.3 * 300):]] + augmented
-        counts = np.bincount([classify_power(o.final.power) for o in train_pool], minlength=5)
+        train_pool = ObservationTable.concat([pool.take(split[round(0.3 * 300):]), augmented])
+        counts = np.bincount([classify_power(p) for p in train_pool.powers[:, 1].tolist()], minlength=5)
         assert report["balanced_n"] == 5 * counts.min() > 0
 
 
@@ -332,6 +381,25 @@ class TestExitCodes:
             ]
         )
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize(
+        "start, end, field",
+        [
+            ("10:00", "10:30+01:00", "end_time"),
+            ("10:00+01:00", "10:30", "start_time"),
+            ("10:00+00:00", "10:30+05:00", "start_time"),
+        ],
+    )
+    def test_time_with_utc_offset_is_data_error(self, workdir, tmp_path, capsys, start, end, field):
+        header = (workdir / "corpus.csv").read_text().splitlines()[0]
+        bad = tmp_path / "offset.csv"
+        bad.write_text(f"{header}\n2014-06-01,{start},{end},100.0,1000.0,5,5,5,5,6,6,6,6\n")
+        code = main(["predict", "--model", str(workdir / "twostage.json"), "--in", str(bad),
+                     "--out", str(tmp_path / "predictions.csv")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: row 1: field '{field}': ")
+        assert "has a UTC offset" in err and "Traceback" not in err
 
     def test_malformed_csv_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"

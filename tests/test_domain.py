@@ -57,10 +57,6 @@ class TestReactorState:
 
 
 class TestTransientObservation:
-    def test_duration_minutes(self):
-        obs = make_obs(10.0, 100.0)
-        assert obs.duration_minutes == 30.0
-
     def test_end_before_start_rejected(self):
         with pytest.raises(ValueError):
             TransientObservation(

@@ -19,6 +19,7 @@ from rtp.ingest import (
     CSV_HEADER,
     CorpusSpec,
     DataError,
+    ObservationTable,
     ParseError,
     _heights_for_reactivity,
     RawLogRow,
@@ -26,6 +27,7 @@ from rtp.ingest import (
     parse_log,
     read_log,
     read_observations,
+    row_to_observation,
     synthesize_corpus,
     write_observations,
 )
@@ -119,6 +121,8 @@ def scalar_parse(text):
                 parsed.append(parse(record[j]))
             except ValueError:
                 return fail(CSV_HEADER[j], f"cannot parse {record[j]!r}")
+            if j > 0 and parsed[j].tzinfo is not None:
+                return fail(CSV_HEADER[j], f"{record[j]!r} has a UTC offset")
         date, start, end = parsed
         if end < start:
             return fail("end_time", f"{end} is before {start}")
@@ -166,6 +170,7 @@ BAD_VALUES = [
     ("start_time", "24:00"),
     ("end_time", "09:59"),
     ("end_time", "09:59:59.999999"),
+    *[(name, v) for name in ("start_time", "end_time") for v in ("10:15+01:00", "10:15Z", "10:15+00:00")],
     *[(name, v) for name in ("initial_power_w", "final_power_w")
       for v in ("0.0", "-0.0", "-5", "200000.5", "nan", "inf", "1e400")],
     *[(name, v) for name in CSV_HEADER[5:] for v in ("-0.1", "24.000001", "nan", "-inf")],
@@ -193,6 +198,9 @@ class TestParseParity:
             [with_field("rod1_i", "x", with_field("initial_power_w", "300000"))],
             [with_field("final_power_w", "x", with_field("initial_power_w", "-1"))],
             [with_field("end_time", "09:00", with_field("initial_power_w", "x"))],
+            [with_field("end_time", "x", with_field("start_time", "10:00+00:00"))],
+            [with_field("end_time", "10:30+05:00", with_field("start_time", "10:00+00:00"))],
+            [with_field("end_time", "10:30+01:00"), with_field("start_time", "11:00")],
             [with_field("rod3_f", "x", with_field("rod1_f", "30"))],
             # A short row after, and before, a bad row.
             [with_field("rod1_f", "x"), "2014-06-01,10:00"],
@@ -333,15 +341,16 @@ def corpus():
 class TestSynthesizeCorpus:
     def test_count(self, corpus):
         assert len(corpus) == 600
+        assert corpus.row_index.tolist() == list(range(1, 601))
 
     def test_deterministic(self, corpus):
         again = synthesize_corpus(CorpusSpec(n_observations=600, seed=7))
-        assert again == corpus
+        assert again.rows() == corpus.rows()
         other = synthesize_corpus(CorpusSpec(n_observations=600, seed=8))
-        assert other != corpus
+        assert other.rows() != corpus.rows()
 
     def test_physical_ranges(self, corpus):
-        for obs in corpus:
+        for obs in map(row_to_observation, corpus.rows()):
             for state in (obs.initial, obs.final):
                 assert 0.0 < state.power <= FULL_POWER_W
                 for h in state.rod_heights:
@@ -349,7 +358,7 @@ class TestSynthesizeCorpus:
 
     def test_direction_consistency(self, corpus):
         # The reactivity difference between states matches the power change.
-        for obs in corpus:
+        for obs in map(row_to_observation, corpus.rows()):
             config = config_for_date(obs.date)
             d_rho = reactivity_of_state(obs.final, config) - reactivity_of_state(
                 obs.initial, config
@@ -358,8 +367,8 @@ class TestSynthesizeCorpus:
 
     def test_class_coverage(self, corpus):
         counts = [0] * 5
-        for obs in corpus:
-            counts[classify_power(obs.final.power)] += 1
+        for power in corpus.powers[:, 1].tolist():
+            counts[classify_power(power)] += 1
         for c, count in enumerate(counts):
             assert count >= 0.10 * len(corpus), f"class {c} underrepresented: {count}"
 
@@ -384,7 +393,7 @@ class TestRoundTrip:
         write_observations(corpus, path)
         back = read_observations(path)
         # repr() serialization must round-trip every float exactly.
-        assert back == corpus
+        assert back.rows() == corpus.rows()
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         corpus = synthesize_corpus(CorpusSpec(n_observations=50, seed=3))
@@ -392,3 +401,19 @@ class TestRoundTrip:
         write_observations(corpus, p1)
         write_observations(read_observations(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestObservationTable:
+    def row(self, start, end, p_f="1000.0"):
+        return f"2014-06-01,{start},{end},100.0,{p_f},5.0,5.0,5.0,5.0,6.0,6.0,6.0,6.0"
+
+    def test_duration_minutes(self):
+        table = read_log(csv_source(self.row("10:00", "10:30"), self.row("09:59:59", "11:00:01")))
+        assert table.duration_minutes.tolist() == [30.0, 61.0]
+
+    def test_concat_keeps_row_numbers(self):
+        first = read_log(csv_source(self.row("10:00", "10:30"), "", self.row("11:00", "11:20", "50.0")))
+        second = read_log(csv_source(self.row("12:00", "12:05", "7.5")))
+        both = ObservationTable.concat([first, second])
+        assert both.rows() == first.rows() + second.rows()
+        assert both.row_index.tolist() == [1, 3, 1]

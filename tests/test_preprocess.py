@@ -20,7 +20,7 @@ from rtp.domain import (
     direction_of,
     reactivity_of_state,
 )
-from rtp.ingest import CorpusSpec, DataError, ObservationTable, synthesize_corpus
+from rtp.ingest import CorpusSpec, DataError, ObservationTable, row_to_observation, synthesize_corpus
 from rtp.model_zoo import variant_spec
 from rtp.preprocess import (
     LAYOUTS,
@@ -256,17 +256,17 @@ class TestEncode:
 def desk_rows():
     """The seed-0 desk corpus plus its augmentation, as the pipeline draws them."""
     corpus = synthesize_corpus(CorpusSpec(n_observations=5000, seed=seeds.subseed(0, "corpus")))
-    return corpus + over_sample(corpus, n=1000, seed=seeds.subseed(0, "augment"))
+    return ObservationTable.concat([corpus, over_sample(corpus, n=1000, seed=seeds.subseed(0, "augment"))])
 
 
 def test_encoder_matches_scalar_reference_bitwise(desk_rows):
     bins = PowerClassBins()
-    table = ObservationTable.from_observations(desk_rows)
-    tables = encode_tables(table, list(LAYOUTS.values()), DEFAULT_CONFIGS, bins)
+    tables = encode_tables(desk_rows, list(LAYOUTS.values()), DEFAULT_CONFIGS, bins)
+    observations = list(map(row_to_observation, desk_rows.rows()))
     for layout, table in zip(LAYOUTS.values(), tables):
         rows = [
             reference_row(obs, layout, config_for_date(obs.date, DEFAULT_CONFIGS), bins)
-            for obs in desk_rows
+            for obs in observations
         ]
         initial, final, direction, class_index, target = (list(c) for c in zip(*rows))
         n = len(desk_rows)
