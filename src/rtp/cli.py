@@ -135,8 +135,6 @@ def _load_training_config(path: str | None, variant_id: str, seed: int) -> Train
     try:
         with open(path) as handle:
             doc = json.load(handle)
-        if "adam_betas" in doc:
-            doc["adam_betas"] = tuple(doc["adam_betas"])
         return replace(config, **doc)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"config file {path}: {exc}") from exc

@@ -179,13 +179,14 @@ def _activate(z: np.ndarray, activation: str) -> np.ndarray:
     return exp / exp.sum(axis=1, keepdims=True)
 
 
-def _activation_grad(z: np.ndarray, a: np.ndarray, activation: str) -> np.ndarray:
+def _activation_backward(da: np.ndarray, z: np.ndarray, a: np.ndarray, activation: str):
+    """The gradient at a layer's pre-activation z from the gradient da at its output a."""
     if activation == "relu":
-        return (z > 0.0).astype(z.dtype)
+        return da * (z > 0.0)
     if activation == "linear":
-        return np.ones_like(z)
+        return da
     if activation == "sigmoid":
-        return a * (1.0 - a)
+        return da * (a * (1.0 - a))
     raise ValueError("softmax gradient is fused with the cross-entropy loss")
 
 
@@ -288,21 +289,28 @@ def data_loss(prediction: np.ndarray, target: np.ndarray, kind: str) -> float:
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
-def _backprop_stack(layers, cache, dz, grads) -> np.ndarray:
+def _backprop_stack(layers, cache, dz, grads, input_grad: bool = True):
     """Carry dz, the gradient at the top layer's pre-activation, down a stack.
 
-    Writes each layer's data gradient into its (weights, biases) views in
-    `grads` and returns the gradient at the stack's input.
+    Writes each layer's gradient into its (weights, biases) views in `grads`:
+    the data gradient, then on the weights the layer's L1 and L2 penalty.
+    Returns the gradient at the stack's input, or None without `input_grad`.
     """
     for i in range(len(layers) - 1, -1, -1):
-        a_prev, _, _ = cache[i]
+        layer = layers[i]
         dw, db = grads[i]
-        dw[...] = a_prev.T @ dz
-        db[...] = dz.sum(axis=0)
-        da = dz @ layers[i].weights.T
+        np.matmul(cache[i][0].T, dz, out=dw)
+        np.sum(dz, axis=0, out=db)
+        if layer.l1:
+            dw += layer.l1 * np.sign(layer.weights)
+        if layer.l2:
+            dw += 2.0 * layer.l2 * layer.weights
+        if i == 0 and not input_grad:
+            return None
+        da = dz @ layer.weights.T
         if i > 0:
             _, z, a = cache[i - 1]
-            dz = da * _activation_grad(z, a, layers[i - 1].activation)
+            dz = _activation_backward(da, z, a, layers[i - 1].activation)
     return da
 
 
@@ -310,7 +318,11 @@ def backward_with_loss(
     model: NetworkModel, inputs: dict[str, np.ndarray], target: np.ndarray, kind: str
 ) -> tuple[np.ndarray, float]:
     """Gradient of the total loss (data loss plus L1/L2 penalty) w.r.t.
-    model.params (same layout), and the data loss from the same forward pass."""
+    model.params (same layout), and the data loss from the same forward pass.
+
+    The returned vector is the only parameter-sized array a call allocates:
+    each layer's gradient and penalty are written into their views of it.
+    """
     output, caches, branch_widths = _forward_cached(model, inputs)
     trunk_cache = caches[-1]
     targ = np.atleast_2d(np.asarray(target, dtype=np.float64))
@@ -325,24 +337,24 @@ def backward_with_loss(
     elif kind == LOSS_MAE:
         da = np.sign(output - targ) / targ.size  # subgradient 0 at ties
         _, z, a = trunk_cache[-1]
-        dz = da * _activation_grad(z, a, head.activation)
+        dz = _activation_backward(da, z, a, head.activation)
     else:
         raise ValueError(f"unknown loss kind {kind!r}")
 
     grad = np.empty_like(model.params)
     views = _views(model, grad)  # branch layers first, then the trunk
-    d_merged = _backprop_stack(model.trunk, trunk_cache, dz, views[-len(model.trunk) :])
+    d_merged = _backprop_stack(
+        model.trunk, trunk_cache, dz, views[-len(model.trunk) :], any(model.branches.values())
+    )
     offset = 0
     for layers, cache, width in zip(model.branches.values(), caches, branch_widths):
         if layers:
             _, z, a = cache[-1]
             da = d_merged[:, offset : offset + width]
-            dz = da * _activation_grad(z, a, layers[-1].activation)
-            _backprop_stack(layers, cache, dz, views[: len(layers)])
+            dz = _activation_backward(da, z, a, layers[-1].activation)
+            _backprop_stack(layers, cache, dz, views[: len(layers)], input_grad=False)
         del views[: len(layers)]
         offset += width
-    grad += model.l1 * np.sign(model.params)
-    grad += 2.0 * model.l2 * model.params
     return grad, data_loss(output, targ, kind)
 
 

@@ -4,6 +4,7 @@ stopping that restores the best-epoch weights."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,40 @@ class DivergenceError(RuntimeError):
         self.batch = batch
 
 
+def _is_number(value, kind=numbers.Real) -> bool:
+    """Whether `value` is a number of `kind`; a bool is not a number here."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _is_count(value) -> bool:
+    return _is_number(value, numbers.Integral) and value >= 1
+
+
+def _is_finite_nonnegative(value) -> bool:
+    return _is_number(value) and 0.0 <= value < math.inf
+
+
+# What each numeric or on/off setting must be, and the test for it.
+_SETTING_RULES = {
+    # Zero freezes the weights, which the early-stopping checks rely on.
+    "learning_rate": ("a finite number >= 0", _is_finite_nonnegative),
+    "adam_betas": (
+        "two numbers in [0, 1)",
+        lambda x: isinstance(x, (tuple, list))
+        and len(x) == 2
+        and all(_is_number(b) and 0.0 <= b < 1.0 for b in x),
+    ),
+    "adam_eps": ("a finite number > 0", lambda x: _is_number(x) and 0.0 < x < math.inf),
+    "batch_size": ("an integer >= 1", _is_count),
+    "max_epochs": ("an integer >= 1", _is_count),
+    "check_fraction": ("a number in (0, 1)", lambda x: _is_number(x) and 0.0 < x < 1.0),
+    "early_stop_patience": ("an integer >= 1", _is_count),
+    "early_stop_min_delta": ("a finite number >= 0", _is_finite_nonnegative),
+    "shuffle_each_epoch": ("true or false", lambda x: isinstance(x, bool)),
+    "seed": ("an integer >= 0", lambda x: _is_number(x, numbers.Integral) and x >= 0),
+}
+
+
 @dataclass
 class TrainingConfig:
     optimizer: str = "adam"  # "adam" | "sgd"
@@ -48,12 +83,10 @@ class TrainingConfig:
     def __post_init__(self) -> None:
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if not (0.0 < self.check_fraction < 1.0):
-            raise ValueError("check_fraction must be in (0, 1)")
-        if self.early_stop_patience < 1:
-            raise ValueError("early_stop_patience must be >= 1")
-        if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
+        for name, (must_be, valid) in _SETTING_RULES.items():
+            value = getattr(self, name)
+            if not valid(value):
+                raise ValueError(f"{name} must be {must_be}, got {value!r}")
         if self.monitored_metric not in MONITORED_METRICS:
             raise ValueError(f"monitored_metric must be one of {MONITORED_METRICS}")
 
@@ -70,14 +103,24 @@ class TrainingHistory:
 
 
 class SGD:
+    """Plain gradient descent; updates `params` in place through one scratch
+    vector made on the first step."""
+
     def __init__(self, learning_rate: float):
         self.lr = learning_rate
+        self.scratch: np.ndarray | None = None
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
-        params -= self.lr * grad
+        if self.scratch is None:
+            self.scratch = np.empty_like(params)
+        params -= np.multiply(grad, self.lr, out=self.scratch)
 
 
 class Adam:
+    """Adam with bias correction. Its moments and two scratch vectors are
+    made on the first step; every later step updates `params` in place,
+    rounding each term as `lr * (m / c1) / (sqrt(v / c2) + eps)` would."""
+
     def __init__(self, learning_rate: float, betas=(0.9, 0.999), eps: float = 1e-8):
         self.lr = learning_rate
         self.beta1, self.beta2 = betas
@@ -85,19 +128,29 @@ class Adam:
         self.t = 0
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
+        self.scratch: tuple[np.ndarray, np.ndarray] | None = None
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         if self.m is None:
             self.m = np.zeros_like(params)
             self.v = np.zeros_like(params)
+            self.scratch = (np.empty_like(params), np.empty_like(params))
+        m, v, (a, b) = self.m, self.v, self.scratch
         self.t += 1
         correction1 = 1.0 - self.beta1**self.t
         correction2 = 1.0 - self.beta2**self.t
-        self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * grad
-        self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * np.square(grad)
-        params -= self.lr * (self.m / correction1) / (np.sqrt(self.v / correction2) + self.eps)
+        m *= self.beta1
+        m += np.multiply(grad, 1.0 - self.beta1, out=a)
+        v *= self.beta2
+        np.square(grad, out=a)
+        v += np.multiply(a, 1.0 - self.beta2, out=a)
+        np.divide(m, correction1, out=a)
+        a *= self.lr
+        np.divide(v, correction2, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        params -= a
 
 
 def _make_optimizer(config: TrainingConfig):
@@ -136,6 +189,31 @@ def _monitored_value(metric: str, val_metrics: dict[str, float]) -> float:
     return val_metrics["loss"]
 
 
+def _train_epoch(model, optimizer, inputs, targets, rows, batch_size: int, epoch: int) -> float:
+    """One optimizer step per minibatch of `rows`, in order; the mean batch loss.
+
+    The rows are gathered once, so each batch is a slice of them; the copy
+    lives only for the epoch.
+    """
+    epoch_inputs = _subset(inputs, rows)
+    epoch_targets = targets[rows]
+    total = 0.0
+    for batch_no, start in enumerate(range(0, rows.size, batch_size), start=1):
+        stop = start + batch_size
+        batch_targets = epoch_targets[start:stop]
+        grad, batch_loss = backward_with_loss(
+            model,
+            {name: arr[start:stop] for name, arr in epoch_inputs.items()},
+            batch_targets,
+            model.loss_kind,
+        )
+        if not math.isfinite(batch_loss):
+            raise DivergenceError(epoch, batch_no)
+        total += batch_loss * len(batch_targets)
+        optimizer.step(model.params, grad)
+    return total / rows.size
+
+
 def train(
     model: NetworkModel,
     inputs: dict[str, np.ndarray],
@@ -162,11 +240,9 @@ def train(
         raise ValueError("check split leaves no training samples")
     val_idx, train_idx = perm[:n_val], perm[n_val:]
 
-    train_inputs = _subset(inputs, train_idx)
-    train_targets = targets[train_idx]
     val_inputs = _subset(inputs, val_idx)
     val_targets = targets[val_idx]
-    n_train = train_targets.shape[0]
+    n_train = train_idx.size
 
     optimizer = _make_optimizer(config)
     mode = "max" if config.monitored_metric == "val_accuracy" else "min"
@@ -178,20 +254,9 @@ def train(
 
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(n_train) if config.shuffle_each_epoch else np.arange(n_train)
-        epoch_loss = 0.0
-        for batch_no, start in enumerate(range(0, n_train, config.batch_size), start=1):
-            batch_idx = order[start : start + config.batch_size]
-            grad, batch_loss = backward_with_loss(
-                model,
-                _subset(train_inputs, batch_idx),
-                train_targets[batch_idx],
-                model.loss_kind,
-            )
-            if not math.isfinite(batch_loss):
-                raise DivergenceError(epoch, batch_no)
-            epoch_loss += batch_loss * len(batch_idx)
-            optimizer.step(model.params, grad)
-        epoch_loss /= n_train
+        epoch_loss = _train_epoch(
+            model, optimizer, inputs, targets, train_idx[order], config.batch_size, epoch
+        )
 
         val_metrics = _evaluate_metrics(model, val_inputs, val_targets)
         record = {"epoch": epoch, "train_batch_loss": epoch_loss}

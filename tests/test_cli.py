@@ -3,6 +3,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -311,6 +314,40 @@ class TestPinnedOutputs:
         assert hashlib.sha256(corpus.read_bytes()).hexdigest() == self.SYNTHESIZE_SHA256
         assert hashlib.sha256(augmented.read_bytes()).hexdigest() == self.AUGMENT_SHA256
 
+    # sha256 of every file a small pipeline writes, taken before the training
+    # step was made in place: Adam (a1, b2, d2) and SGD (e1), branched (a1, b2)
+    # and all-in-one (e1, d2) models, and the report with every best_val_loss.
+    # The digests hold for one BLAS thread on the same numpy build.
+    PIPELINE_SHA256 = {
+        "augmented.csv": "45afe6176368855ade5f130d1a58be54f21faf629cda9cff9efff972d5e29172",
+        "corpus.csv": "0ab8c35e6ba3483330735e98b603201c01044aa8917867258481d8e7fe74a26d",
+        "model_a1.json": "dea0c26ff85babccfafa1cb4b871274ba5421b5b8fcca91d3ce6b87b351cb7ee",
+        "model_b2.json": "a8eb3475c7a1e8e819f1b6ace1782871f3b93acb58dc53abcd44d7d1d6eeccaa",
+        "model_d2.json": "1c108ed9607f1eb0ab85d8a9b98d69cb4c0679e7223104058f958b40a1554349",
+        "model_e1.json": "5f52b176511cfcf2bed56d5ff520bb32baebe9ea51b1b12031cb68bac5e641f9",
+        "report.json": "68d3892cf69f3b3700a6f3a1886bbaa63b860d15a12395123a386b4182f9251b",
+        "twostage.json": "56ba06799675d0e3fd5c88fee6bb7e264121d3a913cb4dd51eed0a9d425cb789",
+    }
+
+    def test_trained_pipeline_bytes(self, tmp_path):
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps({
+            "seed": 0, "corpus_n": 600, "augment_n": 150,
+            "classifier_ids": ["a1", "e1"], "regressor_ids": ["b2", "d2"],
+        }))
+        out_dir = tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[name] = "1"
+        subprocess.run(
+            [sys.executable, "-m", "rtp.cli", "pipeline", "--config", str(config),
+             "--out-dir", str(out_dir)],
+            env=env, check=True, timeout=300,
+        )
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in out_dir.iterdir()}
+        assert digests == self.PIPELINE_SHA256
+
 
 class TestPipelineCommand:
     def test_pipeline_with_config_file(self, tmp_path):
@@ -538,6 +575,52 @@ class TestExitCodes:
         config.write_text(json.dumps({"training_overrides": {"bogus": 1}}))
         assert main(["pipeline", "--config", str(config)]) == EXIT_USAGE
         assert "bogus" in capsys.readouterr().err
+
+    INVALID_TRAINING = [
+        ("batch_size", -3),
+        ("batch_size", 0),
+        ("batch_size", 2.5),
+        ("learning_rate", -1.0),
+        ("adam_betas", [1.0, 0.999]),
+        ("adam_eps", 0.0),
+        ("max_epochs", 0),
+        ("early_stop_patience", True),
+        ("check_fraction", "0.3"),
+        ("early_stop_min_delta", "0.1"),
+        ("seed", "x"),
+    ]
+
+    @pytest.mark.parametrize("key,value", INVALID_TRAINING)
+    def test_invalid_training_override_is_usage_error(self, tmp_path, capsys, key, value):
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps({
+            "out_dir": str(tmp_path / "out"), "corpus_n": 300,
+            "classifier_ids": ["a1"], "regressor_ids": [],
+            "training_overrides": {key: value},
+        }))
+        assert main(["pipeline", "--config", str(config)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"config file {config}: {key} must be" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key,value", INVALID_TRAINING)
+    def test_invalid_train_config_is_usage_error(self, workdir, tmp_path, capsys, key, value):
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({key: value}))
+        out = tmp_path / "model.json"
+        code = main(
+            [
+                "train",
+                "--variant", "a1",
+                "--data", str(workdir / "enc_a1.jsonl"),
+                "--config", str(config),
+                "--out", str(out),
+            ]
+        )
+        assert code == EXIT_USAGE
+        assert f"config file {config}: {key} must be" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_augment_count_is_usage_error(self, workdir, tmp_path):
         out = tmp_path / "augmented.csv"

@@ -2,6 +2,8 @@
 
 import base64
 import json
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,7 @@ from rtp.engine import (
     NetworkModel,
     ShapeError,
     _forward_cached,
+    _views,
     backward_with_loss,
     clone_model,
     data_loss,
@@ -29,6 +32,7 @@ from rtp.engine import (
     regularization_loss,
     save_model,
 )
+from rtp.model_zoo import build_variant
 from rtp.training import TrainingConfig, train
 
 
@@ -231,6 +235,66 @@ class TestBackward:
         grad, _ = backward_with_loss(model, inputs, target, LOSS_CCE)
         n_params = sum(layer.weights.size + layer.biases.size for layer in model.all_layers())
         assert grad.shape == model.params.shape == (n_params,)
+
+
+def with_penalty(model, l1, l2):
+    """A model with the same parameters and every layer's L1/L2 set to l1, l2."""
+    return NetworkModel(
+        branches={name: [replace(lr, l1=l1, l2=l2) for lr in ls] for name, ls in model.branches.items()},
+        aux_width=model.aux_width,
+        trunk=[replace(layer, l1=l1, l2=l2) for layer in model.trunk],
+        head=model.head,
+    )
+
+
+def traced_peak(call):
+    """Peak bytes that numpy and Python allocate during one call."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPenaltyGradient:
+    @pytest.mark.parametrize("kind", [LOSS_CCE, LOSS_MAE])
+    def test_matches_whole_vector_formula_bitwise(self, kind):
+        # The penalty is added per layer; the sum must equal, bit for bit, the
+        # whole-vector formula data + l1*sign(params) + 2*l2*params.
+        rng = np.random.default_rng(30)
+        if kind == LOSS_CCE:
+            data_model = with_penalty(build_classifier(rng, hidden=8), 0.0, 0.0)
+            inputs = classifier_inputs(rng, 7)
+            target = np.eye(5)[rng.integers(0, 5, size=7)]
+        else:
+            data_model = with_penalty(build_regressor(rng, hidden=8), 0.0, 0.0)
+            inputs = {"main": rng.normal(size=(7, 4)), "aux": rng.random(size=(7, 5))}
+            target = rng.random(size=(7, 1))
+        data_model.params[...] = rng.normal(scale=0.5, size=data_model.params.size)  # biases too
+        model = with_penalty(data_model, 3e-3, 7e-3)
+        data, _ = backward_with_loss(data_model, inputs, target, kind)
+        grad, _ = backward_with_loss(model, inputs, target, kind)
+        expected = data + model.l1 * np.sign(model.params)
+        expected += 2.0 * model.l2 * model.params
+        np.testing.assert_array_equal(grad, expected)
+        biases = np.zeros(model.params.size, dtype=bool)
+        for _, b in _views(model, biases):
+            b[...] = True
+        np.testing.assert_array_equal(grad[biases], data[biases])
+        assert not np.array_equal(grad[~biases], data[~biases])
+
+
+class TestStepAllocation:
+    def test_one_row_step_allocates_less_than_two_params(self):
+        # The returned gradient is the only parameter-sized array a step makes.
+        model = build_variant("a1", seed=0)
+        rng = np.random.default_rng(31)
+        inputs = {"initial": rng.random((1, 2)), "final": rng.random((1, 1)), "aux": np.ones((1, 1))}
+        target = np.eye(5)[[2]]
+        backward_with_loss(model, inputs, target, LOSS_CCE)
+        peak = traced_peak(lambda: backward_with_loss(model, inputs, target, LOSS_CCE))
+        assert peak < 2 * model.params.nbytes
 
 
 class TestModelValidation:

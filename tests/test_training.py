@@ -1,6 +1,7 @@
 """Tests for the training loop, optimizers, and early stopping."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,43 @@ class TestTrainingConfig:
         with pytest.raises(ValueError):
             TrainingConfig(monitored_metric="val_rmse")
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("batch_size", -3),
+            ("batch_size", 0),
+            ("batch_size", 2.5),
+            ("batch_size", True),
+            ("max_epochs", 0),
+            ("max_epochs", "10"),
+            ("early_stop_patience", 1.0),
+            ("learning_rate", -1.0),
+            ("learning_rate", math.nan),
+            ("learning_rate", math.inf),
+            ("learning_rate", "0.1"),
+            ("adam_betas", (1.0, 0.999)),
+            ("adam_betas", (0.9, -0.1)),
+            ("adam_betas", (0.9,)),
+            ("adam_betas", 0.9),
+            ("adam_eps", 0.0),
+            ("adam_eps", -1e-8),
+            ("check_fraction", "0.3"),
+            ("check_fraction", 1.5),
+            ("early_stop_min_delta", "0.1"),
+            ("early_stop_min_delta", -0.01),
+            ("shuffle_each_epoch", "no"),
+            ("seed", "x"),
+            ("seed", -1),
+        ],
+    )
+    def test_invalid_values_name_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            TrainingConfig(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        # A zero learning rate freezes the weights; numpy integers are integers.
+        TrainingConfig(learning_rate=0.0, adam_betas=[0.0, 0.5], batch_size=np.int64(1))
+
 
 class TestOptimizers:
     def test_sgd_step(self):
@@ -74,6 +112,82 @@ class TestOptimizers:
         opt.step(params, np.array([1.0, 1.0]))
         opt.step(params, np.array([1.0, 1.0]))
         assert opt.t == 2
+
+
+def reference_sgd(params, grads, lr):
+    """SGD as the whole-vector expression it replaces."""
+    for grad in grads:
+        params -= lr * grad
+
+
+def reference_adam(params, grads, lr, betas, eps):
+    """Adam as the whole-vector expressions it replaces."""
+    beta1, beta2 = betas
+    m, v = np.zeros_like(params), np.zeros_like(params)
+    for t, grad in enumerate(grads, start=1):
+        correction1 = 1.0 - beta1**t
+        correction2 = 1.0 - beta2**t
+        m *= beta1
+        m += (1.0 - beta1) * grad
+        v *= beta2
+        v += (1.0 - beta2) * np.square(grad)
+        params -= lr * (m / correction1) / (np.sqrt(v / correction2) + eps)
+
+
+def step_grads(size, n_steps, seed):
+    """Seeded gradients over eight decades, with zeros and a sign mix."""
+    rng = np.random.default_rng(seed)
+    grads = rng.normal(size=(n_steps, size)) * 10.0 ** rng.integers(-6, 2, size=(n_steps, size))
+    grads[rng.random((n_steps, size)) < 0.05] = 0.0
+    return grads
+
+
+class TestInPlaceOptimizers:
+    N_STEPS = 400
+
+    def test_adam_matches_reference_bitwise(self):
+        # Past about step 350 the first bias correction rounds to 1.0.
+        assert 1.0 - 0.9**self.N_STEPS == 1.0 and 1.0 - 0.9**300 < 1.0
+        grads = step_grads(257, self.N_STEPS, seed=1)
+        start = np.random.default_rng(2).normal(size=257)
+        params, expected = start.copy(), start.copy()
+        opt = Adam(learning_rate=3e-3, betas=(0.9, 0.999), eps=1e-8)
+        for grad in grads:
+            opt.step(params, grad)
+        reference_adam(expected, grads, 3e-3, (0.9, 0.999), 1e-8)
+        np.testing.assert_array_equal(params, expected)
+        assert not np.array_equal(params, start)
+
+    def test_sgd_matches_reference_bitwise(self):
+        grads = step_grads(257, self.N_STEPS, seed=3)
+        start = np.random.default_rng(4).normal(size=257)
+        params, expected = start.copy(), start.copy()
+        opt = SGD(learning_rate=0.01)
+        for grad in grads:
+            opt.step(params, grad)
+        reference_sgd(expected, grads, 0.01)
+        np.testing.assert_array_equal(params, expected)
+
+    def test_steps_leave_the_gradient_unchanged(self):
+        grad = step_grads(64, 1, seed=5)[0]
+        for opt in (Adam(learning_rate=1e-3), SGD(learning_rate=1e-3)):
+            before = grad.copy()
+            opt.step(np.zeros(64), grad)
+            np.testing.assert_array_equal(grad, before)
+
+    @pytest.mark.parametrize("optimizer", [Adam, SGD])
+    def test_steps_after_the_first_allocate_nothing_parameter_sized(self, optimizer):
+        params = build_variant("a1", seed=0).params
+        grad = step_grads(params.size, 1, seed=6)[0]
+        opt = optimizer(learning_rate=1e-3)
+        opt.step(params, grad)
+        tracemalloc.start()
+        try:
+            opt.step(params, grad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < params.nbytes / 10
 
 
 def test_accuracy():
