@@ -10,12 +10,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from itertools import count
 
-import numpy as np
-
-from . import seeds
 from .augment import PerturbationPolicy, ProgressError, over_sample
 from .compose import (
     CompositionError,
@@ -29,7 +25,6 @@ from .compose import (
 )
 from .domain import DEFAULT_CONFIGS, PowerClassBins
 from .engine import ModelFormatError, ShapeError, forward, load_model, save_model
-from .evaluate import class_metrics, confusion
 from .ingest import (
     CorpusSpec,
     DataError,
@@ -40,15 +35,8 @@ from .ingest import (
     synthesize_corpus,
     write_observations,
 )
-from .model_zoo import (
-    build_variant,
-    classification_targets,
-    default_training_config,
-    model_inputs,
-    regression_targets,
-    variant_spec,
-)
-from .pipeline import PipelineConfig, run_pipeline
+from .model_zoo import model_inputs, variant_spec
+from .pipeline import PipelineConfig, check_overrides, fit_variant, run_pipeline, score_classifier
 from .preprocess import (
     LAYOUTS,
     LN_FULL_POWER,
@@ -57,7 +45,7 @@ from .preprocess import (
     undersample,
     write_encoded,
 )
-from .training import DivergenceError, TrainingConfig, train
+from .training import DivergenceError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -128,22 +116,18 @@ def _cmd_preprocess(args) -> int:
     return EXIT_OK
 
 
-def _load_training_config(path: str | None, variant_id: str, seed: int) -> TrainingConfig:
-    config = default_training_config(variant_id, seed)
-    if path is None:
-        return config
-    try:
-        with open(path) as handle:
-            doc = json.load(handle)
-        return replace(config, **doc)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"config file {path}: {exc}") from exc
-
-
 def _cmd_train(args) -> int:
-    table = read_encoded(args.data)
     seed = _effective_seed(args)
     spec = variant_spec(args.variant)
+    overrides = {}
+    if args.config:
+        try:
+            with open(args.config) as handle:
+                overrides = json.load(handle)
+            check_overrides(overrides)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"config file {args.config}: {exc}") from exc
+    table = read_encoded(args.data)
     probs = None
     if spec.task == "regressor":
         if not args.stage1_model or not args.stage1_data:
@@ -158,16 +142,9 @@ def _cmd_train(args) -> int:
                 f"stage-1 data rows ({len(stage1_table)}) do not align with "
                 f"training rows ({len(table)})"
             )
-        probs = np.atleast_2d(
-            forward(classifier, model_inputs(stage1_table, classifier.variant_id))
-        )
-        targets = regression_targets(table)
-    else:
-        targets = classification_targets(table)
+        probs = forward(classifier, model_inputs(stage1_table, classifier.variant_id))
 
-    model = build_variant(args.variant, seeds.subseed(seed, f"init/{args.variant}"))
-    tc = _load_training_config(args.config, args.variant, seeds.subseed(seed, f"train/{args.variant}"))
-    trained, history = train(model, model_inputs(table, args.variant, class_probs=probs), targets, tc)
+    trained, history = fit_variant(args.variant, table, seed, overrides, probs)
     save_model(trained, args.out)
     if args.verbose:
         best = history.records[history.best_epoch - 1]
@@ -212,10 +189,8 @@ def _cmd_evaluate(args) -> int:
         if model.variant_id not in LAYOUTS:
             raise DataError(f"model {args.model} has unknown variant id {model.variant_id!r}")
         (table,) = encode_tables(kept, [LAYOUTS[model.variant_id]], DEFAULT_CONFIGS, bins)
-        out = np.atleast_2d(forward(model, model_inputs(table, model.variant_id)))
-        predicted = np.argmax(out, axis=1)
-        cm = confusion(table.class_index, predicted)
-        report = {"classification": class_metrics(cm).to_dict(), "confusion": cm.to_lists()}
+        _, predicted, cm, metrics = score_classifier(model, table)
+        report = {"classification": metrics.to_dict(), "confusion": cm.to_lists()}
         columns = [table.class_index.tolist(), predicted.tolist()]
         header = ["row", "true_class", "predicted_class"]
 

@@ -143,11 +143,10 @@ def model_inputs(
     return inputs
 
 
-def classification_targets(table: EncodedTable) -> np.ndarray:
-    return table.class_onehot
-
-
-def regression_targets(table: EncodedTable) -> np.ndarray:
+def training_targets(table: EncodedTable, variant_id: str) -> np.ndarray:
+    """A classifier's one-hot classes (n, 5), or a regressor's normalized power (n, 1)."""
+    if variant_spec(variant_id).task == "classifier":
+        return table.class_onehot
     return table.target.reshape(-1, 1)
 
 

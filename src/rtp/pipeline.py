@@ -24,11 +24,10 @@ from .model_zoo import (
     CLASSIFIER_IDS,
     REGRESSOR_IDS,
     build_variant,
-    classification_targets,
     default_training_config,
     model_inputs,
     pair_for_regressor,
-    regression_targets,
+    training_targets,
     variant_spec,
 )
 from .preprocess import LAYOUTS, encode_tables, undersample_indices
@@ -54,7 +53,7 @@ class PipelineConfig:
             raise ValueError("test_fraction must be in (0, 1)")
         if self.corpus_n <= 0:
             raise ValueError("corpus_n must be positive")
-        replace(TrainingConfig(), **self.training_overrides)  # unknown or invalid keys raise here
+        check_overrides(self.training_overrides)
 
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> "PipelineConfig":
@@ -69,20 +68,41 @@ class PipelineConfig:
         return cls(policy=policy, **doc)
 
 
+def check_overrides(overrides: dict) -> None:
+    """Raise ValueError naming a training override that TrainingConfig refuses."""
+    replace(TrainingConfig(), **overrides)
+
+
+def fit_variant(variant_id: str, table, seed: int, overrides: dict, class_probs=None):
+    """Train one variant on an encoded table; returns (model, history).
+
+    The weights and the training run draw from the variant's own substreams
+    of `seed`; its training defaults apply first, then `overrides`. A
+    regressor takes its paired classifier's (n, 5) outputs as `class_probs`.
+    """
+    model = build_variant(variant_id, seeds.subseed(seed, f"init/{variant_id}"))
+    config = replace(
+        default_training_config(variant_id, seeds.subseed(seed, f"train/{variant_id}")),
+        **overrides,
+    )
+    inputs = model_inputs(table, variant_id, class_probs=class_probs)
+    return train(model, inputs, training_targets(table, variant_id), config)
+
+
+def score_classifier(model, table):
+    """A classifier's outputs on a table, its predicted classes, the confusion
+    matrix against the table's classes, and the metrics of that matrix."""
+    out = forward(model, model_inputs(table, model.variant_id))
+    predicted = np.argmax(out, axis=1)
+    cm = confusion(table.class_index, predicted)
+    return out, predicted, cm, class_metrics(cm)
+
+
 def _train_variant(variant_id, train_table, test_table, config: PipelineConfig,
                    train_probs=None, test_probs=None):
-    model = build_variant(variant_id, seeds.subseed(config.seed, f"init/{variant_id}"))
-    tc = default_training_config(variant_id, seeds.subseed(config.seed, f"train/{variant_id}"))
-    if config.training_overrides:
-        tc = replace(tc, **config.training_overrides)
-    inputs = model_inputs(train_table, variant_id, class_probs=train_probs)
-    spec = variant_spec(variant_id)
-    if spec.task == "classifier":
-        targets = classification_targets(train_table)
-    else:
-        targets = regression_targets(train_table)
-    trained, history = train(model, inputs, targets, tc)
-
+    trained, history = fit_variant(
+        variant_id, train_table, config.seed, config.training_overrides, train_probs
+    )
     best = history.records[history.best_epoch - 1]
     summary = {
         "variant": variant_id,
@@ -91,17 +111,15 @@ def _train_variant(variant_id, train_table, test_table, config: PipelineConfig,
         "stopped_early": history.stopped_early,
         "best_val_loss": best["val_loss"],
     }
-    test_inputs = model_inputs(test_table, variant_id, class_probs=test_probs)
-    test_out = np.atleast_2d(forward(trained, test_inputs))
-    if spec.task == "classifier":
+    if variant_spec(variant_id).task == "classifier":
+        test_out, _, cm, metrics = score_classifier(trained, test_table)
         summary["best_val_accuracy"] = best["val_accuracy"]
-        cm = confusion(test_table.class_index, np.argmax(test_out, axis=1))
-        metrics = class_metrics(cm)
         summary["test_accuracy"] = metrics.accuracy
         summary["test_macro_f1"] = metrics.macro_f1
         summary["confusion"] = cm.to_lists()
         summary["per_class"] = metrics.to_dict()
     else:
+        test_out = forward(trained, model_inputs(test_table, variant_id, class_probs=test_probs))
         # Table-5 analogue: the regressor "accuracy" column is really MSE.
         summary["best_val_mse"] = best["val_mse"]
         summary["best_val_mae"] = best["val_mae"]
@@ -171,7 +189,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
     # Stage 5: classifiers.
     classifier_models = {}
     classifier_test_probs = {}
-    classifier_train_probs = {}
     for vid in config.classifier_ids:
         model, test_out, summary = _train_variant(
             vid, encoded_train[vid], encoded_test[vid], config
@@ -187,9 +204,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         cid = pair_for_regressor(vid)
         if cid not in classifier_models:
             raise ValueError(f"regressor {vid} needs classifier {cid}, which was not trained")
-        train_probs = np.atleast_2d(
-            forward(classifier_models[cid], model_inputs(encoded_train[cid], cid))
-        )
+        train_probs = forward(classifier_models[cid], model_inputs(encoded_train[cid], cid))
         model, _, summary = _train_variant(
             vid,
             encoded_train[vid],

@@ -169,24 +169,15 @@ def accuracy(predictions: np.ndarray, targets: np.ndarray) -> float:
 
 def _evaluate_metrics(model: NetworkModel, inputs, targets) -> dict[str, float]:
     out = forward(model, inputs)
-    out2d = np.atleast_2d(out)
     metrics = {
-        "loss": data_loss(out2d, targets, model.loss_kind) + regularization_loss(model),
+        "loss": data_loss(out, targets, model.loss_kind) + regularization_loss(model),
     }
     if model.loss_kind == LOSS_CCE:
-        metrics["accuracy"] = accuracy(out2d, targets)
+        metrics["accuracy"] = accuracy(out, targets)
     else:
-        metrics["mae"] = float(np.mean(np.abs(out2d - targets)))
-        metrics["mse"] = float(np.mean(np.square(out2d - targets)))
+        metrics["mae"] = float(np.mean(np.abs(out - targets)))
+        metrics["mse"] = float(np.mean(np.square(out - targets)))
     return metrics
-
-
-def _monitored_value(metric: str, val_metrics: dict[str, float]) -> float:
-    if metric == "val_accuracy":
-        return val_metrics["accuracy"]
-    if metric == "val_mse":
-        return val_metrics["mse"]
-    return val_metrics["loss"]
 
 
 def _train_epoch(model, optimizer, inputs, targets, rows, batch_size: int, epoch: int) -> float:
@@ -263,7 +254,7 @@ def train(
         record.update({f"val_{k}": v for k, v in val_metrics.items()})
         history.records.append(record)
 
-        value = _monitored_value(config.monitored_metric, val_metrics)
+        value = record[config.monitored_metric]
         if not math.isfinite(value):
             raise DivergenceError(epoch, 0)
         improved = (

@@ -14,11 +14,10 @@ from rtp.model_zoo import (
     aux_width,
     branch_widths,
     build_variant,
-    classification_targets,
     default_training_config,
     model_inputs,
     pair_for_regressor,
-    regression_targets,
+    training_targets,
     variant_spec,
 )
 from rtp.preprocess import LAYOUTS, encode_dataset
@@ -162,13 +161,13 @@ class TestModelInputs:
 
 class TestTargets:
     def test_classification_targets(self):
-        targets = classification_targets(sample_batch("a1"))
+        targets = training_targets(sample_batch("a1"), "a1")
         assert targets.shape == (6, 5)
         np.testing.assert_array_equal(targets.sum(axis=1), np.ones(6))
 
     def test_regression_targets(self):
         table = sample_batch("a2")
-        targets = regression_targets(table)
+        targets = training_targets(table, "a2")
         assert targets.shape == (6, 1)
         np.testing.assert_array_equal(targets[:, 0], table.target)
 
