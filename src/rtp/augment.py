@@ -16,6 +16,9 @@ from .domain import (
     FULL_POWER_W,
     MAX_ROD_TRAVEL_IN,
     CoreConfiguration,
+    check_settings,
+    is_finite,
+    is_finite_positive,
     rod_worths_by_ordinal,
 )
 from .ingest import SHUTDOWN_POWER_W, ObservationTable
@@ -26,6 +29,14 @@ MAX_VALID_DELTA_RHO = 0.5
 
 class ProgressError(RuntimeError):
     """Perturbation policy rejects essentially every draw."""
+
+
+_POLICY_RULES = {
+    "base_noise_sigma": ("a finite number > 0", is_finite_positive),
+    "directional_bias": ("a finite number", is_finite),
+    "reg_rod_scale": ("a finite number", is_finite),
+    "max_delta_rho": ("a finite number > 0", is_finite_positive),
+}
 
 
 @dataclass(frozen=True)
@@ -42,10 +53,7 @@ class PerturbationPolicy:
     max_delta_rho: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.base_noise_sigma <= 0:
-            raise ValueError("base_noise_sigma must be positive")
-        if self.max_delta_rho <= 0:
-            raise ValueError("max_delta_rho must be positive")
+        check_settings(self, _POLICY_RULES)
 
 
 def perturb_rows(

@@ -124,7 +124,7 @@ def _cmd_train(args) -> int:
         try:
             with open(args.config) as handle:
                 overrides = json.load(handle)
-            check_overrides(overrides)
+            check_overrides(overrides, [args.variant])
         except (TypeError, ValueError) as exc:
             raise UsageError(f"config file {args.config}: {exc}") from exc
     table = read_encoded(args.data)
@@ -188,6 +188,11 @@ def _cmd_evaluate(args) -> int:
     else:
         if model.variant_id not in LAYOUTS:
             raise DataError(f"model {args.model} has unknown variant id {model.variant_id!r}")
+        if variant_spec(model.variant_id).task == "regressor":
+            raise DataError(
+                f"model file {args.model}: {model.variant_id} is a regressor, which is "
+                "evaluated through a two-stage model (see rtp compose)"
+            )
         (table,) = encode_tables(kept, [LAYOUTS[model.variant_id]], DEFAULT_CONFIGS, bins)
         _, predicted, cm, metrics = score_classifier(model, table)
         report = {"classification": metrics.to_dict(), "confusion": cm.to_lists()}

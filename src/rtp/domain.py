@@ -1,9 +1,12 @@
-"""Core reactor data types and physical constants shared across the toolkit."""
+"""Core reactor data types and physical constants shared across the toolkit,
+and the rule-table check that every settings dataclass runs."""
 
 from __future__ import annotations
 
 import bisect
 import datetime as dt
+import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -148,3 +151,37 @@ def reactivity_of_state(state: ReactorState, config: CoreConfiguration) -> float
     return sum(
         (h / MAX_ROD_TRAVEL_IN) * w for h, w in zip(state.rod_heights, config.rod_worths)
     )
+
+
+def is_number(value, kind=numbers.Real) -> bool:
+    """Whether `value` is a number of `kind`; a bool is not a number here."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def is_integer(value) -> bool:
+    return is_number(value, numbers.Integral)
+
+
+def is_count(value) -> bool:
+    return is_integer(value) and value >= 1
+
+
+def is_finite(value) -> bool:
+    return is_number(value) and math.isfinite(value)
+
+
+def is_finite_nonnegative(value) -> bool:
+    return is_number(value) and 0.0 <= value < math.inf
+
+
+def is_finite_positive(value) -> bool:
+    return is_number(value) and 0.0 < value < math.inf
+
+
+def check_settings(settings, rules: dict) -> None:
+    """Raise ValueError naming the first field of `settings` that breaks its
+    rule; `rules` maps a field name to (what it must be, test of a value)."""
+    for name, (must_be, valid) in rules.items():
+        value = getattr(settings, name)
+        if not valid(value):
+            raise ValueError(f"{name} must be {must_be}, got {value!r}")

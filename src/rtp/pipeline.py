@@ -16,7 +16,14 @@ import numpy as np
 from . import seeds
 from .augment import PerturbationPolicy, over_sample
 from .compose import compose_models, evaluate_two_stage, save_two_stage
-from .domain import DEFAULT_CONFIGS, PowerClassBins
+from .domain import (
+    DEFAULT_CONFIGS,
+    PowerClassBins,
+    check_settings,
+    is_count,
+    is_integer,
+    is_number,
+)
 from .engine import forward, save_model
 from .evaluate import class_metrics, confusion, regression_report
 from .ingest import CorpusSpec, ObservationTable, synthesize_corpus, write_observations
@@ -34,6 +41,32 @@ from .preprocess import LAYOUTS, encode_tables, undersample_indices
 from .training import TrainingConfig, train
 
 
+def _ids_from(known: tuple[str, ...]):
+    return lambda x: isinstance(x, (tuple, list)) and all(v in known for v in x)
+
+
+# What each setting must be, and the test for it, in field order.
+_CONFIG_RULES = {
+    "out_dir": ("a path", lambda x: isinstance(x, (str, Path))),
+    "seed": ("an integer", is_integer),
+    "corpus_n": ("an integer >= 1", is_count),
+    "test_fraction": ("a number in (0, 1)", lambda x: is_number(x) and 0.0 < x < 1.0),
+    "augment_n": ("an integer >= 0", lambda x: is_integer(x) and x >= 0),
+    "augment_change": ("one of -1, 0, 1", lambda x: is_integer(x) and x in (-1, 0, 1)),
+    "policy": ("an object of perturbation settings", lambda x: isinstance(x, PerturbationPolicy)),
+    "classifier_ids": (f"a list of ids from {CLASSIFIER_IDS}", _ids_from(CLASSIFIER_IDS)),
+    "regressor_ids": (f"a list of ids from {REGRESSOR_IDS}", _ids_from(REGRESSOR_IDS)),
+    "compose_pair": (
+        "a classifier id, then a regressor id",
+        lambda x: isinstance(x, (tuple, list))
+        and len(x) == 2
+        and x[0] in CLASSIFIER_IDS
+        and x[1] in REGRESSOR_IDS,
+    ),
+    "training_overrides": ("an object of training settings", lambda x: isinstance(x, dict)),
+}
+
+
 @dataclass
 class PipelineConfig:
     out_dir: Union[str, Path] = "artifacts"
@@ -49,11 +82,16 @@ class PipelineConfig:
     training_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.test_fraction < 1.0):
-            raise ValueError("test_fraction must be in (0, 1)")
-        if self.corpus_n <= 0:
-            raise ValueError("corpus_n must be positive")
-        check_overrides(self.training_overrides)
+        check_settings(self, _CONFIG_RULES)
+        for vid in self.regressor_ids:
+            if pair_for_regressor(vid) not in self.classifier_ids:
+                raise ValueError(
+                    f"regressor_ids: {vid} needs its paired classifier "
+                    f"{pair_for_regressor(vid)} in classifier_ids"
+                )
+        check_overrides(self.training_overrides, (*self.classifier_ids, *self.regressor_ids))
+        for key in ("classifier_ids", "regressor_ids", "compose_pair"):
+            setattr(self, key, tuple(getattr(self, key)))
 
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> "PipelineConfig":
@@ -61,16 +99,37 @@ class PipelineConfig:
             doc = json.load(handle)
         if not isinstance(doc, dict):
             raise ValueError("expected a JSON object")
-        policy = PerturbationPolicy(**doc.pop("policy", {}))
-        for key in ("classifier_ids", "regressor_ids", "compose_pair"):
-            if key in doc:
-                doc[key] = tuple(doc[key])
-        return cls(policy=policy, **doc)
+        if isinstance(doc.get("policy"), dict):
+            doc["policy"] = PerturbationPolicy(**doc["policy"])
+        return cls(**doc)
 
 
-def check_overrides(overrides: dict) -> None:
-    """Raise ValueError naming a training override that TrainingConfig refuses."""
+# The validation metrics each head reports, which early stopping can monitor.
+MONITORED_BY_TASK = {
+    "classifier": ("val_accuracy", "val_loss"),
+    "regressor": ("val_loss", "val_mse"),
+}
+
+
+def training_config(variant_id: str, seed: int, overrides: dict) -> TrainingConfig:
+    """A variant's training defaults, then `overrides`. ValueError names a
+    setting that TrainingConfig refuses or a metric the head does not report."""
+    config = replace(default_training_config(variant_id, seed), **overrides)
+    task = variant_spec(variant_id).task
+    if config.monitored_metric not in MONITORED_BY_TASK[task]:
+        raise ValueError(
+            f"monitored_metric must be one of {MONITORED_BY_TASK[task]} for {task} "
+            f"{variant_id}, got {config.monitored_metric!r}"
+        )
+    return config
+
+
+def check_overrides(overrides: dict, variant_ids) -> None:
+    """Raise ValueError naming a training override that TrainingConfig, or
+    the training config of any of `variant_ids`, refuses."""
     replace(TrainingConfig(), **overrides)
+    for vid in variant_ids:
+        training_config(vid, 0, overrides)
 
 
 def fit_variant(variant_id: str, table, seed: int, overrides: dict, class_probs=None):
@@ -81,10 +140,7 @@ def fit_variant(variant_id: str, table, seed: int, overrides: dict, class_probs=
     regressor takes its paired classifier's (n, 5) outputs as `class_probs`.
     """
     model = build_variant(variant_id, seeds.subseed(seed, f"init/{variant_id}"))
-    config = replace(
-        default_training_config(variant_id, seeds.subseed(seed, f"train/{variant_id}")),
-        **overrides,
-    )
+    config = training_config(variant_id, seeds.subseed(seed, f"train/{variant_id}"), overrides)
     inputs = model_inputs(table, variant_id, class_probs=class_probs)
     return train(model, inputs, training_targets(table, variant_id), config)
 
@@ -202,8 +258,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
     regressor_models = {}
     for vid in config.regressor_ids:
         cid = pair_for_regressor(vid)
-        if cid not in classifier_models:
-            raise ValueError(f"regressor {vid} needs classifier {cid}, which was not trained")
         train_probs = forward(classifier_models[cid], model_inputs(encoded_train[cid], cid))
         model, _, summary = _train_variant(
             vid,

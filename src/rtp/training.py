@@ -4,11 +4,18 @@ stopping that restores the best-epoch weights."""
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .domain import (
+    check_settings,
+    is_count,
+    is_finite_nonnegative,
+    is_finite_positive,
+    is_integer,
+    is_number,
+)
 from .engine import (
     LOSS_CCE,
     NetworkModel,
@@ -31,37 +38,26 @@ class DivergenceError(RuntimeError):
         self.batch = batch
 
 
-def _is_number(value, kind=numbers.Real) -> bool:
-    """Whether `value` is a number of `kind`; a bool is not a number here."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def _is_count(value) -> bool:
-    return _is_number(value, numbers.Integral) and value >= 1
-
-
-def _is_finite_nonnegative(value) -> bool:
-    return _is_number(value) and 0.0 <= value < math.inf
-
-
-# What each numeric or on/off setting must be, and the test for it.
+# What each setting must be, and the test for it, in field order.
 _SETTING_RULES = {
+    "optimizer": ("'adam' or 'sgd'", lambda x: x in ("adam", "sgd")),
     # Zero freezes the weights, which the early-stopping checks rely on.
-    "learning_rate": ("a finite number >= 0", _is_finite_nonnegative),
+    "learning_rate": ("a finite number >= 0", is_finite_nonnegative),
     "adam_betas": (
         "two numbers in [0, 1)",
         lambda x: isinstance(x, (tuple, list))
         and len(x) == 2
-        and all(_is_number(b) and 0.0 <= b < 1.0 for b in x),
+        and all(is_number(b) and 0.0 <= b < 1.0 for b in x),
     ),
-    "adam_eps": ("a finite number > 0", lambda x: _is_number(x) and 0.0 < x < math.inf),
-    "batch_size": ("an integer >= 1", _is_count),
-    "max_epochs": ("an integer >= 1", _is_count),
-    "check_fraction": ("a number in (0, 1)", lambda x: _is_number(x) and 0.0 < x < 1.0),
-    "early_stop_patience": ("an integer >= 1", _is_count),
-    "early_stop_min_delta": ("a finite number >= 0", _is_finite_nonnegative),
+    "adam_eps": ("a finite number > 0", is_finite_positive),
+    "batch_size": ("an integer >= 1", is_count),
+    "max_epochs": ("an integer >= 1", is_count),
+    "check_fraction": ("a number in (0, 1)", lambda x: is_number(x) and 0.0 < x < 1.0),
+    "early_stop_patience": ("an integer >= 1", is_count),
+    "early_stop_min_delta": ("a finite number >= 0", is_finite_nonnegative),
+    "monitored_metric": (f"one of {MONITORED_METRICS}", lambda x: x in MONITORED_METRICS),
     "shuffle_each_epoch": ("true or false", lambda x: isinstance(x, bool)),
-    "seed": ("an integer >= 0", lambda x: _is_number(x, numbers.Integral) and x >= 0),
+    "seed": ("an integer >= 0", lambda x: is_integer(x) and x >= 0),
 }
 
 
@@ -81,14 +77,7 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        for name, (must_be, valid) in _SETTING_RULES.items():
-            value = getattr(self, name)
-            if not valid(value):
-                raise ValueError(f"{name} must be {must_be}, got {value!r}")
-        if self.monitored_metric not in MONITORED_METRICS:
-            raise ValueError(f"monitored_metric must be one of {MONITORED_METRICS}")
+        check_settings(self, _SETTING_RULES)
 
 
 @dataclass

@@ -18,7 +18,15 @@ from rtp.engine import forward
 from rtp.ingest import ObservationTable, read_log, read_observations, row_to_observation
 from rtp.model_zoo import model_inputs
 from rtp.pipeline import PipelineConfig, run_pipeline
-from rtp.preprocess import LAYOUTS, classify_power, encode_tables, read_encoded
+from rtp.model_zoo import pair_for_regressor
+from rtp.preprocess import (
+    LAYOUTS,
+    classify_power,
+    encode_tables,
+    read_encoded,
+    undersample_indices,
+    write_encoded,
+)
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +156,17 @@ class TestArtifacts:
         report = json.loads(report_path.read_text())
         assert "regression" in report
         assert report["regression"]["n_samples"] == 120
+
+    def test_evaluate_single_regressor_names_file(self, workdir, tmp_path, capsys):
+        model = workdir / "model_b2.json"
+        report_path = tmp_path / "report.json"
+        code = main(["evaluate", "--model", str(model), "--data", str(workdir / "corpus.csv"),
+                     "--out", str(report_path)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"model file {model}: b2 is a regressor" in err
+        assert "two-stage model" in err and "Traceback" not in err
+        assert not report_path.exists()
 
     @pytest.mark.parametrize("model", ["model_a1.json", "twostage.json"])
     def test_evaluate_errors_match_csv_writer(self, workdir, tmp_path, model):
@@ -393,6 +412,46 @@ class TestPipelineCommand:
         assert report["balanced_n"] == 5 * counts.min() > 0
 
 
+    def test_train_writes_the_pipeline_models(self, tmp_path):
+        # rtp train on the pipeline's own balanced rows writes the pipeline's
+        # model files byte for byte: both take the same variant path.
+        seed, ids = 7, ["a1", "e1", "b2", "d2"]
+        pipeline_dir = tmp_path / "pipeline"
+        overrides = {"max_epochs": 4}
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps({
+            "out_dir": str(pipeline_dir), "corpus_n": 600, "augment_n": 100,
+            "classifier_ids": ids[:2], "regressor_ids": ids[2:], "training_overrides": overrides,
+        }))
+        assert main(["--seed", str(seed), "pipeline", "--config", str(config)]) == EXIT_OK
+
+        corpus = read_observations(pipeline_dir / "corpus.csv")
+        split = seeds.substream(seed, "split").permutation(len(corpus))
+        train_pool = ObservationTable.concat([
+            corpus.take(split[round(0.3 * len(corpus)):]),
+            read_observations(pipeline_dir / "augmented.csv"),
+        ])
+        tables = encode_tables(train_pool, [LAYOUTS[vid] for vid in ids], DEFAULT_CONFIGS)
+        balanced = undersample_indices(
+            tables[0].class_index.tolist(), seeds.subseed(seed, "balance")
+        )
+        train_config = tmp_path / "train.json"
+        train_config.write_text(json.dumps(overrides))
+        for vid, table in zip(ids, tables):
+            write_encoded(table.take(balanced), tmp_path / f"enc_{vid}.jsonl")
+        for vid in ids:
+            command = ["--seed", str(seed), "train", "--variant", vid,
+                       "--data", str(tmp_path / f"enc_{vid}.jsonl"),
+                       "--config", str(train_config), "--out", str(tmp_path / f"model_{vid}.json")]
+            if vid in ids[2:]:
+                cid = pair_for_regressor(vid)
+                command += ["--stage1-model", str(tmp_path / f"model_{cid}.json"),
+                            "--stage1-data", str(tmp_path / f"enc_{cid}.jsonl")]
+            assert main(command) == EXIT_OK
+            trained = (tmp_path / f"model_{vid}.json").read_bytes()
+            assert trained == (pipeline_dir / f"model_{vid}.json").read_bytes(), vid
+
+
 class TestExitCodes:
     def test_unknown_layout_is_usage_error(self, workdir):
         code = main(
@@ -620,6 +679,75 @@ class TestExitCodes:
         )
         assert code == EXIT_USAGE
         assert f"config file {config}: {key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    INVALID_PIPELINE = {
+        "seed-string": ({"seed": "x"}, "seed"),
+        "augment_n-negative": ({"augment_n": -5}, "augment_n"),
+        "corpus_n-string": ({"corpus_n": "5"}, "corpus_n"),
+        "test_fraction-string": ({"test_fraction": "0.3"}, "test_fraction"),
+        "augment_change-7": ({"augment_change": 7}, "augment_change"),
+        "classifier_ids-number": ({"classifier_ids": 5}, "classifier_ids"),
+        "classifier_ids-unknown": ({"classifier_ids": ["zz"]}, "classifier_ids"),
+        "regressor_ids-classifier": ({"regressor_ids": ["a1"]}, "regressor_ids"),
+        "compose_pair-one-id": ({"compose_pair": ["a1"]}, "compose_pair"),
+        "regressor_ids-unpaired": (
+            {"classifier_ids": ["e1"], "regressor_ids": ["b2"]}, "regressor_ids"
+        ),
+        "policy-number": ({"policy": 5}, "policy"),
+        "policy-field-string": ({"policy": {"base_noise_sigma": "0.1"}}, "base_noise_sigma"),
+    }
+
+    @pytest.mark.parametrize("doc,key", INVALID_PIPELINE.values(), ids=INVALID_PIPELINE)
+    def test_invalid_pipeline_config_is_usage_error(self, tmp_path, capsys, doc, key):
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps({
+            "out_dir": str(tmp_path / "out"), "corpus_n": 300, "augment_n": 50,
+            "classifier_ids": ["a1"], "regressor_ids": [],
+            "training_overrides": {"max_epochs": 1}, **doc,
+        }))
+        assert main(["pipeline", "--config", str(config)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"config file {config}: {key}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "classifiers,regressors,metric",
+        [(["a1"], [], "val_mse"), (["a1"], ["b2"], "val_accuracy")],
+    )
+    def test_pipeline_metric_the_head_does_not_report_is_usage_error(
+        self, tmp_path, capsys, classifiers, regressors, metric
+    ):
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps({
+            "out_dir": str(tmp_path / "out"), "corpus_n": 300,
+            "classifier_ids": classifiers, "regressor_ids": regressors,
+            "training_overrides": {"monitored_metric": metric},
+        }))
+        assert main(["pipeline", "--config", str(config)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"config file {config}: monitored_metric must be" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("variant,metric", [("a1", "val_mse"), ("b2", "val_accuracy")])
+    def test_train_metric_the_head_does_not_report_is_usage_error(
+        self, workdir, tmp_path, capsys, variant, metric
+    ):
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({"monitored_metric": metric, "max_epochs": 2}))
+        out = tmp_path / "model.json"
+        code = main([
+            "train", "--variant", variant, "--data", str(workdir / f"enc_{variant}.jsonl"),
+            "--config", str(config), "--out", str(out),
+            "--stage1-model", str(workdir / "model_a1.json"),
+            "--stage1-data", str(workdir / "enc_a1.jsonl"),
+        ])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"config file {config}: monitored_metric must be" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_negative_augment_count_is_usage_error(self, workdir, tmp_path):
