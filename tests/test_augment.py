@@ -102,6 +102,10 @@ class TestPerturbationPolicy:
             PerturbationPolicy(base_noise_sigma=0.0)
         with pytest.raises(ValueError):
             PerturbationPolicy(max_delta_rho=-1.0)
+        with pytest.raises(ValueError, match="max_delta_rho must be a finite number > 0"):
+            PerturbationPolicy(max_delta_rho=float("inf"))
+        with pytest.raises(ValueError, match="directional_bias must be a finite number"):
+            PerturbationPolicy(directional_bias="0.3")
 
 
 def draw_many(state, config, change, n, seed):

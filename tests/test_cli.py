@@ -16,9 +16,8 @@ from rtp.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from rtp.domain import DEFAULT_CONFIGS, config_for_date
 from rtp.engine import forward
 from rtp.ingest import ObservationTable, read_log, read_observations, row_to_observation
-from rtp.model_zoo import model_inputs
+from rtp.model_zoo import model_inputs, pair_for_regressor
 from rtp.pipeline import PipelineConfig, run_pipeline
-from rtp.model_zoo import pair_for_regressor
 from rtp.preprocess import (
     LAYOUTS,
     classify_power,
@@ -410,7 +409,6 @@ class TestPipelineCommand:
         train_pool = ObservationTable.concat([pool.take(split[round(0.3 * 300):]), augmented])
         counts = np.bincount([classify_power(p) for p in train_pool.powers[:, 1].tolist()], minlength=5)
         assert report["balanced_n"] == 5 * counts.min() > 0
-
 
     def test_train_writes_the_pipeline_models(self, tmp_path):
         # rtp train on the pipeline's own balanced rows writes the pipeline's

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from rtp import pipeline
-from rtp.augment import PerturbationPolicy
 from rtp.domain import DEFAULT_CONFIGS
 from rtp.engine import forward
 from rtp.evaluate import class_metrics, confusion
@@ -54,10 +53,6 @@ class TestPipelineConfig:
         )
         assert (config.classifier_ids, config.regressor_ids, config.compose_pair) == (
             ("a1",), ("b2",), ("a1", "b2"))
-
-    def test_policy_fields_are_checked(self):
-        with pytest.raises(ValueError, match="max_delta_rho must be a finite number > 0"):
-            PerturbationPolicy(max_delta_rho=float("inf"))
 
     def test_bool_is_not_a_count(self):
         with pytest.raises(ValueError, match="corpus_n must be an integer >= 1, got True"):
