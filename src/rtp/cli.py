@@ -23,7 +23,7 @@ from .compose import (
     predict_arrays,
     save_two_stage,
 )
-from .domain import DEFAULT_CONFIGS, PowerClassBins
+from .domain import DEFAULT_CONFIGS, PowerClassBins, is_nonnegative_integer
 from .engine import ModelFormatError, ShapeError, forward, load_model, save_model
 from .ingest import (
     CorpusSpec,
@@ -66,13 +66,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _effective_seed(args) -> int:
+    """The root seed: --seed, else RTP_SEED, else 0; an integer >= 0."""
     if args.seed is not None:
-        return args.seed
-    env = os.environ.get("RTP_SEED", "0")
-    try:
-        return int(env)
-    except ValueError:
-        raise UsageError(f"RTP_SEED must be an integer, got {env!r}") from None
+        seed, source = args.seed, "--seed"
+    else:
+        env = os.environ.get("RTP_SEED", "0")
+        try:
+            seed, source = int(env), "RTP_SEED"
+        except ValueError:
+            raise UsageError(f"RTP_SEED must be an integer >= 0, got {env!r}") from None
+    if not is_nonnegative_integer(seed):
+        raise UsageError(f"{source} must be an integer >= 0, got {seed}")
+    return seed
 
 
 def _cmd_synthesize(args) -> int:

@@ -9,7 +9,7 @@ from typing import Union
 
 import numpy as np
 
-from .domain import CoreConfiguration, PowerClassBins, TransientObservation
+from .domain import CoreConfiguration, TransientObservation
 from .engine import (
     FORMAT_VERSION,
     HEAD_SIGMOID,
@@ -22,6 +22,7 @@ from .engine import (
     load_model,
     model_from_dict,
     model_to_dict,
+    run_layers,
 )
 from .evaluate import (
     ClassMetrics,
@@ -31,9 +32,8 @@ from .evaluate import (
     confusion,
     regression_report,
 )
-from .ingest import ObservationTable
-from .model_zoo import aux_width, model_inputs, variant_spec
-from .preprocess import LAYOUTS, EncodedTable, FeatureLayout, denormalize_power, encode_tables
+from .model_zoo import aux_width, branch_widths, model_inputs, row_columns, variant_spec
+from .preprocess import LAYOUTS, EncodedTable, FeatureLayout, denormalize_power, encode_row
 
 
 class CompositionError(ValueError):
@@ -54,22 +54,36 @@ class TwoStageModel:
     stage2: NetworkModel
 
     def __post_init__(self) -> None:
+        """Refuse stages that predict cannot run as they are: wrong heads or
+        tasks, or inputs that differ from their variant's layout."""
         if self.stage1.head != HEAD_SOFTMAX:
             raise CompositionError(f"stage 1 head is {self.stage1.head}, need {HEAD_SOFTMAX}")
         if self.stage2.head != HEAD_SIGMOID:
             raise CompositionError(f"stage 2 head is {self.stage2.head}, need {HEAD_SIGMOID}")
-        for stage, model in (("stage 1", self.stage1), ("stage 2", self.stage2)):
-            if model.variant_id not in LAYOUTS:
+        stages = (("stage 1", self.stage1, "classifier"), ("stage 2", self.stage2, "regressor"))
+        for stage, model, task in stages:
+            vid = model.variant_id
+            if vid not in LAYOUTS:
                 raise CompositionError(f"{stage} has no recognized variant id")
-        spec2 = variant_spec(self.stage2.variant_id)
-        if spec2.task != "regressor":
-            raise CompositionError(f"stage 2 variant {self.stage2.variant_id} is not a regressor")
-        expected_aux = aux_width(self.stage2.variant_id)
-        if self.stage2.aux_width != expected_aux:
-            raise CompositionError(
-                f"stage 2 aux width {self.stage2.aux_width} != expected {expected_aux} "
-                f"(5 class probabilities{' + direction' if expected_aux == 6 else ''})"
-            )
+            spec = variant_spec(vid)
+            if spec.task != task:
+                raise CompositionError(f"{stage} variant {vid} is not a {task}")
+            expected = branch_widths(spec.layout)
+            if list(model.branches) != list(expected):
+                raise CompositionError(
+                    f"{stage} ({vid}) has branches {list(model.branches)}, "
+                    f"its layout {list(expected)}"
+                )
+            for name, width in expected.items():
+                if model.branch_input_width(name) != width:
+                    raise CompositionError(
+                        f"{stage} ({vid}) branch '{name}' takes {model.branch_input_width(name)} "
+                        f"inputs, the {vid} layout gives {width}"
+                    )
+            if model.aux_width != aux_width(vid):
+                raise CompositionError(
+                    f"{stage} ({vid}) aux width {model.aux_width} != expected {aux_width(vid)}"
+                )
 
     @property
     def layouts(self) -> tuple[FeatureLayout, FeatureLayout]:
@@ -168,16 +182,29 @@ def _joint(row_probs: list[float], predicted: int, p_norm: float) -> JointPredic
 
 
 def predict(
-    model: TwoStageModel,
-    obs: TransientObservation,
-    config: CoreConfiguration,
-    bins: PowerClassBins = PowerClassBins(),
+    model: TwoStageModel, obs: TransientObservation, config: CoreConfiguration
 ) -> JointPrediction:
-    """Joint prediction for one observation under `config`, from one encoding
-    of it laid out for both stages."""
-    table = ObservationTable.from_observations([obs])
-    probs, classes, norm = predict_arrays(model, *encode_tables(table, model.layouts, (config,), bins))
-    return _joint(probs[0].tolist(), int(classes[0]), float(norm[0]))
+    """Joint prediction for one observation under `config`, with the bits
+    predict_arrays gives its one-row tables.
+
+    Both stages read encode_row's feature row and run without per-call
+    checks: TwoStageModel checked each stage's input widths when it was built.
+    """
+    row = encode_row(obs, config)
+    probs = _run_row(model.stage1, row)
+    norm = _run_row(model.stage2, row, probs)
+    return _joint(probs[0].tolist(), int(probs.argmax()), float(norm[0, 0]))
+
+
+def _run_row(stage: NetworkModel, row: np.ndarray, class_probs: np.ndarray | None = None):
+    """A stage's (1, width) output on a feature row, with the stage-1
+    `class_probs` closing a regressor's aux vector."""
+    branch_columns, aux_columns = row_columns(stage.variant_id)
+    aux = row[:, aux_columns]
+    if class_probs is not None:
+        aux = np.concatenate([aux, class_probs], axis=1)
+    branch_inputs = [row[:, columns] for columns in branch_columns]
+    return run_layers(stage, branch_inputs, aux if aux.size else None)
 
 
 @dataclass(frozen=True)

@@ -166,6 +166,11 @@ def is_count(value) -> bool:
     return is_integer(value) and value >= 1
 
 
+def is_nonnegative_integer(value) -> bool:
+    """The rule for a root seed, among others: an integer >= 0."""
+    return is_integer(value) and value >= 0
+
+
 def is_finite(value) -> bool:
     return is_number(value) and math.isfinite(value)
 

@@ -217,11 +217,44 @@ def _forward_stack(layers: list[DenseLayer], a: np.ndarray, cache: list | None =
     return a
 
 
-def _forward(model: NetworkModel, inputs: dict[str, np.ndarray], caches: list | None = None):
-    """Network output and each branch's output width.
+def _check_inputs(model: NetworkModel, inputs: dict[str, np.ndarray]):
+    """Each branch's input as a matrix, in model.branches order, and the aux
+    matrix (None when the model takes none); ShapeError names an input that
+    is missing or has the wrong width or row count."""
+    branch_inputs: list[np.ndarray] = []
+    n = None
+    for name in model.branches:
+        if name not in inputs:
+            raise ShapeError(f"missing input for branch '{name}'")
+        a = _as_batch(inputs[name], model.branch_input_width(name), name)
+        if n is None:
+            n = a.shape[0]
+        elif a.shape[0] != n:
+            raise ShapeError(f"branch '{name}' batch size {a.shape[0]} != {n}")
+        branch_inputs.append(a)
+    aux = None
+    if model.aux_width > 0:
+        if "aux" not in inputs:
+            raise ShapeError("missing input 'aux'")
+        aux = _as_batch(inputs["aux"], model.aux_width, "aux")
+        if n is not None and aux.shape[0] != n:
+            raise ShapeError(f"aux batch size {aux.shape[0]} != {n}")
+    return branch_inputs, aux
 
-    With a `caches` list, appends one per-layer cache list per branch, then
-    one for the trunk; without, each layer's arrays are freed as it is passed.
+
+def run_layers(
+    model: NetworkModel,
+    branch_inputs: list[np.ndarray],
+    aux: np.ndarray | None,
+    caches: list | None = None,
+) -> np.ndarray:
+    """Network output from each branch's input matrix, in model.branches
+    order, and the aux matrix (None when the model takes none).
+
+    Nothing is checked: the matrices must have the widths the model takes
+    and one row count. With a `caches` list, appends one per-layer cache list
+    per branch, then one for the trunk; without, each layer's arrays are
+    freed as it is passed.
     """
 
     def run(layers: list[DenseLayer], a: np.ndarray) -> np.ndarray:
@@ -230,45 +263,32 @@ def _forward(model: NetworkModel, inputs: dict[str, np.ndarray], caches: list | 
         caches.append([])
         return _forward_stack(layers, a, caches[-1])
 
-    branch_outputs: list[np.ndarray] = []
-    n = None
-    for name, layers in model.branches.items():
-        if name not in inputs:
-            raise ShapeError(f"missing input for branch '{name}'")
-        a = _as_batch(inputs[name], model.branch_input_width(name), name)
-        if n is None:
-            n = a.shape[0]
-        elif a.shape[0] != n:
-            raise ShapeError(f"branch '{name}' batch size {a.shape[0]} != {n}")
-        branch_outputs.append(run(layers, a))
-
-    pieces = list(branch_outputs)
-    if model.aux_width > 0:
-        if "aux" not in inputs:
-            raise ShapeError("missing input 'aux'")
-        aux = _as_batch(inputs["aux"], model.aux_width, "aux")
-        if n is not None and aux.shape[0] != n:
-            raise ShapeError(f"aux batch size {aux.shape[0]} != {n}")
+    pieces = [run(layers, a) for layers, a in zip(model.branches.values(), branch_inputs)]
+    if aux is not None:
         pieces.append(aux)
     merged = np.concatenate(pieces, axis=1) if len(pieces) > 1 else pieces[0]
-    widths = [b.shape[1] for b in branch_outputs]
-    del branch_outputs, pieces  # merged holds their values; free them before the trunk runs
-    return run(model.trunk, merged), widths
+    del pieces  # merged holds their values; free them before the trunk runs
+    return run(model.trunk, merged)
 
 
 def _forward_cached(model: NetworkModel, inputs: dict[str, np.ndarray]):
     """Forward pass keeping the (input, z, a) caches needed by backprop:
     returns the output, the caches (one per branch, then the trunk's) and
     each branch's output width."""
+    branch_inputs, aux = _check_inputs(model, inputs)
     caches: list = []
-    out, widths = _forward(model, inputs, caches)
+    out = run_layers(model, branch_inputs, aux, caches)
+    widths = [
+        layers[-1].n_out if layers else a.shape[1]
+        for layers, a in zip(model.branches.values(), branch_inputs)
+    ]
     return out, caches, widths
 
 
 def forward(model: NetworkModel, inputs: dict[str, np.ndarray]) -> np.ndarray:
     """Network output for a single sample (1-D inputs) or a batch (2-D)."""
     single = all(np.asarray(v).ndim == 1 for v in inputs.values())
-    out, _ = _forward(model, inputs)
+    out = run_layers(model, *_check_inputs(model, inputs))
     return out[0] if single else out
 
 

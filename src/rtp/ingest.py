@@ -21,6 +21,7 @@ from .domain import (
     ReactorState,
     TransientObservation,
     _eras,
+    is_nonnegative_integer,
     reactivity_of_state,
 )
 
@@ -96,6 +97,8 @@ class CorpusSpec:
     def __post_init__(self) -> None:
         if self.n_observations <= 0:
             raise DataError("n_observations must be positive")
+        if not is_nonnegative_integer(self.seed):
+            raise DataError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not self.power_anchors:
             raise DataError("at least one power anchor required")
         for a in self.power_anchors:

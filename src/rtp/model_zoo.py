@@ -8,7 +8,7 @@ from functools import lru_cache
 import numpy as np
 
 from .engine import HEAD_SIGMOID, HEAD_SOFTMAX, DenseLayer, NetworkModel, init_layer
-from .preprocess import LAYOUTS, EncodedTable, FeatureLayout, _layout_columns
+from .preprocess import _DIRECTION, LAYOUTS, EncodedTable, FeatureLayout, _layout_columns
 from .training import TrainingConfig
 
 CLASSIFIER_IDS = ("a1", "b1", "c1", "d1", "e1", "f1")
@@ -42,6 +42,18 @@ def branch_widths(layout: FeatureLayout) -> dict[str, int]:
     if layout.input_mode == "separated":
         return {"initial": initial.size, "final": final.size}
     return {"main": initial.size}
+
+
+@lru_cache(maxsize=None)
+def row_columns(variant_id: str) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Where a variant's inputs sit in encode_row's feature row: each
+    branch's columns, in branch_widths order, and the columns that open its
+    aux vector (a regressor's class probabilities follow them)."""
+    layout = variant_spec(variant_id).layout
+    initial, final = _layout_columns(layout)
+    if layout.input_mode == "all_in_one":
+        return (initial,), np.empty(0, dtype=np.intp)
+    return (initial, final), np.array([_DIRECTION] if layout.uses_direction else [], dtype=np.intp)
 
 
 def aux_width(variant_id: str) -> int:

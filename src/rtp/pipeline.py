@@ -22,6 +22,7 @@ from .domain import (
     check_settings,
     is_count,
     is_integer,
+    is_nonnegative_integer,
     is_number,
 )
 from .engine import forward, save_model
@@ -37,7 +38,7 @@ from .model_zoo import (
     training_targets,
     variant_spec,
 )
-from .preprocess import LAYOUTS, encode_tables, undersample_indices
+from .preprocess import LAYOUTS, EmptyClassError, encode_tables, undersample_indices
 from .training import TrainingConfig, train
 
 
@@ -48,10 +49,10 @@ def _ids_from(known: tuple[str, ...]):
 # What each setting must be, and the test for it, in field order.
 _CONFIG_RULES = {
     "out_dir": ("a path", lambda x: isinstance(x, (str, Path))),
-    "seed": ("an integer", is_integer),
+    "seed": ("an integer >= 0", is_nonnegative_integer),
     "corpus_n": ("an integer >= 1", is_count),
     "test_fraction": ("a number in (0, 1)", lambda x: is_number(x) and 0.0 < x < 1.0),
-    "augment_n": ("an integer >= 0", lambda x: is_integer(x) and x >= 0),
+    "augment_n": ("an integer >= 0", is_nonnegative_integer),
     "augment_change": ("one of -1, 0, 1", lambda x: is_integer(x) and x in (-1, 0, 1)),
     "policy": ("an object of perturbation settings", lambda x: isinstance(x, PerturbationPolicy)),
     "classifier_ids": (f"a list of ids from {CLASSIFIER_IDS}", _ids_from(CLASSIFIER_IDS)),
@@ -223,9 +224,15 @@ def run_pipeline(config: PipelineConfig) -> dict:
     variant_ids = sorted(set(config.classifier_ids) | set(config.regressor_ids))
     layouts = [variant_spec(vid).layout for vid in variant_ids]
     pool_tables = encode_tables(train_pool, layouts or [LAYOUTS["a1"]], DEFAULT_CONFIGS, bins)
-    balanced_idx = undersample_indices(
-        pool_tables[0].class_index.tolist(), seeds.subseed(config.seed, "balance")
-    )
+    try:
+        balanced_idx = undersample_indices(
+            pool_tables[0].class_index.tolist(), seeds.subseed(config.seed, "balance")
+        )
+    except EmptyClassError as exc:
+        raise EmptyClassError(
+            f"balance stage: {exc} in the training pool of {len(train_pool)} rows; "
+            f"corpus_n ({config.corpus_n}) and augment_n ({config.augment_n}) size the pool"
+        ) from None
     encoded_train = {vid: table.take(balanced_idx) for vid, table in zip(variant_ids, pool_tables)}
     del pool_tables  # training keeps only the balanced rows
     test_tables = encode_tables(test_rows, layouts, DEFAULT_CONFIGS, bins)

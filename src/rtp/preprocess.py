@@ -62,8 +62,8 @@ LAYOUTS: dict[str, FeatureLayout] = {
 }
 
 
-# Not frozen, like ObservationTable: a one-row prediction builds three tables,
-# and a frozen dataclass's __init__ sets each field through object.__setattr__.
+# Not frozen, like ObservationTable: encode_tables builds one per layout, and a
+# frozen dataclass's __init__ sets each field through object.__setattr__.
 @dataclass
 class EncodedTable:
     """Feature matrices and targets of n observations, as one layout sees them.
@@ -177,7 +177,8 @@ def encode_tables(
     Initial power appears only in the initial branch; the final power is
     the target (class index and normalized regression value), never a
     feature. Each row's rod worths come from the configuration operational
-    on its date. Errors name the row by the table's row index.
+    on its date. Errors name the row by the table's row index. encode_row
+    builds one observation's feature row with the same bits.
     """
     n = len(table)
     powers = table.powers
@@ -217,6 +218,26 @@ def encode_tables(
             )
         )
     return tables
+
+
+def encode_row(obs: TransientObservation, config: CoreConfiguration) -> np.ndarray:
+    """The (1, 12) feature row of one observation under `config`, with the
+    bits encode_tables gives that row: the same operations in the same order,
+    in Python floats, because numpy's per-call cost dominates at one row."""
+    p_i, p_f = obs.initial.power, obs.final.power
+    if p_f == p_i:
+        raise ValueError("row 1: zero-change transient has no direction")
+    w0, w1, w2, w3 = config.rod_worths
+    row = [0.0] * 12
+    row[_POWER] = math.log(p_i) / LN_FULL_POWER
+    states = ((obs.initial, _RODS_I, _RHO_I), (obs.final, _RODS_F, _RHO_F))
+    for state, rod_columns, rho_column in states:
+        r0, r1, r2, r3 = rods = [h / MAX_ROD_TRAVEL_IN for h in state.rod_heights]
+        for column, r in zip(rod_columns, rods):
+            row[column] = r
+        row[rho_column] = (((r0 * w0 + r1 * w1) + r2 * w2) + r3 * w3) / REACTIVITY_FEATURE_SCALE
+    row[_DIRECTION] = 1.0 if p_f > p_i else -1.0
+    return np.array([row])
 
 
 def encode_dataset(

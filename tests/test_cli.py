@@ -11,12 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rtp import compose, seeds
+from rtp import cli, compose, seeds
 from rtp.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from rtp.domain import DEFAULT_CONFIGS, config_for_date
-from rtp.engine import forward
+from rtp.engine import forward, save_model
 from rtp.ingest import ObservationTable, read_log, read_observations, row_to_observation
-from rtp.model_zoo import model_inputs, pair_for_regressor
+from rtp.model_zoo import build_variant, model_inputs, pair_for_regressor
 from rtp.pipeline import PipelineConfig, run_pipeline
 from rtp.preprocess import (
     LAYOUTS,
@@ -347,7 +347,9 @@ class TestPinnedOutputs:
         "twostage.json": "56ba06799675d0e3fd5c88fee6bb7e264121d3a913cb4dd51eed0a9d425cb789",
     }
 
-    def test_trained_pipeline_bytes(self, tmp_path):
+    # Two BLAS threads must give the one-thread bytes too.
+    @pytest.mark.parametrize("blas_threads", ["1", "2"])
+    def test_trained_pipeline_bytes(self, tmp_path, blas_threads):
         config = tmp_path / "pipeline.json"
         config.write_text(json.dumps({
             "seed": 0, "corpus_n": 600, "augment_n": 150,
@@ -356,7 +358,7 @@ class TestPinnedOutputs:
         out_dir = tmp_path / "out"
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
         for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            env[name] = "1"
+            env[name] = blas_threads
         subprocess.run(
             [sys.executable, "-m", "rtp.cli", "pipeline", "--config", str(config),
              "--out-dir", str(out_dir)],
@@ -448,6 +450,20 @@ class TestPipelineCommand:
             assert main(command) == EXIT_OK
             trained = (tmp_path / f"model_{vid}.json").read_bytes()
             assert trained == (pipeline_dir / f"model_{vid}.json").read_bytes(), vid
+
+
+    def test_pool_missing_a_class_names_the_balance_stage(self, tmp_path, capsys):
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps({
+            "out_dir": str(tmp_path / "out"), "corpus_n": 3, "augment_n": 10,
+            "classifier_ids": ["a1"], "regressor_ids": [],
+        }))
+        assert main(["pipeline", "--config", str(config)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: balance stage: class ")
+        assert err.endswith(
+            "in the training pool of 12 rows; corpus_n (3) and augment_n (10) size the pool\n"
+        )
 
 
 class TestExitCodes:
@@ -588,6 +604,39 @@ class TestExitCodes:
             assert f"error: model file {bad}: {message}" in err
             assert "Traceback" not in err
 
+    def test_stage_with_another_layouts_widths_is_refused_at_load(
+        self, workdir, tmp_path, monkeypatch, capsys
+    ):
+        relabelled = build_variant("a2", seed=0)
+        relabelled.variant_id = "b2"  # a2 reads rod heights, b2 reactivities
+        stage2 = tmp_path / "model_b2.json"
+        save_model(relabelled, stage2)
+        message = "stage 2 (b2) branch 'initial' takes 5 inputs, the b2 layout gives 2"
+
+        composed = tmp_path / "composed.json"
+        code = main(["compose", "--stage1", str(workdir / "model_a1.json"),
+                     "--stage2", str(stage2), "--out", str(composed)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not composed.exists()
+
+        bad = tmp_path / "twostage.json"
+        bad.write_text(json.dumps({
+            "format_version": 2, "kind": "two-stage",
+            "stage1": json.loads((workdir / "model_a1.json").read_text()),
+            "stage2": json.loads(stage2.read_text()),
+        }))
+
+        def no_read(path):
+            raise AssertionError(f"read {path} before the model was checked")
+
+        monkeypatch.setattr(cli, "read_log", no_read)
+        code = main(["predict", "--model", str(bad), "--in", str(workdir / "corpus.csv"),
+                     "--out", str(tmp_path / "predictions.csv")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"error: model file {bad}: {message}\n"
+        assert not (tmp_path / "predictions.csv").exists()
+
     def test_evaluate_names_model_file_that_is_not_json(self, workdir, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("not json\n")
@@ -681,6 +730,7 @@ class TestExitCodes:
 
     INVALID_PIPELINE = {
         "seed-string": ({"seed": "x"}, "seed"),
+        "seed-negative": ({"seed": -1}, "seed"),
         "augment_n-negative": ({"augment_n": -5}, "augment_n"),
         "corpus_n-string": ({"corpus_n": "5"}, "corpus_n"),
         "test_fraction-string": ({"test_fraction": "0.3"}, "test_fraction"),
@@ -763,6 +813,31 @@ class TestSeedHandling:
         code = main(["synthesize", "--n", "10", "--out", str(tmp_path / "corpus.csv")])
         assert code == EXIT_USAGE
         assert "RTP_SEED" in capsys.readouterr().err
+
+    # Each command that draws from the root seed, with its output flag last.
+    SEED_COMMANDS = {
+        "synthesize": ["synthesize", "--n", "5", "--out"],
+        "augment": ["augment", "--in", "{corpus}", "--n", "5", "--out"],
+        "preprocess": ["preprocess", "--in", "{corpus}", "--layout", "a1", "--balance", "--out"],
+        "train": ["train", "--variant", "a1", "--data", "{enc_a1}", "--out"],
+        "pipeline": ["pipeline", "--out-dir"],
+    }
+
+    @pytest.mark.parametrize("source", ["--seed", "RTP_SEED"])
+    @pytest.mark.parametrize("command", SEED_COMMANDS)
+    def test_negative_root_seed_is_usage_error(
+        self, workdir, tmp_path, monkeypatch, capsys, command, source
+    ):
+        out = tmp_path / "out"
+        args = [arg.format(corpus=workdir / "corpus.csv", enc_a1=workdir / "enc_a1.jsonl")
+                for arg in self.SEED_COMMANDS[command]]
+        if source == "--seed":
+            args = ["--seed", "-1", *args]
+        else:
+            monkeypatch.setenv("RTP_SEED", "-1")
+        assert main([*args, str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: {source} must be an integer >= 0, got -1\n"
+        assert not out.exists()
 
     def test_env_seed_matches_flag(self, tmp_path, monkeypatch):
         by_flag = tmp_path / "flag.csv"

@@ -1,6 +1,7 @@
 """Tests for two-stage model composition and joint prediction."""
 
 import datetime as dt
+import itertools
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ from rtp.compose import (
 )
 from rtp.domain import DEFAULT_CONFIGS, ReactorState, TransientObservation, config_for_date
 from rtp.engine import ModelFormatError, forward, save_model
-from rtp.model_zoo import build_variant, model_inputs
-from rtp.preprocess import LAYOUTS, denormalize_power, encode_dataset
+from rtp.ingest import CorpusSpec, ObservationTable, row_to_observation, synthesize_corpus
+from rtp.model_zoo import CLASSIFIER_IDS, REGRESSOR_IDS, build_variant, model_inputs
+from rtp.preprocess import LAYOUTS, denormalize_power, encode_dataset, encode_tables
 
 
 def observations(n=20, seed=0):
@@ -35,6 +37,17 @@ def observations(n=20, seed=0):
             )
         )
     return out
+
+
+@pytest.fixture(scope="module")
+def corpus_observations():
+    """100 corpus rows from every era, with power rising and falling."""
+    corpus = synthesize_corpus(CorpusSpec(n_observations=100, seed=4))
+    observations = list(map(row_to_observation, corpus.rows()))
+    changes = {np.sign(o.final.power - o.initial.power) for o in observations}
+    assert changes == {-1.0, 1.0}
+    assert {config_for_date(o.date) for o in observations} == set(DEFAULT_CONFIGS)
+    return observations
 
 
 @pytest.fixture
@@ -64,6 +77,21 @@ class TestComposition:
         with pytest.raises(CompositionError):
             compose_models(classifier, regressor)
 
+    def test_stage_must_take_its_layout_widths(self, stages):
+        classifier, _ = stages
+        regressor = build_variant("a2", seed=2)
+        regressor.variant_id = "b2"  # a2 reads rod heights, b2 reactivities
+        message = r"^stage 2 \(b2\) branch 'initial' takes 5 inputs, the b2 layout gives 2$"
+        with pytest.raises(CompositionError, match=message):
+            compose_models(classifier, regressor)
+
+    def test_stage_must_take_its_layout_aux(self, stages):
+        _, regressor = stages
+        classifier = build_variant("a1", seed=1)
+        classifier.variant_id = "c1"  # c1 has no direction input
+        with pytest.raises(CompositionError, match=r"^stage 1 \(c1\) aux width 1 != expected 0$"):
+            compose_models(classifier, regressor)
+
 
 class TestPredictBatch:
     def test_matches_manual_chain_bitwise(self, stages):
@@ -91,15 +119,15 @@ class TestPredictBatch:
         with pytest.raises(CompositionError):
             predict_batch(model, s1, s2)
 
-    def test_single_observation_predict(self, stages):
-        model = compose_models(*stages)
-        obs = observations(n=1)[0]
-        config = config_for_date(obs.date)
-        single = predict(model, obs, config)
-        s1 = encode_dataset([obs], LAYOUTS["a1"], DEFAULT_CONFIGS)
-        s2 = encode_dataset([obs], LAYOUTS["b2"], DEFAULT_CONFIGS)
-        batch = predict_batch(model, s1, s2)[0]
-        assert single == batch
+    def test_single_observation_predict(self, corpus_observations):
+        """predict on one observation is predict_batch on its one-row tables,
+        for every classifier and regressor pair."""
+        for cid, rid in itertools.product(CLASSIFIER_IDS, REGRESSOR_IDS):
+            model = compose_models(build_variant(cid, seed=1), build_variant(rid, seed=2))
+            for obs in corpus_observations:
+                tables = encode_tables(ObservationTable.from_observations([obs]), model.layouts)
+                single = predict(model, obs, config_for_date(obs.date))
+                assert single == predict_batch(model, *tables)[0], (cid, rid, obs)
 
 
 class TestSerialization:

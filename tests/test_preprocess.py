@@ -24,12 +24,14 @@ from rtp.ingest import CorpusSpec, DataError, ObservationTable, row_to_observati
 from rtp.model_zoo import variant_spec
 from rtp.preprocess import (
     LAYOUTS,
+    _layout_columns,
     REACTIVITY_FEATURE_SCALE,
     EmptyClassError,
     PowerRangeError,
     classify_power,
     denormalize_power,
     encode_dataset,
+    encode_row,
     encode_tables,
     normalize_power,
     read_encoded,
@@ -280,6 +282,35 @@ def test_encoder_matches_scalar_reference_bitwise(desk_rows):
         assert table.target.tobytes() == np.array(target).tobytes(), layout.variant_id
         assert table.direction.tolist() == direction
         assert table.class_index.tolist() == class_index
+
+
+def test_encode_row_matches_encode_tables_bitwise(desk_rows):
+    """Every layout's columns of encode_row's rows, each under its date's
+    configuration, are encode_tables' matrices bit for bit; together the
+    layouts cover all 12 feature columns."""
+    rows = np.concatenate([
+        encode_row(obs, config_for_date(obs.date))
+        for obs in map(row_to_observation, desk_rows.rows())
+    ])
+    tables = encode_tables(desk_rows, list(LAYOUTS.values()), DEFAULT_CONFIGS)
+    covered = set()
+    for layout, table in zip(LAYOUTS.values(), tables):
+        initial, final = _layout_columns(layout)
+        covered.update(initial.tolist() + final.tolist())
+        assert rows[:, initial].tobytes() == table.initial.tobytes(), layout.variant_id
+        assert rows[:, final].tobytes() == table.final.tobytes(), layout.variant_id
+    assert covered == set(range(12))
+    assert rows[:, 11].tolist() == tables[0].direction.tolist()
+
+
+def test_zero_change_row_message_matches_encode_tables():
+    obs = make_obs(p_f=100.0)
+    with pytest.raises(ValueError) as by_table:
+        encode_tables(ObservationTable.from_observations([obs]), [LAYOUTS["a1"]], (CONFIG,))
+    with pytest.raises(ValueError) as by_row:
+        encode_row(obs, CONFIG)
+    message = "row 1: zero-change transient has no direction"
+    assert str(by_row.value) == str(by_table.value) == message
 
 
 class TestEncodedRoundTrip:
