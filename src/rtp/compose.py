@@ -99,8 +99,13 @@ def compose_models(stage1: NetworkModel, stage2: NetworkModel) -> TwoStageModel:
 
 
 def compose(stage1_path: Union[str, Path], stage2_path: Union[str, Path]) -> TwoStageModel:
-    """Load and validate the two stages from model files."""
-    return compose_models(load_model(stage1_path), load_model(stage2_path))
+    """Load and validate the two stages from model files; a CompositionError
+    names both files."""
+    stage1, stage2 = load_model(stage1_path), load_model(stage2_path)
+    try:
+        return compose_models(stage1, stage2)
+    except CompositionError as exc:
+        raise CompositionError(f"stage 1 {stage1_path}, stage 2 {stage2_path}: {exc}") from None
 
 
 def save_two_stage(model: TwoStageModel, path: Union[str, Path]) -> None:

@@ -26,7 +26,7 @@ from .domain import (
     is_number,
 )
 from .engine import forward, save_model
-from .evaluate import class_metrics, confusion, regression_report
+from .evaluate import class_metrics, confusion
 from .ingest import CorpusSpec, ObservationTable, synthesize_corpus, write_observations
 from .model_zoo import (
     CLASSIFIER_IDS,
@@ -155,10 +155,12 @@ def score_classifier(model, table):
     return out, predicted, cm, class_metrics(cm)
 
 
-def _train_variant(variant_id, train_table, test_table, config: PipelineConfig,
-                   train_probs=None, test_probs=None):
+def _train_variant(variant_id, train_table, config: PipelineConfig, class_probs=None):
+    """fit_variant under the pipeline's seed and overrides; returns the model
+    and its history summary, with the best epoch's validation metrics (a
+    regressor's val_mse is the Table-5 analogue of its "accuracy" column)."""
     trained, history = fit_variant(
-        variant_id, train_table, config.seed, config.training_overrides, train_probs
+        variant_id, train_table, config.seed, config.training_overrides, class_probs
     )
     best = history.records[history.best_epoch - 1]
     summary = {
@@ -166,24 +168,9 @@ def _train_variant(variant_id, train_table, test_table, config: PipelineConfig,
         "epochs": history.n_epochs,
         "best_epoch": history.best_epoch,
         "stopped_early": history.stopped_early,
-        "best_val_loss": best["val_loss"],
     }
-    if variant_spec(variant_id).task == "classifier":
-        test_out, _, cm, metrics = score_classifier(trained, test_table)
-        summary["best_val_accuracy"] = best["val_accuracy"]
-        summary["test_accuracy"] = metrics.accuracy
-        summary["test_macro_f1"] = metrics.macro_f1
-        summary["confusion"] = cm.to_lists()
-        summary["per_class"] = metrics.to_dict()
-    else:
-        test_out = forward(trained, model_inputs(test_table, variant_id, class_probs=test_probs))
-        # Table-5 analogue: the regressor "accuracy" column is really MSE.
-        summary["best_val_mse"] = best["val_mse"]
-        summary["best_val_mae"] = best["val_mae"]
-        stage1_correct = np.argmax(test_probs, axis=1) == test_table.class_index
-        report = regression_report(test_table.target, test_out[:, 0], stage1_correct)
-        summary["regression"] = report.to_dict()
-    return trained, test_out, summary
+    summary.update({f"best_{k}": v for k, v in best.items() if k.startswith("val_")})
+    return trained, summary
 
 
 def run_pipeline(config: PipelineConfig) -> dict:
@@ -196,7 +183,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
     corpus = synthesize_corpus(
         CorpusSpec(n_observations=config.corpus_n, seed=seeds.subseed(config.seed, "corpus"))
     )
-    write_observations(corpus, out_dir / "corpus.csv")
 
     # Stage 2: held-out test split (the "real observations" analogue).
     split_rng = seeds.substream(config.seed, "split")
@@ -214,7 +200,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
         policy=config.policy,
         seed=seeds.subseed(config.seed, "augment"),
     )
-    write_observations(augmented, out_dir / "augmented.csv")
     # Each pool row keeps its row number in corpus.csv or augmented.csv.
     train_pool = ObservationTable.concat([train_rows, augmented])
 
@@ -233,6 +218,9 @@ def run_pipeline(config: PipelineConfig) -> dict:
             f"balance stage: {exc} in the training pool of {len(train_pool)} rows; "
             f"corpus_n ({config.corpus_n}) and augment_n ({config.augment_n}) size the pool"
         ) from None
+    # Written only once the pool balances, so a refused pool leaves neither.
+    write_observations(corpus, out_dir / "corpus.csv")
+    write_observations(augmented, out_dir / "augmented.csv")
     encoded_train = {vid: table.take(balanced_idx) for vid, table in zip(variant_ids, pool_tables)}
     del pool_tables  # training keeps only the balanced rows
     test_tables = encode_tables(test_rows, layouts, DEFAULT_CONFIGS, bins)
@@ -249,34 +237,32 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "regressors": {},
     }
 
-    # Stage 5: classifiers.
+    # Stage 5: classifiers, each scored on the test split.
     classifier_models = {}
-    classifier_test_probs = {}
     for vid in config.classifier_ids:
-        model, test_out, summary = _train_variant(
-            vid, encoded_train[vid], encoded_test[vid], config
-        )
+        model, summary = _train_variant(vid, encoded_train[vid], config)
+        _, _, cm, metrics = score_classifier(model, encoded_test[vid])
+        summary["test_accuracy"] = metrics.accuracy
+        summary["test_macro_f1"] = metrics.macro_f1
+        summary["confusion"] = cm.to_lists()
+        summary["per_class"] = metrics.to_dict()
         classifier_models[vid] = model
-        classifier_test_probs[vid] = test_out
         save_model(model, out_dir / f"model_{vid}.json")
         report["classifiers"][vid] = summary
 
-    # Stage 6: regressors, fed by their paired classifier's output.
+    # Stage 6: regressors, fed by their paired classifier's output and scored
+    # on the test split as that two-stage pair.
     regressor_models = {}
     for vid in config.regressor_ids:
         cid = pair_for_regressor(vid)
         train_probs = forward(classifier_models[cid], model_inputs(encoded_train[cid], cid))
-        model, _, summary = _train_variant(
-            vid,
-            encoded_train[vid],
-            encoded_test[vid],
-            config,
-            train_probs=train_probs,
-            test_probs=classifier_test_probs[cid],
-        )
+        model, summary = _train_variant(vid, encoded_train[vid], config, train_probs)
+        pair = compose_models(classifier_models[cid], model)
+        scores = evaluate_two_stage(pair, encoded_test[cid], encoded_test[vid])
+        summary["regression"] = scores.regression.to_dict()
+        summary["paired_classifier"] = cid
         regressor_models[vid] = model
         save_model(model, out_dir / f"model_{vid}.json")
-        summary["paired_classifier"] = cid
         report["regressors"][vid] = summary
 
     # Stage 7: compose the selected pair and sanity-run it on the test set.

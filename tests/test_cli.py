@@ -464,6 +464,8 @@ class TestPipelineCommand:
         assert err.endswith(
             "in the training pool of 12 rows; corpus_n (3) and augment_n (10) size the pool\n"
         )
+        assert not (tmp_path / "out" / "corpus.csv").exists()
+        assert not (tmp_path / "out" / "augmented.csv").exists()
 
 
 class TestExitCodes:
@@ -617,7 +619,8 @@ class TestExitCodes:
         code = main(["compose", "--stage1", str(workdir / "model_a1.json"),
                      "--stage2", str(stage2), "--out", str(composed)])
         assert code == EXIT_DATA
-        assert capsys.readouterr().err == f"error: {message}\n"
+        err = capsys.readouterr().err
+        assert err == f"error: stage 1 {workdir / 'model_a1.json'}, stage 2 {stage2}: {message}\n"
         assert not composed.exists()
 
         bad = tmp_path / "twostage.json"

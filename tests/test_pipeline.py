@@ -4,13 +4,20 @@ pipeline share, and for the pipeline's settings."""
 import numpy as np
 import pytest
 
-from rtp import pipeline
+from rtp import pipeline, seeds
+from rtp.compose import compose_models, evaluate_two_stage, load_two_stage
 from rtp.domain import DEFAULT_CONFIGS
-from rtp.engine import forward
+from rtp.engine import forward, load_model
 from rtp.evaluate import class_metrics, confusion
 from rtp.ingest import CorpusSpec, synthesize_corpus
-from rtp.model_zoo import CLASSIFIER_IDS, REGRESSOR_IDS, build_variant, model_inputs
-from rtp.pipeline import PipelineConfig, score_classifier, training_config
+from rtp.model_zoo import (
+    CLASSIFIER_IDS,
+    REGRESSOR_IDS,
+    build_variant,
+    model_inputs,
+    pair_for_regressor,
+)
+from rtp.pipeline import PipelineConfig, run_pipeline, score_classifier, training_config
 from rtp.preprocess import LAYOUTS, encode_tables
 from rtp.training import MONITORED_METRICS
 
@@ -75,3 +82,54 @@ class TestScoreClassifier:
         monkeypatch.setattr(pipeline, "train", lambda *args: calls.append(args) or args[:2])
         pipeline.fit_variant("a1", encoded("a1"), 0, {})
         assert len(calls) == 1
+
+
+class TestRegressorScores:
+    """A regressor is scored as the two-stage pair it forms with its paired
+    classifier; the composed block scores compose_pair as given."""
+
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
+        config = PipelineConfig(
+            out_dir=tmp_path_factory.mktemp("run"), corpus_n=300,
+            classifier_ids=["a1", "e1"], regressor_ids=["b2", "d2"],
+            compose_pair=["a1", "d2"], training_overrides={"max_epochs": 2},
+        )
+        report = run_pipeline(config)
+        corpus = synthesize_corpus(
+            CorpusSpec(n_observations=config.corpus_n, seed=seeds.subseed(config.seed, "corpus"))
+        )
+        perm = seeds.substream(config.seed, "split").permutation(len(corpus))
+        test_rows = corpus.take(perm[: report["test_n"]])
+
+        def test_tables(*variant_ids):
+            layouts = [LAYOUTS[vid] for vid in variant_ids]
+            return encode_tables(test_rows, layouts, DEFAULT_CONFIGS)
+
+        return config.out_dir, report, test_tables
+
+    @pytest.mark.parametrize("regressor_id", ["b2", "d2"])
+    def test_regression_block_is_the_paired_two_stage_score(self, run, regressor_id):
+        out_dir, report, test_tables = run
+        cid = pair_for_regressor(regressor_id)
+        pair = compose_models(
+            load_model(out_dir / f"model_{cid}.json"),
+            load_model(out_dir / f"model_{regressor_id}.json"),
+        )
+        scores = evaluate_two_stage(pair, *test_tables(cid, regressor_id))
+        assert report["regressors"][regressor_id]["regression"] == scores.regression.to_dict()
+        assert report["classifiers"][cid]["test_accuracy"] == scores.metrics.accuracy
+
+    def test_composed_block_scores_an_untrained_pair(self, run):
+        out_dir, report, test_tables = run
+        assert pair_for_regressor("d2") != "a1"
+        scores = evaluate_two_stage(load_two_stage(out_dir / "twostage.json"),
+                                    *test_tables("a1", "d2"))
+        assert report["composed"] == {
+            "stage1": "a1",
+            "stage2": "d2",
+            "test_accuracy": scores.metrics.accuracy,
+            "test_macro_f1": scores.metrics.macro_f1,
+            "regression": scores.regression.to_dict(),
+        }
+        assert report["composed"]["regression"] != report["regressors"]["d2"]["regression"]
