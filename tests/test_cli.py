@@ -369,6 +369,59 @@ class TestPinnedOutputs:
         assert digests == self.PIPELINE_SHA256
 
 
+class TestPinnedCommandBytes:
+    # sha256 of each command's output on the module's seed-0 corpus and
+    # models, taken before encoding became one layout-free feature matrix.
+    # The digests hold for the same numpy build.
+    COMMANDS = {
+        "preprocess-a1": ["preprocess", "--in", "{corpus}", "--layout", "a1", "--out", "{out}"],
+        "preprocess-a1-balance": [
+            "--seed", "3", "preprocess", "--in", "{corpus}", "--layout", "a1", "--balance", "--out", "{out}"
+        ],
+        "preprocess-e1": ["preprocess", "--in", "{corpus}", "--layout", "e1", "--out", "{out}"],
+        "preprocess-e1-balance": [
+            "--seed", "3", "preprocess", "--in", "{corpus}", "--layout", "e1", "--balance", "--out", "{out}"
+        ],
+        "predict": ["predict", "--model", "{twostage}", "--in", "{corpus}", "--out", "{out}"],
+        "evaluate-two-stage": [
+            "evaluate", "--model", "{twostage}", "--data", "{corpus}", "--out", "{out}", "--errors", "{errors}"
+        ],
+        "evaluate-classifier": [
+            "evaluate", "--model", "{a1}", "--data", "{corpus}", "--out", "{out}", "--errors", "{errors}"
+        ],
+    }
+    SHA256 = {
+        "preprocess-a1": ["0e8a77b26abf15a4e79f41d5d15fca22feaef9a4d4b62ab86fc6bf64d2b141c2"],
+        "preprocess-a1-balance": ["ff88d9223495cbd4e716e9d22ebc1723c92db0814e90cbc5a24164ecae0b0b4d"],
+        "preprocess-e1": ["a0110918d91e925cd70b78f66c4086f64cf0c54317a4cc3fa458702c333d0e83"],
+        "preprocess-e1-balance": ["3c240a2c476da393d6feff969f67438508fe44cb1490c51b41597d97156f423e"],
+        "predict": ["4841dbfdf3fcd6fe07535dfa746c28512fc8c28c317cdd3a8a210aeb8d458b5a"],
+        "evaluate-two-stage": [
+            "35b4e381a0cf818b30f10f6b372f1ee8c1ae741ef209d00239a3fb6c03c2b64b",
+            "556dbd6a50b0cf4e7f0c56c0fadc85f52ee6d3eee549dc5a71f6f0cc24f9d188",
+        ],
+        "evaluate-classifier": [
+            "ce90173f67b883732337705e0f8a8e3a5ecfecced739604211a7ab1d16eb947a",
+            "d1d12096aee74f4618c4f8a76ce9037ef49d809848a65513494929d75cb21107",
+        ],
+    }
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_command_output_bytes(self, workdir, tmp_path, name):
+        paths = {
+            "corpus": workdir / "corpus.csv",
+            "twostage": workdir / "twostage.json",
+            "a1": workdir / "model_a1.json",
+            "out": tmp_path / "out",
+            "errors": tmp_path / "errors",
+        }
+        assert main([arg.format(**paths) for arg in self.COMMANDS[name]]) == EXIT_OK
+        digests = [hashlib.sha256(paths["out"].read_bytes()).hexdigest()]
+        if paths["errors"].exists():
+            digests.append(hashlib.sha256(paths["errors"].read_bytes()).hexdigest())
+        assert digests == self.SHA256[name]
+
+
 class TestPipelineCommand:
     def test_pipeline_with_config_file(self, tmp_path):
         out_dir = tmp_path / "artifacts"
