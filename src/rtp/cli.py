@@ -1,6 +1,7 @@
 """Command-line entry point for the full prediction pipeline and its stages.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric divergence.
+Exit codes: 0 success, 1 usage error, 2 data error (a malformed input, or a
+path that cannot be read or written), 3 numeric divergence.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .augment import PerturbationPolicy, ProgressError, over_sample
 from .compose import (
     CompositionError,
     TwoStageModel,
+    check_stage,
     compose,
     evaluate_two_stage,
     load_any_model,
@@ -23,7 +25,7 @@ from .compose import (
     predict_arrays,
     save_two_stage,
 )
-from .domain import DEFAULT_CONFIGS, PowerClassBins, is_nonnegative_integer
+from .domain import DEFAULT_CONFIGS, is_nonnegative_integer
 from .engine import ModelFormatError, ShapeError, forward, load_model, save_model
 from .ingest import (
     CorpusSpec,
@@ -40,7 +42,7 @@ from .pipeline import PipelineConfig, check_overrides, fit_variant, run_pipeline
 from .preprocess import (
     LAYOUTS,
     LN_FULL_POWER,
-    encode_tables,
+    encode_table,
     read_encoded,
     undersample,
     write_encoded,
@@ -109,10 +111,10 @@ def _cmd_preprocess(args) -> int:
     if args.layout not in LAYOUTS:
         raise UsageError(f"unknown layout {args.layout!r}; valid: {sorted(LAYOUTS)}")
     kept, counts = filter_report(read_log(args.infile))
-    (table,) = encode_tables(kept, [LAYOUTS[args.layout]], DEFAULT_CONFIGS)
+    table = encode_table(kept, DEFAULT_CONFIGS)
     if args.balance:
         table = undersample(table, _effective_seed(args))
-    write_encoded(table, args.out)
+    write_encoded(table, LAYOUTS[args.layout], args.out)
     if args.verbose:
         print(
             f"encoded {len(table)} samples (excluded: {counts.too_long} long, "
@@ -132,7 +134,7 @@ def _cmd_train(args) -> int:
             check_overrides(overrides, [args.variant])
         except (TypeError, ValueError) as exc:
             raise UsageError(f"config file {args.config}: {exc}") from exc
-    table = read_encoded(args.data)
+    table = read_encoded(args.data, args.variant)
     probs = None
     if spec.task == "regressor":
         if not args.stage1_model or not args.stage1_data:
@@ -141,7 +143,11 @@ def _cmd_train(args) -> int:
                 "--stage1-data (encoded with the paired classifier layout) are required"
             )
         classifier = load_model(args.stage1_model)
-        stage1_table = read_encoded(args.stage1_data)
+        try:
+            check_stage("stage 1", classifier, "classifier")
+        except CompositionError as exc:
+            raise CompositionError(f"model file {args.stage1_model}: {exc}") from None
+        stage1_table = read_encoded(args.stage1_data, classifier.variant_id)
         if len(stage1_table) != len(table):
             raise DataError(
                 f"stage-1 data rows ({len(stage1_table)}) do not align with "
@@ -170,15 +176,13 @@ def _cmd_compose(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     kept, _ = filter_report(read_log(args.data))
-    bins = PowerClassBins()
     model = load_any_model(args.model)
+    table = encode_table(kept, DEFAULT_CONFIGS)
 
     report: dict
     columns: list[list]  # per row: true class, predicted class[, absolute error]
     if isinstance(model, TwoStageModel):
-        scores = evaluate_two_stage(
-            model, *encode_tables(kept, model.layouts, DEFAULT_CONFIGS, bins)
-        )
+        scores = evaluate_two_stage(model, table)
         report = {
             "classification": scores.metrics.to_dict(),
             "confusion": scores.confusion.to_lists(),
@@ -198,7 +202,6 @@ def _cmd_evaluate(args) -> int:
                 f"model file {args.model}: {model.variant_id} is a regressor, which is "
                 "evaluated through a two-stage model (see rtp compose)"
             )
-        (table,) = encode_tables(kept, [LAYOUTS[model.variant_id]], DEFAULT_CONFIGS, bins)
         _, predicted, cm, metrics = score_classifier(model, table)
         report = {"classification": metrics.to_dict(), "confusion": cm.to_lists()}
         columns = [table.class_index.tolist(), predicted.tolist()]
@@ -218,8 +221,8 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = load_two_stage(args.model)
-    tables = encode_tables(read_log(args.infile), model.layouts, DEFAULT_CONFIGS)
-    probs, classes, norm = predict_arrays(model, *tables)
+    table = encode_table(read_log(args.infile), DEFAULT_CONFIGS)
+    probs, classes, norm = predict_arrays(model, table)
     # Element by element as denormalize_power, so each value keeps its bits.
     watts = map(math.exp, (norm * LN_FULL_POWER).tolist())
     header = ["row", *[f"prob_{i}" for i in range(5)], "predicted_class", "power_norm", "power_watts"]
@@ -335,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
         CompositionError,
         ShapeError,
         ProgressError,
-        FileNotFoundError,
+        OSError,
         ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,7 +17,6 @@ from .engine import (
     ModelFormatError,
     NetworkModel,
     check_format_version,
-    forward,
     load_document,
     load_model,
     model_from_dict,
@@ -32,8 +31,8 @@ from .evaluate import (
     confusion,
     regression_report,
 )
-from .model_zoo import aux_width, branch_widths, model_inputs, row_columns, variant_spec
-from .preprocess import LAYOUTS, EncodedTable, FeatureLayout, denormalize_power, encode_row
+from .model_zoo import aux_width, branch_widths, stage_inputs, variant_spec
+from .preprocess import LAYOUTS, EncodedTable, denormalize_power, encode_row
 
 
 class CompositionError(ValueError):
@@ -48,50 +47,46 @@ class JointPrediction:
     power_watts: float
 
 
+_HEAD_BY_TASK = {"classifier": HEAD_SOFTMAX, "regressor": HEAD_SIGMOID}
+
+
+def check_stage(stage: str, model: NetworkModel, task: str) -> None:
+    """Raise CompositionError, naming `stage`, unless `model` is a known
+    `task` variant whose head and input widths are its variant's."""
+    vid = model.variant_id
+    if vid not in LAYOUTS:
+        raise CompositionError(f"{stage} has no recognized variant id")
+    spec = variant_spec(vid)
+    if spec.task != task:
+        raise CompositionError(f"{stage} variant {vid} is not a {task}")
+    if model.head != _HEAD_BY_TASK[task]:
+        raise CompositionError(f"{stage} head is {model.head}, need {_HEAD_BY_TASK[task]}")
+    expected = branch_widths(spec.layout)
+    if list(model.branches) != list(expected):
+        raise CompositionError(
+            f"{stage} ({vid}) has branches {list(model.branches)}, its layout {list(expected)}"
+        )
+    for name, width in expected.items():
+        if model.branch_input_width(name) != width:
+            raise CompositionError(
+                f"{stage} ({vid}) branch '{name}' takes {model.branch_input_width(name)} "
+                f"inputs, the {vid} layout gives {width}"
+            )
+    if model.aux_width != aux_width(vid):
+        raise CompositionError(
+            f"{stage} ({vid}) aux width {model.aux_width} != expected {aux_width(vid)}"
+        )
+
+
 @dataclass
 class TwoStageModel:
     stage1: NetworkModel
     stage2: NetworkModel
 
     def __post_init__(self) -> None:
-        """Refuse stages that predict cannot run as they are: wrong heads or
-        tasks, or inputs that differ from their variant's layout."""
-        if self.stage1.head != HEAD_SOFTMAX:
-            raise CompositionError(f"stage 1 head is {self.stage1.head}, need {HEAD_SOFTMAX}")
-        if self.stage2.head != HEAD_SIGMOID:
-            raise CompositionError(f"stage 2 head is {self.stage2.head}, need {HEAD_SIGMOID}")
-        stages = (("stage 1", self.stage1, "classifier"), ("stage 2", self.stage2, "regressor"))
-        for stage, model, task in stages:
-            vid = model.variant_id
-            if vid not in LAYOUTS:
-                raise CompositionError(f"{stage} has no recognized variant id")
-            spec = variant_spec(vid)
-            if spec.task != task:
-                raise CompositionError(f"{stage} variant {vid} is not a {task}")
-            expected = branch_widths(spec.layout)
-            if list(model.branches) != list(expected):
-                raise CompositionError(
-                    f"{stage} ({vid}) has branches {list(model.branches)}, "
-                    f"its layout {list(expected)}"
-                )
-            for name, width in expected.items():
-                if model.branch_input_width(name) != width:
-                    raise CompositionError(
-                        f"{stage} ({vid}) branch '{name}' takes {model.branch_input_width(name)} "
-                        f"inputs, the {vid} layout gives {width}"
-                    )
-            if model.aux_width != aux_width(vid):
-                raise CompositionError(
-                    f"{stage} ({vid}) aux width {model.aux_width} != expected {aux_width(vid)}"
-                )
-
-    @property
-    def layouts(self) -> tuple[FeatureLayout, FeatureLayout]:
-        """The feature layouts of stage 1 and stage 2."""
-        return (
-            variant_spec(self.stage1.variant_id).layout,
-            variant_spec(self.stage2.variant_id).layout,
-        )
+        """Refuse stages that predict cannot run as they are."""
+        check_stage("stage 1", self.stage1, "classifier")
+        check_stage("stage 2", self.stage2, "regressor")
 
 
 def compose_models(stage1: NetworkModel, stage2: NetworkModel) -> TwoStageModel:
@@ -147,23 +142,26 @@ def load_any_model(path: Union[str, Path]) -> Union[TwoStageModel, NetworkModel]
     return load_document(path, from_dict)
 
 
+def _run_stages(model: TwoStageModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stage 1's class probabilities (n, 5) and stage 2's normalized powers
+    (n, 1) on (n, 12) feature rows, the probabilities closing stage 2's aux
+    vector. The only chaining of the two stages; nothing is checked, because
+    TwoStageModel checked each stage's input widths when it was built."""
+    probs = run_layers(model.stage1, *stage_inputs(features, model.stage1.variant_id))
+    return probs, run_layers(model.stage2, *stage_inputs(features, model.stage2.variant_id, probs))
+
+
 def predict_arrays(
-    model: TwoStageModel,
-    stage1_table: EncodedTable,
-    stage2_table: EncodedTable,
+    model: TwoStageModel, table: EncodedTable
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Class probabilities (n, 5), predicted classes (n,) and normalized
-    powers (n,) for the rows of two aligned tables, one per stage layout.
+    powers (n,) for the rows of an encoded table.
 
-    The arithmetic path is exactly stage-1 forward, then stage-2 forward with
-    the stage-1 probabilities as auxiliary input, so composed predictions are
+    The arithmetic is the stage-1 forward pass, then the stage-2 one with the
+    stage-1 probabilities as auxiliary input, so composed predictions are
     bitwise-identical to manual chaining.
     """
-    if len(stage1_table) != len(stage2_table):
-        raise CompositionError("stage 1 and stage 2 row counts differ")
-    # Table inputs are matrices, so forward returns (n, width) outputs.
-    probs = forward(model.stage1, model_inputs(stage1_table, model.stage1.variant_id))
-    norm = forward(model.stage2, model_inputs(stage2_table, model.stage2.variant_id, class_probs=probs))
+    probs, norm = _run_stages(model, table.features)
     return probs, np.argmax(probs, axis=1), norm[:, 0]
 
 
@@ -172,8 +170,14 @@ def predict_batch(
     stage1_table: EncodedTable,
     stage2_table: EncodedTable,
 ) -> list[JointPrediction]:
-    """predict_arrays' rows as JointPredictions."""
-    probs, classes, norm = predict_arrays(model, stage1_table, stage2_table)
+    """predict_arrays' rows as JointPredictions.
+
+    The tables must hold the same feature rows; the two-table form is kept
+    only because perfbench/workloads.py (reference_answers) calls it.
+    """
+    if not np.array_equal(stage1_table.features, stage2_table.features, equal_nan=True):
+        raise CompositionError("the stage 1 and stage 2 tables hold different rows")
+    probs, classes, norm = predict_arrays(model, stage1_table)
     return list(map(_joint, probs.tolist(), classes.tolist(), norm.tolist()))
 
 
@@ -190,26 +194,9 @@ def predict(
     model: TwoStageModel, obs: TransientObservation, config: CoreConfiguration
 ) -> JointPrediction:
     """Joint prediction for one observation under `config`, with the bits
-    predict_arrays gives its one-row tables.
-
-    Both stages read encode_row's feature row and run without per-call
-    checks: TwoStageModel checked each stage's input widths when it was built.
-    """
-    row = encode_row(obs, config)
-    probs = _run_row(model.stage1, row)
-    norm = _run_row(model.stage2, row, probs)
+    predict_arrays gives its one-row table."""
+    probs, norm = _run_stages(model, encode_row(obs, config))
     return _joint(probs[0].tolist(), int(probs.argmax()), float(norm[0, 0]))
-
-
-def _run_row(stage: NetworkModel, row: np.ndarray, class_probs: np.ndarray | None = None):
-    """A stage's (1, width) output on a feature row, with the stage-1
-    `class_probs` closing a regressor's aux vector."""
-    branch_columns, aux_columns = row_columns(stage.variant_id)
-    aux = row[:, aux_columns]
-    if class_probs is not None:
-        aux = np.concatenate([aux, class_probs], axis=1)
-    branch_inputs = [row[:, columns] for columns in branch_columns]
-    return run_layers(stage, branch_inputs, aux if aux.size else None)
 
 
 @dataclass(frozen=True)
@@ -223,18 +210,16 @@ class TwoStageEvaluation:
     regression: RegressionReport
 
 
-def evaluate_two_stage(
-    model: TwoStageModel, stage1_table: EncodedTable, stage2_table: EncodedTable
-) -> TwoStageEvaluation:
-    """Score joint predictions against the tables' classes and targets; the
+def evaluate_two_stage(model: TwoStageModel, table: EncodedTable) -> TwoStageEvaluation:
+    """Score joint predictions against the table's classes and targets; the
     regression report conditions on rows whose class stage 1 got right."""
-    _, predicted, norms = predict_arrays(model, stage1_table, stage2_table)
-    true = stage1_table.class_index
+    _, predicted, norms = predict_arrays(model, table)
+    true = table.class_index
     cm = confusion(true, predicted)
     return TwoStageEvaluation(
         true_classes=true,
         predicted_classes=predicted,
         confusion=cm,
         metrics=class_metrics(cm),
-        regression=regression_report(stage2_table.target, norms, predicted == true),
+        regression=regression_report(table.target, norms, predicted == true),
     )

@@ -500,7 +500,7 @@ def load_document(path: Union[str, Path], from_dict: Callable[[Any], Any]) -> An
     try:
         with open(path) as handle:
             return from_dict(json.load(handle))
-    except (json.JSONDecodeError, KeyError, ModelFormatError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, ModelFormatError) as exc:
         raise ModelFormatError(f"model file {path}: {exc}") from exc
 
 

@@ -8,7 +8,7 @@ from functools import lru_cache
 import numpy as np
 
 from .engine import HEAD_SIGMOID, HEAD_SOFTMAX, DenseLayer, NetworkModel, init_layer
-from .preprocess import _DIRECTION, LAYOUTS, EncodedTable, FeatureLayout, _layout_columns
+from .preprocess import LAYOUTS, EncodedTable, FeatureLayout, input_columns
 from .training import TrainingConfig
 
 CLASSIFIER_IDS = ("a1", "b1", "c1", "d1", "e1", "f1")
@@ -38,38 +38,18 @@ def variant_spec(variant_id: str) -> VariantSpec:
 
 def branch_widths(layout: FeatureLayout) -> dict[str, int]:
     """Input width per branch for a layout, before any auxiliary inputs."""
-    initial, final = _layout_columns(layout)
-    if layout.input_mode == "separated":
-        return {"initial": initial.size, "final": final.size}
-    return {"main": initial.size}
-
-
-@lru_cache(maxsize=None)
-def row_columns(variant_id: str) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Where a variant's inputs sit in encode_row's feature row: each
-    branch's columns, in branch_widths order, and the columns that open its
-    aux vector (a regressor's class probabilities follow them)."""
-    layout = variant_spec(variant_id).layout
-    initial, final = _layout_columns(layout)
-    if layout.input_mode == "all_in_one":
-        return (initial,), np.empty(0, dtype=np.intp)
-    return (initial, final), np.array([_DIRECTION] if layout.uses_direction else [], dtype=np.intp)
+    return {name: columns.size for name, columns in input_columns(layout)[0].items()}
 
 
 def aux_width(variant_id: str) -> int:
     """Width of the auxiliary vector concatenated at the merge point.
 
-    Classifiers take the direction scalar (separated layouts only; AIO folds
-    it into the main vector). Regressors additionally take the 5-vector
-    classifier output.
+    Separated layouts that use the direction take it here (all-in-one ones
+    fold it into the main vector); regressors add the 5-vector classifier
+    output.
     """
     spec = variant_spec(variant_id)
-    width = 0
-    if spec.layout.input_mode == "separated" and spec.layout.uses_direction:
-        width += 1
-    if spec.task == "regressor":
-        width += N_CLASSES
-    return width
+    return input_columns(spec.layout)[1].size + (N_CLASSES if spec.task == "regressor" else 0)
 
 
 def build_variant(variant_id: str, seed: int) -> NetworkModel:
@@ -128,30 +108,36 @@ def pair_for_regressor(regressor_id: str) -> str:
     return candidates[0]
 
 
+def stage_inputs(
+    features: np.ndarray, variant_id: str, class_probs: np.ndarray | None = None
+) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """A variant's input matrices, picked from (n, 12) feature rows: each
+    branch's, in branch_widths order, and the aux matrix (None when the
+    variant takes none).
+
+    Regressor variants require `class_probs`, the (n, 5) stage-1 output,
+    which closes the aux matrix.
+    """
+    spec = variant_spec(variant_id)
+    branches, aux_columns = input_columns(spec.layout)
+    aux = features[:, aux_columns]
+    if spec.task == "regressor":
+        if class_probs is None:
+            raise ValueError(f"regressor {variant_id!r} needs stage-1 class probabilities")
+        aux = np.concatenate([aux, class_probs], axis=1)
+    return [features[:, columns] for columns in branches.values()], aux if aux.size else None
+
+
 def model_inputs(
     table: EncodedTable,
     variant_id: str,
     class_probs: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
-    """The input matrices a variant expects, picked from an encoded table.
-
-    Regressor variants require `class_probs`, the (n, 5) stage-1 output.
-    """
-    spec = variant_spec(variant_id)
-    if spec.layout.input_mode == "separated":
-        inputs = {"initial": table.initial, "final": table.final}
-    else:
-        inputs = {"main": table.initial}
-
-    aux_parts: list[np.ndarray] = []
-    if spec.layout.input_mode == "separated" and spec.layout.uses_direction:
-        aux_parts.append(table.direction.astype(np.float64)[:, np.newaxis])
-    if spec.task == "regressor":
-        if class_probs is None:
-            raise ValueError(f"regressor {variant_id!r} needs stage-1 class probabilities")
-        aux_parts.append(np.atleast_2d(np.asarray(class_probs, dtype=np.float64)))
-    if aux_parts:
-        inputs["aux"] = np.concatenate(aux_parts, axis=1)
+    """stage_inputs of an encoded table, by input name, as forward and train take them."""
+    branch_inputs, aux = stage_inputs(table.features, variant_id, class_probs)
+    inputs = dict(zip(input_columns(variant_spec(variant_id).layout)[0], branch_inputs))
+    if aux is not None:
+        inputs["aux"] = aux
     return inputs
 
 

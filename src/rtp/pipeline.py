@@ -18,7 +18,6 @@ from .augment import PerturbationPolicy, over_sample
 from .compose import compose_models, evaluate_two_stage, save_two_stage
 from .domain import (
     DEFAULT_CONFIGS,
-    PowerClassBins,
     check_settings,
     is_count,
     is_integer,
@@ -38,7 +37,7 @@ from .model_zoo import (
     training_targets,
     variant_spec,
 )
-from .preprocess import LAYOUTS, EmptyClassError, encode_tables, undersample_indices
+from .preprocess import EmptyClassError, encode_table, undersample_indices
 from .training import TrainingConfig, train
 
 
@@ -177,7 +176,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
     """Run every stage and return the summary report (also written to disk)."""
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    bins = PowerClassBins()
 
     # Stage 1: synthetic ground-truth corpus.
     corpus = synthesize_corpus(
@@ -203,15 +201,13 @@ def run_pipeline(config: PipelineConfig) -> dict:
     # Each pool row keeps its row number in corpus.csv or augmented.csv.
     train_pool = ObservationTable.concat([train_rows, augmented])
 
-    # Stage 4: encode the training pool and the test split once for every
-    # variant's layout, then class-balance the pool's rows (the same rows for
-    # every variant). With no variants, one layout still supplies the labels.
-    variant_ids = sorted(set(config.classifier_ids) | set(config.regressor_ids))
-    layouts = [variant_spec(vid).layout for vid in variant_ids]
-    pool_tables = encode_tables(train_pool, layouts or [LAYOUTS["a1"]], DEFAULT_CONFIGS, bins)
+    # Stage 4: encode the training pool and the test split once each, into
+    # the one feature matrix that every variant reads its columns from, then
+    # class-balance the pool's rows.
+    pool = encode_table(train_pool, DEFAULT_CONFIGS)
     try:
         balanced_idx = undersample_indices(
-            pool_tables[0].class_index.tolist(), seeds.subseed(config.seed, "balance")
+            pool.class_index.tolist(), seeds.subseed(config.seed, "balance")
         )
     except EmptyClassError as exc:
         raise EmptyClassError(
@@ -221,10 +217,9 @@ def run_pipeline(config: PipelineConfig) -> dict:
     # Written only once the pool balances, so a refused pool leaves neither.
     write_observations(corpus, out_dir / "corpus.csv")
     write_observations(augmented, out_dir / "augmented.csv")
-    encoded_train = {vid: table.take(balanced_idx) for vid, table in zip(variant_ids, pool_tables)}
-    del pool_tables  # training keeps only the balanced rows
-    test_tables = encode_tables(test_rows, layouts, DEFAULT_CONFIGS, bins)
-    encoded_test = dict(zip(variant_ids, test_tables))
+    encoded_train = pool.take(balanced_idx)
+    del pool  # training keeps only the balanced rows
+    encoded_test = encode_table(test_rows, DEFAULT_CONFIGS)
 
     report: dict = {
         "seed": config.seed,
@@ -240,8 +235,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
     # Stage 5: classifiers, each scored on the test split.
     classifier_models = {}
     for vid in config.classifier_ids:
-        model, summary = _train_variant(vid, encoded_train[vid], config)
-        _, _, cm, metrics = score_classifier(model, encoded_test[vid])
+        model, summary = _train_variant(vid, encoded_train, config)
+        _, _, cm, metrics = score_classifier(model, encoded_test)
         summary["test_accuracy"] = metrics.accuracy
         summary["test_macro_f1"] = metrics.macro_f1
         summary["confusion"] = cm.to_lists()
@@ -255,10 +250,10 @@ def run_pipeline(config: PipelineConfig) -> dict:
     regressor_models = {}
     for vid in config.regressor_ids:
         cid = pair_for_regressor(vid)
-        train_probs = forward(classifier_models[cid], model_inputs(encoded_train[cid], cid))
-        model, summary = _train_variant(vid, encoded_train[vid], config, train_probs)
+        train_probs = forward(classifier_models[cid], model_inputs(encoded_train, cid))
+        model, summary = _train_variant(vid, encoded_train, config, train_probs)
         pair = compose_models(classifier_models[cid], model)
-        scores = evaluate_two_stage(pair, encoded_test[cid], encoded_test[vid])
+        scores = evaluate_two_stage(pair, encoded_test)
         summary["regression"] = scores.regression.to_dict()
         summary["paired_classifier"] = cid
         regressor_models[vid] = model
@@ -270,7 +265,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     if stage1_id in classifier_models and stage2_id in regressor_models:
         two_stage = compose_models(classifier_models[stage1_id], regressor_models[stage2_id])
         save_two_stage(two_stage, out_dir / "twostage.json")
-        scores = evaluate_two_stage(two_stage, encoded_test[stage1_id], encoded_test[stage2_id])
+        scores = evaluate_two_stage(two_stage, encoded_test)
         report["composed"] = {
             "stage1": stage1_id,
             "stage2": stage2_id,

@@ -62,20 +62,15 @@ LAYOUTS: dict[str, FeatureLayout] = {
 }
 
 
-# Not frozen, like ObservationTable: encode_tables builds one per layout, and a
-# frozen dataclass's __init__ sets each field through object.__setattr__.
-@dataclass
+@dataclass(frozen=True)
 class EncodedTable:
-    """Feature matrices and targets of n observations, as one layout sees them.
+    """The (n, 12) feature matrix of n observations, with their targets.
 
-    For all-in-one layouts the whole feature matrix (direction included)
-    is `initial` and `final` has no columns.
+    Every variant reads its inputs from the same matrix, at the columns
+    that input_columns gives its layout.
     """
 
-    layout: FeatureLayout
-    initial: np.ndarray  # (n, initial-branch width)
-    final: np.ndarray  # (n, final-branch width)
-    direction: np.ndarray  # (n,) +1 or -1
+    features: np.ndarray  # (n, 12)
     class_index: np.ndarray  # (n,) power class of the final state
     target: np.ndarray  # (n,) normalized final power
     n_classes: int
@@ -87,9 +82,7 @@ class EncodedTable:
         """The rows at `idx`, in that order (indices may repeat)."""
         return replace(
             self,
-            initial=self.initial[idx],
-            final=self.final[idx],
-            direction=self.direction[idx],
+            features=self.features[idx],
             class_index=self.class_index[idx],
             target=self.target[idx],
         )
@@ -152,31 +145,40 @@ def undersample(table: EncodedTable, seed: int) -> EncodedTable:
     return table.take(undersample_indices(table.class_index.tolist(), seed, table.n_classes))
 
 
-# Columns of the feature matrix that encode_tables builds once for all layouts.
+# Columns of the feature matrix that encode_table builds once for every variant.
 _POWER, _RODS_I, _RODS_F, _RHO_I, _RHO_F, _DIRECTION = 0, [1, 2, 3, 4], [5, 6, 7, 8], 9, 10, 11
 
 
 @lru_cache(maxsize=None)
-def _layout_columns(layout: FeatureLayout) -> tuple[np.ndarray, np.ndarray]:
-    """Feature-matrix columns of a layout's initial and final branch."""
+def input_columns(layout: FeatureLayout) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """The feature-matrix columns a layout reads: each branch's, by branch
+    name in network order, and the columns that open its aux vector (a
+    regressor's class probabilities follow them).
+
+    This is the one rule for which feature feeds which input. The initial
+    branch takes the initial power and rods, the final branch the final
+    rods, and the aux vector the direction; an all-in-one layout's "main"
+    branch takes them all.
+    """
     rods_i, rods_f = (_RODS_I, _RODS_F) if layout.rod_feature == "heights" else ([_RHO_I], [_RHO_F])
-    initial, final = [_POWER, *rods_i], rods_f
+    direction = [_DIRECTION] if layout.uses_direction else []
     if layout.input_mode == "all_in_one":
-        initial, final = initial + final + ([_DIRECTION] if layout.uses_direction else []), []
-    return np.array(initial, dtype=np.intp), np.array(final, dtype=np.intp)
+        branches, aux = {"main": [_POWER, *rods_i, *rods_f, *direction]}, []
+    else:
+        branches, aux = {"initial": [_POWER, *rods_i], "final": rods_f}, direction
+    columns = {name: np.array(c, dtype=np.intp) for name, c in branches.items()}
+    return columns, np.array(aux, dtype=np.intp)
 
 
-def encode_tables(
+def encode_table(
     table: ObservationTable,
-    layouts: Sequence[FeatureLayout],
     configs: tuple[CoreConfiguration, ...] = DEFAULT_CONFIGS,
     bins: PowerClassBins = PowerClassBins(),
-) -> list[EncodedTable]:
-    """Encode the table's rows once, then pick each layout's columns.
+) -> EncodedTable:
+    """Encode the table's rows into one feature matrix.
 
-    Initial power appears only in the initial branch; the final power is
-    the target (class index and normalized regression value), never a
-    feature. Each row's rod worths come from the configuration operational
+    The initial power is a feature; the final power is the target (class
+    index and normalized regression value), never a feature. Each row's rod worths come from the configuration operational
     on its date. Errors name the row by the table's row index. encode_row
     builds one observation's feature row with the same bits.
     """
@@ -194,35 +196,19 @@ def encode_tables(
     rho = ((terms[0] + terms[1]) + terms[2]) + terms[3]
     np.divide(rho.T, REACTIVITY_FEATURE_SCALE, out=features[:, _RHO_I : _RHO_F + 1])
 
-    direction = np.sign(powers[:, 1] - powers[:, 0]).astype(np.int64)
+    direction = np.sign(powers[:, 1] - powers[:, 0])
     if not direction.all():
         row = table.row_index[np.flatnonzero(direction == 0)[0]]
         raise ValueError(f"row {row}: zero-change transient has no direction")
     features[:, _DIRECTION] = direction
     # Ceiling-inclusive, as classify_power; states never exceed the top ceiling.
     class_index = np.array(bins.ceilings).searchsorted(powers[:, 1], "left")
-    target = power_norm[:, 1].copy()
-
-    tables = []
-    for layout in layouts:
-        initial, final = _layout_columns(layout)
-        tables.append(
-            EncodedTable(
-                layout=layout,
-                initial=features[:, initial],
-                final=features[:, final],
-                direction=direction,
-                class_index=class_index,
-                target=target,
-                n_classes=bins.n_classes,
-            )
-        )
-    return tables
+    return EncodedTable(features, class_index, power_norm[:, 1].copy(), bins.n_classes)
 
 
 def encode_row(obs: TransientObservation, config: CoreConfiguration) -> np.ndarray:
     """The (1, 12) feature row of one observation under `config`, with the
-    bits encode_tables gives that row: the same operations in the same order,
+    bits encode_table gives that row: the same operations in the same order,
     in Python floats, because numpy's per-call cost dominates at one row."""
     p_i, p_f = obs.initial.power, obs.final.power
     if p_f == p_i:
@@ -246,27 +232,39 @@ def encode_dataset(
     configs: tuple[CoreConfiguration, ...] = DEFAULT_CONFIGS,
     bins: PowerClassBins = PowerClassBins(),
 ) -> EncodedTable:
-    """One layout's table of the observations."""
-    return encode_tables(ObservationTable.from_observations(observations), [layout], configs, bins)[0]
+    """encode_table of the observations; `layout` is not read.
+
+    Kept, with its old signature, only because perfbench/workloads.py
+    (reference_answers) calls it.
+    """
+    return encode_table(ObservationTable.from_observations(observations), configs, bins)
 
 
-def write_encoded(table: EncodedTable, path: Union[str, Path]) -> None:
-    """Serialize an encoded table as JSON records, one per row."""
+def _record_columns(layout: FeatureLayout) -> tuple[np.ndarray, np.ndarray]:
+    """The feature columns of a record's initial_branch and final_branch; an
+    all-in-one layout writes its main vector as initial_branch."""
+    branches = list(input_columns(layout)[0].values())
+    return branches[0], branches[1] if len(branches) > 1 else np.empty(0, dtype=np.intp)
+
+
+def write_encoded(table: EncodedTable, layout: FeatureLayout, path: Union[str, Path]) -> None:
+    """Serialize a layout's view of an encoded table as JSON records, one per row."""
+    initial, final = _record_columns(layout)
     with open(path, "w") as handle:
-        for initial, final, direction, onehot, target in zip(
-            table.initial.tolist(),
-            table.final.tolist(),
-            table.direction.tolist(),
+        for initial_values, final_values, direction, onehot, target in zip(
+            table.features[:, initial].tolist(),
+            table.features[:, final].tolist(),
+            table.features[:, _DIRECTION].astype(np.int64).tolist(),
             table.class_onehot.tolist(),
             table.target.tolist(),
         ):
             record = {
-                "initial_branch": initial,
-                "final_branch": final,
+                "initial_branch": initial_values,
+                "final_branch": final_values,
                 "direction": direction,
                 "class_onehot": onehot,
                 "regression_target": target,
-                "variant_id": table.layout.variant_id,
+                "variant_id": layout.variant_id,
             }
             handle.write(json.dumps(record) + "\n")
 
@@ -277,7 +275,8 @@ _RECORD_FIELDS = (*_VECTOR_FIELDS, "direction", "regression_target", "variant_id
 
 def _read_record(line: str, first: tuple | None) -> tuple:
     """(variant id, initial, final, one-hot, direction, target) of one record,
-    checked against the first record's variant and vector widths."""
+    checked against its layout's widths and the first record's variant and
+    class count."""
     record = json.loads(line)
     if not isinstance(record, dict):
         raise ValueError("expected a JSON object")
@@ -287,47 +286,68 @@ def _read_record(line: str, first: tuple | None) -> tuple:
     variant_id = record["variant_id"]
     if variant_id not in LAYOUTS:
         raise ValueError(f"unknown variant_id {variant_id!r}")
+    if first is not None and variant_id != first[0]:
+        raise ValueError(f"variant_id {variant_id!r} differs from the first record's {first[0]!r}")
     vectors = [np.asarray(record[name], dtype=np.float64) for name in _VECTOR_FIELDS]
+    target = np.float64(record["regression_target"])
     for name, vector in zip(_VECTOR_FIELDS, vectors):
         if vector.ndim != 1:
             raise ValueError(f"field {name!r} must be a list of numbers")
-    if not vectors[2].size:
-        raise ValueError("field 'class_onehot' is empty")
-    row = (variant_id, *vectors, int(record["direction"]), float(record["regression_target"]))
-    if first is not None:
-        if variant_id != first[0]:
-            raise ValueError(f"variant_id {variant_id!r} differs from the first record's {first[0]!r}")
-        for name, vector, expected in zip(_VECTOR_FIELDS, vectors, first[1:4]):
-            if vector.size != expected.size:
-                raise ValueError(f"field {name!r} has {vector.size} values, the first record {expected.size}")
-    return row
+    for name, values in (*zip(_VECTOR_FIELDS, vectors), ("regression_target", target)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"field {name!r} holds a non-finite number")
+    for name, vector, columns in zip(_VECTOR_FIELDS, vectors, _record_columns(LAYOUTS[variant_id])):
+        if vector.size != columns.size:
+            raise ValueError(
+                f"field {name!r} has {vector.size} values, the {variant_id} layout {columns.size}"
+            )
+    onehot = vectors[2]
+    if np.count_nonzero(onehot) != 1 or onehot.sum() != 1.0:
+        raise ValueError("field 'class_onehot' is not one-hot")
+    if first is not None and onehot.size != first[3].size:
+        raise ValueError(
+            f"field 'class_onehot' has {onehot.size} values, the first record {first[3].size}"
+        )
+    direction = record["direction"]
+    if direction not in (-1, 1):
+        raise ValueError(f"field 'direction' must be -1 or 1, got {direction!r}")
+    return (variant_id, *vectors, int(direction), float(target))
 
 
-def read_encoded(path: Union[str, Path]) -> EncodedTable:
-    """Load a file written by write_encoded.
+def read_encoded(path: Union[str, Path], variant_id: str) -> EncodedTable:
+    """Load a file written by write_encoded, for training `variant_id`.
 
-    A malformed, inconsistent or missing record raises DataError naming the
-    file and line; so does a file with no records.
+    Each record's values go to their feature columns; the columns its layout
+    does not write hold NaN. A malformed, inconsistent or missing record
+    raises DataError naming the file and line; so does a file with no
+    records, or one whose layout lacks a column that `variant_id` reads.
     """
     rows: list[tuple] = []
-    with open(path) as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                rows.append(_read_record(line, rows[0] if rows else None))
-            except (ValueError, TypeError) as exc:
-                raise DataError(f"{path} line {line_no}: {exc}") from None
+    try:
+        with open(path) as handle:
+            for line_no, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    rows.append(_read_record(line, rows[0] if rows else None))
+                except (ValueError, TypeError) as exc:
+                    raise DataError(f"{path} line {line_no}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from None
     if not rows:
         raise DataError(f"no encoded samples in {path}")
     variant_ids, initial, final, onehot, direction, target = zip(*rows)
+    written = LAYOUTS[variant_ids[0]]
+    initial_columns, final_columns = _record_columns(written)
+    branches, aux = input_columns(LAYOUTS[variant_id])
+    read = np.concatenate([*branches.values(), aux])
+    if not np.isin(read, [*initial_columns, *final_columns, _DIRECTION]).all():
+        raise DataError(
+            f"{path}: its {written.variant_id} layout lacks features that variant {variant_id} reads"
+        )
+    features = np.full((len(rows), 12), np.nan)
+    features[:, _DIRECTION] = direction
+    features[:, initial_columns] = initial
+    features[:, final_columns] = final
     onehot = np.array(onehot)
-    return EncodedTable(
-        layout=LAYOUTS[variant_ids[0]],
-        initial=np.array(initial),
-        final=np.array(final).reshape(len(rows), -1),
-        direction=np.array(direction, dtype=np.int64),
-        class_index=np.argmax(onehot, axis=1),
-        target=np.array(target),
-        n_classes=onehot.shape[1],
-    )
+    return EncodedTable(features, np.argmax(onehot, axis=1), np.array(target), onehot.shape[1])

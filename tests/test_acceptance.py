@@ -43,10 +43,9 @@ from rtp.ingest import (
 from rtp.model_zoo import build_variant, model_inputs
 from rtp.pipeline import PipelineConfig, run_pipeline
 from rtp.preprocess import (
-    LAYOUTS,
     classify_power,
     denormalize_power,
-    encode_tables,
+    encode_table,
     normalize_power,
     undersample_indices,
 )
@@ -274,11 +273,11 @@ def test_criterion_08_composition_exactness(pipeline_run):
     composed = compose_models(stage1, stage2)
 
     observations = read_observations(out_dir / "corpus.csv").take(slice(100))
-    s1, s2 = encode_tables(observations, [LAYOUTS["a1"], LAYOUTS["b2"]], DEFAULT_CONFIGS)
+    table = encode_table(observations, DEFAULT_CONFIGS)
 
-    joint = predict_batch(composed, s1, s2)
-    probs = np.atleast_2d(forward(stage1, model_inputs(s1, "a1")))
-    norm = np.atleast_2d(forward(stage2, model_inputs(s2, "b2", class_probs=probs)))
+    joint = predict_batch(composed, table, table)
+    probs = np.atleast_2d(forward(stage1, model_inputs(table, "a1")))
+    norm = np.atleast_2d(forward(stage2, model_inputs(table, "b2", class_probs=probs)))
     for i, p in enumerate(joint):
         assert p.class_probs == tuple(float(v) for v in probs[i])  # bitwise
         assert p.power_norm == float(norm[i, 0])  # bitwise

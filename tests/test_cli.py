@@ -21,7 +21,7 @@ from rtp.pipeline import PipelineConfig, run_pipeline
 from rtp.preprocess import (
     LAYOUTS,
     classify_power,
-    encode_tables,
+    encode_table,
     read_encoded,
     undersample_indices,
     write_encoded,
@@ -100,8 +100,8 @@ class TestArtifacts:
         assert len(read_observations(workdir / "corpus.csv")) == 120
 
     def test_balanced_encodings_align(self, workdir):
-        a1 = read_encoded(workdir / "enc_a1.jsonl")
-        b2 = read_encoded(workdir / "enc_b2.jsonl")
+        a1 = read_encoded(workdir / "enc_a1.jsonl", "a1")
+        b2 = read_encoded(workdir / "enc_b2.jsonl", "b2")
         assert len(a1) == len(b2) > 0
         # Same seed and labels, so the balanced row order matches across layouts.
         np.testing.assert_array_equal(a1.class_index, b2.class_index)
@@ -176,20 +176,18 @@ class TestArtifacts:
                      "--errors", str(errors_path)]) == EXIT_OK
         loaded = compose.load_any_model(workdir / model)
         observations = read_observations(workdir / "corpus.csv")
+        table = encode_table(observations, DEFAULT_CONFIGS)
         expected = tmp_path / "expected.csv"
         with open(expected, "w", newline="") as handle:
             writer = csv.writer(handle)
             if isinstance(loaded, compose.TwoStageModel):
-                scores = compose.evaluate_two_stage(
-                    loaded, *encode_tables(observations, loaded.layouts, DEFAULT_CONFIGS)
-                )
+                scores = compose.evaluate_two_stage(loaded, table)
                 writer.writerow(["row", "true_class", "predicted_class", "abs_error_norm"])
                 writer.writerows(zip(
                     range(1, len(observations) + 1), scores.true_classes.tolist(),
                     scores.predicted_classes.tolist(), scores.regression.abs_errors.tolist(),
                 ))
             else:
-                (table,) = encode_tables(observations, [LAYOUTS["a1"]], DEFAULT_CONFIGS)
                 out = forward(loaded, model_inputs(table, "a1"))
                 writer.writerow(["row", "true_class", "predicted_class"])
                 writer.writerows(zip(
@@ -218,13 +216,13 @@ class TestArtifacts:
 
     def test_predict_runs_the_file_in_one_batch(self, workdir, tmp_path, monkeypatch):
         calls = []
-        original = compose.forward
+        original = compose.run_layers
 
-        def counting_forward(model, inputs):
-            calls.append(len(next(iter(inputs.values()))))
-            return original(model, inputs)
+        def counting_run_layers(model, branch_inputs, aux):
+            calls.append(len(branch_inputs[0]))
+            return original(model, branch_inputs, aux)
 
-        monkeypatch.setattr(compose, "forward", counting_forward)
+        monkeypatch.setattr(compose, "run_layers", counting_run_layers)
         code = main(
             [
                 "predict",
@@ -273,7 +271,7 @@ class TestArtifacts:
         args = ["--model", str(workdir / "twostage.json"), "--in", str(workdir / "corpus.csv")]
         assert main(["predict", *args, "--out", str(out)]) == EXIT_OK
         model = compose.load_two_stage(workdir / "twostage.json")
-        tables = encode_tables(read_log(workdir / "corpus.csv"), model.layouts, DEFAULT_CONFIGS)
+        table = encode_table(read_log(workdir / "corpus.csv"), DEFAULT_CONFIGS)
         expected = tmp_path / "expected.csv"
         with open(expected, "w", newline="") as handle:
             writer = csv.writer(handle)
@@ -282,7 +280,7 @@ class TestArtifacts:
             )
             writer.writerows(
                 [i, *[repr(v) for v in p.class_probs], p.predicted_class, repr(p.power_norm), repr(p.power_watts)]
-                for i, p in enumerate(compose.predict_batch(model, *tables), start=1)
+                for i, p in enumerate(compose.predict_batch(model, table, table), start=1)
             )
         assert out.read_bytes() == expected.read_bytes()
 
@@ -484,14 +482,12 @@ class TestPipelineCommand:
             corpus.take(split[round(0.3 * len(corpus)):]),
             read_observations(pipeline_dir / "augmented.csv"),
         ])
-        tables = encode_tables(train_pool, [LAYOUTS[vid] for vid in ids], DEFAULT_CONFIGS)
-        balanced = undersample_indices(
-            tables[0].class_index.tolist(), seeds.subseed(seed, "balance")
-        )
+        table = encode_table(train_pool, DEFAULT_CONFIGS)
+        balanced = undersample_indices(table.class_index.tolist(), seeds.subseed(seed, "balance"))
         train_config = tmp_path / "train.json"
         train_config.write_text(json.dumps(overrides))
-        for vid, table in zip(ids, tables):
-            write_encoded(table.take(balanced), tmp_path / f"enc_{vid}.jsonl")
+        for vid in ids:
+            write_encoded(table.take(balanced), LAYOUTS[vid], tmp_path / f"enc_{vid}.jsonl")
         for vid in ids:
             command = ["--seed", str(seed), "train", "--variant", vid,
                        "--data", str(tmp_path / f"enc_{vid}.jsonl"),
@@ -578,6 +574,79 @@ class TestExitCodes:
             ]
         )
         assert code == EXIT_DATA
+
+    # Each command with a path it cannot read or write, and that path.
+    PREDICT = ["predict", "--model", "{model}", "--in", "{rows}", "--out", "{out}"]
+    AUGMENT = ["augment", "--in", "{dir}", "--out", "{out}", "--n", "5"]
+    TRAIN = ["train", "--variant", "a1", "--data", "{latin}", "--out", "{out}"]
+    PATH_ERRORS = {
+        "model-is-a-directory": (PREDICT, {"model": "dir"}, "dir"),
+        "out-is-a-directory": (PREDICT, {"out": "dir"}, "dir"),
+        "in-is-a-directory": (AUGMENT, {}, "dir"),
+        "out-dir-is-a-file": (["pipeline", "--out-dir", "{file}"], {}, "file"),
+        "model-not-utf8": (PREDICT, {"model": "latin"}, "latin"),
+        "csv-not-utf8": (PREDICT, {"rows": "latin"}, "latin"),
+        "jsonl-not-utf8": (TRAIN, {}, "latin"),
+    }
+
+    @pytest.mark.parametrize("command,swap,named", PATH_ERRORS.values(), ids=PATH_ERRORS)
+    def test_path_and_encoding_errors_are_data_errors(
+        self, workdir, tmp_path, capsys, command, swap, named
+    ):
+        paths = {
+            "model": workdir / "twostage.json",
+            "rows": workdir / "corpus.csv",
+            "out": tmp_path / "out",
+            "dir": tmp_path / "a-directory",
+            "file": tmp_path / "a-file",
+            "latin": tmp_path / "latin.txt",
+        }
+        paths.update({flag: paths[name] for flag, name in swap.items()})
+        paths["dir"].mkdir()
+        paths["file"].write_text("")
+        header = (workdir / "corpus.csv").read_bytes().splitlines()[0]
+        paths["latin"].write_bytes(header + "\nДата\n".encode("cp1251"))
+        assert main([arg.format(**paths) for arg in command]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(paths[named]) in err
+        assert "Traceback" not in err
+        if named == "latin":
+            assert "'utf-8' codec can't decode byte 0xc4" in err
+
+    @pytest.mark.parametrize(
+        "stage1, message",
+        [
+            ("b2", "stage 1 variant b2 is not a classifier"),
+            ("c1", "stage 1 (c1) aux width 1 != expected 0"),
+        ],
+    )
+    def test_train_refuses_a_stage1_model_that_is_not_its_classifier(
+        self, workdir, tmp_path, capsys, stage1, message
+    ):
+        model = tmp_path / f"model_{stage1}.json"
+        if stage1 == "b2":
+            model.write_bytes((workdir / "model_b2.json").read_bytes())
+        else:
+            relabelled = build_variant("a1", seed=0)
+            relabelled.variant_id = "c1"  # a1 takes the direction as aux, c1 does not
+            save_model(relabelled, model)
+        out = tmp_path / "out.json"
+        code = main([
+            "train", "--variant", "b2", "--data", str(workdir / "enc_b2.jsonl"),
+            "--stage1-model", str(model), "--stage1-data", str(workdir / "enc_a1.jsonl"),
+            "--out", str(out),
+        ])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"error: model file {model}: {message}\n"
+        assert not out.exists()
+
+    def test_train_data_without_the_variants_columns_names_file_and_variant(self, workdir, capsys):
+        data = workdir / "enc_a1.jsonl"
+        code = main(["train", "--variant", "b1", "--data", str(data), "--out", "/dev/null"])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: {data}: its a1 layout lacks features that variant b1 reads\n"
+        )
 
     def test_regressor_without_stage1_is_usage_error(self, workdir):
         code = main(

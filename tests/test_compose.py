@@ -19,7 +19,7 @@ from rtp.domain import DEFAULT_CONFIGS, ReactorState, TransientObservation, conf
 from rtp.engine import ModelFormatError, forward, save_model
 from rtp.ingest import CorpusSpec, ObservationTable, row_to_observation, synthesize_corpus
 from rtp.model_zoo import CLASSIFIER_IDS, REGRESSOR_IDS, build_variant, model_inputs
-from rtp.preprocess import LAYOUTS, denormalize_power, encode_dataset, encode_tables
+from rtp.preprocess import LAYOUTS, denormalize_power, encode_dataset, encode_table
 
 
 def observations(n=20, seed=0):
@@ -120,14 +120,14 @@ class TestPredictBatch:
             predict_batch(model, s1, s2)
 
     def test_single_observation_predict(self, corpus_observations):
-        """predict on one observation is predict_batch on its one-row tables,
+        """predict on one observation is predict_batch on its one-row table,
         for every classifier and regressor pair."""
         for cid, rid in itertools.product(CLASSIFIER_IDS, REGRESSOR_IDS):
             model = compose_models(build_variant(cid, seed=1), build_variant(rid, seed=2))
             for obs in corpus_observations:
-                tables = encode_tables(ObservationTable.from_observations([obs]), model.layouts)
+                table = encode_table(ObservationTable.from_observations([obs]))
                 single = predict(model, obs, config_for_date(obs.date))
-                assert single == predict_batch(model, *tables)[0], (cid, rid, obs)
+                assert single == predict_batch(model, table, table)[0], (cid, rid, obs)
 
 
 class TestSerialization:

@@ -18,14 +18,13 @@ from rtp.model_zoo import (
     pair_for_regressor,
 )
 from rtp.pipeline import PipelineConfig, run_pipeline, score_classifier, training_config
-from rtp.preprocess import LAYOUTS, encode_tables
+from rtp.preprocess import encode_table
 from rtp.training import MONITORED_METRICS
 
 
-def encoded(variant_id):
+def encoded():
     corpus = synthesize_corpus(CorpusSpec(n_observations=40, seed=5))
-    (table,) = encode_tables(corpus, [LAYOUTS[variant_id]], DEFAULT_CONFIGS)
-    return table
+    return encode_table(corpus, DEFAULT_CONFIGS)
 
 
 class TestTrainingConfig:
@@ -68,7 +67,7 @@ class TestPipelineConfig:
 
 class TestScoreClassifier:
     def test_scores_the_forward_pass(self):
-        table = encoded("a1")
+        table = encoded()
         model = build_variant("a1", seed=1)
         out, predicted, cm, metrics = score_classifier(model, table)
         expected = forward(model, model_inputs(table, "a1"))
@@ -80,7 +79,7 @@ class TestScoreClassifier:
     def test_calls_train_through_the_module_global(self, monkeypatch):
         calls = []
         monkeypatch.setattr(pipeline, "train", lambda *args: calls.append(args) or args[:2])
-        pipeline.fit_variant("a1", encoded("a1"), 0, {})
+        pipeline.fit_variant("a1", encoded(), 0, {})
         assert len(calls) == 1
 
 
@@ -102,29 +101,24 @@ class TestRegressorScores:
         perm = seeds.substream(config.seed, "split").permutation(len(corpus))
         test_rows = corpus.take(perm[: report["test_n"]])
 
-        def test_tables(*variant_ids):
-            layouts = [LAYOUTS[vid] for vid in variant_ids]
-            return encode_tables(test_rows, layouts, DEFAULT_CONFIGS)
-
-        return config.out_dir, report, test_tables
+        return config.out_dir, report, encode_table(test_rows, DEFAULT_CONFIGS)
 
     @pytest.mark.parametrize("regressor_id", ["b2", "d2"])
     def test_regression_block_is_the_paired_two_stage_score(self, run, regressor_id):
-        out_dir, report, test_tables = run
+        out_dir, report, test_table = run
         cid = pair_for_regressor(regressor_id)
         pair = compose_models(
             load_model(out_dir / f"model_{cid}.json"),
             load_model(out_dir / f"model_{regressor_id}.json"),
         )
-        scores = evaluate_two_stage(pair, *test_tables(cid, regressor_id))
+        scores = evaluate_two_stage(pair, test_table)
         assert report["regressors"][regressor_id]["regression"] == scores.regression.to_dict()
         assert report["classifiers"][cid]["test_accuracy"] == scores.metrics.accuracy
 
     def test_composed_block_scores_an_untrained_pair(self, run):
-        out_dir, report, test_tables = run
+        out_dir, report, test_table = run
         assert pair_for_regressor("d2") != "a1"
-        scores = evaluate_two_stage(load_two_stage(out_dir / "twostage.json"),
-                                    *test_tables("a1", "d2"))
+        scores = evaluate_two_stage(load_two_stage(out_dir / "twostage.json"), test_table)
         assert report["composed"] == {
             "stage1": "a1",
             "stage2": "d2",
