@@ -26,7 +26,7 @@ from .compose import (
     save_two_stage,
 )
 from .domain import DEFAULT_CONFIGS, is_nonnegative_integer
-from .engine import ModelFormatError, ShapeError, forward, load_model, save_model
+from .engine import ModelFormatError, ShapeError, load_model, run_layers, save_model
 from .ingest import (
     CorpusSpec,
     DataError,
@@ -37,7 +37,7 @@ from .ingest import (
     synthesize_corpus,
     write_observations,
 )
-from .model_zoo import model_inputs, variant_spec
+from .model_zoo import REGRESSOR_IDS, stage_inputs, variant_spec
 from .pipeline import PipelineConfig, check_overrides, fit_variant, run_pipeline, score_classifier
 from .preprocess import (
     LAYOUTS,
@@ -123,6 +123,14 @@ def _cmd_preprocess(args) -> int:
     return EXIT_OK
 
 
+def _check_classifier(stage: str, model, path) -> None:
+    """compose.check_stage of a classifier read from `path`, naming the file."""
+    try:
+        check_stage(stage, model, "classifier")
+    except CompositionError as exc:
+        raise CompositionError(f"model file {path}: {exc}") from None
+
+
 def _cmd_train(args) -> int:
     seed = _effective_seed(args)
     spec = variant_spec(args.variant)
@@ -134,6 +142,10 @@ def _cmd_train(args) -> int:
             check_overrides(overrides, [args.variant])
         except (TypeError, ValueError) as exc:
             raise UsageError(f"config file {args.config}: {exc}") from exc
+    stage1_flags = {"--stage1-model": args.stage1_model, "--stage1-data": args.stage1_data}
+    for flag, value in stage1_flags.items():
+        if spec.task == "classifier" and value is not None:
+            raise UsageError(f"variant {args.variant} is a classifier; {flag} is for regressors")
     table = read_encoded(args.data, args.variant)
     probs = None
     if spec.task == "regressor":
@@ -143,17 +155,15 @@ def _cmd_train(args) -> int:
                 "--stage1-data (encoded with the paired classifier layout) are required"
             )
         classifier = load_model(args.stage1_model)
-        try:
-            check_stage("stage 1", classifier, "classifier")
-        except CompositionError as exc:
-            raise CompositionError(f"model file {args.stage1_model}: {exc}") from None
+        _check_classifier("stage 1", classifier, args.stage1_model)
         stage1_table = read_encoded(args.stage1_data, classifier.variant_id)
         if len(stage1_table) != len(table):
             raise DataError(
                 f"stage-1 data rows ({len(stage1_table)}) do not align with "
                 f"training rows ({len(table)})"
             )
-        probs = forward(classifier, model_inputs(stage1_table, classifier.variant_id))
+        x = stage_inputs(stage1_table.features, classifier.variant_id)
+        probs = run_layers(classifier, x)
 
     trained, history = fit_variant(args.variant, table, seed, overrides, probs)
     save_model(trained, args.out)
@@ -195,13 +205,12 @@ def _cmd_evaluate(args) -> int:
         ]
         header = ["row", "true_class", "predicted_class", "abs_error_norm"]
     else:
-        if model.variant_id not in LAYOUTS:
-            raise DataError(f"model {args.model} has unknown variant id {model.variant_id!r}")
-        if variant_spec(model.variant_id).task == "regressor":
+        if model.variant_id in REGRESSOR_IDS:
             raise DataError(
                 f"model file {args.model}: {model.variant_id} is a regressor, which is "
                 "evaluated through a two-stage model (see rtp compose)"
             )
+        _check_classifier("model", model, args.model)
         _, predicted, cm, metrics = score_classifier(model, table)
         report = {"classification": metrics.to_dict(), "confusion": cm.to_lists()}
         columns = [table.class_index.tolist(), predicted.tolist()]

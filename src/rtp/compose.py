@@ -89,16 +89,12 @@ class TwoStageModel:
         check_stage("stage 2", self.stage2, "regressor")
 
 
-def compose_models(stage1: NetworkModel, stage2: NetworkModel) -> TwoStageModel:
-    return TwoStageModel(stage1=stage1, stage2=stage2)
-
-
 def compose(stage1_path: Union[str, Path], stage2_path: Union[str, Path]) -> TwoStageModel:
     """Load and validate the two stages from model files; a CompositionError
     names both files."""
     stage1, stage2 = load_model(stage1_path), load_model(stage2_path)
     try:
-        return compose_models(stage1, stage2)
+        return TwoStageModel(stage1, stage2)
     except CompositionError as exc:
         raise CompositionError(f"stage 1 {stage1_path}, stage 2 {stage2_path}: {exc}") from None
 
@@ -122,7 +118,7 @@ def two_stage_from_dict(doc: dict) -> TwoStageModel:
     check_format_version(doc.get("format_version"))
     stage1, stage2 = model_from_dict(doc["stage1"]), model_from_dict(doc["stage2"])
     try:
-        return compose_models(stage1, stage2)
+        return TwoStageModel(stage1, stage2)
     except CompositionError as exc:
         raise ModelFormatError(str(exc)) from exc
 
@@ -147,8 +143,8 @@ def _run_stages(model: TwoStageModel, features: np.ndarray) -> tuple[np.ndarray,
     (n, 1) on (n, 12) feature rows, the probabilities closing stage 2's aux
     vector. The only chaining of the two stages; nothing is checked, because
     TwoStageModel checked each stage's input widths when it was built."""
-    probs = run_layers(model.stage1, *stage_inputs(features, model.stage1.variant_id))
-    return probs, run_layers(model.stage2, *stage_inputs(features, model.stage2.variant_id, probs))
+    probs = run_layers(model.stage1, stage_inputs(features, model.stage1.variant_id))
+    return probs, run_layers(model.stage2, stage_inputs(features, model.stage2.variant_id, probs))
 
 
 def predict_arrays(

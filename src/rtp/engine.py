@@ -30,7 +30,7 @@ CCE_CLAMP = 1e-12
 
 
 class ShapeError(ValueError):
-    """Input vector does not match the model's declared input sizes."""
+    """Input matrix does not match the model's declared input sizes."""
 
 
 class ModelFormatError(ValueError):
@@ -190,15 +190,6 @@ def _activation_backward(da: np.ndarray, z: np.ndarray, a: np.ndarray, activatio
     raise ValueError("softmax gradient is fused with the cross-entropy loss")
 
 
-def _as_batch(x: np.ndarray, width: int, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[np.newaxis, :]
-    if arr.ndim != 2 or arr.shape[1] != width:
-        raise ShapeError(f"input '{name}' has shape {np.asarray(x).shape}, expected width {width}")
-    return arr
-
-
 def _forward_stack(layers: list[DenseLayer], a: np.ndarray, cache: list | None = None):
     """Run a layer stack; with a `cache` list, append each layer's (input, z, a).
 
@@ -217,44 +208,23 @@ def _forward_stack(layers: list[DenseLayer], a: np.ndarray, cache: list | None =
     return a
 
 
-def _check_inputs(model: NetworkModel, inputs: dict[str, np.ndarray]):
-    """Each branch's input as a matrix, in model.branches order, and the aux
-    matrix (None when the model takes none); ShapeError names an input that
-    is missing or has the wrong width or row count."""
-    branch_inputs: list[np.ndarray] = []
-    n = None
-    for name in model.branches:
-        if name not in inputs:
-            raise ShapeError(f"missing input for branch '{name}'")
-        a = _as_batch(inputs[name], model.branch_input_width(name), name)
-        if n is None:
-            n = a.shape[0]
-        elif a.shape[0] != n:
-            raise ShapeError(f"branch '{name}' batch size {a.shape[0]} != {n}")
-        branch_inputs.append(a)
-    aux = None
-    if model.aux_width > 0:
-        if "aux" not in inputs:
-            raise ShapeError("missing input 'aux'")
-        aux = _as_batch(inputs["aux"], model.aux_width, "aux")
-        if n is not None and aux.shape[0] != n:
-            raise ShapeError(f"aux batch size {aux.shape[0]} != {n}")
-    return branch_inputs, aux
+def _check_input(model: NetworkModel, x: np.ndarray) -> np.ndarray:
+    """`x` as a float64 matrix; ShapeError unless it is 2-D and as wide as
+    the model's branch inputs and aux input together."""
+    x = np.asarray(x, dtype=np.float64)
+    width = sum(map(model.branch_input_width, model.branches)) + model.aux_width
+    if x.ndim != 2 or x.shape[1] != width:
+        raise ShapeError(f"input has shape {x.shape}, expected (n, {width})")
+    return x
 
 
-def run_layers(
-    model: NetworkModel,
-    branch_inputs: list[np.ndarray],
-    aux: np.ndarray | None,
-    caches: list | None = None,
-) -> np.ndarray:
-    """Network output from each branch's input matrix, in model.branches
-    order, and the aux matrix (None when the model takes none).
+def run_layers(model: NetworkModel, x: np.ndarray, caches: list | None = None) -> np.ndarray:
+    """Network output from the input matrix `x`: each branch's columns side
+    by side in model.branches order, then the aux columns.
 
-    Nothing is checked: the matrices must have the widths the model takes
-    and one row count. With a `caches` list, appends one per-layer cache list
-    per branch, then one for the trunk; without, each layer's arrays are
-    freed as it is passed.
+    Nothing is checked: `x` must be 2-D and as wide as the model takes. With
+    a `caches` list, appends one per-layer cache list per branch, then one
+    for the trunk; without, each layer's arrays are freed as it is passed.
     """
 
     def run(layers: list[DenseLayer], a: np.ndarray) -> np.ndarray:
@@ -263,33 +233,29 @@ def run_layers(
         caches.append([])
         return _forward_stack(layers, a, caches[-1])
 
-    pieces = [run(layers, a) for layers, a in zip(model.branches.values(), branch_inputs)]
-    if aux is not None:
-        pieces.append(aux)
+    pieces = []
+    start = 0
+    for name, layers in model.branches.items():
+        stop = start + model.branch_input_width(name)
+        a = x[:, start:stop]
+        if layers:
+            # The columns are a strided view of x, and BLAS computes the
+            # weight gradient a.T @ dz of a strided `a` on another path that
+            # rounds differently; a packed copy keeps the bits of a packed input.
+            a = np.ascontiguousarray(a)
+        pieces.append(run(layers, a))
+        start = stop
+    if model.aux_width:
+        pieces.append(x[:, start:])
     merged = np.concatenate(pieces, axis=1) if len(pieces) > 1 else pieces[0]
     del pieces  # merged holds their values; free them before the trunk runs
     return run(model.trunk, merged)
 
 
-def _forward_cached(model: NetworkModel, inputs: dict[str, np.ndarray]):
-    """Forward pass keeping the (input, z, a) caches needed by backprop:
-    returns the output, the caches (one per branch, then the trunk's) and
-    each branch's output width."""
-    branch_inputs, aux = _check_inputs(model, inputs)
-    caches: list = []
-    out = run_layers(model, branch_inputs, aux, caches)
-    widths = [
-        layers[-1].n_out if layers else a.shape[1]
-        for layers, a in zip(model.branches.values(), branch_inputs)
-    ]
-    return out, caches, widths
-
-
-def forward(model: NetworkModel, inputs: dict[str, np.ndarray]) -> np.ndarray:
-    """Network output for a single sample (1-D inputs) or a batch (2-D)."""
-    single = all(np.asarray(v).ndim == 1 for v in inputs.values())
-    out = run_layers(model, *_check_inputs(model, inputs))
-    return out[0] if single else out
+def forward(model: NetworkModel, x: np.ndarray) -> np.ndarray:
+    """Network output (n, outputs) for an (n, k) input matrix, laid out as
+    run_layers takes it; ShapeError if `x` is not such a matrix."""
+    return run_layers(model, _check_input(model, x))
 
 
 def regularization_loss(model: NetworkModel) -> float:
@@ -335,31 +301,28 @@ def _backprop_stack(layers, cache, dz, grads, input_grad: bool = True):
 
 
 def backward_with_loss(
-    model: NetworkModel, inputs: dict[str, np.ndarray], target: np.ndarray, kind: str
+    model: NetworkModel, x: np.ndarray, target: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """Gradient of the total loss (data loss plus L1/L2 penalty) w.r.t.
-    model.params (same layout), and the data loss from the same forward pass.
+    """Gradient of the total loss (the model's data loss plus L1/L2 penalty)
+    w.r.t. model.params (same layout), and the data loss from the same
+    forward pass on the input matrix `x`.
 
     The returned vector is the only parameter-sized array a call allocates:
     each layer's gradient and penalty are written into their views of it.
     """
-    output, caches, branch_widths = _forward_cached(model, inputs)
+    caches: list = []
+    output = run_layers(model, _check_input(model, x), caches)
     trunk_cache = caches[-1]
     targ = np.atleast_2d(np.asarray(target, dtype=np.float64))
     if targ.shape != output.shape:
         raise ShapeError(f"target shape {targ.shape} != output shape {output.shape}")
 
-    head = model.trunk[-1]
-    if kind == LOSS_CCE:
-        if head.activation != "softmax":
-            raise ValueError("categorical cross-entropy requires a softmax head")
-        dz = (output - targ) / output.shape[0]
-    elif kind == LOSS_MAE:
+    if model.loss_kind == LOSS_CCE:
+        dz = (output - targ) / output.shape[0]  # softmax and cross-entropy, fused
+    else:
         da = np.sign(output - targ) / targ.size  # subgradient 0 at ties
         _, z, a = trunk_cache[-1]
-        dz = _activation_backward(da, z, a, head.activation)
-    else:
-        raise ValueError(f"unknown loss kind {kind!r}")
+        dz = _activation_backward(da, z, a, model.trunk[-1].activation)
 
     grad = np.empty_like(model.params)
     views = _views(model, grad)  # branch layers first, then the trunk
@@ -367,7 +330,8 @@ def backward_with_loss(
         model.trunk, trunk_cache, dz, views[-len(model.trunk) :], any(model.branches.values())
     )
     offset = 0
-    for layers, cache, width in zip(model.branches.values(), caches, branch_widths):
+    for (name, layers), cache in zip(model.branches.items(), caches):
+        width = layers[-1].n_out if layers else model.branch_input_width(name)
         if layers:
             _, z, a = cache[-1]
             da = d_merged[:, offset : offset + width]
@@ -375,7 +339,7 @@ def backward_with_loss(
             _backprop_stack(layers, cache, dz, views[: len(layers)], input_grad=False)
         del views[: len(layers)]
         offset += width
-    return grad, data_loss(output, targ, kind)
+    return grad, data_loss(output, targ, model.loss_kind)
 
 
 def clone_model(model: NetworkModel) -> NetworkModel:

@@ -110,35 +110,21 @@ def pair_for_regressor(regressor_id: str) -> str:
 
 def stage_inputs(
     features: np.ndarray, variant_id: str, class_probs: np.ndarray | None = None
-) -> tuple[list[np.ndarray], np.ndarray | None]:
-    """A variant's input matrices, picked from (n, 12) feature rows: each
-    branch's, in branch_widths order, and the aux matrix (None when the
-    variant takes none).
+) -> np.ndarray:
+    """A variant's input matrix, picked from (n, 12) feature rows: each
+    branch's columns, in branch_widths order, then the aux columns.
 
     Regressor variants require `class_probs`, the (n, 5) stage-1 output,
-    which closes the aux matrix.
+    which closes the aux columns.
     """
     spec = variant_spec(variant_id)
     branches, aux_columns = input_columns(spec.layout)
-    aux = features[:, aux_columns]
+    x = features[:, np.concatenate([*branches.values(), aux_columns])]
     if spec.task == "regressor":
         if class_probs is None:
             raise ValueError(f"regressor {variant_id!r} needs stage-1 class probabilities")
-        aux = np.concatenate([aux, class_probs], axis=1)
-    return [features[:, columns] for columns in branches.values()], aux if aux.size else None
-
-
-def model_inputs(
-    table: EncodedTable,
-    variant_id: str,
-    class_probs: np.ndarray | None = None,
-) -> dict[str, np.ndarray]:
-    """stage_inputs of an encoded table, by input name, as forward and train take them."""
-    branch_inputs, aux = stage_inputs(table.features, variant_id, class_probs)
-    inputs = dict(zip(input_columns(variant_spec(variant_id).layout)[0], branch_inputs))
-    if aux is not None:
-        inputs["aux"] = aux
-    return inputs
+        x = np.concatenate([x, class_probs], axis=1)
+    return x
 
 
 def training_targets(table: EncodedTable, variant_id: str) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import seeds
 from .augment import PerturbationPolicy, over_sample
-from .compose import compose_models, evaluate_two_stage, save_two_stage
+from .compose import TwoStageModel, evaluate_two_stage, save_two_stage
 from .domain import (
     DEFAULT_CONFIGS,
     check_settings,
@@ -24,7 +24,7 @@ from .domain import (
     is_nonnegative_integer,
     is_number,
 )
-from .engine import forward, save_model
+from .engine import run_layers, save_model
 from .evaluate import class_metrics, confusion
 from .ingest import CorpusSpec, ObservationTable, synthesize_corpus, write_observations
 from .model_zoo import (
@@ -32,8 +32,8 @@ from .model_zoo import (
     REGRESSOR_IDS,
     build_variant,
     default_training_config,
-    model_inputs,
     pair_for_regressor,
+    stage_inputs,
     training_targets,
     variant_spec,
 )
@@ -141,14 +141,18 @@ def fit_variant(variant_id: str, table, seed: int, overrides: dict, class_probs=
     """
     model = build_variant(variant_id, seeds.subseed(seed, f"init/{variant_id}"))
     config = training_config(variant_id, seeds.subseed(seed, f"train/{variant_id}"), overrides)
-    inputs = model_inputs(table, variant_id, class_probs=class_probs)
-    return train(model, inputs, training_targets(table, variant_id), config)
+    x = stage_inputs(table.features, variant_id, class_probs)
+    return train(model, x, training_targets(table, variant_id), config)
 
 
 def score_classifier(model, table):
     """A classifier's outputs on a table, its predicted classes, the confusion
-    matrix against the table's classes, and the metrics of that matrix."""
-    out = forward(model, model_inputs(table, model.variant_id))
+    matrix against the table's classes, and the metrics of that matrix.
+
+    The model must take its variant's inputs, as build_variant's do and as
+    compose.check_stage makes sure of for a model read from a file.
+    """
+    out = run_layers(model, stage_inputs(table.features, model.variant_id))
     predicted = np.argmax(out, axis=1)
     cm = confusion(table.class_index, predicted)
     return out, predicted, cm, class_metrics(cm)
@@ -250,9 +254,10 @@ def run_pipeline(config: PipelineConfig) -> dict:
     regressor_models = {}
     for vid in config.regressor_ids:
         cid = pair_for_regressor(vid)
-        train_probs = forward(classifier_models[cid], model_inputs(encoded_train, cid))
+        x = stage_inputs(encoded_train.features, cid)
+        train_probs = run_layers(classifier_models[cid], x)
         model, summary = _train_variant(vid, encoded_train, config, train_probs)
-        pair = compose_models(classifier_models[cid], model)
+        pair = TwoStageModel(classifier_models[cid], model)
         scores = evaluate_two_stage(pair, encoded_test)
         summary["regression"] = scores.regression.to_dict()
         summary["paired_classifier"] = cid
@@ -263,7 +268,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     # Stage 7: compose the selected pair and sanity-run it on the test set.
     stage1_id, stage2_id = config.compose_pair
     if stage1_id in classifier_models and stage2_id in regressor_models:
-        two_stage = compose_models(classifier_models[stage1_id], regressor_models[stage2_id])
+        two_stage = TwoStageModel(classifier_models[stage1_id], regressor_models[stage2_id])
         save_two_stage(two_stage, out_dir / "twostage.json")
         scores = evaluate_two_stage(two_stage, encoded_test)
         report["composed"] = {

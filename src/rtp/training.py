@@ -148,16 +148,12 @@ def _make_optimizer(config: TrainingConfig):
     return Adam(config.learning_rate, config.adam_betas, config.adam_eps)
 
 
-def _subset(inputs: dict[str, np.ndarray], idx: np.ndarray) -> dict[str, np.ndarray]:
-    return {name: arr[idx] for name, arr in inputs.items()}
-
-
 def accuracy(predictions: np.ndarray, targets: np.ndarray) -> float:
     return float(np.mean(np.argmax(predictions, axis=1) == np.argmax(targets, axis=1)))
 
 
-def _evaluate_metrics(model: NetworkModel, inputs, targets) -> dict[str, float]:
-    out = forward(model, inputs)
+def _evaluate_metrics(model: NetworkModel, x, targets) -> dict[str, float]:
+    out = forward(model, x)
     metrics = {
         "loss": data_loss(out, targets, model.loss_kind) + regularization_loss(model),
     }
@@ -169,24 +165,19 @@ def _evaluate_metrics(model: NetworkModel, inputs, targets) -> dict[str, float]:
     return metrics
 
 
-def _train_epoch(model, optimizer, inputs, targets, rows, batch_size: int, epoch: int) -> float:
+def _train_epoch(model, optimizer, x, targets, rows, batch_size: int, epoch: int) -> float:
     """One optimizer step per minibatch of `rows`, in order; the mean batch loss.
 
     The rows are gathered once, so each batch is a slice of them; the copy
     lives only for the epoch.
     """
-    epoch_inputs = _subset(inputs, rows)
+    epoch_x = x[rows]
     epoch_targets = targets[rows]
     total = 0.0
     for batch_no, start in enumerate(range(0, rows.size, batch_size), start=1):
         stop = start + batch_size
         batch_targets = epoch_targets[start:stop]
-        grad, batch_loss = backward_with_loss(
-            model,
-            {name: arr[start:stop] for name, arr in epoch_inputs.items()},
-            batch_targets,
-            model.loss_kind,
-        )
+        grad, batch_loss = backward_with_loss(model, epoch_x[start:stop], batch_targets)
         if not math.isfinite(batch_loss):
             raise DivergenceError(epoch, batch_no)
         total += batch_loss * len(batch_targets)
@@ -196,11 +187,12 @@ def _train_epoch(model, optimizer, inputs, targets, rows, batch_size: int, epoch
 
 def train(
     model: NetworkModel,
-    inputs: dict[str, np.ndarray],
+    x: np.ndarray,
     targets: np.ndarray,
     config: TrainingConfig,
 ) -> tuple[NetworkModel, TrainingHistory]:
-    """Train a copy of the model; returns (trained model, history).
+    """Train a copy of the model on the input matrix `x` (as forward takes
+    it) and its target rows; returns (trained model, history).
 
     A seeded check split of `check_fraction` is evaluated each epoch; training
     stops once the monitored metric fails to improve by at least
@@ -220,7 +212,7 @@ def train(
         raise ValueError("check split leaves no training samples")
     val_idx, train_idx = perm[:n_val], perm[n_val:]
 
-    val_inputs = _subset(inputs, val_idx)
+    val_x = x[val_idx]
     val_targets = targets[val_idx]
     n_train = train_idx.size
 
@@ -235,10 +227,10 @@ def train(
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(n_train) if config.shuffle_each_epoch else np.arange(n_train)
         epoch_loss = _train_epoch(
-            model, optimizer, inputs, targets, train_idx[order], config.batch_size, epoch
+            model, optimizer, x, targets, train_idx[order], config.batch_size, epoch
         )
 
-        val_metrics = _evaluate_metrics(model, val_inputs, val_targets)
+        val_metrics = _evaluate_metrics(model, val_x, val_targets)
         record = {"epoch": epoch, "train_batch_loss": epoch_loss}
         record.update({f"val_{k}": v for k, v in val_metrics.items()})
         history.records.append(record)

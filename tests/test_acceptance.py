@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from rtp.augment import over_sample
-from rtp.compose import compose_models, predict_batch
+from rtp.compose import TwoStageModel, predict_batch
 from rtp.domain import (
     DEFAULT_CONFIGS,
     FULL_POWER_W,
@@ -40,7 +40,7 @@ from rtp.ingest import (
     row_to_observation,
     synthesize_corpus,
 )
-from rtp.model_zoo import build_variant, model_inputs
+from rtp.model_zoo import build_variant, stage_inputs
 from rtp.pipeline import PipelineConfig, run_pipeline
 from rtp.preprocess import (
     classify_power,
@@ -115,18 +115,17 @@ def test_criterion_01_gradient_correctness():
         for _ in range(100):
             if kind == LOSS_CCE:
                 model = _random_classifier(rng)
-                inputs = {
-                    "initial": rng.normal(size=(2, 2)),
-                    "final": rng.normal(size=(2, 1)),
-                    "aux": rng.choice([-1.0, 1.0], size=(2, 1)),
-                }
+                initial = rng.normal(size=(2, 2))
+                final = rng.normal(size=(2, 1))
+                inputs = np.hstack([initial, final, rng.choice([-1.0, 1.0], size=(2, 1))])
                 target = np.zeros((2, 5))
                 target[np.arange(2), rng.integers(0, 5, size=2)] = 1.0
             else:
                 model = _random_regressor(rng)
-                inputs = {"main": rng.normal(size=(2, 4)), "aux": rng.random(size=(2, 5))}
+                main = rng.normal(size=(2, 4))
+                inputs = np.hstack([main, rng.random(size=(2, 5))])
                 target = rng.random(size=(2, 1))
-            analytic, _ = backward_with_loss(model, inputs, target, kind)
+            analytic, _ = backward_with_loss(model, inputs, target)
             numeric = _finite_difference_grads(model, inputs, target, kind)
             np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-7)
     elapsed = time.monotonic() - started
@@ -270,14 +269,14 @@ def test_criterion_08_composition_exactness(pipeline_run):
     _, out_dir, _ = pipeline_run
     stage1 = load_model(out_dir / "model_a1.json")
     stage2 = load_model(out_dir / "model_b2.json")
-    composed = compose_models(stage1, stage2)
+    composed = TwoStageModel(stage1, stage2)
 
     observations = read_observations(out_dir / "corpus.csv").take(slice(100))
     table = encode_table(observations, DEFAULT_CONFIGS)
 
     joint = predict_batch(composed, table, table)
-    probs = np.atleast_2d(forward(stage1, model_inputs(table, "a1")))
-    norm = np.atleast_2d(forward(stage2, model_inputs(table, "b2", class_probs=probs)))
+    probs = np.atleast_2d(forward(stage1, stage_inputs(table.features, "a1")))
+    norm = np.atleast_2d(forward(stage2, stage_inputs(table.features, "b2", probs)))
     for i, p in enumerate(joint):
         assert p.class_probs == tuple(float(v) for v in probs[i])  # bitwise
         assert p.power_norm == float(norm[i, 0])  # bitwise
@@ -291,11 +290,9 @@ def test_criterion_09_early_stopping():
     rng = np.random.default_rng(909)
     n = 120
     labels = rng.integers(0, 5, size=n)
-    inputs = {
-        "initial": rng.random(size=(n, 2)),
-        "final": rng.random(size=(n, 1)),
-        "aux": rng.choice([-1.0, 1.0], size=(n, 1)),
-    }
+    initial = rng.random(size=(n, 2))
+    final = rng.random(size=(n, 1))
+    inputs = np.hstack([initial, final, rng.choice([-1.0, 1.0], size=(n, 1))])
     targets = np.zeros((n, 5))
     targets[np.arange(n), labels] = 1.0
 
@@ -314,7 +311,7 @@ def test_criterion_09_early_stopping():
     perm = split_rng.permutation(n)
     n_val = max(1, round(config.check_fraction * n))
     val_idx = perm[:n_val]
-    val_out = np.atleast_2d(forward(trained, {k: v[val_idx] for k, v in inputs.items()}))
+    val_out = np.atleast_2d(forward(trained, inputs[val_idx]))
     assert accuracy(val_out, targets[val_idx]) == best["val_accuracy"]  # exact
     print(
         f"criterion 9 PASS: stopped at epoch {history.n_epochs} "

@@ -1,12 +1,14 @@
-"""The calls the benchmark (perfbench/workloads.py) makes into rtp, run on a
-small a1+b2 model: its reference answers, its online caller and its
-rtp predict call must agree row for row."""
+"""The calls the benchmark (perfbench/workloads.py) makes into rtp: on a
+small a1+b2 model its reference answers, its online caller and its rtp
+predict call must agree row for row, and its training clock must time every
+train call of a pipeline run."""
 
 import sys
 from pathlib import Path
 
 import pytest
 
+from rtp import pipeline, training
 from rtp.compose import load_two_stage
 from rtp.pipeline import PipelineConfig, run_pipeline
 
@@ -45,3 +47,21 @@ def test_benchmark_calls_agree(served, tmp_path):
     problems = workloads.answer_problems(by_cli, want, "rtp predict")
     problems += workloads.answer_problems(online, want, "online calls")
     assert problems == []
+
+
+def test_train_clock_times_every_train_call(tmp_path, monkeypatch):
+    # TrainClock replaces both names for good; monkeypatch puts them back.
+    monkeypatch.setattr(pipeline, "train", pipeline.train)
+    monkeypatch.setattr(training, "backward_with_loss", training.backward_with_loss)
+    clock = workloads.TrainClock()
+    config = PipelineConfig(
+        out_dir=tmp_path, corpus_n=300, augment_n=50, training_overrides={"max_epochs": 2}
+    )
+    run_pipeline(config)
+
+    variants = [*config.classifier_ids, *config.regressor_ids]
+    assert [vid for vid, _, _ in clock.calls] == variants
+    assert all(seconds > 0 and rows > 0 for _, seconds, rows in clock.calls)
+    # Every epoch but a call's last is timed, so two epochs give one row each.
+    assert sorted(vid for vid, _, _ in clock.epochs) == sorted(variants)
+    assert all(seconds > 0 and rows > 0 for _, seconds, rows in clock.epochs)

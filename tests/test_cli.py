@@ -16,7 +16,7 @@ from rtp.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from rtp.domain import DEFAULT_CONFIGS, config_for_date
 from rtp.engine import forward, save_model
 from rtp.ingest import ObservationTable, read_log, read_observations, row_to_observation
-from rtp.model_zoo import build_variant, model_inputs, pair_for_regressor
+from rtp.model_zoo import build_variant, pair_for_regressor, stage_inputs
 from rtp.pipeline import PipelineConfig, run_pipeline
 from rtp.preprocess import (
     LAYOUTS,
@@ -188,7 +188,7 @@ class TestArtifacts:
                     scores.predicted_classes.tolist(), scores.regression.abs_errors.tolist(),
                 ))
             else:
-                out = forward(loaded, model_inputs(table, "a1"))
+                out = forward(loaded, stage_inputs(table.features, "a1"))
                 writer.writerow(["row", "true_class", "predicted_class"])
                 writer.writerows(zip(
                     range(1, len(observations) + 1), table.class_index.tolist(),
@@ -218,9 +218,9 @@ class TestArtifacts:
         calls = []
         original = compose.run_layers
 
-        def counting_run_layers(model, branch_inputs, aux):
-            calls.append(len(branch_inputs[0]))
-            return original(model, branch_inputs, aux)
+        def counting_run_layers(model, x):
+            calls.append(len(x))
+            return original(model, x)
 
         monkeypatch.setattr(compose, "run_layers", counting_run_layers)
         code = main(
@@ -659,6 +659,39 @@ class TestExitCodes:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("flag", ["--stage1-model", "--stage1-data"])
+    def test_classifier_with_a_stage1_flag_is_usage_error(self, workdir, tmp_path, capsys, flag):
+        out = tmp_path / "model.json"
+        code = main([
+            "train", "--variant", "a1", "--data", str(workdir / "enc_a1.jsonl"),
+            flag, str(tmp_path / "nonexistent"), "--out", str(out),
+        ])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"usage error: variant a1 is a classifier; {flag} is for regressors\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "relabel, message",
+        [
+            ("zz", "model has no recognized variant id"),
+            ("c1", "model (c1) aux width 1 != expected 0"),
+        ],
+    )
+    def test_evaluate_refuses_a_classifier_of_other_widths(
+        self, workdir, tmp_path, capsys, relabel, message
+    ):
+        model = build_variant("a1", seed=0)
+        model.variant_id = relabel
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        report = tmp_path / "report.json"
+        code = main(["evaluate", "--model", str(path), "--data", str(workdir / "corpus.csv"),
+                     "--out", str(report)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"error: model file {path}: {message}\n"
+        assert not report.exists()
 
     def test_train_on_record_without_field_names_file_and_line(self, workdir, tmp_path, capsys):
         lines = (workdir / "enc_a1.jsonl").read_text().splitlines()

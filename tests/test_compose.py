@@ -8,8 +8,8 @@ import pytest
 
 from rtp.compose import (
     CompositionError,
+    TwoStageModel,
     compose,
-    compose_models,
     load_two_stage,
     predict,
     predict_batch,
@@ -18,7 +18,7 @@ from rtp.compose import (
 from rtp.domain import DEFAULT_CONFIGS, ReactorState, TransientObservation, config_for_date
 from rtp.engine import ModelFormatError, forward, save_model
 from rtp.ingest import CorpusSpec, ObservationTable, row_to_observation, synthesize_corpus
-from rtp.model_zoo import CLASSIFIER_IDS, REGRESSOR_IDS, build_variant, model_inputs
+from rtp.model_zoo import CLASSIFIER_IDS, REGRESSOR_IDS, build_variant, stage_inputs
 from rtp.preprocess import LAYOUTS, denormalize_power, encode_dataset, encode_table
 
 
@@ -57,25 +57,25 @@ def stages():
 
 class TestComposition:
     def test_compose_valid_pair(self, stages):
-        model = compose_models(*stages)
+        model = TwoStageModel(*stages)
         assert model.stage1.variant_id == "a1"
         assert model.stage2.variant_id == "b2"
 
     def test_stage1_must_be_classifier(self, stages):
         classifier, regressor = stages
         with pytest.raises(CompositionError):
-            compose_models(regressor, regressor)
+            TwoStageModel(regressor, regressor)
 
     def test_stage2_must_be_regressor(self, stages):
         classifier, _ = stages
         with pytest.raises(CompositionError):
-            compose_models(classifier, classifier)
+            TwoStageModel(classifier, classifier)
 
     def test_unknown_variant_rejected(self, stages):
         classifier, regressor = stages
         classifier.variant_id = None
         with pytest.raises(CompositionError):
-            compose_models(classifier, regressor)
+            TwoStageModel(classifier, regressor)
 
     def test_stage_must_take_its_layout_widths(self, stages):
         classifier, _ = stages
@@ -83,28 +83,28 @@ class TestComposition:
         regressor.variant_id = "b2"  # a2 reads rod heights, b2 reactivities
         message = r"^stage 2 \(b2\) branch 'initial' takes 5 inputs, the b2 layout gives 2$"
         with pytest.raises(CompositionError, match=message):
-            compose_models(classifier, regressor)
+            TwoStageModel(classifier, regressor)
 
     def test_stage_must_take_its_layout_aux(self, stages):
         _, regressor = stages
         classifier = build_variant("a1", seed=1)
         classifier.variant_id = "c1"  # c1 has no direction input
         with pytest.raises(CompositionError, match=r"^stage 1 \(c1\) aux width 1 != expected 0$"):
-            compose_models(classifier, regressor)
+            TwoStageModel(classifier, regressor)
 
 
 class TestPredictBatch:
     def test_matches_manual_chain_bitwise(self, stages):
         classifier, regressor = stages
-        model = compose_models(classifier, regressor)
+        model = TwoStageModel(classifier, regressor)
         obs = observations()
         s1 = encode_dataset(obs, LAYOUTS["a1"], DEFAULT_CONFIGS)
         s2 = encode_dataset(obs, LAYOUTS["b2"], DEFAULT_CONFIGS)
 
         joint = predict_batch(model, s1, s2)
 
-        probs = np.atleast_2d(forward(classifier, model_inputs(s1, "a1")))
-        norm = np.atleast_2d(forward(regressor, model_inputs(s2, "b2", class_probs=probs)))
+        probs = np.atleast_2d(forward(classifier, stage_inputs(s1.features, "a1")))
+        norm = np.atleast_2d(forward(regressor, stage_inputs(s2.features, "b2", probs)))
         for i, p in enumerate(joint):
             assert p.class_probs == tuple(float(v) for v in probs[i])
             assert p.predicted_class == int(np.argmax(probs[i]))
@@ -112,7 +112,7 @@ class TestPredictBatch:
             assert p.power_watts == denormalize_power(float(norm[i, 0]))
 
     def test_misaligned_samples(self, stages):
-        model = compose_models(*stages)
+        model = TwoStageModel(*stages)
         obs = observations()
         s1 = encode_dataset(obs, LAYOUTS["a1"], DEFAULT_CONFIGS)
         s2 = encode_dataset(obs[:-1], LAYOUTS["b2"], DEFAULT_CONFIGS)
@@ -123,7 +123,7 @@ class TestPredictBatch:
         """predict on one observation is predict_batch on its one-row table,
         for every classifier and regressor pair."""
         for cid, rid in itertools.product(CLASSIFIER_IDS, REGRESSOR_IDS):
-            model = compose_models(build_variant(cid, seed=1), build_variant(rid, seed=2))
+            model = TwoStageModel(build_variant(cid, seed=1), build_variant(rid, seed=2))
             for obs in corpus_observations:
                 table = encode_table(ObservationTable.from_observations([obs]))
                 single = predict(model, obs, config_for_date(obs.date))
@@ -132,7 +132,7 @@ class TestPredictBatch:
 
 class TestSerialization:
     def test_save_load_round_trip(self, stages, tmp_path):
-        model = compose_models(*stages)
+        model = TwoStageModel(*stages)
         path = tmp_path / "twostage.json"
         save_two_stage(model, path)
         loaded = load_two_stage(path)
@@ -166,7 +166,7 @@ class TestSerialization:
 
 class TestAioPair:
     def test_aio_composition(self):
-        model = compose_models(build_variant("f1", seed=0), build_variant("c2", seed=0))
+        model = TwoStageModel(build_variant("f1", seed=0), build_variant("c2", seed=0))
         obs = observations(n=4)
         s1 = encode_dataset(obs, LAYOUTS["f1"], DEFAULT_CONFIGS)
         s2 = encode_dataset(obs, LAYOUTS["c2"], DEFAULT_CONFIGS)

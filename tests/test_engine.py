@@ -19,7 +19,6 @@ from rtp.engine import (
     ModelFormatError,
     NetworkModel,
     ShapeError,
-    _forward_cached,
     _views,
     backward_with_loss,
     clone_model,
@@ -30,6 +29,7 @@ from rtp.engine import (
     model_from_dict,
     model_to_dict,
     regularization_loss,
+    run_layers,
     save_model,
 )
 from rtp.model_zoo import build_variant
@@ -58,11 +58,16 @@ def build_regressor(rng, n_main=4, aux=5, hidden=6):
 
 
 def classifier_inputs(rng, n):
-    return {
-        "initial": rng.normal(size=(n, 2)),
-        "final": rng.normal(size=(n, 1)),
-        "aux": rng.choice([-1.0, 1.0], size=(n, 1)),
-    }
+    """build_classifier's input matrix: initial (2), final (1), then aux (1) columns."""
+    initial = rng.normal(size=(n, 2))
+    final = rng.normal(size=(n, 1))
+    return np.hstack([initial, final, rng.choice([-1.0, 1.0], size=(n, 1))])
+
+
+def regressor_inputs(rng, n):
+    """build_regressor's input matrix: main (4), then aux (5) columns."""
+    main = rng.normal(size=(n, 4))
+    return np.hstack([main, rng.random(size=(n, 5))])
 
 
 def total_loss(model, inputs, target, kind):
@@ -91,13 +96,21 @@ class TestForward:
         rng = np.random.default_rng(23)
         for model, inputs in (
             (build_classifier(rng, hidden=64), classifier_inputs(rng, 257)),
-            (
-                build_regressor(rng, hidden=64),
-                {"main": rng.normal(size=(257, 4)), "aux": rng.random(size=(257, 5))},
-            ),
+            (build_regressor(rng, hidden=64), regressor_inputs(rng, 257)),
         ):
-            cached, _, _ = _forward_cached(model, inputs)
+            cached = run_layers(model, inputs, caches=[])
             assert forward(model, inputs).tobytes() == cached.tobytes()
+
+    def test_branch_layers_read_packed_columns(self):
+        # A branch's columns are a strided view of the input matrix; BLAS
+        # rounds a.T @ dz differently on a strided `a`, so each branch with
+        # layers must read a packed copy for training to keep its bits.
+        rng = np.random.default_rng(35)
+        model = build_classifier(rng)
+        caches = []
+        run_layers(model, classifier_inputs(rng, 9), caches)
+        for cache in caches[:-1]:
+            assert cache[0][0].flags.c_contiguous
 
     def test_hand_oracle_single_branch(self):
         # One relu layer plus a sigmoid head, checked against plain numpy.
@@ -111,10 +124,10 @@ class TestForward:
             trunk=[DenseLayer(w2, b2, "sigmoid")],
             head=HEAD_SIGMOID,
         )
-        x = np.array([0.4, -0.7])
+        x = np.array([[0.4, -0.7]])
         hidden = np.maximum(x @ w1 + b1, 0.0)
         expected = 1.0 / (1.0 + np.exp(-(hidden @ w2 + b2)))
-        np.testing.assert_allclose(forward(model, {"main": x}), expected, atol=1e-15)
+        np.testing.assert_allclose(forward(model, x), expected, atol=1e-15)
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
@@ -124,22 +137,19 @@ class TestForward:
         np.testing.assert_allclose(out.sum(axis=1), np.ones(8), atol=1e-12)
         assert np.all(out > 0.0)
 
-    def test_single_sample_returns_vector(self):
+    def test_one_row_returns_one_row(self):
         rng = np.random.default_rng(1)
         model = build_classifier(rng)
-        out = forward(
-            model,
-            {"initial": np.zeros(2), "final": np.zeros(1), "aux": np.ones(1)},
-        )
-        assert out.shape == (5,)
+        out = forward(model, np.array([[0.0, 0.0, 0.0, 1.0]]))
+        assert out.shape == (1, 5)
 
     def test_batch_matches_per_sample(self):
         rng = np.random.default_rng(2)
         model = build_regressor(rng)
-        inputs = {"main": rng.normal(size=(5, 4)), "aux": rng.random(size=(5, 5))}
+        inputs = regressor_inputs(rng, 5)
         batch = forward(model, inputs)
         for i in range(5):
-            row = forward(model, {k: v[i] for k, v in inputs.items()})
+            row = forward(model, inputs[i : i + 1])[0]
             # BLAS may pick different kernels for 1-row and n-row products,
             # so agreement is to rounding, not bitwise.
             np.testing.assert_allclose(batch[i], row, rtol=1e-12, atol=1e-15)
@@ -148,14 +158,19 @@ class TestForward:
         rng = np.random.default_rng(3)
         model = build_classifier(rng)
         good = classifier_inputs(rng, 4)
+        with pytest.raises(ShapeError, match=r"\(4, 5\), expected \(n, 4\)"):
+            forward(model, np.hstack([good, np.zeros((4, 1))]))  # one column too many
         with pytest.raises(ShapeError):
-            forward(model, {**good, "initial": np.zeros((4, 3))})
+            forward(model, good[:, :3])  # the aux column missing
         with pytest.raises(ShapeError):
-            forward(model, {k: v for k, v in good.items() if k != "final"})
+            forward(model, good[0])  # one 1-D row
         with pytest.raises(ShapeError):
-            forward(model, {k: v for k, v in good.items() if k != "aux"})
+            forward(model, good[np.newaxis])  # 3-D
+        target = np.eye(5)[[0, 1, 2, 3]]
         with pytest.raises(ShapeError):
-            forward(model, {**good, "aux": np.ones((3, 1))})  # batch mismatch
+            backward_with_loss(model, good[:, :3], target)
+        with pytest.raises(ShapeError, match="target shape"):
+            backward_with_loss(model, good, target[:3])
 
 
 class TestLoss:
@@ -207,9 +222,10 @@ class TestBackward:
                 target[np.arange(3), rng.integers(0, 5, size=3)] = 1.0
             else:
                 model = build_regressor(rng, hidden=4)
-                inputs = {"main": rng.normal(size=(3, 4)), "aux": rng.random(size=(3, 5))}
+                inputs = regressor_inputs(rng, 3)
                 target = rng.random(size=(3, 1))
-            analytic, _ = backward_with_loss(model, inputs, target, kind)
+            assert model.loss_kind == kind
+            analytic, _ = backward_with_loss(model, inputs, target)
             numeric = numeric_gradients(model, inputs, target, kind)
             np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-7)
 
@@ -221,7 +237,7 @@ class TestBackward:
         inputs = classifier_inputs(rng, 6)
         target = np.zeros((6, 5))
         target[np.arange(6), rng.integers(0, 5, size=6)] = 1.0
-        _, loss = backward_with_loss(model, inputs, target, LOSS_CCE)
+        _, loss = backward_with_loss(model, inputs, target)
         direct = data_loss(np.atleast_2d(forward(model, inputs)), target, LOSS_CCE)
         assert loss == direct
         assert regularization_loss(model) > 0.0
@@ -232,7 +248,7 @@ class TestBackward:
         inputs = classifier_inputs(rng, 2)
         target = np.zeros((2, 5))
         target[:, 0] = 1.0
-        grad, _ = backward_with_loss(model, inputs, target, LOSS_CCE)
+        grad, _ = backward_with_loss(model, inputs, target)
         n_params = sum(layer.weights.size + layer.biases.size for layer in model.all_layers())
         assert grad.shape == model.params.shape == (n_params,)
 
@@ -269,12 +285,13 @@ class TestPenaltyGradient:
             target = np.eye(5)[rng.integers(0, 5, size=7)]
         else:
             data_model = with_penalty(build_regressor(rng, hidden=8), 0.0, 0.0)
-            inputs = {"main": rng.normal(size=(7, 4)), "aux": rng.random(size=(7, 5))}
+            inputs = regressor_inputs(rng, 7)
             target = rng.random(size=(7, 1))
         data_model.params[...] = rng.normal(scale=0.5, size=data_model.params.size)  # biases too
         model = with_penalty(data_model, 3e-3, 7e-3)
-        data, _ = backward_with_loss(data_model, inputs, target, kind)
-        grad, _ = backward_with_loss(model, inputs, target, kind)
+        assert model.loss_kind == kind
+        data, _ = backward_with_loss(data_model, inputs, target)
+        grad, _ = backward_with_loss(model, inputs, target)
         expected = data + model.l1 * np.sign(model.params)
         expected += 2.0 * model.l2 * model.params
         np.testing.assert_array_equal(grad, expected)
@@ -290,10 +307,10 @@ class TestStepAllocation:
         # The returned gradient is the only parameter-sized array a step makes.
         model = build_variant("a1", seed=0)
         rng = np.random.default_rng(31)
-        inputs = {"initial": rng.random((1, 2)), "final": rng.random((1, 1)), "aux": np.ones((1, 1))}
+        inputs = np.hstack([rng.random((1, 2)), rng.random((1, 1)), np.ones((1, 1))])
         target = np.eye(5)[[2]]
-        backward_with_loss(model, inputs, target, LOSS_CCE)
-        peak = traced_peak(lambda: backward_with_loss(model, inputs, target, LOSS_CCE))
+        backward_with_loss(model, inputs, target)
+        peak = traced_peak(lambda: backward_with_loss(model, inputs, target))
         assert peak < 2 * model.params.nbytes
 
 
@@ -363,11 +380,11 @@ class TestSnapshot:
         rng = np.random.default_rng(20)
         model = build_regressor(rng)
         snap = model.params.copy()
-        original = forward(model, {"main": np.ones(4), "aux": np.ones(5)})
+        original = forward(model, np.ones((1, 9)))
         for layer in model.all_layers():
             layer.weights += 1.0
         model.params[...] = snap
-        after = forward(model, {"main": np.ones(4), "aux": np.ones(5)})
+        after = forward(model, np.ones((1, 9)))
         np.testing.assert_array_equal(original, after)
 
     def test_clone_is_independent(self):
@@ -411,10 +428,10 @@ class TestParamsLayout:
     def test_write_through_layer_shows_in_forward(self):
         rng = np.random.default_rng(28)
         model = build_regressor(rng)
-        inputs = {"main": np.ones(4), "aux": np.ones(5)}
+        inputs = np.ones((1, 9))
         before = forward(model, inputs)
         model.trunk[-1].biases += 1.0
-        assert forward(model, inputs)[0] > before[0]
+        assert forward(model, inputs)[0, 0] > before[0, 0]
         model.params[-1] -= 1.0
         np.testing.assert_array_equal(forward(model, inputs), before)
 

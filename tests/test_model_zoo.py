@@ -15,8 +15,8 @@ from rtp.model_zoo import (
     branch_widths,
     build_variant,
     default_training_config,
-    model_inputs,
     pair_for_regressor,
+    stage_inputs,
     training_targets,
     variant_spec,
 )
@@ -128,34 +128,36 @@ class TestPairing:
 class TestModelInputs:
     def test_classifier_shapes(self):
         samples = sample_batch("a1")
-        inputs = model_inputs(samples, "a1")
-        assert inputs["initial"].shape == (6, 2)
-        assert inputs["final"].shape == (6, 1)
-        assert inputs["aux"].shape == (6, 1)
+        x = stage_inputs(samples.features, "a1")
+        # initial (2), final (1), then aux (1) columns.
+        assert x.shape == (6, 4)
+        np.testing.assert_array_equal(x[:, 3], samples.features[:, 11])  # direction
 
     def test_no_aux_for_directionless(self):
-        inputs = model_inputs(sample_batch("c1"), "c1")
-        assert "aux" not in inputs
+        x = stage_inputs(sample_batch("c1").features, "c1")
+        assert aux_width("c1") == 0
+        assert x.shape[1] == sum(branch_widths(LAYOUTS["c1"]).values())
 
     def test_regressor_requires_probs(self):
         samples = sample_batch("b2")
         with pytest.raises(ValueError):
-            model_inputs(samples, "b2")
+            stage_inputs(samples.features, "b2")
         probs = np.full((6, 5), 0.2)
-        inputs = model_inputs(samples, "b2", class_probs=probs)
-        assert inputs["aux"].shape == (6, 6)
+        x = stage_inputs(samples.features, "b2", class_probs=probs)
+        aux = x[:, sum(branch_widths(LAYOUTS["b2"]).values()) :]
+        assert aux.shape == (6, 6)
         # Direction first, then the five probabilities.
-        np.testing.assert_array_equal(inputs["aux"][:, 1:], probs)
+        np.testing.assert_array_equal(aux[:, 1:], probs)
 
     def test_inputs_feed_forward(self):
         for vid in CLASSIFIER_IDS:
             model = build_variant(vid, seed=0)
-            out = forward(model, model_inputs(sample_batch(vid), vid))
+            out = forward(model, stage_inputs(sample_batch(vid).features, vid))
             assert out.shape == (6, 5)
         probs = np.full((6, 5), 0.2)
         for vid in REGRESSOR_IDS:
             model = build_variant(vid, seed=0)
-            out = forward(model, model_inputs(sample_batch(vid), vid, class_probs=probs))
+            out = forward(model, stage_inputs(sample_batch(vid).features, vid, class_probs=probs))
             assert out.shape == (6, 1)
 
 

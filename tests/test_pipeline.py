@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rtp import pipeline, seeds
-from rtp.compose import compose_models, evaluate_two_stage, load_two_stage
+from rtp.compose import TwoStageModel, evaluate_two_stage, load_two_stage
 from rtp.domain import DEFAULT_CONFIGS
 from rtp.engine import forward, load_model
 from rtp.evaluate import class_metrics, confusion
@@ -14,8 +14,8 @@ from rtp.model_zoo import (
     CLASSIFIER_IDS,
     REGRESSOR_IDS,
     build_variant,
-    model_inputs,
     pair_for_regressor,
+    stage_inputs,
 )
 from rtp.pipeline import PipelineConfig, run_pipeline, score_classifier, training_config
 from rtp.preprocess import encode_table
@@ -70,7 +70,7 @@ class TestScoreClassifier:
         table = encoded()
         model = build_variant("a1", seed=1)
         out, predicted, cm, metrics = score_classifier(model, table)
-        expected = forward(model, model_inputs(table, "a1"))
+        expected = forward(model, stage_inputs(table.features, "a1"))
         np.testing.assert_array_equal(out, expected)
         np.testing.assert_array_equal(predicted, np.argmax(expected, axis=1))
         assert cm.to_lists() == confusion(table.class_index, predicted).to_lists()
@@ -107,7 +107,7 @@ class TestRegressorScores:
     def test_regression_block_is_the_paired_two_stage_score(self, run, regressor_id):
         out_dir, report, test_table = run
         cid = pair_for_regressor(regressor_id)
-        pair = compose_models(
+        pair = TwoStageModel(
             load_model(out_dir / f"model_{cid}.json"),
             load_model(out_dir / f"model_{regressor_id}.json"),
         )

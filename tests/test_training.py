@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rtp.engine import data_loss, forward, regularization_loss
-from rtp.model_zoo import build_variant, model_inputs
+from rtp.model_zoo import build_variant
 from rtp.training import (
     Adam,
     DivergenceError,
@@ -19,17 +19,14 @@ from rtp.training import (
 
 
 def toy_classifier_data(n=120, seed=0):
-    """Linearly separable 5-class toy problem in the a1 input format."""
+    """Linearly separable 5-class toy problem in the a1 input matrix: two
+    initial columns, one final, then the aux column."""
     rng = np.random.default_rng(seed)
     labels = rng.integers(0, 5, size=n)
     centers = np.linspace(0.1, 0.9, 5)
-    inputs = {
-        "initial": np.column_stack(
-            [centers[labels] + rng.normal(0, 0.02, n), rng.random(n)]
-        ),
-        "final": (centers[labels] + rng.normal(0, 0.02, n)).reshape(-1, 1),
-        "aux": rng.choice([-1.0, 1.0], size=(n, 1)),
-    }
+    initial = np.column_stack([centers[labels] + rng.normal(0, 0.02, n), rng.random(n)])
+    final = (centers[labels] + rng.normal(0, 0.02, n)).reshape(-1, 1)
+    inputs = np.hstack([initial, final, rng.choice([-1.0, 1.0], size=(n, 1))])
     targets = np.zeros((n, 5))
     targets[np.arange(n), labels] = 1.0
     return inputs, targets
@@ -234,14 +231,14 @@ class TestTrain:
         _, history = train(model, inputs, targets, config)
         perm = np.random.default_rng(config.seed).permutation(targets.shape[0])
         train_idx = perm[max(1, round(config.check_fraction * targets.shape[0])) :]
-        out = forward(model, {k: v[train_idx] for k, v in inputs.items()})
+        out = forward(model, inputs[train_idx])
         expected = data_loss(out, targets[train_idx], model.loss_kind)
         assert regularization_loss(model) > 1e-6
         assert history.records[0]["train_batch_loss"] == pytest.approx(expected, abs=1e-12)
 
     def test_empty_dataset(self):
         model = build_variant("a1", seed=0)
-        empty = {"initial": np.zeros((0, 2)), "final": np.zeros((0, 1)), "aux": np.zeros((0, 1))}
+        empty = np.zeros((0, 4))
         with pytest.raises(ValueError):
             train(model, empty, np.zeros((0, 5)), TrainingConfig())
 
@@ -279,7 +276,7 @@ class TestEarlyStopping:
         perm = rng.permutation(targets.shape[0])
         n_val = max(1, round(config.check_fraction * targets.shape[0]))
         val_idx = perm[:n_val]
-        val_out = forward(trained, {k: v[val_idx] for k, v in inputs.items()})
+        val_out = forward(trained, inputs[val_idx])
         val_acc = accuracy(np.atleast_2d(val_out), targets[val_idx])
         assert val_acc == best["val_accuracy"]
 
@@ -309,7 +306,7 @@ class TestRegressorTraining:
         n = 90
         x = rng.random(size=(n, 10))
         targets = x[:, :1] * 0.5 + 0.25
-        inputs = {"main": x, "aux": rng.random(size=(n, 5))}
+        inputs = np.hstack([x, rng.random(size=(n, 5))])
         model = build_variant("c2", seed=0)
         config = TrainingConfig(
             monitored_metric="val_mse", early_stop_min_delta=0.0005, seed=0, max_epochs=40
