@@ -12,10 +12,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .domain import (
-    DEFAULT_CONFIGS,
     FULL_POWER_W,
     MAX_ROD_TRAVEL_IN,
-    CoreConfiguration,
     check_settings,
     is_finite,
     is_finite_positive,
@@ -93,7 +91,6 @@ def perturb_rows(
 
 def over_sample(
     dataset: ObservationTable,
-    configs: tuple[CoreConfiguration, ...] = DEFAULT_CONFIGS,
     n: int = 0,
     change: int = 0,
     policy: PerturbationPolicy = PerturbationPolicy(),
@@ -114,7 +111,7 @@ def over_sample(
         raise ValueError("dataset must be non-empty")
 
     rng = np.random.default_rng(seed)
-    worths = rod_worths_by_ordinal(dataset.date, configs)
+    worths = rod_worths_by_ordinal(dataset.date)
     kept = []  # (source rows, powers, rods) of each batch's kept draws
     n_kept = 0
     attempts = 0

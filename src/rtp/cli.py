@@ -25,7 +25,7 @@ from .compose import (
     predict_arrays,
     save_two_stage,
 )
-from .domain import DEFAULT_CONFIGS, is_nonnegative_integer
+from .domain import N_CLASSES, is_nonnegative_integer
 from .engine import ModelFormatError, ShapeError, load_model, run_layers, save_model
 from .ingest import (
     CorpusSpec,
@@ -83,6 +83,8 @@ def _effective_seed(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
+    if args.n < 1:
+        raise UsageError(f"--n must be an integer >= 1, got {args.n}")
     spec = CorpusSpec(n_observations=args.n, seed=_effective_seed(args))
     write_observations(synthesize_corpus(spec), args.out)
     if args.verbose:
@@ -95,7 +97,6 @@ def _cmd_augment(args) -> int:
         raise UsageError(f"--n must be non-negative, got {args.n}")
     generated = over_sample(
         read_log(args.infile),
-        DEFAULT_CONFIGS,
         n=args.n,
         change=CHANGE_BY_NAME[args.change],
         policy=PerturbationPolicy(),
@@ -111,7 +112,7 @@ def _cmd_preprocess(args) -> int:
     if args.layout not in LAYOUTS:
         raise UsageError(f"unknown layout {args.layout!r}; valid: {sorted(LAYOUTS)}")
     kept, counts = filter_report(read_log(args.infile))
-    table = encode_table(kept, DEFAULT_CONFIGS)
+    table = encode_table(kept)
     if args.balance:
         table = undersample(table, _effective_seed(args))
     write_encoded(table, LAYOUTS[args.layout], args.out)
@@ -185,9 +186,14 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    kept, _ = filter_report(read_log(args.data))
+    kept, counts = filter_report(read_log(args.data))
+    if not kept:
+        raise DataError(
+            f"{args.data}: no row left to evaluate (excluded: {counts.too_long} too long, "
+            f"{counts.shutdown} shutdowns, {counts.no_change} unchanged)"
+        )
     model = load_any_model(args.model)
-    table = encode_table(kept, DEFAULT_CONFIGS)
+    table = encode_table(kept)
 
     report: dict
     columns: list[list]  # per row: true class, predicted class[, absolute error]
@@ -230,11 +236,12 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = load_two_stage(args.model)
-    table = encode_table(read_log(args.infile), DEFAULT_CONFIGS)
+    table = encode_table(read_log(args.infile))
     probs, classes, norm = predict_arrays(model, table)
     # Element by element as denormalize_power, so each value keeps its bits.
     watts = map(math.exp, (norm * LN_FULL_POWER).tolist())
-    header = ["row", *[f"prob_{i}" for i in range(5)], "predicted_class", "power_norm", "power_watts"]
+    prob_columns = [f"prob_{i}" for i in range(N_CLASSES)]
+    header = ["row", *prob_columns, "predicted_class", "power_norm", "power_watts"]
     with open(args.out, "w", newline="") as handle:
         handle.write(csv_line(header))
         handle.writelines(

@@ -8,7 +8,6 @@ import datetime as dt
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -16,8 +15,10 @@ FULL_POWER_W = 200_000.0
 MAX_ROD_TRAVEL_IN = 24.0
 N_RODS = 4
 
-# Class bin ceilings in watts; the top ceiling is full power.
-DEFAULT_CLASS_CEILINGS = (90.0, 900.0, 9000.0, 90_000.0, 200_000.0)
+# The power classes: ceilings in watts, increasing, the top one full power.
+# A power belongs to the first class whose ceiling covers it.
+CLASS_CEILINGS = (90.0, 900.0, 9000.0, 90_000.0, 200_000.0)
+N_CLASSES = len(CLASS_CEILINGS)
 
 
 @dataclass(frozen=True)
@@ -69,8 +70,8 @@ class CoreConfiguration:
 
 
 # Integral rod worths in dollars (beta = 0.006 already folded in) and the
-# first operational date of each core loadout. Config 120 covers all dates
-# before config 121 went critical.
+# first operational date of each core loadout, in start-date order. Config
+# 120 covers all dates before config 121 went critical.
 DEFAULT_CONFIGS: tuple[CoreConfiguration, ...] = (
     CoreConfiguration(120, (6.387, 5.380, 2.963, 0.488), dt.date(2013, 1, 7)),
     CoreConfiguration(121, (6.387, 5.380, 2.963, 0.488), dt.date(2014, 1, 15)),
@@ -78,25 +79,11 @@ DEFAULT_CONFIGS: tuple[CoreConfiguration, ...] = (
     CoreConfiguration(123, (6.583, 5.267, 3.017, 0.433), dt.date(2014, 10, 16)),
 )
 
-
-@dataclass(frozen=True)
-class PowerClassBins:
-    """Ordered power-class ceilings; classification is ceiling-inclusive."""
-
-    ceilings: tuple[float, ...] = DEFAULT_CLASS_CEILINGS
-
-    def __post_init__(self) -> None:
-        if not self.ceilings:
-            raise ValueError("at least one ceiling required")
-        for lo, hi in zip(self.ceilings, self.ceilings[1:]):
-            if hi <= lo:
-                raise ValueError(f"ceilings not strictly increasing: {lo} >= {hi}")
-        if self.ceilings[-1] != FULL_POWER_W:
-            raise ValueError(f"last ceiling {self.ceilings[-1]} must equal {FULL_POWER_W}")
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.ceilings)
+# The era table: each configuration's first day as a day ordinal, and its rod
+# worths (k, 4), in DEFAULT_CONFIGS order.
+ERA_STARTS = tuple(c.start_date.toordinal() for c in DEFAULT_CONFIGS)
+_ERA_WORTHS = np.array([c.rod_worths for c in DEFAULT_CONFIGS], dtype=np.float64)
+_ERA_WORTHS.setflags(write=False)
 
 
 def direction_of(obs: TransientObservation) -> int:
@@ -110,36 +97,18 @@ def direction_of(obs: TransientObservation) -> int:
     raise ValueError("zero-change transient has no direction")
 
 
-@lru_cache(maxsize=16)
-def _eras(configs: tuple[CoreConfiguration, ...]):
-    """Configurations sorted by start date, with read-only arrays of their
-    start-date ordinals (k,) and rod worths (k, 4) in the same order."""
-    ordered = tuple(sorted(configs, key=lambda c: c.start_date))
-    starts = np.array([c.start_date.toordinal() for c in ordered])
-    worths = np.array([c.rod_worths for c in ordered], dtype=np.float64)
-    starts.setflags(write=False)
-    worths.setflags(write=False)
-    return ordered, starts, worths
-
-
-def config_for_date(
-    date: dt.date, configs: tuple[CoreConfiguration, ...] = DEFAULT_CONFIGS
-) -> CoreConfiguration:
+def config_for_date(date: dt.date) -> CoreConfiguration:
     """Resolve the core configuration operational on `date`.
 
     The latest configuration started on or before `date` applies; dates
     before the first start date fall back to the first, so the lookup is total.
     """
-    ordered, starts, _ = _eras(tuple(configs))
-    return ordered[max(bisect.bisect_right(starts, date.toordinal()) - 1, 0)]
+    return DEFAULT_CONFIGS[max(bisect.bisect_right(ERA_STARTS, date.toordinal()) - 1, 0)]
 
 
-def rod_worths_by_ordinal(
-    ordinals: np.ndarray, configs: tuple[CoreConfiguration, ...] = DEFAULT_CONFIGS
-) -> np.ndarray:
+def rod_worths_by_ordinal(ordinals: np.ndarray) -> np.ndarray:
     """(n, 4) rod worths in force on each day ordinal, by config_for_date's rule."""
-    _, starts, worths = _eras(tuple(configs))
-    return worths[np.maximum(starts.searchsorted(ordinals, "right") - 1, 0)]
+    return _ERA_WORTHS[np.maximum(np.searchsorted(ERA_STARTS, ordinals, "right") - 1, 0)]
 
 
 def reactivity_of_state(state: ReactorState, config: CoreConfiguration) -> float:

@@ -7,6 +7,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .domain import N_CLASSES
+
 WITHIN_THRESHOLD = 0.10
 
 
@@ -62,21 +64,19 @@ class RegressionReport:
         }
 
 
-def confusion(
-    true_classes: Sequence[int], predicted_classes: Sequence[int], n_classes: int = 5
-) -> ConfusionMatrix:
+def confusion(true_classes: Sequence[int], predicted_classes: Sequence[int]) -> ConfusionMatrix:
     true_arr = np.asarray(true_classes, dtype=np.int64)
     pred_arr = np.asarray(predicted_classes, dtype=np.int64)
     if true_arr.shape != pred_arr.shape:
         raise ValueError(f"label lists differ in length: {true_arr.size} vs {pred_arr.size}")
     if true_arr.size and (
         true_arr.min() < 0
-        or true_arr.max() >= n_classes
+        or true_arr.max() >= N_CLASSES
         or pred_arr.min() < 0
-        or pred_arr.max() >= n_classes
+        or pred_arr.max() >= N_CLASSES
     ):
-        raise ValueError(f"class labels must lie in 0..{n_classes - 1}")
-    counts = np.zeros((n_classes, n_classes), dtype=np.int64)
+        raise ValueError(f"class labels must lie in 0..{N_CLASSES - 1}")
+    counts = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
     np.add.at(counts, (true_arr, pred_arr), 1)
     return ConfusionMatrix(counts=counts)
 

@@ -15,12 +15,12 @@ import numpy as np
 
 from .domain import (
     DEFAULT_CONFIGS,
+    ERA_STARTS,
     FULL_POWER_W,
     MAX_ROD_TRAVEL_IN,
     CoreConfiguration,
     ReactorState,
     TransientObservation,
-    _eras,
     is_nonnegative_integer,
     reactivity_of_state,
 )
@@ -47,7 +47,8 @@ SHUTDOWN_POWER_W = 1.0
 # Transients longer than one hour are excluded.
 MAX_DURATION_MINUTES = 60.0
 
-DEFAULT_POWER_ANCHORS = (2.0, 20.0, 200.0, 2000.0, 20_000.0, 200_000.0)
+# Corpus powers cluster around these decade anchors (W).
+POWER_ANCHORS = (2.0, 20.0, 200.0, 2000.0, 20_000.0, 200_000.0)
 
 # Corpus power-law coupling: total rod reactivity at steady state rises
 # affinely with ln(power), from RHO_AT_1W at 1 W to RHO_AT_FULL at full power.
@@ -57,6 +58,8 @@ RHO_AT_1W = 2.5
 RHO_AT_FULL = 12.5
 REACTIVITY_NOISE_DOLLARS = 0.4
 POWER_JITTER_SIGMA = 0.5
+# Gaussian noise (inches) added to each corpus rod height.
+ROD_NOISE_SCALE = 0.15
 MIN_CORPUS_POWER_W = 1.2
 
 # Last day of synthetic operations (config 123 era).
@@ -91,23 +94,12 @@ class CorpusSpec:
 
     n_observations: int
     seed: int
-    power_anchors: tuple[float, ...] = DEFAULT_POWER_ANCHORS
-    rod_noise_scale: float = 0.15
 
     def __post_init__(self) -> None:
         if self.n_observations <= 0:
             raise DataError("n_observations must be positive")
         if not is_nonnegative_integer(self.seed):
             raise DataError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not self.power_anchors:
-            raise DataError("at least one power anchor required")
-        for a in self.power_anchors:
-            if not (0.0 < a <= FULL_POWER_W):
-                raise DataError(f"anchor {a} W outside (0, {FULL_POWER_W}]")
-        if len(self.power_anchors) < 2:
-            raise DataError("need at least two anchors to form power changes")
-        if self.rod_noise_scale < 0:
-            raise DataError("rod_noise_scale must be non-negative")
 
 
 @dataclass
@@ -349,16 +341,6 @@ def filter_report(table: ObservationTable) -> tuple[ObservationTable, FilterCoun
     return table.take(kept), counts
 
 
-def _era_bounds(
-    configs: tuple[CoreConfiguration, ...],
-) -> list[tuple[CoreConfiguration, int, int]]:
-    """(config, first day, day after the last) of each era, as day ordinals in
-    start-date order; the last era ends on CORPUS_END_DATE."""
-    ordered, starts, _ = _eras(tuple(configs))
-    starts = starts.tolist()
-    return list(zip(ordered, starts, starts[1:] + [CORPUS_END_DATE.toordinal() + 1]))
-
-
 def _rho_of_power(power: float) -> float:
     frac = math.log(power) / math.log(FULL_POWER_W)
     return RHO_AT_1W + (RHO_AT_FULL - RHO_AT_1W) * frac
@@ -391,23 +373,17 @@ def _heights_for_reactivity(
 
 
 def _synth_state(
-    power: float,
-    config: CoreConfiguration,
-    rng: np.random.Generator,
-    rod_noise_scale: float,
+    power: float, config: CoreConfiguration, rng: np.random.Generator
 ) -> ReactorState:
     rho_target = _rho_of_power(power) + rng.normal(0.0, REACTIVITY_NOISE_DOLLARS)
     rho_target = float(np.clip(rho_target, 1.5, config.total_worth() - 0.2))
     heights = _heights_for_reactivity(rho_target, config.rod_worths, rng)
-    if rod_noise_scale > 0:
-        heights = heights + rng.normal(0.0, rod_noise_scale, size=heights.shape)
-        heights = np.clip(heights, 0.0, MAX_ROD_TRAVEL_IN)
+    heights = heights + rng.normal(0.0, ROD_NOISE_SCALE, size=heights.shape)
+    heights = np.clip(heights, 0.0, MAX_ROD_TRAVEL_IN)
     return ReactorState(power, tuple(float(h) for h in heights))
 
 
-def synthesize_corpus(
-    spec: CorpusSpec, configs: tuple[CoreConfiguration, ...] = DEFAULT_CONFIGS
-) -> ObservationTable:
+def synthesize_corpus(spec: CorpusSpec) -> ObservationTable:
     """Generate a deterministic synthetic corpus of transient observations,
     rows numbered from 1.
 
@@ -416,18 +392,19 @@ def synthesize_corpus(
     reactivity difference between states consistent with the power direction.
     """
     rng = np.random.default_rng(spec.seed)
-    eras = _era_bounds(configs)
-    anchors = np.asarray(spec.power_anchors)
+    # Each era runs from its configuration's first day to the day before the
+    # next one's; the last ends on CORPUS_END_DATE.
+    era_ends = (*ERA_STARTS[1:], CORPUS_END_DATE.toordinal() + 1)
     values: list[tuple] = []  # day ordinal, both powers, both states' rod heights
     times: list[tuple[dt.time, dt.time]] = []
 
     while len(times) < spec.n_observations:
-        config, lo, hi = eras[int(rng.integers(0, len(eras)))]
-        day = int(rng.integers(lo, hi))
+        era = int(rng.integers(0, len(DEFAULT_CONFIGS)))
+        config, day = DEFAULT_CONFIGS[era], int(rng.integers(ERA_STARTS[era], era_ends[era]))
 
-        idx_i, idx_f = rng.choice(len(anchors), size=2, replace=False)
-        p_i = float(anchors[idx_i] * math.exp(rng.normal(0.0, POWER_JITTER_SIGMA)))
-        p_f = float(anchors[idx_f] * math.exp(rng.normal(0.0, POWER_JITTER_SIGMA)))
+        idx_i, idx_f = rng.choice(len(POWER_ANCHORS), size=2, replace=False)
+        p_i = float(POWER_ANCHORS[idx_i] * math.exp(rng.normal(0.0, POWER_JITTER_SIGMA)))
+        p_f = float(POWER_ANCHORS[idx_f] * math.exp(rng.normal(0.0, POWER_JITTER_SIGMA)))
         p_i = float(np.clip(p_i, MIN_CORPUS_POWER_W, FULL_POWER_W))
         p_f = float(np.clip(p_f, MIN_CORPUS_POWER_W, FULL_POWER_W))
         if p_f == p_i:
@@ -435,8 +412,8 @@ def synthesize_corpus(
 
         state_i = state_f = None
         for _ in range(100):
-            state_i = _synth_state(p_i, config, rng, spec.rod_noise_scale)
-            state_f = _synth_state(p_f, config, rng, spec.rod_noise_scale)
+            state_i = _synth_state(p_i, config, rng)
+            state_f = _synth_state(p_f, config, rng)
             d_rho = reactivity_of_state(state_f, config) - reactivity_of_state(state_i, config)
             if d_rho != 0 and (d_rho > 0) == (p_f > p_i):
                 break

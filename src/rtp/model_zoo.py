@@ -7,6 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .domain import N_CLASSES
 from .engine import HEAD_SIGMOID, HEAD_SOFTMAX, DenseLayer, NetworkModel, init_layer
 from .preprocess import LAYOUTS, EncodedTable, FeatureLayout, input_columns
 from .training import TrainingConfig
@@ -14,7 +15,6 @@ from .training import TrainingConfig
 CLASSIFIER_IDS = ("a1", "b1", "c1", "d1", "e1", "f1")
 REGRESSOR_IDS = ("a2", "b2", "c2", "d2")
 
-N_CLASSES = 5
 HIDDEN_WIDTH = 64
 DEFAULT_L2 = 1e-4
 

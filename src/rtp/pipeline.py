@@ -16,14 +16,7 @@ import numpy as np
 from . import seeds
 from .augment import PerturbationPolicy, over_sample
 from .compose import TwoStageModel, evaluate_two_stage, save_two_stage
-from .domain import (
-    DEFAULT_CONFIGS,
-    check_settings,
-    is_count,
-    is_integer,
-    is_nonnegative_integer,
-    is_number,
-)
+from .domain import check_settings, is_count, is_integer, is_nonnegative_integer, is_number
 from .engine import run_layers, save_model
 from .evaluate import class_metrics, confusion
 from .ingest import CorpusSpec, ObservationTable, synthesize_corpus, write_observations
@@ -196,7 +189,6 @@ def run_pipeline(config: PipelineConfig) -> dict:
     # Stage 3: physics-guided augmentation of the training portion.
     augmented = over_sample(
         train_rows,
-        DEFAULT_CONFIGS,
         n=config.augment_n,
         change=config.augment_change,
         policy=config.policy,
@@ -208,7 +200,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     # Stage 4: encode the training pool and the test split once each, into
     # the one feature matrix that every variant reads its columns from, then
     # class-balance the pool's rows.
-    pool = encode_table(train_pool, DEFAULT_CONFIGS)
+    pool = encode_table(train_pool)
     try:
         balanced_idx = undersample_indices(
             pool.class_index.tolist(), seeds.subseed(config.seed, "balance")
@@ -223,7 +215,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     write_observations(augmented, out_dir / "augmented.csv")
     encoded_train = pool.take(balanced_idx)
     del pool  # training keeps only the balanced rows
-    encoded_test = encode_table(test_rows, DEFAULT_CONFIGS)
+    encoded_test = encode_table(test_rows)
 
     report: dict = {
         "seed": config.seed,

@@ -12,11 +12,11 @@ from typing import Sequence, Union
 import numpy as np
 
 from .domain import (
-    DEFAULT_CONFIGS,
+    CLASS_CEILINGS,
     FULL_POWER_W,
     MAX_ROD_TRAVEL_IN,
+    N_CLASSES,
     CoreConfiguration,
-    PowerClassBins,
     TransientObservation,
     rod_worths_by_ordinal,
 )
@@ -73,7 +73,6 @@ class EncodedTable:
     features: np.ndarray  # (n, 12)
     class_index: np.ndarray  # (n,) power class of the final state
     target: np.ndarray  # (n,) normalized final power
-    n_classes: int
 
     def __len__(self) -> int:
         return self.target.shape[0]
@@ -89,7 +88,7 @@ class EncodedTable:
 
     @property
     def class_onehot(self) -> np.ndarray:
-        return np.eye(self.n_classes)[self.class_index]
+        return np.eye(N_CLASSES)[self.class_index]
 
 
 def normalize_power(power: float) -> float:
@@ -102,24 +101,24 @@ def denormalize_power(power_norm: float) -> float:
     return math.exp(power_norm * LN_FULL_POWER)
 
 
-def classify_power(power: float, bins: PowerClassBins = PowerClassBins()) -> int:
-    """Smallest bin index whose ceiling covers the power (ceiling-inclusive)."""
+def classify_power(power: float) -> int:
+    """Smallest class index whose ceiling covers the power (ceiling-inclusive)."""
     if power <= 0:
         raise PowerRangeError(f"power {power} W must be positive")
-    for index, ceiling in enumerate(bins.ceilings):
+    for index, ceiling in enumerate(CLASS_CEILINGS):
         if power <= ceiling:
             return index
-    raise PowerRangeError(f"power {power} W exceeds top ceiling {bins.ceilings[-1]} W")
+    raise PowerRangeError(f"power {power} W exceeds top ceiling {CLASS_CEILINGS[-1]} W")
 
 
-def undersample_indices(class_labels: Sequence[int], seed: int, n_classes: int = 5) -> list[int]:
+def undersample_indices(class_labels: Sequence[int], seed: int) -> list[int]:
     """Indices realizing a class-balanced subset of the labeled samples.
 
     The minority class is kept verbatim and in order; every other class is
     sampled uniformly WITH replacement (so indices can repeat), down to the
     minority count. Deterministic per seed.
     """
-    by_class: list[list[int]] = [[] for _ in range(n_classes)]
+    by_class: list[list[int]] = [[] for _ in range(N_CLASSES)]
     for i, label in enumerate(class_labels):
         by_class[label].append(i)
     for c, members in enumerate(by_class):
@@ -128,7 +127,7 @@ def undersample_indices(class_labels: Sequence[int], seed: int, n_classes: int =
 
     rng = np.random.default_rng(seed)
     size = min(len(members) for members in by_class)
-    minority = min(range(n_classes), key=lambda c: len(by_class[c]))
+    minority = min(range(N_CLASSES), key=lambda c: len(by_class[c]))
 
     chosen: list[int] = []
     for c, members in enumerate(by_class):
@@ -142,7 +141,7 @@ def undersample_indices(class_labels: Sequence[int], seed: int, n_classes: int =
 
 def undersample(table: EncodedTable, seed: int) -> EncodedTable:
     """Class-balance an encoded table to the minority-class count."""
-    return table.take(undersample_indices(table.class_index.tolist(), seed, table.n_classes))
+    return table.take(undersample_indices(table.class_index.tolist(), seed))
 
 
 # Columns of the feature matrix that encode_table builds once for every variant.
@@ -170,17 +169,14 @@ def input_columns(layout: FeatureLayout) -> tuple[dict[str, np.ndarray], np.ndar
     return columns, np.array(aux, dtype=np.intp)
 
 
-def encode_table(
-    table: ObservationTable,
-    configs: tuple[CoreConfiguration, ...] = DEFAULT_CONFIGS,
-    bins: PowerClassBins = PowerClassBins(),
-) -> EncodedTable:
+def encode_table(table: ObservationTable) -> EncodedTable:
     """Encode the table's rows into one feature matrix.
 
     The initial power is a feature; the final power is the target (class
-    index and normalized regression value), never a feature. Each row's rod worths come from the configuration operational
-    on its date. Errors name the row by the table's row index. encode_row
-    builds one observation's feature row with the same bits.
+    index and normalized regression value), never a feature. Each row's rod
+    worths come from the configuration operational on its date. Errors name
+    the row by the table's row index. encode_row builds one observation's
+    feature row with the same bits.
     """
     n = len(table)
     powers = table.powers
@@ -192,7 +188,7 @@ def encode_table(
     power_norm = logs.reshape(n, 2) / LN_FULL_POWER
     features[:, _POWER] = power_norm[:, 0]
     # Rod by rod, in order, as reactivity_of_state sums them.
-    terms = (rods.reshape(n, 2, 4) * rod_worths_by_ordinal(table.date, configs)[:, None, :]).T
+    terms = (rods.reshape(n, 2, 4) * rod_worths_by_ordinal(table.date)[:, None, :]).T
     rho = ((terms[0] + terms[1]) + terms[2]) + terms[3]
     np.divide(rho.T, REACTIVITY_FEATURE_SCALE, out=features[:, _RHO_I : _RHO_F + 1])
 
@@ -202,8 +198,8 @@ def encode_table(
         raise ValueError(f"row {row}: zero-change transient has no direction")
     features[:, _DIRECTION] = direction
     # Ceiling-inclusive, as classify_power; states never exceed the top ceiling.
-    class_index = np.array(bins.ceilings).searchsorted(powers[:, 1], "left")
-    return EncodedTable(features, class_index, power_norm[:, 1].copy(), bins.n_classes)
+    class_index = np.searchsorted(CLASS_CEILINGS, powers[:, 1], "left")
+    return EncodedTable(features, class_index, power_norm[:, 1].copy())
 
 
 def encode_row(obs: TransientObservation, config: CoreConfiguration) -> np.ndarray:
@@ -229,15 +225,15 @@ def encode_row(obs: TransientObservation, config: CoreConfiguration) -> np.ndarr
 def encode_dataset(
     observations: Sequence[TransientObservation],
     layout: FeatureLayout,
-    configs: tuple[CoreConfiguration, ...] = DEFAULT_CONFIGS,
-    bins: PowerClassBins = PowerClassBins(),
+    configs: tuple[CoreConfiguration, ...],
 ) -> EncodedTable:
-    """encode_table of the observations; `layout` is not read.
+    """encode_table of the observations; neither `layout` nor `configs` is
+    read (rod worths come from DEFAULT_CONFIGS by date).
 
     Kept, with its old signature, only because perfbench/workloads.py
     (reference_answers) calls it.
     """
-    return encode_table(ObservationTable.from_observations(observations), configs, bins)
+    return encode_table(ObservationTable.from_observations(observations))
 
 
 def _record_columns(layout: FeatureLayout) -> tuple[np.ndarray, np.ndarray]:
@@ -275,8 +271,8 @@ _RECORD_FIELDS = (*_VECTOR_FIELDS, "direction", "regression_target", "variant_id
 
 def _read_record(line: str, first: tuple | None) -> tuple:
     """(variant id, initial, final, one-hot, direction, target) of one record,
-    checked against its layout's widths and the first record's variant and
-    class count."""
+    checked against its layout's widths, the class count and the first
+    record's variant."""
     record = json.loads(line)
     if not isinstance(record, dict):
         raise ValueError("expected a JSON object")
@@ -302,12 +298,10 @@ def _read_record(line: str, first: tuple | None) -> tuple:
                 f"field {name!r} has {vector.size} values, the {variant_id} layout {columns.size}"
             )
     onehot = vectors[2]
+    if onehot.size != N_CLASSES:
+        raise ValueError(f"field 'class_onehot' has {onehot.size} values, not {N_CLASSES}")
     if np.count_nonzero(onehot) != 1 or onehot.sum() != 1.0:
         raise ValueError("field 'class_onehot' is not one-hot")
-    if first is not None and onehot.size != first[3].size:
-        raise ValueError(
-            f"field 'class_onehot' has {onehot.size} values, the first record {first[3].size}"
-        )
     direction = record["direction"]
     if direction not in (-1, 1):
         raise ValueError(f"field 'direction' must be -1 or 1, got {direction!r}")
@@ -349,5 +343,4 @@ def read_encoded(path: Union[str, Path], variant_id: str) -> EncodedTable:
     features[:, _DIRECTION] = direction
     features[:, initial_columns] = initial
     features[:, final_columns] = final
-    onehot = np.array(onehot)
-    return EncodedTable(features, np.argmax(onehot, axis=1), np.array(target), onehot.shape[1])
+    return EncodedTable(features, np.argmax(onehot, axis=1), np.array(target))

@@ -13,7 +13,6 @@ import pytest
 from rtp.augment import over_sample
 from rtp.compose import TwoStageModel, predict_batch
 from rtp.domain import (
-    DEFAULT_CONFIGS,
     FULL_POWER_W,
     MAX_ROD_TRAVEL_IN,
     config_for_date,
@@ -144,7 +143,7 @@ def test_criterion_02_sampler_constraints():
         "initial": reactivity_of_state(source.initial, config),
         "final": reactivity_of_state(source.final, config),
     }
-    generated = over_sample(corpus, DEFAULT_CONFIGS, n=100_000, seed=202)
+    generated = over_sample(corpus, n=100_000, seed=202)
     assert len(generated) == 100_000
     for obs in map(row_to_observation, generated.rows()):
         for key, state in (("initial", obs.initial), ("final", obs.final)):
@@ -272,7 +271,7 @@ def test_criterion_08_composition_exactness(pipeline_run):
     composed = TwoStageModel(stage1, stage2)
 
     observations = read_observations(out_dir / "corpus.csv").take(slice(100))
-    table = encode_table(observations, DEFAULT_CONFIGS)
+    table = encode_table(observations)
 
     joint = predict_batch(composed, table, table)
     probs = np.atleast_2d(forward(stage1, stage_inputs(table.features, "a1")))

@@ -154,12 +154,12 @@ class TestPerturbState:
 class TestOverSample:
     def test_exact_count_and_determinism(self):
         dataset = table_of(make_obs(), make_obs(p_i=2000.0, p_f=200.0))
-        first = over_sample(dataset, DEFAULT_CONFIGS, n=250, seed=42)
-        second = over_sample(dataset, DEFAULT_CONFIGS, n=250, seed=42)
+        first = over_sample(dataset, n=250, seed=42)
+        second = over_sample(dataset, n=250, seed=42)
         assert len(first) == 250
         assert first.row_index.tolist() == list(range(1, 251))
         assert first.rows() == second.rows()
-        assert over_sample(dataset, DEFAULT_CONFIGS, n=250, seed=43).rows() != first.rows()
+        assert over_sample(dataset, n=250, seed=43).rows() != first.rows()
 
     def test_constraints_single_source(self):
         # With one source observation the provenance of every output is known,
@@ -168,7 +168,7 @@ class TestOverSample:
         config = config_for_date(source.date)
         rho_i = reactivity_of_state(source.initial, config)
         rho_f = reactivity_of_state(source.final, config)
-        generated = over_sample(table_of(source), DEFAULT_CONFIGS, n=1000, seed=9)
+        generated = over_sample(table_of(source), n=1000, seed=9)
         for obs in map(row_to_observation, generated.rows()):
             for state, rho_src in ((obs.initial, rho_i), (obs.final, rho_f)):
                 assert 0.0 < state.power <= FULL_POWER_W
@@ -180,23 +180,23 @@ class TestOverSample:
 
     def test_outputs_keep_source_metadata(self):
         source = make_obs()
-        generated = over_sample(table_of(source), DEFAULT_CONFIGS, n=10, seed=1)
+        generated = over_sample(table_of(source), n=10, seed=1)
         for row in generated.rows():
             assert row.date == source.date
             assert row.start_time == source.start_time
             assert row.end_time == source.end_time
 
     def test_zero_request(self):
-        generated = over_sample(table_of(make_obs()), DEFAULT_CONFIGS, n=0, seed=0)
+        generated = over_sample(table_of(make_obs()), n=0, seed=0)
         assert len(generated) == 0
         assert generated.rows() == []
 
     def test_empty_dataset(self):
         with pytest.raises(ValueError):
-            over_sample(table_of(), DEFAULT_CONFIGS, n=10, seed=0)
+            over_sample(table_of(), n=10, seed=0)
 
     def test_progress_guard(self):
         # A vanishingly small reactivity cap rejects essentially every draw.
         policy = PerturbationPolicy(max_delta_rho=1e-12)
         with pytest.raises(ProgressError):
-            over_sample(table_of(make_obs()), DEFAULT_CONFIGS, n=10, policy=policy, seed=0)
+            over_sample(table_of(make_obs()), n=10, policy=policy, seed=0)

@@ -13,7 +13,7 @@ import pytest
 
 from rtp import cli, compose, seeds
 from rtp.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from rtp.domain import DEFAULT_CONFIGS, config_for_date
+from rtp.domain import config_for_date
 from rtp.engine import forward, save_model
 from rtp.ingest import ObservationTable, read_log, read_observations, row_to_observation
 from rtp.model_zoo import build_variant, pair_for_regressor, stage_inputs
@@ -176,7 +176,7 @@ class TestArtifacts:
                      "--errors", str(errors_path)]) == EXIT_OK
         loaded = compose.load_any_model(workdir / model)
         observations = read_observations(workdir / "corpus.csv")
-        table = encode_table(observations, DEFAULT_CONFIGS)
+        table = encode_table(observations)
         expected = tmp_path / "expected.csv"
         with open(expected, "w", newline="") as handle:
             writer = csv.writer(handle)
@@ -271,7 +271,7 @@ class TestArtifacts:
         args = ["--model", str(workdir / "twostage.json"), "--in", str(workdir / "corpus.csv")]
         assert main(["predict", *args, "--out", str(out)]) == EXIT_OK
         model = compose.load_two_stage(workdir / "twostage.json")
-        table = encode_table(read_log(workdir / "corpus.csv"), DEFAULT_CONFIGS)
+        table = encode_table(read_log(workdir / "corpus.csv"))
         expected = tmp_path / "expected.csv"
         with open(expected, "w", newline="") as handle:
             writer = csv.writer(handle)
@@ -344,15 +344,41 @@ class TestPinnedOutputs:
         "report.json": "68d3892cf69f3b3700a6f3a1886bbaa63b860d15a12395123a386b4182f9251b",
         "twostage.json": "56ba06799675d0e3fd5c88fee6bb7e264121d3a913cb4dd51eed0a9d425cb789",
     }
+    # A larger run, whose models change when branch layers train on strided
+    # column views of the input instead of packed copies; the 600-row run
+    # above does not show that.
+    BRANCH_PIPELINE_SHA256 = {
+        "augmented.csv": "aab4d340bcddfe747978a9cc6bbe56482d0c2c3a37ccf31c526b4f3678881fec",
+        "corpus.csv": "9c19703b206a619cb826d7ddcc50508822a4f4987d043214f29cae2fb4db101c",
+        "model_a1.json": "981aea3dcac6508a0e9328a6ea083e90fa042842b73a1c50cb3001d818bef891",
+        "model_b2.json": "0ee6d77087671e625c678467047a99e16f8eb4f874e482be7e481962c3fbfb8c",
+        "model_c1.json": "d50392b8318c90ab8d2713d3456ac290367b4a0c409d2b1163fd6d90dd0453a0",
+        "report.json": "9dd3e3d0f9c110d9cec109927b8dfaaca62a2c09427fd7a4d67b8217a464ea68",
+        "twostage.json": "fb81f99b7a5bddbb90c5743a8a97b4e7008d561b9a050159ed1cb21d3f320128",
+    }
+    PIPELINES = {
+        "600": (
+            {"seed": 0, "corpus_n": 600, "augment_n": 150,
+             "classifier_ids": ["a1", "e1"], "regressor_ids": ["b2", "d2"]},
+            PIPELINE_SHA256,
+        ),
+        "1000": (
+            {"seed": 0, "corpus_n": 1000, "augment_n": 200,
+             "classifier_ids": ["a1", "c1"], "regressor_ids": ["b2"]},
+            BRANCH_PIPELINE_SHA256,
+        ),
+    }
 
     # Two BLAS threads must give the one-thread bytes too.
-    @pytest.mark.parametrize("blas_threads", ["1", "2"])
-    def test_trained_pipeline_bytes(self, tmp_path, blas_threads):
+    @pytest.mark.parametrize(
+        "rows,blas_threads",
+        [("600", "1"), ("600", "2"), ("1000", "1"), ("1000", "2")],
+        ids=["1", "2", "1000-rows-1", "1000-rows-2"],
+    )
+    def test_trained_pipeline_bytes(self, tmp_path, rows, blas_threads):
+        doc, expected = self.PIPELINES[rows]
         config = tmp_path / "pipeline.json"
-        config.write_text(json.dumps({
-            "seed": 0, "corpus_n": 600, "augment_n": 150,
-            "classifier_ids": ["a1", "e1"], "regressor_ids": ["b2", "d2"],
-        }))
+        config.write_text(json.dumps(doc))
         out_dir = tmp_path / "out"
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
         for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -364,7 +390,7 @@ class TestPinnedOutputs:
         )
         digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                    for path in out_dir.iterdir()}
-        assert digests == self.PIPELINE_SHA256
+        assert digests == expected
 
 
 class TestPinnedCommandBytes:
@@ -482,7 +508,7 @@ class TestPipelineCommand:
             corpus.take(split[round(0.3 * len(corpus)):]),
             read_observations(pipeline_dir / "augmented.csv"),
         ])
-        table = encode_table(train_pool, DEFAULT_CONFIGS)
+        table = encode_table(train_pool)
         balanced = undersample_indices(table.class_index.tolist(), seeds.subseed(seed, "balance"))
         train_config = tmp_path / "train.json"
         train_config.write_text(json.dumps(overrides))
@@ -706,6 +732,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "bad.jsonl line 2" in err and "initial_branch" in err
         assert "Traceback" not in err
+
+    def test_train_on_three_class_onehots_names_file_and_line(self, workdir, tmp_path, capsys):
+        # Every record is 3 classes wide, so no record disagrees with the first.
+        docs = [json.loads(line) for line in (workdir / "enc_a1.jsonl").read_text().splitlines()]
+        for doc in docs:
+            doc["class_onehot"] = [0.0, 1.0, 0.0]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        out = tmp_path / "m.json"
+        code = main(["train", "--variant", "a1", "--data", str(bad), "--out", str(out)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"error: {bad} line 1: field 'class_onehot' has 3 values, not 5\n"
+        assert not out.exists()
 
     def test_train_on_csv_names_file_and_line(self, workdir, tmp_path, capsys):
         code = main(
@@ -954,6 +994,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"config file {config}: monitored_metric must be" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_synthesize_count_below_one_is_usage_error(self, tmp_path, capsys, n):
+        out = tmp_path / "corpus.csv"
+        code = main(["synthesize", "--n", n, "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: --n must be an integer >= 1, got {n}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["twostage.json", "model_a1.json"])
+    def test_evaluate_with_every_row_excluded_names_data_file(
+        self, workdir, tmp_path, capsys, model
+    ):
+        lines = (workdir / "corpus.csv").read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[4] = fields[3]  # final power equals initial: no change
+        data = tmp_path / "unchanged.csv"
+        data.write_text("\n".join([lines[0], ",".join(fields)]) + "\n")
+        out = tmp_path / "report.json"
+        code = main(["evaluate", "--model", str(workdir / model), "--data", str(data),
+                     "--out", str(out)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: {data}: no row left to evaluate "
+            "(excluded: 0 too long, 0 shutdowns, 1 unchanged)\n"
+        )
         assert not out.exists()
 
     def test_negative_augment_count_is_usage_error(self, workdir, tmp_path):

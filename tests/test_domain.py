@@ -1,16 +1,16 @@
 """Tests for core reactor data types and configuration lookup."""
 
 import datetime as dt
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rtp.domain import (
+    CLASS_CEILINGS,
     DEFAULT_CONFIGS,
     FULL_POWER_W,
+    N_CLASSES,
     CoreConfiguration,
-    PowerClassBins,
     ReactorState,
     TransientObservation,
     config_for_date,
@@ -99,29 +99,23 @@ class TestConfigForDate:
     def test_fallback_before_first_start(self):
         assert config_for_date(dt.date(2012, 1, 1)).id == 120
 
-    def test_order_independent(self):
-        shuffled = (DEFAULT_CONFIGS[2], DEFAULT_CONFIGS[0], DEFAULT_CONFIGS[3], DEFAULT_CONFIGS[1])
-        assert config_for_date(dt.date(2014, 10, 10), shuffled).id == 122
+    def test_configs_are_in_start_date_order(self):
+        # The era lookups read DEFAULT_CONFIGS in order as the era table.
+        starts = [c.start_date for c in DEFAULT_CONFIGS]
+        assert starts == sorted(starts)
+        assert len(set(starts)) == len(starts)
 
     def test_vectorized_lookup_agrees_every_day(self):
         first, last = dt.date(2012, 1, 1), dt.date(2016, 12, 31)
         days = [first + dt.timedelta(days=k) for k in range((last - first).days + 1)]
         assert {c.start_date for c in DEFAULT_CONFIGS} <= set(days)
         ordinals = np.array([day.toordinal() for day in days])
-        # Distinct worths per era, so that the worths identify the era.
-        distinct = tuple(
-            replace(c, rod_worths=tuple(w + k for w in c.rod_worths))
-            for k, c in enumerate(DEFAULT_CONFIGS)
-        )
-        order = (2, 0, 3, 1)
-        for configs in (DEFAULT_CONFIGS, distinct, tuple(distinct[k] for k in order)):
-            by_start = sorted(configs, key=lambda c: c.start_date)
-            worths = rod_worths_by_ordinal(ordinals, configs)
-            for day, row in zip(days, worths):
-                started = [c for c in by_start if c.start_date <= day]
-                expected = started[-1] if started else by_start[0]
-                assert config_for_date(day, configs) == expected, day
-                assert tuple(row) == expected.rod_worths, day
+        worths = rod_worths_by_ordinal(ordinals)
+        for day, row in zip(days, worths):
+            started = [c for c in DEFAULT_CONFIGS if c.start_date <= day]
+            expected = started[-1] if started else DEFAULT_CONFIGS[0]
+            assert config_for_date(day) == expected, day
+            assert tuple(row) == expected.rod_worths, day
 
 
 class TestReactivity:
@@ -149,23 +143,13 @@ class TestReactivity:
         assert DEFAULT_CONFIGS[3].total_worth() == pytest.approx(15.300, abs=1e-12)
 
 
-class TestPowerClassBins:
-    def test_defaults(self):
-        bins = PowerClassBins()
-        assert bins.n_classes == 5
-        assert bins.ceilings[-1] == FULL_POWER_W
-
-    def test_non_increasing_rejected(self):
-        with pytest.raises(ValueError):
-            PowerClassBins(ceilings=(90.0, 90.0, FULL_POWER_W))
-
-    def test_wrong_top_rejected(self):
-        with pytest.raises(ValueError):
-            PowerClassBins(ceilings=(90.0, 900.0))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            PowerClassBins(ceilings=())
+class TestClassCeilings:
+    def test_increase_to_full_power(self):
+        # Guard for the ceiling-inclusive class rule, which needs increasing
+        # ceilings whose top one covers every valid power.
+        assert N_CLASSES == len(CLASS_CEILINGS) == 5
+        assert all(lo < hi for lo, hi in zip(CLASS_CEILINGS, CLASS_CEILINGS[1:]))
+        assert CLASS_CEILINGS[-1] == FULL_POWER_W
 
 
 def test_configuration_worths_are_frozen():

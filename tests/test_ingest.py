@@ -380,10 +380,6 @@ class TestSynthesizeCorpus:
     def test_bad_spec(self):
         with pytest.raises(DataError):
             CorpusSpec(n_observations=0, seed=0)
-        with pytest.raises(DataError):
-            CorpusSpec(n_observations=10, seed=0, power_anchors=(100.0,))
-        with pytest.raises(DataError):
-            CorpusSpec(n_observations=10, seed=0, power_anchors=(100.0, 300_000.0))
         with pytest.raises(DataError, match="^seed must be an integer >= 0, got -1$"):
             CorpusSpec(n_observations=10, seed=-1)
 

@@ -6,7 +6,6 @@ import pytest
 
 from rtp import pipeline, seeds
 from rtp.compose import TwoStageModel, evaluate_two_stage, load_two_stage
-from rtp.domain import DEFAULT_CONFIGS
 from rtp.engine import forward, load_model
 from rtp.evaluate import class_metrics, confusion
 from rtp.ingest import CorpusSpec, synthesize_corpus
@@ -24,7 +23,7 @@ from rtp.training import MONITORED_METRICS
 
 def encoded():
     corpus = synthesize_corpus(CorpusSpec(n_observations=40, seed=5))
-    return encode_table(corpus, DEFAULT_CONFIGS)
+    return encode_table(corpus)
 
 
 class TestTrainingConfig:
@@ -101,7 +100,7 @@ class TestRegressorScores:
         perm = seeds.substream(config.seed, "split").permutation(len(corpus))
         test_rows = corpus.take(perm[: report["test_n"]])
 
-        return config.out_dir, report, encode_table(test_rows, DEFAULT_CONFIGS)
+        return config.out_dir, report, encode_table(test_rows)
 
     @pytest.mark.parametrize("regressor_id", ["b2", "d2"])
     def test_regression_block_is_the_paired_two_stage_score(self, run, regressor_id):

@@ -14,7 +14,6 @@ from rtp.domain import (
     DEFAULT_CONFIGS,
     FULL_POWER_W,
     MAX_ROD_TRAVEL_IN,
-    PowerClassBins,
     ReactorState,
     TransientObservation,
     config_for_date,
@@ -55,8 +54,8 @@ def make_obs(p_i=100.0, p_f=10_000.0):
 
 
 def encode_one(obs):
-    """The one-row table of `obs` under CONFIG."""
-    return encode_table(ObservationTable.from_observations([obs]), (CONFIG,))
+    """The one-row table of `obs`, whose date falls in CONFIG's era."""
+    return encode_table(ObservationTable.from_observations([obs]))
 
 
 def branches(table, variant_id):
@@ -66,7 +65,7 @@ def branches(table, variant_id):
     return table.features[:, columns[0]], table.features[:, columns[1]]
 
 
-def reference_row(obs, layout, config, bins):
+def reference_row(obs, layout, config):
     """One observation's features, direction, class and target, by the scalar
     definitions the vectorized encoder must reproduce bit for bit."""
     rho_i = reactivity_of_state(obs.initial, config) / REACTIVITY_FEATURE_SCALE
@@ -85,7 +84,7 @@ def reference_row(obs, layout, config, bins):
         initial,
         final,
         direction,
-        classify_power(obs.final.power, bins),
+        classify_power(obs.final.power),
         normalize_power(obs.final.power),
     )
 
@@ -152,11 +151,6 @@ class TestClassifyPower:
         with pytest.raises(PowerRangeError):
             classify_power(200_001.0)
 
-    def test_custom_bins(self):
-        bins = PowerClassBins(ceilings=(10.0, FULL_POWER_W))
-        assert classify_power(10.0, bins) == 0
-        assert classify_power(11.0, bins) == 1
-
 
 class TestUndersample:
     def test_balanced_counts(self):
@@ -169,10 +163,10 @@ class TestUndersample:
         assert counts == [73] * 5
 
     def test_minority_kept_verbatim(self):
-        labels = [1, 0, 1, 1, 0, 1, 1]
-        idx = undersample_indices(labels, seed=0, n_classes=2)
+        labels = [1, 0, 2, 3, 1, 4, 0, 2, 3, 4, 1, 2, 3, 4, 2]
+        idx = undersample_indices(labels, seed=0)
         kept_zero = [i for i in idx if labels[i] == 0]
-        assert kept_zero == [1, 4]
+        assert kept_zero == [1, 6]
 
     def test_deterministic(self):
         labels = [0] * 5 + [1] * 50 + [2] * 30 + [3] * 40 + [4] * 20
@@ -185,7 +179,7 @@ class TestUndersample:
 
     def test_undersample_encoded(self):
         observations = [make_obs(p_f=p) for p in (50.0, 60.0, 500.0, 5000.0, 50_000.0, 150_000.0, 160_000.0)]
-        table = encode_table(ObservationTable.from_observations(observations), DEFAULT_CONFIGS)
+        table = encode_table(ObservationTable.from_observations(observations))
         balanced = undersample(table, seed=0)
         assert np.bincount(balanced.class_index, minlength=5).tolist() == [1] * 5
         assert len(balanced.features) == len(balanced.target) == 5
@@ -244,7 +238,7 @@ class TestEncode:
     def test_tables_share_one_encoding(self):
         # encode_dataset does not read its layout: every layout gets encode_table's matrix.
         observations = [make_obs(p_f=p) for p in (50.0, 500.0, 5000.0)]
-        table = encode_table(ObservationTable.from_observations(observations), DEFAULT_CONFIGS)
+        table = encode_table(ObservationTable.from_observations(observations))
         for layout in (LAYOUTS["a1"], LAYOUTS["b2"]):
             alone = encode_dataset(observations, layout, DEFAULT_CONFIGS)
             for name in ("features", "class_index", "target"):
@@ -252,7 +246,7 @@ class TestEncode:
 
     def test_take_selects_rows(self):
         observations = [make_obs(p_f=p) for p in (50.0, 500.0, 5000.0)]
-        table = encode_table(ObservationTable.from_observations(observations), DEFAULT_CONFIGS)
+        table = encode_table(ObservationTable.from_observations(observations))
         picked = table.take([2, 0, 2])
         assert len(picked) == 3
         assert picked.class_index.tolist() == [2, 0, 2]
@@ -291,13 +285,11 @@ def desk_rows():
 
 
 def test_encoder_matches_scalar_reference_bitwise(desk_rows):
-    bins = PowerClassBins()
-    table = encode_table(desk_rows, DEFAULT_CONFIGS, bins)
+    table = encode_table(desk_rows)
     observations = list(map(row_to_observation, desk_rows.rows()))
     for layout in LAYOUTS.values():
         rows = [
-            reference_row(obs, layout, config_for_date(obs.date, DEFAULT_CONFIGS), bins)
-            for obs in observations
+            reference_row(obs, layout, config_for_date(obs.date)) for obs in observations
         ]
         initial, final, direction, class_index, target = (list(c) for c in zip(*rows))
         n = len(desk_rows)
@@ -322,7 +314,7 @@ def test_encode_row_matches_encode_tables_bitwise(desk_rows):
         encode_row(obs, config_for_date(obs.date))
         for obs in map(row_to_observation, desk_rows.rows())
     ])
-    assert rows.tobytes() == encode_table(desk_rows, DEFAULT_CONFIGS).features.tobytes()
+    assert rows.tobytes() == encode_table(desk_rows).features.tobytes()
     covered = set()
     for layout in LAYOUTS.values():
         branch_columns, aux_columns = input_columns(layout)
@@ -334,7 +326,7 @@ def test_encode_row_matches_encode_tables_bitwise(desk_rows):
 def test_zero_change_row_message_matches_encode_tables():
     obs = make_obs(p_f=100.0)
     with pytest.raises(ValueError) as by_table:
-        encode_table(ObservationTable.from_observations([obs]), (CONFIG,))
+        encode_table(ObservationTable.from_observations([obs]))
     with pytest.raises(ValueError) as by_row:
         encode_row(obs, CONFIG)
     message = "row 1: zero-change transient has no direction"
