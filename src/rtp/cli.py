@@ -37,11 +37,11 @@ from .ingest import (
     synthesize_corpus,
     write_observations,
 )
-from .model_zoo import REGRESSOR_IDS, stage_inputs, variant_spec
+from .model_zoo import REGRESSOR_IDS, stage_inputs
 from .pipeline import PipelineConfig, check_overrides, fit_variant, run_pipeline, score_classifier
 from .preprocess import (
-    LAYOUTS,
     LN_FULL_POWER,
+    VARIANTS,
     encode_table,
     read_encoded,
     undersample,
@@ -94,7 +94,7 @@ def _cmd_synthesize(args) -> int:
 
 def _cmd_augment(args) -> int:
     if args.n < 0:
-        raise UsageError(f"--n must be non-negative, got {args.n}")
+        raise UsageError(f"--n must be an integer >= 0, got {args.n}")
     generated = over_sample(
         read_log(args.infile),
         n=args.n,
@@ -108,19 +108,24 @@ def _cmd_augment(args) -> int:
     return EXIT_OK
 
 
+def _kept_rows(path, verb: str):
+    """The rows of the CSV at `path` that the exclusion rules keep, and what
+    they excluded; DataError names the file and the exclusions if none is left."""
+    kept, n = filter_report(read_log(path))
+    excluded = f"excluded: {n.too_long} too long, {n.shutdown} shutdowns, {n.no_change} unchanged"
+    if not kept:
+        raise DataError(f"{path}: no row left to {verb} ({excluded})")
+    return kept, excluded
+
+
 def _cmd_preprocess(args) -> int:
-    if args.layout not in LAYOUTS:
-        raise UsageError(f"unknown layout {args.layout!r}; valid: {sorted(LAYOUTS)}")
-    kept, counts = filter_report(read_log(args.infile))
+    kept, excluded = _kept_rows(args.infile, "encode")
     table = encode_table(kept)
     if args.balance:
         table = undersample(table, _effective_seed(args))
-    write_encoded(table, LAYOUTS[args.layout], args.out)
+    write_encoded(table, VARIANTS[args.layout], args.out)
     if args.verbose:
-        print(
-            f"encoded {len(table)} samples (excluded: {counts.too_long} long, "
-            f"{counts.shutdown} shutdowns, {counts.no_change} unchanged)"
-        )
+        print(f"encoded {len(table)} samples ({excluded})")
     return EXIT_OK
 
 
@@ -134,7 +139,7 @@ def _check_classifier(stage: str, model, path) -> None:
 
 def _cmd_train(args) -> int:
     seed = _effective_seed(args)
-    spec = variant_spec(args.variant)
+    spec = VARIANTS[args.variant]
     overrides = {}
     if args.config:
         try:
@@ -186,12 +191,7 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    kept, counts = filter_report(read_log(args.data))
-    if not kept:
-        raise DataError(
-            f"{args.data}: no row left to evaluate (excluded: {counts.too_long} too long, "
-            f"{counts.shutdown} shutdowns, {counts.no_change} unchanged)"
-        )
+    kept, _ = _kept_rows(args.data, "evaluate")
     model = load_any_model(args.model)
     table = encode_table(kept)
 
@@ -296,13 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("preprocess", help="normalize, bin, and encode a corpus")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--layout", required=True)
+    p.add_argument("--layout", required=True, choices=VARIANTS)
     p.add_argument("--balance", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_preprocess)
 
     p = sub.add_parser("train", help="train one model variant")
-    p.add_argument("--variant", required=True)
+    p.add_argument("--variant", required=True, choices=VARIANTS)
     p.add_argument("--data", required=True)
     p.add_argument("--config", default=None, help="JSON TrainingConfig overrides")
     p.add_argument("--out", required=True)

@@ -12,8 +12,6 @@ import numpy as np
 from .domain import CoreConfiguration, TransientObservation
 from .engine import (
     FORMAT_VERSION,
-    HEAD_SIGMOID,
-    HEAD_SOFTMAX,
     ModelFormatError,
     NetworkModel,
     check_format_version,
@@ -31,8 +29,8 @@ from .evaluate import (
     confusion,
     regression_report,
 )
-from .model_zoo import aux_width, branch_widths, stage_inputs, variant_spec
-from .preprocess import LAYOUTS, EncodedTable, denormalize_power, encode_row
+from .model_zoo import aux_width, branch_widths, stage_inputs
+from .preprocess import TASKS, VARIANTS, EncodedTable, denormalize_power, encode_row
 
 
 class CompositionError(ValueError):
@@ -47,21 +45,18 @@ class JointPrediction:
     power_watts: float
 
 
-_HEAD_BY_TASK = {"classifier": HEAD_SOFTMAX, "regressor": HEAD_SIGMOID}
-
-
 def check_stage(stage: str, model: NetworkModel, task: str) -> None:
     """Raise CompositionError, naming `stage`, unless `model` is a known
     `task` variant whose head and input widths are its variant's."""
     vid = model.variant_id
-    if vid not in LAYOUTS:
+    if vid not in VARIANTS:
         raise CompositionError(f"{stage} has no recognized variant id")
-    spec = variant_spec(vid)
+    spec = VARIANTS[vid]
     if spec.task != task:
         raise CompositionError(f"{stage} variant {vid} is not a {task}")
-    if model.head != _HEAD_BY_TASK[task]:
-        raise CompositionError(f"{stage} head is {model.head}, need {_HEAD_BY_TASK[task]}")
-    expected = branch_widths(spec.layout)
+    if model.head != TASKS[task].head:
+        raise CompositionError(f"{stage} head is {model.head}, need {TASKS[task].head}")
+    expected = branch_widths(spec)
     if list(model.branches) != list(expected):
         raise CompositionError(
             f"{stage} ({vid}) has branches {list(model.branches)}, its layout {list(expected)}"

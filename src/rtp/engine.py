@@ -20,8 +20,11 @@ import numpy as np
 FORMAT_VERSION = 2
 READABLE_VERSIONS = (1, 2)
 
-HEAD_SOFTMAX = "softmax-5"
+# Model-file head names and their layers' (activation, width); softmax is domain.N_CLASSES wide.
+SOFTMAX_WIDTH = 5
+HEAD_SOFTMAX = f"softmax-{SOFTMAX_WIDTH}"
 HEAD_SIGMOID = "sigmoid-1"
+HEAD_LAYERS = {HEAD_SOFTMAX: ("softmax", SOFTMAX_WIDTH), HEAD_SIGMOID: ("sigmoid", 1)}
 
 LOSS_CCE = "categorical_cross_entropy"
 LOSS_MAE = "mean_absolute_error"
@@ -84,13 +87,12 @@ class NetworkModel:
     l2: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.head not in (HEAD_SOFTMAX, HEAD_SIGMOID):
+        if self.head not in HEAD_LAYERS:
             raise ValueError(f"unknown head {self.head!r}")
         if not self.trunk:
             raise ValueError("trunk must contain at least the head layer")
         head_layer = self.trunk[-1]
-        expected = ("softmax", 5) if self.head == HEAD_SOFTMAX else ("sigmoid", 1)
-        if (head_layer.activation, head_layer.n_out) != expected:
+        if (head_layer.activation, head_layer.n_out) != HEAD_LAYERS[self.head]:
             raise ValueError(
                 f"head layer ({head_layer.activation}, {head_layer.n_out}) "
                 f"does not match declared head {self.head}"

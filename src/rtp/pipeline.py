@@ -30,7 +30,7 @@ from .model_zoo import (
     training_targets,
     variant_spec,
 )
-from .preprocess import EmptyClassError, encode_table, undersample_indices
+from .preprocess import TASKS, EmptyClassError, encode_table, undersample_indices
 from .training import TrainingConfig, train
 
 
@@ -77,10 +77,9 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         check_settings(self, _CONFIG_RULES)
         for vid in self.regressor_ids:
-            if pair_for_regressor(vid) not in self.classifier_ids:
+            if (cid := pair_for_regressor(vid)) not in self.classifier_ids:
                 raise ValueError(
-                    f"regressor_ids: {vid} needs its paired classifier "
-                    f"{pair_for_regressor(vid)} in classifier_ids"
+                    f"regressor_ids: {vid} needs its paired classifier {cid} in classifier_ids"
                 )
         check_overrides(self.training_overrides, (*self.classifier_ids, *self.regressor_ids))
         for key in ("classifier_ids", "regressor_ids", "compose_pair"):
@@ -97,21 +96,14 @@ class PipelineConfig:
         return cls(**doc)
 
 
-# The validation metrics each head reports, which early stopping can monitor.
-MONITORED_BY_TASK = {
-    "classifier": ("val_accuracy", "val_loss"),
-    "regressor": ("val_loss", "val_mse"),
-}
-
-
 def training_config(variant_id: str, seed: int, overrides: dict) -> TrainingConfig:
     """A variant's training defaults, then `overrides`. ValueError names a
     setting that TrainingConfig refuses or a metric the head does not report."""
     config = replace(default_training_config(variant_id, seed), **overrides)
     task = variant_spec(variant_id).task
-    if config.monitored_metric not in MONITORED_BY_TASK[task]:
+    if config.monitored_metric not in TASKS[task].metrics:
         raise ValueError(
-            f"monitored_metric must be one of {MONITORED_BY_TASK[task]} for {task} "
+            f"monitored_metric must be one of {TASKS[task].metrics} for {task} "
             f"{variant_id}, got {config.monitored_metric!r}"
         )
     return config

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -20,6 +19,7 @@ from .domain import (
     TransientObservation,
     rod_worths_by_ordinal,
 )
+from .engine import HEAD_SIGMOID, HEAD_SOFTMAX
 from .ingest import DataError, ObservationTable
 
 LN_FULL_POWER = math.log(FULL_POWER_W)
@@ -38,36 +38,11 @@ class EmptyClassError(ValueError):
 
 
 @dataclass(frozen=True)
-class FeatureLayout:
-    """How one model variant sees an observation."""
-
-    variant_id: str
-    input_mode: str  # "separated" | "all_in_one"
-    rod_feature: str  # "heights" | "reactivity"
-    uses_direction: bool
-
-
-# Flag matrix for the six classifier and four regressor variants.
-LAYOUTS: dict[str, FeatureLayout] = {
-    "a1": FeatureLayout("a1", "separated", "reactivity", True),
-    "b1": FeatureLayout("b1", "separated", "heights", True),
-    "c1": FeatureLayout("c1", "separated", "reactivity", False),
-    "d1": FeatureLayout("d1", "separated", "heights", False),
-    "e1": FeatureLayout("e1", "all_in_one", "reactivity", True),
-    "f1": FeatureLayout("f1", "all_in_one", "heights", True),
-    "a2": FeatureLayout("a2", "separated", "heights", True),
-    "b2": FeatureLayout("b2", "separated", "reactivity", True),
-    "c2": FeatureLayout("c2", "all_in_one", "heights", True),
-    "d2": FeatureLayout("d2", "all_in_one", "reactivity", True),
-}
-
-
-@dataclass(frozen=True)
 class EncodedTable:
     """The (n, 12) feature matrix of n observations, with their targets.
 
-    Every variant reads its inputs from the same matrix, at the columns
-    that input_columns gives its layout.
+    Every variant reads its inputs from the same matrix, at its table row's
+    columns.
     """
 
     features: np.ndarray  # (n, 12)
@@ -148,25 +123,82 @@ def undersample(table: EncodedTable, seed: int) -> EncodedTable:
 _POWER, _RODS_I, _RODS_F, _RHO_I, _RHO_F, _DIRECTION = 0, [1, 2, 3, 4], [5, 6, 7, 8], 9, 10, 11
 
 
-@lru_cache(maxsize=None)
-def input_columns(layout: FeatureLayout) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """The feature-matrix columns a layout reads: each branch's, by branch
+def input_columns(variant: "Variant") -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """The feature-matrix columns a variant reads: each branch's, by branch
     name in network order, and the columns that open its aux vector (a
     regressor's class probabilities follow them).
 
     This is the one rule for which feature feeds which input. The initial
     branch takes the initial power and rods, the final branch the final
-    rods, and the aux vector the direction; an all-in-one layout's "main"
+    rods, and the aux vector the direction; an all-in-one variant's "main"
     branch takes them all.
     """
-    rods_i, rods_f = (_RODS_I, _RODS_F) if layout.rod_feature == "heights" else ([_RHO_I], [_RHO_F])
-    direction = [_DIRECTION] if layout.uses_direction else []
-    if layout.input_mode == "all_in_one":
+    heights = variant.rod_feature == "heights"
+    rods_i, rods_f = (_RODS_I, _RODS_F) if heights else ([_RHO_I], [_RHO_F])
+    direction = [_DIRECTION] if variant.uses_direction else []
+    if variant.input_mode == "all_in_one":
         branches, aux = {"main": [_POWER, *rods_i, *rods_f, *direction]}, []
     else:
         branches, aux = {"initial": [_POWER, *rods_i], "final": rods_f}, direction
     columns = {name: np.array(c, dtype=np.intp) for name, c in branches.items()}
     return columns, np.array(aux, dtype=np.intp)
+
+
+class Task(NamedTuple):
+    head: str  # the model-file head name
+    metrics: tuple[str, ...]  # the validation metrics the head reports
+    early_stop_min_delta: float
+
+
+# What every variant of one task shares (README "Model variants").
+TASKS = {
+    "classifier": Task(HEAD_SOFTMAX, ("val_accuracy", "val_loss"), 0.005),
+    "regressor": Task(HEAD_SIGMOID, ("val_loss", "val_mse"), 0.0005),
+}
+
+
+@dataclass(frozen=True)
+class Variant:
+    """One model variant: how it sees an observation and how it trains."""
+
+    variant_id: str
+    task: str  # "classifier" | "regressor"
+    input_mode: str  # "separated" | "all_in_one"
+    rod_feature: str  # "heights" | "reactivity"
+    uses_direction: bool
+    pair: str | None  # a regressor's stage-1 classifier
+    optimizer: str  # "adam" | "sgd"
+    monitored_metric: str
+    # Its input_columns, branch by branch then aux, as one index.
+    columns: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        branches, aux = input_columns(self)
+        object.__setattr__(self, "columns", np.concatenate([*branches.values(), aux]))
+
+    @property
+    def layout(self) -> "Variant":
+        """The row itself; kept only because perfbench/workloads.py
+        (reference_answers) passes it to encode_dataset."""
+        return self
+
+
+# The six classifier and four regressor variants (README "Model variants").
+VARIANTS = {
+    v.variant_id: v
+    for v in (
+        Variant("a1", "classifier", "separated", "reactivity", True, None, "adam", "val_accuracy"),
+        Variant("b1", "classifier", "separated", "heights", True, None, "adam", "val_accuracy"),
+        Variant("c1", "classifier", "separated", "reactivity", False, None, "adam", "val_accuracy"),
+        Variant("d1", "classifier", "separated", "heights", False, None, "adam", "val_accuracy"),
+        Variant("e1", "classifier", "all_in_one", "reactivity", True, None, "sgd", "val_accuracy"),
+        Variant("f1", "classifier", "all_in_one", "heights", True, None, "sgd", "val_accuracy"),
+        Variant("a2", "regressor", "separated", "heights", True, "b1", "adam", "val_loss"),
+        Variant("b2", "regressor", "separated", "reactivity", True, "a1", "adam", "val_loss"),
+        Variant("c2", "regressor", "all_in_one", "heights", True, "f1", "adam", "val_mse"),
+        Variant("d2", "regressor", "all_in_one", "reactivity", True, "e1", "adam", "val_mse"),
+    )
+}
 
 
 def encode_table(table: ObservationTable) -> EncodedTable:
@@ -224,7 +256,7 @@ def encode_row(obs: TransientObservation, config: CoreConfiguration) -> np.ndarr
 
 def encode_dataset(
     observations: Sequence[TransientObservation],
-    layout: FeatureLayout,
+    layout: Variant,
     configs: tuple[CoreConfiguration, ...],
 ) -> EncodedTable:
     """encode_table of the observations; neither `layout` nor `configs` is
@@ -236,16 +268,16 @@ def encode_dataset(
     return encode_table(ObservationTable.from_observations(observations))
 
 
-def _record_columns(layout: FeatureLayout) -> tuple[np.ndarray, np.ndarray]:
+def _record_columns(variant: Variant) -> tuple[np.ndarray, np.ndarray]:
     """The feature columns of a record's initial_branch and final_branch; an
-    all-in-one layout writes its main vector as initial_branch."""
-    branches = list(input_columns(layout)[0].values())
+    all-in-one variant writes its main vector as initial_branch."""
+    branches = list(input_columns(variant)[0].values())
     return branches[0], branches[1] if len(branches) > 1 else np.empty(0, dtype=np.intp)
 
 
-def write_encoded(table: EncodedTable, layout: FeatureLayout, path: Union[str, Path]) -> None:
-    """Serialize a layout's view of an encoded table as JSON records, one per row."""
-    initial, final = _record_columns(layout)
+def write_encoded(table: EncodedTable, variant: Variant, path: Union[str, Path]) -> None:
+    """Serialize a variant's view of an encoded table as JSON records, one per row."""
+    initial, final = _record_columns(variant)
     with open(path, "w") as handle:
         for initial_values, final_values, direction, onehot, target in zip(
             table.features[:, initial].tolist(),
@@ -260,7 +292,7 @@ def write_encoded(table: EncodedTable, layout: FeatureLayout, path: Union[str, P
                 "direction": direction,
                 "class_onehot": onehot,
                 "regression_target": target,
-                "variant_id": layout.variant_id,
+                "variant_id": variant.variant_id,
             }
             handle.write(json.dumps(record) + "\n")
 
@@ -280,7 +312,7 @@ def _read_record(line: str, first: tuple | None) -> tuple:
     if missing:
         raise ValueError(f"missing field {missing[0]!r}")
     variant_id = record["variant_id"]
-    if variant_id not in LAYOUTS:
+    if variant_id not in VARIANTS:
         raise ValueError(f"unknown variant_id {variant_id!r}")
     if first is not None and variant_id != first[0]:
         raise ValueError(f"variant_id {variant_id!r} differs from the first record's {first[0]!r}")
@@ -292,7 +324,7 @@ def _read_record(line: str, first: tuple | None) -> tuple:
     for name, values in (*zip(_VECTOR_FIELDS, vectors), ("regression_target", target)):
         if not np.isfinite(values).all():
             raise ValueError(f"field {name!r} holds a non-finite number")
-    for name, vector, columns in zip(_VECTOR_FIELDS, vectors, _record_columns(LAYOUTS[variant_id])):
+    for name, vector, columns in zip(_VECTOR_FIELDS, vectors, _record_columns(VARIANTS[variant_id])):
         if vector.size != columns.size:
             raise ValueError(
                 f"field {name!r} has {vector.size} values, the {variant_id} layout {columns.size}"
@@ -331,10 +363,9 @@ def read_encoded(path: Union[str, Path], variant_id: str) -> EncodedTable:
     if not rows:
         raise DataError(f"no encoded samples in {path}")
     variant_ids, initial, final, onehot, direction, target = zip(*rows)
-    written = LAYOUTS[variant_ids[0]]
+    written = VARIANTS[variant_ids[0]]
     initial_columns, final_columns = _record_columns(written)
-    branches, aux = input_columns(LAYOUTS[variant_id])
-    read = np.concatenate([*branches.values(), aux])
+    read = VARIANTS[variant_id].columns
     if not np.isin(read, [*initial_columns, *final_columns, _DIRECTION]).all():
         raise DataError(
             f"{path}: its {written.variant_id} layout lacks features that variant {variant_id} reads"

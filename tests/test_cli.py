@@ -19,7 +19,7 @@ from rtp.ingest import ObservationTable, read_log, read_observations, row_to_obs
 from rtp.model_zoo import build_variant, pair_for_regressor, stage_inputs
 from rtp.pipeline import PipelineConfig, run_pipeline
 from rtp.preprocess import (
-    LAYOUTS,
+    VARIANTS,
     classify_power,
     encode_table,
     read_encoded,
@@ -513,7 +513,7 @@ class TestPipelineCommand:
         train_config = tmp_path / "train.json"
         train_config.write_text(json.dumps(overrides))
         for vid in ids:
-            write_encoded(table.take(balanced), LAYOUTS[vid], tmp_path / f"enc_{vid}.jsonl")
+            write_encoded(table.take(balanced), VARIANTS[vid], tmp_path / f"enc_{vid}.jsonl")
         for vid in ids:
             command = ["--seed", str(seed), "train", "--variant", vid,
                        "--data", str(tmp_path / f"enc_{vid}.jsonl"),
@@ -1021,6 +1021,47 @@ class TestExitCodes:
             f"error: {data}: no row left to evaluate "
             "(excluded: 0 too long, 0 shutdowns, 1 unchanged)\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("balance", [[], ["--balance"]])
+    def test_preprocess_with_every_row_excluded_names_data_file(
+        self, workdir, tmp_path, capsys, balance
+    ):
+        lines = (workdir / "corpus.csv").read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[4] = fields[3]  # final power equals initial: no change
+        data = tmp_path / "unchanged.csv"
+        data.write_text("\n".join([lines[0], ",".join(fields)]) + "\n")
+        out = tmp_path / "enc.jsonl"
+        code = main(["preprocess", "--in", str(data), "--layout", "a1", *balance,
+                     "--out", str(out)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: {data}: no row left to encode "
+            "(excluded: 0 too long, 0 shutdowns, 1 unchanged)\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--variant", "--layout"])
+    def test_unknown_variant_is_usage_error(self, workdir, tmp_path, capsys, flag):
+        out = tmp_path / "out"
+        if flag == "--variant":
+            args = ["train", "--variant", "zz", "--data", str(workdir / "enc_a1.jsonl")]
+        else:
+            args = ["preprocess", "--in", str(workdir / "corpus.csv"), "--layout", "zz"]
+        code = main([*args, "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: argument {flag}: invalid choice: 'zz'")
+        assert "'a1'" in err and "'d2'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n", ["-1", "-5"])
+    def test_augment_count_below_zero_message(self, workdir, tmp_path, capsys, n):
+        out = tmp_path / "augmented.csv"
+        code = main(["augment", "--in", str(workdir / "corpus.csv"), "--out", str(out), "--n", n])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: --n must be an integer >= 0, got {n}\n"
         assert not out.exists()
 
     def test_negative_augment_count_is_usage_error(self, workdir, tmp_path):

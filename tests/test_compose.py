@@ -19,7 +19,7 @@ from rtp.domain import DEFAULT_CONFIGS, ReactorState, TransientObservation, conf
 from rtp.engine import ModelFormatError, forward, save_model
 from rtp.ingest import CorpusSpec, ObservationTable, row_to_observation, synthesize_corpus
 from rtp.model_zoo import CLASSIFIER_IDS, REGRESSOR_IDS, build_variant, stage_inputs
-from rtp.preprocess import LAYOUTS, denormalize_power, encode_dataset, encode_table
+from rtp.preprocess import VARIANTS, denormalize_power, encode_dataset, encode_table
 
 
 def observations(n=20, seed=0):
@@ -98,8 +98,8 @@ class TestPredictBatch:
         classifier, regressor = stages
         model = TwoStageModel(classifier, regressor)
         obs = observations()
-        s1 = encode_dataset(obs, LAYOUTS["a1"], DEFAULT_CONFIGS)
-        s2 = encode_dataset(obs, LAYOUTS["b2"], DEFAULT_CONFIGS)
+        s1 = encode_dataset(obs, VARIANTS["a1"], DEFAULT_CONFIGS)
+        s2 = encode_dataset(obs, VARIANTS["b2"], DEFAULT_CONFIGS)
 
         joint = predict_batch(model, s1, s2)
 
@@ -114,8 +114,8 @@ class TestPredictBatch:
     def test_misaligned_samples(self, stages):
         model = TwoStageModel(*stages)
         obs = observations()
-        s1 = encode_dataset(obs, LAYOUTS["a1"], DEFAULT_CONFIGS)
-        s2 = encode_dataset(obs[:-1], LAYOUTS["b2"], DEFAULT_CONFIGS)
+        s1 = encode_dataset(obs, VARIANTS["a1"], DEFAULT_CONFIGS)
+        s2 = encode_dataset(obs[:-1], VARIANTS["b2"], DEFAULT_CONFIGS)
         with pytest.raises(CompositionError):
             predict_batch(model, s1, s2)
 
@@ -138,8 +138,8 @@ class TestSerialization:
         loaded = load_two_stage(path)
 
         obs = observations(n=5, seed=3)
-        s1 = encode_dataset(obs, LAYOUTS["a1"], DEFAULT_CONFIGS)
-        s2 = encode_dataset(obs, LAYOUTS["b2"], DEFAULT_CONFIGS)
+        s1 = encode_dataset(obs, VARIANTS["a1"], DEFAULT_CONFIGS)
+        s2 = encode_dataset(obs, VARIANTS["b2"], DEFAULT_CONFIGS)
         assert predict_batch(loaded, s1, s2) == predict_batch(model, s1, s2)
 
     def test_compose_from_files(self, stages, tmp_path):
@@ -168,8 +168,8 @@ class TestAioPair:
     def test_aio_composition(self):
         model = TwoStageModel(build_variant("f1", seed=0), build_variant("c2", seed=0))
         obs = observations(n=4)
-        s1 = encode_dataset(obs, LAYOUTS["f1"], DEFAULT_CONFIGS)
-        s2 = encode_dataset(obs, LAYOUTS["c2"], DEFAULT_CONFIGS)
+        s1 = encode_dataset(obs, VARIANTS["f1"], DEFAULT_CONFIGS)
+        s2 = encode_dataset(obs, VARIANTS["c2"], DEFAULT_CONFIGS)
         joint = predict_batch(model, s1, s2)
         assert len(joint) == 4
         for p in joint:

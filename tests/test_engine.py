@@ -9,10 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rtp.domain import N_CLASSES
 from rtp.engine import (
     CCE_CLAMP,
+    HEAD_LAYERS,
     HEAD_SIGMOID,
     HEAD_SOFTMAX,
+    SOFTMAX_WIDTH,
     LOSS_CCE,
     LOSS_MAE,
     DenseLayer,
@@ -332,6 +335,25 @@ class TestModelValidation:
                 trunk=[DenseLayer(np.ones((2, 1)), np.zeros(1), "sigmoid")],
                 head=HEAD_SOFTMAX,
             )
+
+    def test_softmax_head_is_the_class_count_wide(self):
+        # "softmax-5" is a model-file format name; it and the head width are
+        # the class count.
+        assert SOFTMAX_WIDTH == N_CLASSES
+        assert HEAD_SOFTMAX == f"softmax-{N_CLASSES}" == "softmax-5"
+        assert HEAD_LAYERS[HEAD_SOFTMAX] == ("softmax", N_CLASSES)
+
+    @pytest.mark.parametrize("head", ["softmax-4", HEAD_SOFTMAX])
+    def test_file_of_another_class_count_is_refused(self, tmp_path, head):
+        doc = model_to_dict(build_classifier(np.random.default_rng(44), hidden=6))
+        # A four-class head: 6 x 4 weights and 4 biases, 7 values fewer.
+        doc["layers"][-1]["shape"] = [6, 4]
+        params = base64.b64decode(doc["params"])[: -7 * 8]
+        doc["params"], doc["head"] = base64.b64encode(params).decode(), head
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=r"model.json: invalid model: .*head"):
+            load_model(path)
 
     def test_softmax_only_at_head(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Tests for variant construction, pairing, and input assembly."""
 
 import datetime as dt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from rtp.model_zoo import (
     training_targets,
     variant_spec,
 )
-from rtp.preprocess import LAYOUTS, encode_dataset
+from rtp.preprocess import TASKS, VARIANTS, encode_dataset
 
 
 def sample_batch(variant_id, n=6):
@@ -34,7 +35,7 @@ def sample_batch(variant_id, n=6):
         )
         for i in range(n)
     ]
-    return encode_dataset(observations, LAYOUTS[variant_id], DEFAULT_CONFIGS)
+    return encode_dataset(observations, VARIANTS[variant_id], DEFAULT_CONFIGS)
 
 
 class TestVariantSpec:
@@ -52,16 +53,16 @@ class TestVariantSpec:
 class TestWidths:
     def test_branch_widths(self):
         # [DERIVED] power + rod features per state, direction folded into AIO.
-        assert branch_widths(LAYOUTS["a1"]) == {"initial": 2, "final": 1}
-        assert branch_widths(LAYOUTS["b1"]) == {"initial": 5, "final": 4}
-        assert branch_widths(LAYOUTS["c1"]) == {"initial": 2, "final": 1}
-        assert branch_widths(LAYOUTS["d1"]) == {"initial": 5, "final": 4}
-        assert branch_widths(LAYOUTS["e1"]) == {"main": 4}
-        assert branch_widths(LAYOUTS["f1"]) == {"main": 10}
-        assert branch_widths(LAYOUTS["a2"]) == {"initial": 5, "final": 4}
-        assert branch_widths(LAYOUTS["b2"]) == {"initial": 2, "final": 1}
-        assert branch_widths(LAYOUTS["c2"]) == {"main": 10}
-        assert branch_widths(LAYOUTS["d2"]) == {"main": 4}
+        assert branch_widths(VARIANTS["a1"]) == {"initial": 2, "final": 1}
+        assert branch_widths(VARIANTS["b1"]) == {"initial": 5, "final": 4}
+        assert branch_widths(VARIANTS["c1"]) == {"initial": 2, "final": 1}
+        assert branch_widths(VARIANTS["d1"]) == {"initial": 5, "final": 4}
+        assert branch_widths(VARIANTS["e1"]) == {"main": 4}
+        assert branch_widths(VARIANTS["f1"]) == {"main": 10}
+        assert branch_widths(VARIANTS["a2"]) == {"initial": 5, "final": 4}
+        assert branch_widths(VARIANTS["b2"]) == {"initial": 2, "final": 1}
+        assert branch_widths(VARIANTS["c2"]) == {"main": 10}
+        assert branch_widths(VARIANTS["d2"]) == {"main": 4}
 
     def test_aux_widths(self):
         expected = {
@@ -125,6 +126,50 @@ class TestPairing:
             pair_for_regressor("a1")
 
 
+def test_each_pair_is_the_direction_classifier_with_the_regressors_inputs():
+    for rid in REGRESSOR_IDS:
+        regressor, classifier = VARIANTS[rid], VARIANTS[pair_for_regressor(rid)]
+        assert classifier.task == "classifier", rid
+        assert classifier.input_mode == regressor.input_mode, rid
+        assert classifier.rod_feature == regressor.rod_feature, rid
+        assert classifier.uses_direction, rid
+    assert all(VARIANTS[cid].pair is None for cid in CLASSIFIER_IDS)
+
+
+def readme_tables():
+    """The tables of README's "Model variants" section, by their first
+    header cell, each as its body rows of cells."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("\n## Model variants\n")[1].split("\n## ")[0]
+    tables = {}
+    for block in section.split("\n\n"):
+        rows = [
+            [cell.strip() for cell in line.strip("|").split("|")]
+            for line in block.splitlines()
+            if line.startswith("|")
+        ]
+        if rows:
+            tables[rows[0][0]] = rows[2:]  # past the header and its rule
+    return tables
+
+
+def test_readme_variant_table_matches_the_code():
+    want = [
+        [v.variant_id, v.task, v.input_mode, v.rod_feature, "yes" if v.uses_direction else "no",
+         v.pair or "-", v.optimizer, v.monitored_metric]
+        for v in VARIANTS.values()
+    ]
+    assert readme_tables()["id"] == want
+
+
+def test_readme_task_table_matches_the_code():
+    want = [
+        [task, t.head, " ".join(t.metrics), repr(t.early_stop_min_delta)]
+        for task, t in TASKS.items()
+    ]
+    assert readme_tables()["task"] == want
+
+
 class TestModelInputs:
     def test_classifier_shapes(self):
         samples = sample_batch("a1")
@@ -136,7 +181,7 @@ class TestModelInputs:
     def test_no_aux_for_directionless(self):
         x = stage_inputs(sample_batch("c1").features, "c1")
         assert aux_width("c1") == 0
-        assert x.shape[1] == sum(branch_widths(LAYOUTS["c1"]).values())
+        assert x.shape[1] == sum(branch_widths(VARIANTS["c1"]).values())
 
     def test_regressor_requires_probs(self):
         samples = sample_batch("b2")
@@ -144,7 +189,7 @@ class TestModelInputs:
             stage_inputs(samples.features, "b2")
         probs = np.full((6, 5), 0.2)
         x = stage_inputs(samples.features, "b2", class_probs=probs)
-        aux = x[:, sum(branch_widths(LAYOUTS["b2"]).values()) :]
+        aux = x[:, sum(branch_widths(VARIANTS["b2"]).values()) :]
         assert aux.shape == (6, 6)
         # Direction first, then the five probabilities.
         np.testing.assert_array_equal(aux[:, 1:], probs)

@@ -23,8 +23,8 @@ from rtp.domain import (
 from rtp.ingest import CorpusSpec, DataError, ObservationTable, row_to_observation, synthesize_corpus
 from rtp.model_zoo import variant_spec
 from rtp.preprocess import (
-    LAYOUTS,
     REACTIVITY_FEATURE_SCALE,
+    VARIANTS,
     EmptyClassError,
     PowerRangeError,
     classify_power,
@@ -61,7 +61,7 @@ def encode_one(obs):
 def branches(table, variant_id):
     """The initial and final branch matrices a variant reads from the table;
     an all-in-one variant's main vector is its initial, and its final is empty."""
-    columns = [*input_columns(LAYOUTS[variant_id])[0].values(), np.empty(0, dtype=np.intp)]
+    columns = [*input_columns(VARIANTS[variant_id])[0].values(), np.empty(0, dtype=np.intp)]
     return table.features[:, columns[0]], table.features[:, columns[1]]
 
 
@@ -233,13 +233,13 @@ class TestEncode:
     def test_zero_change_row_is_named(self):
         observations = [make_obs(), make_obs(p_f=500.0), make_obs(p_f=100.0), make_obs(p_f=100.0)]
         with pytest.raises(ValueError, match="^row 3: zero-change transient has no direction"):
-            encode_dataset(observations, LAYOUTS["a1"], DEFAULT_CONFIGS)
+            encode_dataset(observations, VARIANTS["a1"], DEFAULT_CONFIGS)
 
     def test_tables_share_one_encoding(self):
         # encode_dataset does not read its layout: every layout gets encode_table's matrix.
         observations = [make_obs(p_f=p) for p in (50.0, 500.0, 5000.0)]
         table = encode_table(ObservationTable.from_observations(observations))
-        for layout in (LAYOUTS["a1"], LAYOUTS["b2"]):
+        for layout in (VARIANTS["a1"], VARIANTS["b2"]):
             alone = encode_dataset(observations, layout, DEFAULT_CONFIGS)
             for name in ("features", "class_index", "target"):
                 np.testing.assert_array_equal(getattr(alone, name), getattr(table, name))
@@ -265,13 +265,13 @@ class TestInputColumns:
             "f1": ({"main": [0, 1, 2, 3, 4, 5, 6, 7, 8, 11]}, []),
         }
         for vid, (want_branches, want_aux) in expected.items():
-            got_branches, got_aux = input_columns(LAYOUTS[vid])
+            got_branches, got_aux = input_columns(VARIANTS[vid])
             assert {k: v.tolist() for k, v in got_branches.items()} == want_branches, vid
             assert got_aux.tolist() == want_aux, vid
 
     def test_each_regressor_reads_its_paired_classifiers_columns(self):
         for rid, cid in (("a2", "b1"), ("b2", "a1"), ("c2", "f1"), ("d2", "e1")):
-            regressor, classifier = input_columns(LAYOUTS[rid]), input_columns(LAYOUTS[cid])
+            regressor, classifier = input_columns(VARIANTS[rid]), input_columns(VARIANTS[cid])
             for r, c in zip(regressor[0].values(), classifier[0].values(), strict=True):
                 assert r.tolist() == c.tolist(), rid
             assert regressor[1].tolist() == classifier[1].tolist()
@@ -287,7 +287,7 @@ def desk_rows():
 def test_encoder_matches_scalar_reference_bitwise(desk_rows):
     table = encode_table(desk_rows)
     observations = list(map(row_to_observation, desk_rows.rows()))
-    for layout in LAYOUTS.values():
+    for layout in VARIANTS.values():
         rows = [
             reference_row(obs, layout, config_for_date(obs.date)) for obs in observations
         ]
@@ -316,7 +316,7 @@ def test_encode_row_matches_encode_tables_bitwise(desk_rows):
     ])
     assert rows.tobytes() == encode_table(desk_rows).features.tobytes()
     covered = set()
-    for layout in LAYOUTS.values():
+    for layout in VARIANTS.values():
         branch_columns, aux_columns = input_columns(layout)
         for columns in (*branch_columns.values(), aux_columns):
             covered.update(columns.tolist())
@@ -336,9 +336,9 @@ def test_zero_change_row_message_matches_encode_tables():
 class TestEncodedRoundTrip:
     def test_write_read_exact(self, tmp_path):
         observations = [make_obs(p_f=p) for p in (50.0, 500.0, 5000.0)]
-        table = encode_dataset(observations, LAYOUTS["b2"], DEFAULT_CONFIGS)
+        table = encode_dataset(observations, VARIANTS["b2"], DEFAULT_CONFIGS)
         path = tmp_path / "encoded.jsonl"
-        write_encoded(table, LAYOUTS["b2"], path)
+        write_encoded(table, VARIANTS["b2"], path)
         back = read_encoded(path, "b2")
         assert len(back) == len(table)
         written = [0, 9, 10, 11]  # the columns b2's layout writes
@@ -348,9 +348,9 @@ class TestEncodedRoundTrip:
             np.testing.assert_array_equal(getattr(back, name), getattr(table, name))
 
     def test_aio_round_trip(self, tmp_path):
-        table = encode_dataset([make_obs(), make_obs(p_f=50.0)], LAYOUTS["e1"], DEFAULT_CONFIGS)
+        table = encode_dataset([make_obs(), make_obs(p_f=50.0)], VARIANTS["e1"], DEFAULT_CONFIGS)
         path = tmp_path / "encoded.jsonl"
-        write_encoded(table, LAYOUTS["e1"], path)
+        write_encoded(table, VARIANTS["e1"], path)
         back = read_encoded(path, "e1")
         assert branches(back, "e1")[1].shape == (2, 0)
         np.testing.assert_array_equal(branches(back, "e1")[0], branches(table, "e1")[0])
@@ -373,9 +373,9 @@ class TestEncodedRoundTrip:
 
     def test_any_variant_whose_columns_the_file_holds(self, tmp_path):
         # An e1 file holds power, both reactivities and the direction: what a1 and c1 read.
-        table = encode_dataset([make_obs(), make_obs(p_f=50.0)], LAYOUTS["e1"], DEFAULT_CONFIGS)
+        table = encode_dataset([make_obs(), make_obs(p_f=50.0)], VARIANTS["e1"], DEFAULT_CONFIGS)
         path = tmp_path / "encoded.jsonl"
-        write_encoded(table, LAYOUTS["e1"], path)
+        write_encoded(table, VARIANTS["e1"], path)
         for vid in ("a1", "c1"):
             back = read_encoded(path, vid)
             np.testing.assert_array_equal(branches(back, vid)[0], branches(table, vid)[0])
@@ -387,8 +387,8 @@ class TestEncodedRoundTrip:
 class TestReadEncodedErrors:
     def write_records(self, tmp_path, records):
         path = tmp_path / "encoded.jsonl"
-        table = encode_dataset([make_obs(), make_obs(p_f=50.0)], LAYOUTS["a1"], DEFAULT_CONFIGS)
-        write_encoded(table, LAYOUTS["a1"], path)
+        table = encode_dataset([make_obs(), make_obs(p_f=50.0)], VARIANTS["a1"], DEFAULT_CONFIGS)
+        write_encoded(table, VARIANTS["a1"], path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(records(lines)) + "\n")
         return path
@@ -462,10 +462,10 @@ class TestReadEncodedErrors:
 
 def test_layout_table():
     # Flag matrix for the ten variants.
-    assert LAYOUTS["a1"].rod_feature == "reactivity" and LAYOUTS["a1"].uses_direction
-    assert LAYOUTS["c1"].rod_feature == "reactivity" and not LAYOUTS["c1"].uses_direction
-    assert LAYOUTS["d1"].rod_feature == "heights" and not LAYOUTS["d1"].uses_direction
-    assert LAYOUTS["e1"].input_mode == "all_in_one"
-    assert all(LAYOUTS[v].uses_direction for v in ("a2", "b2", "c2", "d2"))
+    assert VARIANTS["a1"].rod_feature == "reactivity" and VARIANTS["a1"].uses_direction
+    assert VARIANTS["c1"].rod_feature == "reactivity" and not VARIANTS["c1"].uses_direction
+    assert VARIANTS["d1"].rod_feature == "heights" and not VARIANTS["d1"].uses_direction
+    assert VARIANTS["e1"].input_mode == "all_in_one"
+    assert all(VARIANTS[v].uses_direction for v in ("a2", "b2", "c2", "d2"))
     assert all(variant_spec(v).task == "regressor" for v in ("a2", "b2", "c2", "d2"))
     assert variant_spec("a1").task == "classifier"
