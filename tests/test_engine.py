@@ -15,9 +15,9 @@ from rtp.engine import (
     HEAD_LAYERS,
     HEAD_SIGMOID,
     HEAD_SOFTMAX,
-    SOFTMAX_WIDTH,
     LOSS_CCE,
     LOSS_MAE,
+    SOFTMAX_WIDTH,
     DenseLayer,
     ModelFormatError,
     NetworkModel,

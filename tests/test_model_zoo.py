@@ -138,7 +138,7 @@ def test_each_pair_is_the_direction_classifier_with_the_regressors_inputs():
 
 def readme_tables():
     """The tables of README's "Model variants" section, by their first
-    header cell, each as its body rows of cells."""
+    header cell, each as its header and body rows of cells."""
     text = (Path(__file__).parents[1] / "README.md").read_text()
     section = text.split("\n## Model variants\n")[1].split("\n## ")[0]
     tables = {}
@@ -149,12 +149,13 @@ def readme_tables():
             if line.startswith("|")
         ]
         if rows:
-            tables[rows[0][0]] = rows[2:]  # past the header and its rule
+            tables[rows[0][0]] = [rows[0], *rows[2:]]  # less the header's rule
     return tables
 
 
 def test_readme_variant_table_matches_the_code():
-    want = [
+    header = ["id", "task", "inputs", "rod feature", "direction", "pair", "optimizer", "metric"]
+    want = [header] + [
         [v.variant_id, v.task, v.input_mode, v.rod_feature, "yes" if v.uses_direction else "no",
          v.pair or "-", v.optimizer, v.monitored_metric]
         for v in VARIANTS.values()
@@ -163,7 +164,8 @@ def test_readme_variant_table_matches_the_code():
 
 
 def test_readme_task_table_matches_the_code():
-    want = [
+    header = ["task", "head", "metrics reported", "early_stop_min_delta"]
+    want = [header] + [
         [task, t.head, " ".join(t.metrics), repr(t.early_stop_min_delta)]
         for task, t in TASKS.items()
     ]
