@@ -11,6 +11,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from itertools import count
 
 from .augment import PerturbationPolicy, ProgressError, over_sample
@@ -18,14 +19,13 @@ from .compose import (
     CompositionError,
     TwoStageModel,
     check_stage,
-    compose,
     evaluate_two_stage,
     load_any_model,
     load_two_stage,
     predict_arrays,
     save_two_stage,
 )
-from .domain import N_CLASSES, is_nonnegative_integer
+from .domain import N_CLASSES, is_nonnegative_integer, settings_from
 from .engine import ModelFormatError, ShapeError, load_model, run_layers, save_model
 from .ingest import (
     CorpusSpec,
@@ -61,10 +61,48 @@ class UsageError(Exception):
     pass
 
 
+# The errors of a malformed input; the library's messages name no file.
+INPUT_ERRORS = (ParseError, DataError, ModelFormatError, CompositionError)
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage errors; the CLI contract says 1.
     def error(self, message):
         raise UsageError(message)
+
+
+@contextmanager
+def _reading(path):
+    """Prefix `path: ` to an input error raised inside the block, keeping its
+    type; a byte that is not UTF-8 becomes a DataError the same way."""
+    try:
+        yield
+    except INPUT_ERRORS as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
+def _read_config(path, build):
+    """build() of the JSON object in the --config file `path` ({} if none); refusals exit 1."""
+    if path is None:
+        return build({})
+    try:
+        with open(path) as handle:
+            doc = json.load(handle)
+        if not isinstance(doc, dict):
+            raise ValueError("expected a JSON object")
+        return build(doc)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"{path}: {exc}") from exc
+
+
+def _load_stage(path, stage: str, task: str):
+    """The model in `path`, checked as the `task` network of `stage`."""
+    with _reading(path):
+        model = load_model(path)
+        check_stage(stage, model, task)
+    return model
 
 
 def _effective_seed(args) -> int:
@@ -95,8 +133,10 @@ def _cmd_synthesize(args) -> int:
 def _cmd_augment(args) -> int:
     if args.n < 0:
         raise UsageError(f"--n must be an integer >= 0, got {args.n}")
+    with _reading(args.infile):
+        table = read_log(args.infile)
     generated = over_sample(
-        read_log(args.infile),
+        table,
         n=args.n,
         change=CHANGE_BY_NAME[args.change],
         policy=PerturbationPolicy(),
@@ -109,50 +149,37 @@ def _cmd_augment(args) -> int:
 
 
 def _kept_rows(path, verb: str):
-    """The rows of the CSV at `path` that the exclusion rules keep, and what
-    they excluded; DataError names the file and the exclusions if none is left."""
-    kept, n = filter_report(read_log(path))
-    excluded = f"excluded: {n.too_long} too long, {n.shutdown} shutdowns, {n.no_change} unchanged"
-    if not kept:
-        raise DataError(f"{path}: no row left to {verb} ({excluded})")
-    return kept, excluded
+    """The encoded rows of the CSV at `path` that the exclusion rules keep,
+    and what they excluded; DataError names the exclusions if none is left."""
+    with _reading(path):
+        kept, n = filter_report(read_log(path))
+        tally = f"excluded: {n.too_long} too long, {n.shutdown} shutdowns, {n.no_change} unchanged"
+        if not kept:
+            raise DataError(f"no row left to {verb} ({tally})")
+        return encode_table(kept), tally
 
 
 def _cmd_preprocess(args) -> int:
-    kept, excluded = _kept_rows(args.infile, "encode")
-    table = encode_table(kept)
+    table, excluded = _kept_rows(args.infile, "encode")
     if args.balance:
-        table = undersample(table, _effective_seed(args))
+        with _reading(args.infile):
+            table = undersample(table, _effective_seed(args))
     write_encoded(table, VARIANTS[args.layout], args.out)
     if args.verbose:
         print(f"encoded {len(table)} samples ({excluded})")
     return EXIT_OK
 
 
-def _check_classifier(stage: str, model, path) -> None:
-    """compose.check_stage of a classifier read from `path`, naming the file."""
-    try:
-        check_stage(stage, model, "classifier")
-    except CompositionError as exc:
-        raise CompositionError(f"model file {path}: {exc}") from None
-
-
 def _cmd_train(args) -> int:
     seed = _effective_seed(args)
     spec = VARIANTS[args.variant]
-    overrides = {}
-    if args.config:
-        try:
-            with open(args.config) as handle:
-                overrides = json.load(handle)
-            check_overrides(overrides, [args.variant])
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"config file {args.config}: {exc}") from exc
+    overrides = _read_config(args.config, lambda doc: check_overrides(doc, [args.variant]))
     stage1_flags = {"--stage1-model": args.stage1_model, "--stage1-data": args.stage1_data}
     for flag, value in stage1_flags.items():
         if spec.task == "classifier" and value is not None:
             raise UsageError(f"variant {args.variant} is a classifier; {flag} is for regressors")
-    table = read_encoded(args.data, args.variant)
+    with _reading(args.data):
+        table = read_encoded(args.data, args.variant)
     probs = None
     if spec.task == "regressor":
         if not args.stage1_model or not args.stage1_data:
@@ -160,16 +187,15 @@ def _cmd_train(args) -> int:
                 f"variant {args.variant} is a regressor; --stage1-model and "
                 "--stage1-data (encoded with the paired classifier layout) are required"
             )
-        classifier = load_model(args.stage1_model)
-        _check_classifier("stage 1", classifier, args.stage1_model)
-        stage1_table = read_encoded(args.stage1_data, classifier.variant_id)
-        if len(stage1_table) != len(table):
-            raise DataError(
-                f"stage-1 data rows ({len(stage1_table)}) do not align with "
-                f"training rows ({len(table)})"
-            )
-        x = stage_inputs(stage1_table.features, classifier.variant_id)
-        probs = run_layers(classifier, x)
+        classifier = _load_stage(args.stage1_model, "stage 1", "classifier")
+        with _reading(args.stage1_data):
+            stage1_table = read_encoded(args.stage1_data, classifier.variant_id)
+            if len(stage1_table) != len(table):
+                raise DataError(
+                    f"stage-1 data rows ({len(stage1_table)}) do not align with "
+                    f"training rows ({len(table)}) of {args.data}"
+                )
+        probs = run_layers(classifier, stage_inputs(stage1_table.features, classifier.variant_id))
 
     trained, history = fit_variant(args.variant, table, seed, overrides, probs)
     save_model(trained, args.out)
@@ -183,7 +209,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_compose(args) -> int:
-    model = compose(args.stage1, args.stage2)
+    stage1 = _load_stage(args.stage1, "stage 1", "classifier")
+    model = TwoStageModel(stage1, _load_stage(args.stage2, "stage 2", "regressor"))
     save_two_stage(model, args.out)
     if args.verbose:
         print(f"composed {model.stage1.variant_id}+{model.stage2.variant_id} -> {args.out}")
@@ -191,9 +218,16 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    kept, _ = _kept_rows(args.data, "evaluate")
-    model = load_any_model(args.model)
-    table = encode_table(kept)
+    table, _ = _kept_rows(args.data, "evaluate")
+    with _reading(args.model):
+        model = load_any_model(args.model)
+        if not isinstance(model, TwoStageModel):
+            if model.variant_id in REGRESSOR_IDS:
+                raise DataError(
+                    f"{model.variant_id} is a regressor, which is evaluated through a "
+                    "two-stage model (see rtp compose)"
+                )
+            check_stage("model", model, "classifier")
 
     report: dict
     columns: list[list]  # per row: true class, predicted class[, absolute error]
@@ -211,12 +245,6 @@ def _cmd_evaluate(args) -> int:
         ]
         header = ["row", "true_class", "predicted_class", "abs_error_norm"]
     else:
-        if model.variant_id in REGRESSOR_IDS:
-            raise DataError(
-                f"model file {args.model}: {model.variant_id} is a regressor, which is "
-                "evaluated through a two-stage model (see rtp compose)"
-            )
-        _check_classifier("model", model, args.model)
         _, predicted, cm, metrics = score_classifier(model, table)
         report = {"classification": metrics.to_dict(), "confusion": cm.to_lists()}
         columns = [table.class_index.tolist(), predicted.tolist()]
@@ -235,8 +263,10 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    model = load_two_stage(args.model)
-    table = encode_table(read_log(args.infile))
+    with _reading(args.model):
+        model = load_two_stage(args.model)
+    with _reading(args.infile):
+        table = encode_table(read_log(args.infile))
     probs, classes, norm = predict_arrays(model, table)
     # Element by element as denormalize_power, so each value keeps its bits.
     watts = map(math.exp, (norm * LN_FULL_POWER).tolist())
@@ -256,13 +286,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    if args.config:
-        try:
-            config = PipelineConfig.from_file(args.config)
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"config file {args.config}: {exc}") from exc
-    else:
-        config = PipelineConfig()
+    config = _read_config(args.config, lambda doc: settings_from(PipelineConfig, doc))
     if args.out_dir:
         config.out_dir = args.out_dir
     if args.seed is not None or os.environ.get("RTP_SEED"):
@@ -337,9 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -347,16 +370,7 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as exc:
         print(f"numeric divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (
-        ParseError,
-        DataError,
-        ModelFormatError,
-        CompositionError,
-        ShapeError,
-        ProgressError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (*INPUT_ERRORS, ShapeError, ProgressError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -16,7 +16,6 @@ from .engine import (
     NetworkModel,
     check_format_version,
     load_document,
-    load_model,
     model_from_dict,
     model_to_dict,
     run_layers,
@@ -84,16 +83,6 @@ class TwoStageModel:
         check_stage("stage 2", self.stage2, "regressor")
 
 
-def compose(stage1_path: Union[str, Path], stage2_path: Union[str, Path]) -> TwoStageModel:
-    """Load and validate the two stages from model files; a CompositionError
-    names both files."""
-    stage1, stage2 = load_model(stage1_path), load_model(stage2_path)
-    try:
-        return TwoStageModel(stage1, stage2)
-    except CompositionError as exc:
-        raise CompositionError(f"stage 1 {stage1_path}, stage 2 {stage2_path}: {exc}") from None
-
-
 def save_two_stage(model: TwoStageModel, path: Union[str, Path]) -> None:
     """Persist the composition with full copies of both stages embedded."""
     doc = {
@@ -111,11 +100,7 @@ def two_stage_from_dict(doc: dict) -> TwoStageModel:
     if not isinstance(doc, dict) or doc.get("kind") != "two-stage":
         raise ModelFormatError("not a two-stage model file")
     check_format_version(doc.get("format_version"))
-    stage1, stage2 = model_from_dict(doc["stage1"]), model_from_dict(doc["stage2"])
-    try:
-        return TwoStageModel(stage1, stage2)
-    except CompositionError as exc:
-        raise ModelFormatError(str(exc)) from exc
+    return TwoStageModel(model_from_dict(doc["stage1"]), model_from_dict(doc["stage2"]))
 
 
 def load_two_stage(path: Union[str, Path]) -> TwoStageModel:

@@ -7,7 +7,7 @@ import bisect
 import datetime as dt
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -159,3 +159,12 @@ def check_settings(settings, rules: dict) -> None:
         value = getattr(settings, name)
         if not valid(value):
             raise ValueError(f"{name} must be {must_be}, got {value!r}")
+
+
+def settings_from(cls, doc: dict, within: str = ""):
+    """cls(**doc) for a settings dataclass `cls`; ValueError names a key of
+    `doc` that is not a field of cls, and the setting `within` it sits."""
+    unknown = [key for key in doc if key not in {f.name for f in fields(cls)}]
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}" + (f" in {within}" if within else ""))
+    return cls(**doc)

@@ -87,7 +87,7 @@ class NetworkModel:
     l2: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.head not in HEAD_LAYERS:
+        if not isinstance(self.head, str) or self.head not in HEAD_LAYERS:
             raise ValueError(f"unknown head {self.head!r}")
         if not self.trunk:
             raise ValueError("trunk must contain at least the head layer")
@@ -395,26 +395,23 @@ def check_format_version(version: Any) -> None:
 
 def _layer_from_dict(doc: dict, params: np.ndarray | None, start: int) -> DenseLayer:
     """The layer of a record: its values are in the record (format 1) or
-    start at params[start] (format 2)."""
-    try:
-        n_in, n_out = doc["shape"]
-        if params is None:
-            weights = np.asarray(doc["weights"], dtype=np.float64).reshape(n_in, n_out)
-            biases = np.asarray(doc["biases"], dtype=np.float64)
-        else:
-            split, end = start + n_in * n_out, start + (n_in + 1) * n_out
-            if end > params.size:
-                raise ValueError(f"params has {params.size} values, fewer than the layers need")
-            weights, biases = params[start:split].reshape(n_in, n_out), params[split:end]
-        return DenseLayer(
-            weights=weights,
-            biases=biases,
-            activation=doc["activation"],
-            l1=float(doc["l1"]),
-            l2=float(doc["l2"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"corrupt layer record: {exc}") from exc
+    start at params[start] (format 2); model_from_dict reports a malformed one."""
+    n_in, n_out = doc["shape"]
+    if params is None:
+        weights = np.asarray(doc["weights"], dtype=np.float64).reshape(n_in, n_out)
+        biases = np.asarray(doc["biases"], dtype=np.float64)
+    else:
+        split, end = start + n_in * n_out, start + (n_in + 1) * n_out
+        if end > params.size:
+            raise ValueError(f"params has {params.size} values, fewer than the layers need")
+        weights, biases = params[start:split].reshape(n_in, n_out), params[split:end]
+    return DenseLayer(
+        weights=weights,
+        biases=biases,
+        activation=doc["activation"],
+        l1=float(doc["l1"]),
+        l2=float(doc["l2"]),
+    )
 
 
 def model_from_dict(doc: dict) -> NetworkModel:
@@ -439,6 +436,8 @@ def model_from_dict(doc: dict) -> NetworkModel:
             else:
                 branches[layer_doc["branch"]].append(layer)
         head, variant_id = doc["head"], doc.get("variant_id")
+        if not isinstance(variant_id, (str, type(None))):
+            raise TypeError(f"variant_id must be a string or null, got {variant_id!r}")
     except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
         raise ModelFormatError(f"corrupt model document: {exc}") from exc
     try:
@@ -461,13 +460,12 @@ def save_model(model: NetworkModel, path: Union[str, Path]) -> None:
 
 
 def load_document(path: Union[str, Path], from_dict: Callable[[Any], Any]) -> Any:
-    """from_dict of the JSON document in `path`; a malformed document raises
-    ModelFormatError naming the file."""
+    """from_dict of the JSON document in `path`; ModelFormatError if not JSON or lacking a key."""
     try:
         with open(path) as handle:
             return from_dict(json.load(handle))
-    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, ModelFormatError) as exc:
-        raise ModelFormatError(f"model file {path}: {exc}") from exc
+    except (json.JSONDecodeError, KeyError) as exc:
+        raise ModelFormatError(str(exc)) from exc
 
 
 def load_model(path: Union[str, Path]) -> NetworkModel:

@@ -237,10 +237,7 @@ def _read_chunks(source: Union[str, Path, TextIO]) -> Iterator[ObservationTable]
     """The tables of successive CHUNK_ROWS-line chunks of a transient-log CSV."""
     if isinstance(source, (str, Path)):
         with open(source, "r", newline="") as handle:
-            try:
-                yield from _read_chunks(handle)
-            except UnicodeDecodeError as exc:
-                raise DataError(f"{source}: {exc}") from None
+            yield from _read_chunks(handle)
         return
 
     reader = csv.reader(source)

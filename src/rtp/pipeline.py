@@ -16,7 +16,14 @@ import numpy as np
 from . import seeds
 from .augment import PerturbationPolicy, over_sample
 from .compose import TwoStageModel, evaluate_two_stage, save_two_stage
-from .domain import check_settings, is_count, is_integer, is_nonnegative_integer, is_number
+from .domain import (
+    check_settings,
+    is_count,
+    is_integer,
+    is_nonnegative_integer,
+    is_number,
+    settings_from,
+)
 from .engine import run_layers, save_model
 from .evaluate import class_metrics, confusion
 from .ingest import CorpusSpec, ObservationTable, synthesize_corpus, write_observations
@@ -75,6 +82,8 @@ class PipelineConfig:
     training_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if isinstance(self.policy, dict):
+            self.policy = settings_from(PerturbationPolicy, self.policy, "policy")
         check_settings(self, _CONFIG_RULES)
         for vid in self.regressor_ids:
             if (cid := pair_for_regressor(vid)) not in self.classifier_ids:
@@ -84,16 +93,6 @@ class PipelineConfig:
         check_overrides(self.training_overrides, (*self.classifier_ids, *self.regressor_ids))
         for key in ("classifier_ids", "regressor_ids", "compose_pair"):
             setattr(self, key, tuple(getattr(self, key)))
-
-    @classmethod
-    def from_file(cls, path: Union[str, Path]) -> "PipelineConfig":
-        with open(path) as handle:
-            doc = json.load(handle)
-        if not isinstance(doc, dict):
-            raise ValueError("expected a JSON object")
-        if isinstance(doc.get("policy"), dict):
-            doc["policy"] = PerturbationPolicy(**doc["policy"])
-        return cls(**doc)
 
 
 def training_config(variant_id: str, seed: int, overrides: dict) -> TrainingConfig:
@@ -109,12 +108,13 @@ def training_config(variant_id: str, seed: int, overrides: dict) -> TrainingConf
     return config
 
 
-def check_overrides(overrides: dict, variant_ids) -> None:
-    """Raise ValueError naming a training override that TrainingConfig, or
-    the training config of any of `variant_ids`, refuses."""
-    replace(TrainingConfig(), **overrides)
+def check_overrides(overrides: dict, variant_ids) -> dict:
+    """`overrides`, once TrainingConfig and the training config of each of
+    `variant_ids` take them; ValueError names an unknown or refused one."""
+    settings_from(TrainingConfig, overrides)
     for vid in variant_ids:
         training_config(vid, 0, overrides)
+    return overrides
 
 
 def fit_variant(variant_id: str, table, seed: int, overrides: dict, class_probs=None):

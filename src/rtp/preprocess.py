@@ -33,7 +33,7 @@ class PowerRangeError(ValueError):
     """Power outside the classifiable range."""
 
 
-class EmptyClassError(ValueError):
+class EmptyClassError(DataError):
     """A class with no samples cannot be undersampled."""
 
 
@@ -227,7 +227,7 @@ def encode_table(table: ObservationTable) -> EncodedTable:
     direction = np.sign(powers[:, 1] - powers[:, 0])
     if not direction.all():
         row = table.row_index[np.flatnonzero(direction == 0)[0]]
-        raise ValueError(f"row {row}: zero-change transient has no direction")
+        raise DataError(f"row {row}: zero-change transient has no direction")
     features[:, _DIRECTION] = direction
     # Ceiling-inclusive, as classify_power; states never exceed the top ceiling.
     class_index = np.searchsorted(CLASS_CEILINGS, powers[:, 1], "left")
@@ -240,7 +240,7 @@ def encode_row(obs: TransientObservation, config: CoreConfiguration) -> np.ndarr
     in Python floats, because numpy's per-call cost dominates at one row."""
     p_i, p_f = obs.initial.power, obs.final.power
     if p_f == p_i:
-        raise ValueError("row 1: zero-change transient has no direction")
+        raise DataError("row 1: zero-change transient has no direction")
     w0, w1, w2, w3 = config.rod_worths
     row = [0.0] * 12
     row[_POWER] = math.log(p_i) / LN_FULL_POWER
@@ -345,31 +345,27 @@ def read_encoded(path: Union[str, Path], variant_id: str) -> EncodedTable:
 
     Each record's values go to their feature columns; the columns its layout
     does not write hold NaN. A malformed, inconsistent or missing record
-    raises DataError naming the file and line; so does a file with no
-    records, or one whose layout lacks a column that `variant_id` reads.
+    raises DataError naming the line; so does a file with no records, or
+    one whose layout lacks a column that `variant_id` reads.
     """
     rows: list[tuple] = []
-    try:
-        with open(path) as handle:
-            for line_no, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    rows.append(_read_record(line, rows[0] if rows else None))
-                except (ValueError, TypeError) as exc:
-                    raise DataError(f"{path} line {line_no}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: {exc}") from None
+    with open(path) as handle:
+        for line_no, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                rows.append(_read_record(line, rows[0] if rows else None))
+            except (ValueError, TypeError) as exc:
+                raise DataError(f"line {line_no}: {exc}") from None
     if not rows:
-        raise DataError(f"no encoded samples in {path}")
+        raise DataError("no encoded samples")
     variant_ids, initial, final, onehot, direction, target = zip(*rows)
     written = VARIANTS[variant_ids[0]]
     initial_columns, final_columns = _record_columns(written)
     read = VARIANTS[variant_id].columns
     if not np.isin(read, [*initial_columns, *final_columns, _DIRECTION]).all():
-        raise DataError(
-            f"{path}: its {written.variant_id} layout lacks features that variant {variant_id} reads"
-        )
+        lacks = f"its {written.variant_id} layout lacks features that variant {variant_id} reads"
+        raise DataError(lacks)
     features = np.full((len(rows), 12), np.nan)
     features[:, _DIRECTION] = direction
     features[:, initial_columns] = initial

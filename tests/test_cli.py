@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import base64
 import csv
 import hashlib
 import json
@@ -15,7 +16,13 @@ from rtp import cli, compose, seeds
 from rtp.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from rtp.domain import config_for_date
 from rtp.engine import forward, save_model
-from rtp.ingest import ObservationTable, read_log, read_observations, row_to_observation
+from rtp.ingest import (
+    CSV_HEADER,
+    ObservationTable,
+    read_log,
+    read_observations,
+    row_to_observation,
+)
 from rtp.model_zoo import build_variant, pair_for_regressor, stage_inputs
 from rtp.pipeline import PipelineConfig, run_pipeline
 from rtp.preprocess import (
@@ -162,9 +169,10 @@ class TestArtifacts:
         code = main(["evaluate", "--model", str(model), "--data", str(workdir / "corpus.csv"),
                      "--out", str(report_path)])
         assert code == EXIT_DATA
-        err = capsys.readouterr().err
-        assert f"model file {model}: b2 is a regressor" in err
-        assert "two-stage model" in err and "Traceback" not in err
+        assert capsys.readouterr().err == (
+            f"error: {model}: b2 is a regressor, which is evaluated through a two-stage model "
+            "(see rtp compose)\n"
+        )
         assert not report_path.exists()
 
     @pytest.mark.parametrize("model", ["model_a1.json", "twostage.json"])
@@ -261,7 +269,9 @@ class TestArtifacts:
             ["predict", "--model", str(workdir / "twostage.json"), "--in", str(bad), "--out", str(out)]
         )
         assert code == EXIT_DATA
-        assert "row 3: zero-change transient has no direction" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {bad}: row 3: zero-change transient has no direction\n"
+        )
 
 
     def test_predict_output_matches_csv_writer(self, workdir, tmp_path):
@@ -313,7 +323,9 @@ class TestArtifacts:
             ["predict", "--model", str(workdir / "twostage.json"), "--in", str(bad), "--out", str(out)]
         )
         assert code == EXIT_DATA
-        assert "error: row 5: zero-change transient has no direction" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {bad}: row 5: zero-change transient has no direction\n"
+        )
 
 
 class TestPinnedOutputs:
@@ -585,7 +597,7 @@ class TestExitCodes:
                      "--out", str(tmp_path / "predictions.csv")])
         assert code == EXIT_DATA
         err = capsys.readouterr().err
-        assert err.startswith(f"error: row 1: field '{field}': ")
+        assert err.startswith(f"error: {bad}: row 1: field '{field}': ")
         assert "has a UTC offset" in err and "Traceback" not in err
 
     def test_malformed_csv_is_data_error(self, tmp_path):
@@ -663,7 +675,7 @@ class TestExitCodes:
             "--out", str(out),
         ])
         assert code == EXIT_DATA
-        assert capsys.readouterr().err == f"error: model file {model}: {message}\n"
+        assert capsys.readouterr().err == f"error: {model}: {message}\n"
         assert not out.exists()
 
     def test_train_data_without_the_variants_columns_names_file_and_variant(self, workdir, capsys):
@@ -716,7 +728,7 @@ class TestExitCodes:
         code = main(["evaluate", "--model", str(path), "--data", str(workdir / "corpus.csv"),
                      "--out", str(report)])
         assert code == EXIT_DATA
-        assert capsys.readouterr().err == f"error: model file {path}: {message}\n"
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert not report.exists()
 
     def test_train_on_record_without_field_names_file_and_line(self, workdir, tmp_path, capsys):
@@ -729,9 +741,7 @@ class TestExitCodes:
             ["train", "--variant", "a1", "--data", str(bad), "--out", str(tmp_path / "m.json")]
         )
         assert code == EXIT_DATA
-        err = capsys.readouterr().err
-        assert "bad.jsonl line 2" in err and "initial_branch" in err
-        assert "Traceback" not in err
+        assert capsys.readouterr().err == f"error: {bad}: line 2: missing field 'initial_branch'\n"
 
     def test_train_on_three_class_onehots_names_file_and_line(self, workdir, tmp_path, capsys):
         # Every record is 3 classes wide, so no record disagrees with the first.
@@ -744,7 +754,7 @@ class TestExitCodes:
         code = main(["train", "--variant", "a1", "--data", str(bad), "--out", str(out)])
         assert code == EXIT_DATA
         err = capsys.readouterr().err
-        assert err == f"error: {bad} line 1: field 'class_onehot' has 3 values, not 5\n"
+        assert err == f"error: {bad}: line 1: field 'class_onehot' has 3 values, not 5\n"
         assert not out.exists()
 
     def test_train_on_csv_names_file_and_line(self, workdir, tmp_path, capsys):
@@ -757,7 +767,9 @@ class TestExitCodes:
             ]
         )
         assert code == EXIT_DATA
-        assert "corpus.csv line 1:" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {workdir / 'corpus.csv'}: line 1: Expecting value: line 1 column 1 (char 0)\n"
+        )
 
     def test_unchained_model_file_is_data_error(self, workdir, tmp_path, capsys):
         doc = json.loads((workdir / "model_a1.json").read_text())
@@ -774,7 +786,9 @@ class TestExitCodes:
             ]
         )
         assert code == EXIT_DATA
-        assert "broken.json" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: {broken}: invalid model: trunk input width 64 != branches [64, 64] + aux 1\n"
+        )
 
     @pytest.mark.parametrize(
         "stage, variant_id, message",
@@ -798,8 +812,7 @@ class TestExitCodes:
         for command in commands:
             assert main(command) == EXIT_DATA
             err = capsys.readouterr().err
-            assert f"error: model file {bad}: {message}" in err
-            assert "Traceback" not in err
+            assert err == f"error: {bad}: {message}\n"
 
     def test_stage_with_another_layouts_widths_is_refused_at_load(
         self, workdir, tmp_path, monkeypatch, capsys
@@ -815,7 +828,7 @@ class TestExitCodes:
                      "--stage2", str(stage2), "--out", str(composed)])
         assert code == EXIT_DATA
         err = capsys.readouterr().err
-        assert err == f"error: stage 1 {workdir / 'model_a1.json'}, stage 2 {stage2}: {message}\n"
+        assert err == f"error: {stage2}: {message}\n"
         assert not composed.exists()
 
         bad = tmp_path / "twostage.json"
@@ -832,7 +845,7 @@ class TestExitCodes:
         code = main(["predict", "--model", str(bad), "--in", str(workdir / "corpus.csv"),
                      "--out", str(tmp_path / "predictions.csv")])
         assert code == EXIT_DATA
-        assert capsys.readouterr().err == f"error: model file {bad}: {message}\n"
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
         assert not (tmp_path / "predictions.csv").exists()
 
     def test_evaluate_names_model_file_that_is_not_json(self, workdir, tmp_path, capsys):
@@ -847,9 +860,9 @@ class TestExitCodes:
             ]
         )
         assert code == EXIT_DATA
-        err = capsys.readouterr().err
-        assert f"model file {bad}: Expecting value" in err
-        assert "Traceback" not in err
+        assert capsys.readouterr().err == (
+            f"error: {bad}: Expecting value: line 1 column 1 (char 0)\n"
+        )
 
     def test_unknown_train_config_key_is_usage_error(self, workdir, tmp_path, capsys):
         config = tmp_path / "train.json"
@@ -864,21 +877,19 @@ class TestExitCodes:
             ]
         )
         assert code == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "bogus" in err and "train.json" in err
+        assert capsys.readouterr().err == f"usage error: {config}: unknown key 'bogus'\n"
 
     def test_unknown_pipeline_config_key_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "pipeline.json"
         config.write_text(json.dumps({"bogus": 1}))
         assert main(["pipeline", "--config", str(config)]) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "bogus" in err and "pipeline.json" in err
+        assert capsys.readouterr().err == f"usage error: {config}: unknown key 'bogus'\n"
 
     def test_unknown_training_override_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "pipeline.json"
         config.write_text(json.dumps({"training_overrides": {"bogus": 1}}))
         assert main(["pipeline", "--config", str(config)]) == EXIT_USAGE
-        assert "bogus" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"usage error: {config}: unknown key 'bogus'\n"
 
     INVALID_TRAINING = [
         ("batch_size", -3),
@@ -904,7 +915,7 @@ class TestExitCodes:
         }))
         assert main(["pipeline", "--config", str(config)]) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert f"config file {config}: {key} must be" in err
+        assert err.startswith(f"usage error: {config}: {key} must be")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
@@ -923,7 +934,7 @@ class TestExitCodes:
             ]
         )
         assert code == EXIT_USAGE
-        assert f"config file {config}: {key} must be" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"usage error: {config}: {key} must be")
         assert not out.exists()
 
     INVALID_PIPELINE = {
@@ -954,7 +965,7 @@ class TestExitCodes:
         }))
         assert main(["pipeline", "--config", str(config)]) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert f"config file {config}: {key}" in err
+        assert err.startswith(f"usage error: {config}: {key}")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
@@ -973,7 +984,7 @@ class TestExitCodes:
         }))
         assert main(["pipeline", "--config", str(config)]) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert f"config file {config}: monitored_metric must be" in err
+        assert err.startswith(f"usage error: {config}: monitored_metric must be")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
@@ -992,7 +1003,7 @@ class TestExitCodes:
         ])
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
-        assert f"config file {config}: monitored_metric must be" in err
+        assert err.startswith(f"usage error: {config}: monitored_metric must be")
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -1121,3 +1132,202 @@ class TestSeedHandling:
         monkeypatch.delenv("RTP_SEED")
         main(["--seed", "6", "synthesize", "--n", "30", "--out", str(reference)])
         assert by_flag.read_bytes() == reference.read_bytes()
+
+
+class TestErrorsNameTheirInput:
+    """An input error reads `error: <path>: <message>`, or `usage error:` for
+    a --config file, and names the file once."""
+
+    HEADER = ",".join(CSV_HEADER)
+    BAD_CSVS = {
+        "empty": ("", "empty CSV: no header row"),
+        "header-only": (f"{HEADER}\n", "CSV contains a header but no data rows"),
+        "wrong-header": (
+            "date,time\n2014-06-01,08:00\n",
+            f"unexpected CSV header ['date', 'time']; expected {CSV_HEADER}",
+        ),
+        "bad-date": (
+            f"{HEADER}\n2014-13-01,10:00,10:30,100.0,1000.0,5,5,5,5,6,6,6,6\n",
+            "row 1: field 'date': cannot parse '2014-13-01'",
+        ),
+    }
+    CSV_COMMANDS = {
+        "predict": ["predict", "--model", "{twostage}", "--in", "{csv}", "--out", "{out}"],
+        "evaluate": ["evaluate", "--model", "{a1}", "--data", "{csv}", "--out", "{out}"],
+        "preprocess": ["preprocess", "--in", "{csv}", "--layout", "a1", "--out", "{out}"],
+        "augment": ["augment", "--in", "{csv}", "--out", "{out}", "--n", "5"],
+    }
+
+    @staticmethod
+    def run(command, **paths):
+        return main([arg.format(**paths) for arg in command])
+
+    @pytest.mark.parametrize("text,message", BAD_CSVS.values(), ids=BAD_CSVS)
+    @pytest.mark.parametrize("command", CSV_COMMANDS.values(), ids=CSV_COMMANDS)
+    def test_bad_csv(self, workdir, tmp_path, capsys, command, text, message):
+        csv_path, out = tmp_path / "bad.csv", tmp_path / "out"
+        csv_path.write_text(text)
+        code = self.run(command, csv=csv_path, out=out, twostage=workdir / "twostage.json",
+                        a1=workdir / "model_a1.json")
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {csv_path}: {message}\n"
+        assert not out.exists()
+
+    def test_balance_of_a_csv_that_lacks_a_class(self, workdir, tmp_path, capsys):
+        lines = (workdir / "corpus.csv").read_text().splitlines()
+        one_row, out = tmp_path / "one_row.csv", tmp_path / "enc.jsonl"
+        one_row.write_text("\n".join(lines[:2]) + "\n")
+        missing = 1 if encode_table(read_log(one_row)).class_index[0] == 0 else 0
+        code = main(["preprocess", "--in", str(one_row), "--layout", "a1", "--balance",
+                     "--out", str(out)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {one_row}: class {missing} has no samples\n"
+        assert not out.exists()
+
+    def test_stage1_data_of_another_row_count(self, workdir, tmp_path, capsys):
+        short = tmp_path / "short.jsonl"
+        short.write_text("".join((workdir / "enc_a1.jsonl").read_text().splitlines(True)[:5]))
+        data, out = workdir / "enc_b2.jsonl", tmp_path / "model.json"
+        code = main(["train", "--variant", "b2", "--data", str(data),
+                     "--stage1-model", str(workdir / "model_a1.json"),
+                     "--stage1-data", str(short), "--out", str(out)])
+        assert code == EXIT_DATA
+        n = len(read_encoded(data, "b2"))
+        assert capsys.readouterr().err == (
+            f"error: {short}: stage-1 data rows (5) do not align with training rows ({n}) of {data}\n"
+        )
+        assert not out.exists()
+
+    def test_compose_with_a_regressor_as_stage1(self, workdir, tmp_path, capsys):
+        b2, out = workdir / "model_b2.json", tmp_path / "composed.json"
+        code = main(["compose", "--stage1", str(b2), "--stage2", str(b2), "--out", str(out)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {b2}: stage 1 variant b2 is not a classifier\n"
+        assert not out.exists()
+
+    NOT_UTF8 = {
+        "model": (["evaluate", "--model", "{latin}", "--data", "{corpus}", "--out", "{out}"],
+                  EXIT_DATA, "error"),
+        "csv": (["evaluate", "--model", "{a1}", "--data", "{latin}", "--out", "{out}"],
+                EXIT_DATA, "error"),
+        "jsonl": (["train", "--variant", "a1", "--data", "{latin}", "--out", "{out}"],
+                  EXIT_DATA, "error"),
+        "config": (["train", "--variant", "a1", "--data", "{enc_a1}", "--config", "{latin}",
+                    "--out", "{out}"], EXIT_USAGE, "usage error"),
+    }
+
+    @pytest.mark.parametrize("command,exit_code,prefix", NOT_UTF8.values(), ids=NOT_UTF8)
+    def test_file_that_is_not_utf8(self, workdir, tmp_path, capsys, command, exit_code, prefix):
+        latin, out = tmp_path / "latin.txt", tmp_path / "out"
+        latin.write_bytes("{\"Дата\": 1}\n".encode("cp1251"))
+        code = self.run(command, latin=latin, out=out, corpus=workdir / "corpus.csv",
+                        a1=workdir / "model_a1.json", enc_a1=workdir / "enc_a1.jsonl")
+        assert code == exit_code
+        assert capsys.readouterr().err == (
+            f"{prefix}: {latin}: 'utf-8' codec can't decode byte 0xc4 in position 2: "
+            "invalid continuation byte\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["head", "variant_id"])
+    @pytest.mark.parametrize("value", [[1], {"a": 1}], ids=["list", "object"])
+    @pytest.mark.parametrize("kind", ["single", "two-stage"])
+    def test_model_field_of_another_json_type(self, workdir, tmp_path, capsys, kind, value, field):
+        bad, out = tmp_path / "model.json", tmp_path / "out"
+        if kind == "single":
+            doc = json.loads((workdir / "model_a1.json").read_text())
+            doc[field] = value
+            command = ["evaluate", "--model", str(bad), "--data", str(workdir / "corpus.csv")]
+        else:
+            doc = json.loads((workdir / "twostage.json").read_text())
+            doc["stage2"][field] = value
+            command = ["predict", "--model", str(bad), "--in", str(workdir / "corpus.csv")]
+        bad.write_text(json.dumps(doc))
+        assert main([*command, "--out", str(out)]) == EXIT_DATA
+        message = {
+            "head": f"invalid model: unknown head {value!r}",
+            "variant_id": f"corrupt model document: variant_id must be a string or null, got {value!r}",
+        }[field]
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not out.exists()
+
+    MODEL_FAULTS = {
+        "unknown-head": ("softmax-4", None, "invalid model: unknown head 'softmax-4'"),
+        "four-class-head": (
+            "softmax-5",
+            None,
+            "invalid model: head layer (softmax, 4) does not match declared head softmax-5",
+        ),
+        "params-not-base64": (None, "not base64!", "corrupt model document: Only base64 data is allowed"),
+        "params-seven-bytes": (
+            None,
+            base64.b64encode(b"\0" * 7).decode(),
+            "corrupt model document: buffer size must be a multiple of element size",
+        ),
+        "params-one-value": (
+            None,
+            base64.b64encode(b"\0" * 8).decode(),
+            "corrupt model document: params has 1 values, fewer than the layers need",
+        ),
+    }
+
+    @pytest.mark.parametrize("head,params,message", MODEL_FAULTS.values(), ids=MODEL_FAULTS)
+    def test_corrupt_model_file(self, workdir, tmp_path, capsys, head, params, message):
+        doc = json.loads((workdir / "model_a1.json").read_text())
+        if head is not None:
+            # A four-class head: 64 x 4 weights and 4 biases, 65 values fewer.
+            doc["layers"][-1]["shape"] = [64, 4]
+            values = base64.b64decode(doc["params"])[: -65 * 8]
+            doc["params"], doc["head"] = base64.b64encode(values).decode(), head
+        else:
+            doc["params"] = params
+        bad, out = tmp_path / "model.json", tmp_path / "report.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["evaluate", "--model", str(bad), "--data", str(workdir / "corpus.csv"),
+                     "--out", str(out)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not out.exists()
+
+    NOT_FINITE = "holds a non-finite number"
+    NOT_ONE_HOT = "field 'class_onehot' is not one-hot"
+    RECORD_FAULTS = {
+        "nan-feature": ("final_branch", [float("nan")], f"field 'final_branch' {NOT_FINITE}"),
+        "inf-feature": ("initial_branch", [0.5, float("inf")], f"field 'initial_branch' {NOT_FINITE}"),
+        "nan-target": ("regression_target", float("nan"), f"field 'regression_target' {NOT_FINITE}"),
+        "zero-direction": ("direction", 0, "field 'direction' must be -1 or 1, got 0"),
+        "string-direction": ("direction", "1", "field 'direction' must be -1 or 1, got '1'"),
+        "all-zero-onehot": ("class_onehot", [0.0] * 5, NOT_ONE_HOT),
+        "two-hot-onehot": ("class_onehot", [1.0, 1.0, 0.0, 0.0, 0.0], NOT_ONE_HOT),
+        "scaled-onehot": ("class_onehot", [0.0, 0.5, 0.0, 0.0, 0.0], NOT_ONE_HOT),
+    }
+
+    @pytest.mark.parametrize("field,value,message", RECORD_FAULTS.values(), ids=RECORD_FAULTS)
+    def test_bad_encoded_record(self, workdir, tmp_path, capsys, field, value, message):
+        lines = (workdir / "enc_a1.jsonl").read_text().splitlines()
+        doc = json.loads(lines[1])
+        doc[field] = value
+        bad, out = tmp_path / "bad.jsonl", tmp_path / "model.json"
+        bad.write_text("\n".join([lines[0], json.dumps(doc), *lines[2:]]) + "\n")
+        code = main(["train", "--variant", "a1", "--data", str(bad), "--out", str(out)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {bad}: line 2: {message}\n"
+        assert not out.exists()
+
+    CONFIGS = {
+        "train-list": ("train", [1], "expected a JSON object"),
+        "pipeline-list": ("pipeline", [1], "expected a JSON object"),
+        "policy-unknown-key": ("pipeline", {"policy": {"bogus": 1}}, "unknown key 'bogus' in policy"),
+    }
+
+    @pytest.mark.parametrize("command,doc,message", CONFIGS.values(), ids=CONFIGS)
+    def test_refused_config_file(self, workdir, tmp_path, capsys, command, doc, message):
+        config, out = tmp_path / "config.json", tmp_path / "out"
+        config.write_text(json.dumps(doc))
+        args = {
+            "train": ["--variant", "a1", "--data", str(workdir / "enc_a1.jsonl"), "--out", str(out)],
+            "pipeline": ["--out-dir", str(out)],
+        }[command]
+        assert main([command, "--config", str(config), *args]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"usage error: {config}: {message}\n"
+        assert not out.exists()

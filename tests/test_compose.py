@@ -9,14 +9,13 @@ import pytest
 from rtp.compose import (
     CompositionError,
     TwoStageModel,
-    compose,
     load_two_stage,
     predict,
     predict_batch,
     save_two_stage,
 )
 from rtp.domain import DEFAULT_CONFIGS, ReactorState, TransientObservation, config_for_date
-from rtp.engine import ModelFormatError, forward, save_model
+from rtp.engine import ModelFormatError, forward, load_model, save_model
 from rtp.ingest import CorpusSpec, ObservationTable, row_to_observation, synthesize_corpus
 from rtp.model_zoo import CLASSIFIER_IDS, REGRESSOR_IDS, build_variant, stage_inputs
 from rtp.preprocess import VARIANTS, denormalize_power, encode_dataset, encode_table
@@ -147,7 +146,7 @@ class TestSerialization:
         p1, p2 = tmp_path / "c.json", tmp_path / "r.json"
         save_model(classifier, p1)
         save_model(regressor, p2)
-        model = compose(p1, p2)
+        model = TwoStageModel(load_model(p1), load_model(p2))
         assert model.stage1.variant_id == "a1"
 
     def test_single_stage_file_rejected(self, stages, tmp_path):
