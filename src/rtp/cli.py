@@ -197,7 +197,8 @@ def _cmd_train(args) -> int:
                 )
         probs = run_layers(classifier, stage_inputs(stage1_table.features, classifier.variant_id))
 
-    trained, history = fit_variant(args.variant, table, seed, overrides, probs)
+    with _reading(args.data):
+        trained, history = fit_variant(args.variant, table, seed, overrides, probs)
     save_model(trained, args.out)
     if args.verbose:
         best = history.records[history.best_epoch - 1]

@@ -25,6 +25,7 @@ from .engine import (
     forward,
     regularization_loss,
 )
+from .ingest import DataError
 
 MONITORED_METRICS = ("val_accuracy", "val_loss", "val_mse")
 
@@ -202,14 +203,11 @@ def train(
     model = clone_model(model)
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     n_total = targets.shape[0]
-    if n_total == 0:
-        raise ValueError("dataset must be non-empty")
-
     rng = np.random.default_rng(config.seed)
     perm = rng.permutation(n_total)
     n_val = max(1, round(config.check_fraction * n_total))
-    if n_val >= n_total:
-        raise ValueError("check split leaves no training samples")
+    if n_val >= n_total:  # also refuses an empty dataset
+        raise DataError(f"check split of {n_val} of {n_total} rows leaves no training samples")
     val_idx, train_idx = perm[:n_val], perm[n_val:]
 
     val_x = x[val_idx]

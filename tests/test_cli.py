@@ -1198,6 +1198,16 @@ class TestErrorsNameTheirInput:
         )
         assert not out.exists()
 
+    def test_data_too_small_for_the_check_split(self, workdir, tmp_path, capsys):
+        one_row, out = tmp_path / "one_row.jsonl", tmp_path / "model.json"
+        one_row.write_text((workdir / "enc_a1.jsonl").read_text().splitlines(True)[0])
+        code = main(["train", "--variant", "a1", "--data", str(one_row), "--out", str(out)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: {one_row}: check split of 1 of 1 rows leaves no training samples\n"
+        )
+        assert not out.exists()
+
     def test_compose_with_a_regressor_as_stage1(self, workdir, tmp_path, capsys):
         b2, out = workdir / "model_b2.json", tmp_path / "composed.json"
         code = main(["compose", "--stage1", str(b2), "--stage2", str(b2), "--out", str(out)])
