@@ -7,51 +7,26 @@ power-ratio relation, valid only for small (<= 0.5 $) reactivity changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .domain import (
-    FULL_POWER_W,
-    MAX_ROD_TRAVEL_IN,
-    check_settings,
-    is_finite,
-    is_finite_positive,
-    rod_worths_by_ordinal,
-)
+from .domain import FULL_POWER_W, MAX_ROD_TRAVEL_IN, rod_worths_by_ordinal
 from .ingest import SHUTDOWN_POWER_W, ObservationTable
 
 # The power-ratio relation loses validity above this reactivity change.
 MAX_VALID_DELTA_RHO = 0.5
 
+# The rod jitter of one draw: rods 1-3 get Gaussian noise of this sigma plus
+# a bias of this many inches in the sign of the requested change; the
+# regulating rod gets the same noise scaled up.
+BASE_NOISE_SIGMA = 0.15
+DIRECTIONAL_BIAS = 0.3
+REG_ROD_SCALE = 10.0
+
 
 class ProgressError(RuntimeError):
-    """Perturbation policy rejects essentially every draw."""
-
-
-_POLICY_RULES = {
-    "base_noise_sigma": ("a finite number > 0", is_finite_positive),
-    "directional_bias": ("a finite number", is_finite),
-    "reg_rod_scale": ("a finite number", is_finite),
-    "max_delta_rho": ("a finite number > 0", is_finite_positive),
-}
-
-
-@dataclass(frozen=True)
-class PerturbationPolicy:
-    """Rod-jitter policy for one perturbation draw.
-
-    Rods 1-3 get Gaussian noise plus a directional bias matching the sign of
-    the requested change; the regulating rod gets the same noise scaled up.
-    """
-
-    base_noise_sigma: float = 0.15
-    directional_bias: float = 0.3
-    reg_rod_scale: float = 10.0
-    max_delta_rho: float = 0.5
-
-    def __post_init__(self) -> None:
-        check_settings(self, _POLICY_RULES)
+    """The acceptance rule rejects essentially every draw."""
 
 
 def perturb_rows(
@@ -60,26 +35,25 @@ def perturb_rows(
     worths: np.ndarray,
     noise: np.ndarray,
     change: int,
-    policy: PerturbationPolicy,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One perturbation draw per state; returns (new_rods, new_powers, ok).
 
     Row k is a state of power powers[k] with rod heights rods[k] under rod
-    worths worths[k]; noise[k] is its (4,) draw from N(0, base_noise_sigma).
-    Rods 1-3 move by the noise plus change * directional_bias, the
-    regulating rod by reg_rod_scale times its noise. The power follows the
+    worths worths[k]; noise[k] is its (4,) draw from N(0, BASE_NOISE_SIGMA).
+    Rods 1-3 move by the noise plus change * DIRECTIONAL_BIAS, the
+    regulating rod by REG_ROD_SCALE times its noise. The power follows the
     power-ratio relation P * (1 - rho_new) / (1 - rho_old). A draw is
     rejected (ok False) when a rod leaves its travel, the reactivity changes
-    by more than the policy cap or MAX_VALID_DELTA_RHO, the ratio is
-    undefined or not positive, or the power leaves (0, FULL_POWER_W].
+    by more than MAX_VALID_DELTA_RHO, the ratio is undefined or not
+    positive, or the power leaves (0, FULL_POWER_W].
     """
-    delta = noise * np.array([1.0, 1.0, 1.0, policy.reg_rod_scale])
-    delta[:, :3] += change * policy.directional_bias
+    delta = noise * np.array([1.0, 1.0, 1.0, REG_ROD_SCALE])
+    delta[:, :3] += change * DIRECTIONAL_BIAS
     new_rods = rods + delta
     ok = (new_rods.max(axis=1) <= MAX_ROD_TRAVEL_IN) & (new_rods.min(axis=1) >= 0.0)
     rho_old = np.sum(rods / MAX_ROD_TRAVEL_IN * worths, axis=1)
     rho_new = np.sum(new_rods / MAX_ROD_TRAVEL_IN * worths, axis=1)
-    ok &= np.abs(rho_new - rho_old) <= min(policy.max_delta_rho, MAX_VALID_DELTA_RHO)
+    ok &= np.abs(rho_new - rho_old) <= MAX_VALID_DELTA_RHO
     denom = 1.0 - rho_old
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(denom != 0.0, (1.0 - rho_new) / denom, -1.0)
@@ -93,7 +67,6 @@ def over_sample(
     dataset: ObservationTable,
     n: int = 0,
     change: int = 0,
-    policy: PerturbationPolicy = PerturbationPolicy(),
     seed: int = 0,
 ) -> ObservationTable:
     """Generate exactly n accepted synthetic observations, rows numbered from 1.
@@ -123,13 +96,13 @@ def over_sample(
         idx = rng.integers(0, len(dataset), size=batch)
 
         w = worths[idx]
-        noise_i = rng.normal(0.0, policy.base_noise_sigma, size=(batch, 4))
+        noise_i = rng.normal(0.0, BASE_NOISE_SIGMA, size=(batch, 4))
         new_rods_i, new_powers_i, ok_i = perturb_rows(
-            dataset.powers[idx, 0], dataset.rods[idx, :4], w, noise_i, change, policy
+            dataset.powers[idx, 0], dataset.rods[idx, :4], w, noise_i, change
         )
-        noise_f = rng.normal(0.0, policy.base_noise_sigma, size=(batch, 4))
+        noise_f = rng.normal(0.0, BASE_NOISE_SIGMA, size=(batch, 4))
         new_rods_f, new_powers_f, ok_f = perturb_rows(
-            dataset.powers[idx, 1], dataset.rods[idx, 4:], w, noise_f, change, policy
+            dataset.powers[idx, 1], dataset.rods[idx, 4:], w, noise_f, change
         )
         ok = ok_i & ok_f
         # Keep the synthetic rows consistent with the ingestion filters.

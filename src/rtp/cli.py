@@ -14,7 +14,7 @@ import sys
 from contextlib import contextmanager
 from itertools import count
 
-from .augment import PerturbationPolicy, ProgressError, over_sample
+from .augment import ProgressError, over_sample
 from .compose import (
     CompositionError,
     TwoStageModel,
@@ -136,11 +136,7 @@ def _cmd_augment(args) -> int:
     with _reading(args.infile):
         table = read_log(args.infile)
     generated = over_sample(
-        table,
-        n=args.n,
-        change=CHANGE_BY_NAME[args.change],
-        policy=PerturbationPolicy(),
-        seed=_effective_seed(args),
+        table, n=args.n, change=CHANGE_BY_NAME[args.change], seed=_effective_seed(args)
     )
     write_observations(generated, args.out)
     if args.verbose:

@@ -140,16 +140,8 @@ def is_nonnegative_integer(value) -> bool:
     return is_integer(value) and value >= 0
 
 
-def is_finite(value) -> bool:
-    return is_number(value) and math.isfinite(value)
-
-
 def is_finite_nonnegative(value) -> bool:
     return is_number(value) and 0.0 <= value < math.inf
-
-
-def is_finite_positive(value) -> bool:
-    return is_number(value) and 0.0 < value < math.inf
 
 
 def check_settings(settings, rules: dict) -> None:
@@ -161,10 +153,10 @@ def check_settings(settings, rules: dict) -> None:
             raise ValueError(f"{name} must be {must_be}, got {value!r}")
 
 
-def settings_from(cls, doc: dict, within: str = ""):
+def settings_from(cls, doc: dict):
     """cls(**doc) for a settings dataclass `cls`; ValueError names a key of
-    `doc` that is not a field of cls, and the setting `within` it sits."""
+    `doc` that is not a field of cls."""
     unknown = [key for key in doc if key not in {f.name for f in fields(cls)}]
     if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r}" + (f" in {within}" if within else ""))
+        raise ValueError(f"unknown key {unknown[0]!r}")
     return cls(**doc)

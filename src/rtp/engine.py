@@ -16,6 +16,8 @@ from typing import Any, Callable, Union
 
 import numpy as np
 
+from .domain import is_count, is_nonnegative_integer, is_number
+
 # Format 2 stores all parameters as one binary block; format 1 files still load.
 FORMAT_VERSION = 2
 READABLE_VERSIONS = (1, 2)
@@ -393,9 +395,44 @@ def check_format_version(version: Any) -> None:
         )
 
 
+# What the fields of a model document and of its records must be, and the
+# test for each, in the order they are checked.
+_DOCUMENT_RULES = {
+    "merge_topology": ("an object", lambda x: isinstance(x, dict)),
+    "layers": ("a list", lambda x: isinstance(x, list)),
+}
+_PARAMS_RULE = {"params": ("a base64 string", lambda x: isinstance(x, str))}
+_TOPOLOGY_RULES = {
+    "branches": (
+        "a list of strings",
+        lambda x: isinstance(x, list) and all(isinstance(name, str) for name in x),
+    ),
+    "aux_width": ("an integer >= 0", is_nonnegative_integer),
+}
+_LAYER_RULES = {
+    "shape": (
+        "two integers >= 1",
+        lambda x: isinstance(x, list) and len(x) == 2 and all(map(is_count, x)),
+    ),
+    "activation": ("a string", lambda x: isinstance(x, str)),
+    "l1": ("a number", is_number),
+    "l2": ("a number", is_number),
+}
+
+
+def _check_fields(doc: dict, rules: dict, where: str = "") -> None:
+    """ValueError, after `where`, naming the first field of `rules` that
+    `doc` lacks or whose value breaks its rule."""
+    for name, (must_be, valid) in rules.items():
+        if name not in doc:
+            raise ValueError(f"{where}missing field {name!r}")
+        if not valid(doc[name]):
+            raise ValueError(f"{where}field {name!r} must be {must_be}, got {doc[name]!r}")
+
+
 def _layer_from_dict(doc: dict, params: np.ndarray | None, start: int) -> DenseLayer:
-    """The layer of a record: its values are in the record (format 1) or
-    start at params[start] (format 2); model_from_dict reports a malformed one."""
+    """The layer of a checked record: its values are in the record (format 1)
+    or start at params[start] (format 2); model_from_dict reports a malformed one."""
     n_in, n_out = doc["shape"]
     if params is None:
         weights = np.asarray(doc["weights"], dtype=np.float64).reshape(n_in, n_out)
@@ -415,27 +452,36 @@ def _layer_from_dict(doc: dict, params: np.ndarray | None, start: int) -> DenseL
 
 
 def model_from_dict(doc: dict) -> NetworkModel:
-    """A model from a format-1 or format-2 document."""
+    """A model from a format-1 or format-2 document. Each record is checked
+    before its values are used; a message names the record and field."""
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise ModelFormatError("not a model document: missing format_version")
     check_format_version(doc["format_version"])
     try:
+        version_rules = _PARAMS_RULE if doc["format_version"] == 2 else {}
+        _check_fields(doc, {**_DOCUMENT_RULES, **version_rules})
         params = None
-        if doc["format_version"] == 2:
+        if version_rules:
             params = np.frombuffer(base64.b64decode(doc["params"], validate=True), dtype="<f8")
+        _check_fields(doc["merge_topology"], _TOPOLOGY_RULES, "merge_topology: ")
         branch_names = doc["merge_topology"]["branches"]
-        aux_width = int(doc["merge_topology"]["aux_width"])
+        aux_width = doc["merge_topology"]["aux_width"]
+        names = [*branch_names, "trunk"]
+        branch_rule = {"branch": (f"one of {names}", lambda x: x in names)}
         branches: dict[str, list[DenseLayer]] = {name: [] for name in branch_names}
         trunk: list[DenseLayer] = []
         used = 0
-        for layer_doc in doc["layers"]:
+        for number, layer_doc in enumerate(doc["layers"], start=1):
+            if not isinstance(layer_doc, dict):
+                raise ValueError(f"layer {number} must be an object, got {layer_doc!r}")
+            _check_fields(layer_doc, {**branch_rule, **_LAYER_RULES}, f"layer {number}: ")
             layer = _layer_from_dict(layer_doc, params, used)
             used += layer.weights.size + layer.n_out
             if layer_doc["branch"] == "trunk":
                 trunk.append(layer)
             else:
                 branches[layer_doc["branch"]].append(layer)
-        head, variant_id = doc["head"], doc.get("variant_id")
+        head, variant_id = doc.get("head"), doc.get("variant_id")
         if not isinstance(variant_id, (str, type(None))):
             raise TypeError(f"variant_id must be a string or null, got {variant_id!r}")
     except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError

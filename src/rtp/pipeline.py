@@ -14,16 +14,9 @@ from typing import Union
 import numpy as np
 
 from . import seeds
-from .augment import PerturbationPolicy, over_sample
+from .augment import over_sample
 from .compose import TwoStageModel, evaluate_two_stage, save_two_stage
-from .domain import (
-    check_settings,
-    is_count,
-    is_integer,
-    is_nonnegative_integer,
-    is_number,
-    settings_from,
-)
+from .domain import check_settings, is_count, is_nonnegative_integer, settings_from
 from .engine import run_layers, save_model
 from .evaluate import class_metrics, confusion
 from .ingest import CorpusSpec, ObservationTable, synthesize_corpus, write_observations
@@ -41,6 +34,10 @@ from .preprocess import TASKS, EmptyClassError, encode_table, undersample_indice
 from .training import TrainingConfig, train
 
 
+# The share of the corpus held out as the test split.
+TEST_FRACTION = 0.3
+
+
 def _ids_from(known: tuple[str, ...]):
     return lambda x: isinstance(x, (tuple, list)) and all(v in known for v in x)
 
@@ -50,10 +47,7 @@ _CONFIG_RULES = {
     "out_dir": ("a path", lambda x: isinstance(x, (str, Path))),
     "seed": ("an integer >= 0", is_nonnegative_integer),
     "corpus_n": ("an integer >= 1", is_count),
-    "test_fraction": ("a number in (0, 1)", lambda x: is_number(x) and 0.0 < x < 1.0),
     "augment_n": ("an integer >= 0", is_nonnegative_integer),
-    "augment_change": ("one of -1, 0, 1", lambda x: is_integer(x) and x in (-1, 0, 1)),
-    "policy": ("an object of perturbation settings", lambda x: isinstance(x, PerturbationPolicy)),
     "classifier_ids": (f"a list of ids from {CLASSIFIER_IDS}", _ids_from(CLASSIFIER_IDS)),
     "regressor_ids": (f"a list of ids from {REGRESSOR_IDS}", _ids_from(REGRESSOR_IDS)),
     "compose_pair": (
@@ -72,18 +66,13 @@ class PipelineConfig:
     out_dir: Union[str, Path] = "artifacts"
     seed: int = 0
     corpus_n: int = 5000
-    test_fraction: float = 0.3
     augment_n: int = 1000
-    augment_change: int = 0
-    policy: PerturbationPolicy = field(default_factory=PerturbationPolicy)
     classifier_ids: tuple[str, ...] = CLASSIFIER_IDS
     regressor_ids: tuple[str, ...] = REGRESSOR_IDS
     compose_pair: tuple[str, str] = ("a1", "b2")
     training_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if isinstance(self.policy, dict):
-            self.policy = settings_from(PerturbationPolicy, self.policy, "policy")
         check_settings(self, _CONFIG_RULES)
         for vid in self.regressor_ids:
             if (cid := pair_for_regressor(vid)) not in self.classifier_ids:
@@ -174,17 +163,13 @@ def run_pipeline(config: PipelineConfig) -> dict:
     # Stage 2: held-out test split (the "real observations" analogue).
     split_rng = seeds.substream(config.seed, "split")
     perm = split_rng.permutation(len(corpus))
-    n_test = round(config.test_fraction * len(corpus))
+    n_test = round(TEST_FRACTION * len(corpus))
     test_rows = corpus.take(perm[:n_test])
     train_rows = corpus.take(perm[n_test:])
 
     # Stage 3: physics-guided augmentation of the training portion.
     augmented = over_sample(
-        train_rows,
-        n=config.augment_n,
-        change=config.augment_change,
-        policy=config.policy,
-        seed=seeds.subseed(config.seed, "augment"),
+        train_rows, n=config.augment_n, seed=seeds.subseed(config.seed, "augment")
     )
     # Each pool row keeps its row number in corpus.csv or augmented.csv.
     train_pool = ObservationTable.concat([train_rows, augmented])

@@ -24,6 +24,10 @@ from .ingest import DataError, ObservationTable
 
 LN_FULL_POWER = math.log(FULL_POWER_W)
 
+# Every feature and target encode_table writes lies in [LOWEST_FEATURE, 1]:
+# the lowest is the normalized power of the least positive float, 5e-324 W.
+LOWEST_FEATURE = math.log(5e-324) / LN_FULL_POWER
+
 # Reactivity features are divided by this to keep them O(1) next to the
 # [0, 1] power and rod features (max total worth is ~15.2 $).
 REACTIVITY_FEATURE_SCALE = 16.0
@@ -324,6 +328,8 @@ def _read_record(line: str, first: tuple | None) -> tuple:
     for name, values in (*zip(_VECTOR_FIELDS, vectors), ("regression_target", target)):
         if not np.isfinite(values).all():
             raise ValueError(f"field {name!r} holds a non-finite number")
+        if not ((values >= LOWEST_FEATURE) & (values <= 1.0)).all():
+            raise ValueError(f"field {name!r} holds a value outside [{LOWEST_FEATURE!r}, 1]")
     for name, vector, columns in zip(_VECTOR_FIELDS, vectors, _record_columns(VARIANTS[variant_id])):
         if vector.size != columns.size:
             raise ValueError(

@@ -12,7 +12,6 @@ from .domain import (
     check_settings,
     is_count,
     is_finite_nonnegative,
-    is_finite_positive,
     is_integer,
     is_number,
 )
@@ -44,20 +43,12 @@ _SETTING_RULES = {
     "optimizer": ("'adam' or 'sgd'", lambda x: x in ("adam", "sgd")),
     # Zero freezes the weights, which the early-stopping checks rely on.
     "learning_rate": ("a finite number >= 0", is_finite_nonnegative),
-    "adam_betas": (
-        "two numbers in [0, 1)",
-        lambda x: isinstance(x, (tuple, list))
-        and len(x) == 2
-        and all(is_number(b) and 0.0 <= b < 1.0 for b in x),
-    ),
-    "adam_eps": ("a finite number > 0", is_finite_positive),
     "batch_size": ("an integer >= 1", is_count),
     "max_epochs": ("an integer >= 1", is_count),
     "check_fraction": ("a number in (0, 1)", lambda x: is_number(x) and 0.0 < x < 1.0),
     "early_stop_patience": ("an integer >= 1", is_count),
     "early_stop_min_delta": ("a finite number >= 0", is_finite_nonnegative),
     "monitored_metric": (f"one of {MONITORED_METRICS}", lambda x: x in MONITORED_METRICS),
-    "shuffle_each_epoch": ("true or false", lambda x: isinstance(x, bool)),
     "seed": ("an integer >= 0", lambda x: is_integer(x) and x >= 0),
 }
 
@@ -66,15 +57,12 @@ _SETTING_RULES = {
 class TrainingConfig:
     optimizer: str = "adam"  # "adam" | "sgd"
     learning_rate: float = 1e-3
-    adam_betas: tuple[float, float] = (0.9, 0.999)
-    adam_eps: float = 1e-8
     batch_size: int = 32
     max_epochs: int = 1000
     check_fraction: float = 0.33
     early_stop_patience: int = 5
     early_stop_min_delta: float = 0.005
     monitored_metric: str = "val_accuracy"
-    shuffle_each_epoch: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -146,7 +134,7 @@ class Adam:
 def _make_optimizer(config: TrainingConfig):
     if config.optimizer == "sgd":
         return SGD(config.learning_rate)
-    return Adam(config.learning_rate, config.adam_betas, config.adam_eps)
+    return Adam(config.learning_rate)
 
 
 def accuracy(predictions: np.ndarray, targets: np.ndarray) -> float:
@@ -223,10 +211,8 @@ def train(
     wait = 0
 
     for epoch in range(1, config.max_epochs + 1):
-        order = rng.permutation(n_train) if config.shuffle_each_epoch else np.arange(n_train)
-        epoch_loss = _train_epoch(
-            model, optimizer, x, targets, train_idx[order], config.batch_size, epoch
-        )
+        order = train_idx[rng.permutation(n_train)]
+        epoch_loss = _train_epoch(model, optimizer, x, targets, order, config.batch_size, epoch)
 
         val_metrics = _evaluate_metrics(model, val_x, val_targets)
         record = {"epoch": epoch, "train_batch_loss": epoch_loss}

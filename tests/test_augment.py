@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from rtp.augment import (
+    BASE_NOISE_SIGMA,
+    DIRECTIONAL_BIAS,
     MAX_VALID_DELTA_RHO,
-    PerturbationPolicy,
+    REG_ROD_SCALE,
     ProgressError,
     over_sample,
     perturb_rows,
@@ -38,13 +40,13 @@ def table_of(*observations):
     return ObservationTable.from_observations(observations)
 
 
-def draw_one(power, rod1, worth1, noise1=0.0, change=0, policy=PerturbationPolicy()):
+def draw_one(power, rod1, worth1, noise1=0.0, change=0):
     """perturb_rows on one state whose reactivity comes from rod 1 alone
     (worths (worth1, 0, 0, 0)); noise1 is rod 1's noise, the others get none."""
     rods = np.array([[rod1, 8.0, 8.0, 12.0]])
     worths = np.array([[worth1, 0.0, 0.0, 0.0]])
     noise = np.array([[noise1, 0.0, 0.0, 0.0]])
-    new_rods, new_powers, ok = perturb_rows(np.array([power]), rods, worths, noise, change, policy)
+    new_rods, new_powers, ok = perturb_rows(np.array([power]), rods, worths, noise, change)
     return new_rods[0], float(new_powers[0]), bool(ok[0])
 
 
@@ -68,10 +70,9 @@ class TestApplyPowerRatio:
     def test_validity_limit(self):
         # [DERIVED] rho = 12/24 * 8 = 4.0 -> 13.5/24 * 8 = 4.5, exactly the limit.
         assert MAX_VALID_DELTA_RHO == 0.5
-        policy = PerturbationPolicy(max_delta_rho=1.0)
-        assert not draw_one(100.0, 12.0, 8.0, noise1=1.5 + 1e-6, policy=policy)[2]
+        assert not draw_one(100.0, 12.0, 8.0, noise1=1.5 + 1e-6)[2]
         # Exactly at the limit is allowed.
-        assert draw_one(100.0, 12.0, 8.0, noise1=1.5, policy=policy)[2]
+        assert draw_one(100.0, 12.0, 8.0, noise1=1.5)[2]
 
     def test_singular_denominator(self):
         # [DERIVED] rho_i = 12/24 * 2 = 1.0 exactly: 1 - rho_i = 0.
@@ -93,32 +94,21 @@ class TestApplyPowerRatio:
 
 class TestPerturbationPolicy:
     def test_defaults(self):
-        policy = PerturbationPolicy()
-        assert policy.base_noise_sigma == 0.15
-        assert policy.max_delta_rho == 0.5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PerturbationPolicy(base_noise_sigma=0.0)
-        with pytest.raises(ValueError):
-            PerturbationPolicy(max_delta_rho=-1.0)
-        with pytest.raises(ValueError, match="max_delta_rho must be a finite number > 0"):
-            PerturbationPolicy(max_delta_rho=float("inf"))
-        with pytest.raises(ValueError, match="directional_bias must be a finite number"):
-            PerturbationPolicy(directional_bias="0.3")
+        assert BASE_NOISE_SIGMA == 0.15
+        assert DIRECTIONAL_BIAS == 0.3
+        assert REG_ROD_SCALE == 10.0
+        assert MAX_VALID_DELTA_RHO == 0.5
 
 
 def draw_many(state, config, change, n, seed):
     """n perturb_rows draws of one state, noise from a seeded generator."""
-    policy = PerturbationPolicy()
-    noise = np.random.default_rng(seed).normal(0.0, policy.base_noise_sigma, size=(n, 4))
+    noise = np.random.default_rng(seed).normal(0.0, BASE_NOISE_SIGMA, size=(n, 4))
     return perturb_rows(
         np.full(n, state.power),
         np.tile(state.rod_heights, (n, 1)),
         np.tile(config.rod_worths, (n, 1)),
         noise,
         change,
-        policy,
     )
 
 
@@ -126,7 +116,6 @@ class TestPerturbState:
     def test_accepted_draws_are_physical(self):
         config = DEFAULT_CONFIGS[1]
         state = ReactorState(500.0, (8.0, 8.0, 8.0, 12.0))
-        policy = PerturbationPolicy()
         rho_src = reactivity_of_state(state, config)
         new_rods, new_powers, ok = draw_many(state, config, 0, 300, seed=5)
         for rods, power in zip(new_rods[ok], new_powers[ok]):
@@ -134,7 +123,7 @@ class TestPerturbState:
             assert 0.0 < new_state.power <= FULL_POWER_W
             for h in new_state.rod_heights:
                 assert 0.0 <= h <= MAX_ROD_TRAVEL_IN
-            assert abs(reactivity_of_state(new_state, config) - rho_src) <= policy.max_delta_rho
+            assert abs(reactivity_of_state(new_state, config) - rho_src) <= MAX_VALID_DELTA_RHO
         assert ok.sum() > 200  # mid-range state should mostly be accepted
 
     def test_rod_leaving_travel_is_rejected(self):
@@ -196,7 +185,7 @@ class TestOverSample:
             over_sample(table_of(), n=10, seed=0)
 
     def test_progress_guard(self):
-        # A vanishingly small reactivity cap rejects essentially every draw.
-        policy = PerturbationPolicy(max_delta_rho=1e-12)
+        # Rods 1-3 at full travel, biased upward: nearly every draw leaves the travel.
+        top = (24.0, 24.0, 24.0, 12.0)
         with pytest.raises(ProgressError):
-            over_sample(table_of(make_obs()), n=10, policy=policy, seed=0)
+            over_sample(table_of(make_obs(heights_i=top, heights_f=top)), n=10, change=1, seed=0)

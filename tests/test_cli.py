@@ -26,6 +26,7 @@ from rtp.ingest import (
 from rtp.model_zoo import build_variant, pair_for_regressor, stage_inputs
 from rtp.pipeline import PipelineConfig, run_pipeline
 from rtp.preprocess import (
+    LOWEST_FEATURE,
     VARIANTS,
     classify_power,
     encode_table,
@@ -33,6 +34,17 @@ from rtp.preprocess import (
     undersample_indices,
     write_encoded,
 )
+
+# Settings that are constants now, each with the value it always held: a
+# config that names one is refused as an unknown key.
+REMOVED_KEYS = {
+    "test_fraction": 0.3,
+    "augment_change": 0,
+    "policy": {"base_noise_sigma": 0.15, "max_delta_rho": 0.5},
+    "adam_betas": [0.9, 0.999],
+    "adam_eps": 1e-8,
+    "shuffle_each_epoch": True,
+}
 
 
 @pytest.fixture(scope="module")
@@ -903,7 +915,14 @@ class TestExitCodes:
         ("check_fraction", "0.3"),
         ("early_stop_min_delta", "0.1"),
         ("seed", "x"),
+        ("shuffle_each_epoch", True),
     ]
+
+    @staticmethod
+    def refusal(key):
+        """The start of the message refusing a value of `key`: the whole line
+        for a key that names no setting, whatever its value."""
+        return f"unknown key '{key}'\n" if key in REMOVED_KEYS else f"{key} must be"
 
     @pytest.mark.parametrize("key,value", INVALID_TRAINING)
     def test_invalid_training_override_is_usage_error(self, tmp_path, capsys, key, value):
@@ -915,7 +934,7 @@ class TestExitCodes:
         }))
         assert main(["pipeline", "--config", str(config)]) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.startswith(f"usage error: {config}: {key} must be")
+        assert err.startswith(f"usage error: {config}: {self.refusal(key)}")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
@@ -934,7 +953,7 @@ class TestExitCodes:
             ]
         )
         assert code == EXIT_USAGE
-        assert capsys.readouterr().err.startswith(f"usage error: {config}: {key} must be")
+        assert capsys.readouterr().err.startswith(f"usage error: {config}: {self.refusal(key)}")
         assert not out.exists()
 
     INVALID_PIPELINE = {
@@ -942,8 +961,8 @@ class TestExitCodes:
         "seed-negative": ({"seed": -1}, "seed"),
         "augment_n-negative": ({"augment_n": -5}, "augment_n"),
         "corpus_n-string": ({"corpus_n": "5"}, "corpus_n"),
-        "test_fraction-string": ({"test_fraction": "0.3"}, "test_fraction"),
-        "augment_change-7": ({"augment_change": 7}, "augment_change"),
+        "test_fraction-string": ({"test_fraction": "0.3"}, "unknown key 'test_fraction'\n"),
+        "augment_change-7": ({"augment_change": 7}, "unknown key 'augment_change'\n"),
         "classifier_ids-number": ({"classifier_ids": 5}, "classifier_ids"),
         "classifier_ids-unknown": ({"classifier_ids": ["zz"]}, "classifier_ids"),
         "regressor_ids-classifier": ({"regressor_ids": ["a1"]}, "regressor_ids"),
@@ -951,12 +970,14 @@ class TestExitCodes:
         "regressor_ids-unpaired": (
             {"classifier_ids": ["e1"], "regressor_ids": ["b2"]}, "regressor_ids"
         ),
-        "policy-number": ({"policy": 5}, "policy"),
-        "policy-field-string": ({"policy": {"base_noise_sigma": "0.1"}}, "base_noise_sigma"),
+        "policy-number": ({"policy": 5}, "unknown key 'policy'\n"),
+        "policy-field-string": (
+            {"policy": {"base_noise_sigma": "0.1"}}, "unknown key 'policy'\n"
+        ),
     }
 
-    @pytest.mark.parametrize("doc,key", INVALID_PIPELINE.values(), ids=INVALID_PIPELINE)
-    def test_invalid_pipeline_config_is_usage_error(self, tmp_path, capsys, doc, key):
+    @pytest.mark.parametrize("doc,message", INVALID_PIPELINE.values(), ids=INVALID_PIPELINE)
+    def test_invalid_pipeline_config_is_usage_error(self, tmp_path, capsys, doc, message):
         config = tmp_path / "pipeline.json"
         config.write_text(json.dumps({
             "out_dir": str(tmp_path / "out"), "corpus_n": 300, "augment_n": 50,
@@ -965,7 +986,7 @@ class TestExitCodes:
         }))
         assert main(["pipeline", "--config", str(config)]) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.startswith(f"usage error: {config}: {key}")
+        assert err.startswith(f"usage error: {config}: {message}")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
@@ -1301,10 +1322,14 @@ class TestErrorsNameTheirInput:
 
     NOT_FINITE = "holds a non-finite number"
     NOT_ONE_HOT = "field 'class_onehot' is not one-hot"
+    OUTSIDE = f"holds a value outside [{LOWEST_FEATURE!r}, 1]"
     RECORD_FAULTS = {
         "nan-feature": ("final_branch", [float("nan")], f"field 'final_branch' {NOT_FINITE}"),
         "inf-feature": ("initial_branch", [0.5, float("inf")], f"field 'initial_branch' {NOT_FINITE}"),
         "nan-target": ("regression_target", float("nan"), f"field 'regression_target' {NOT_FINITE}"),
+        "huge-negative-feature": ("initial_branch", [-1e308, 0.5], f"field 'initial_branch' {OUTSIDE}"),
+        "feature-above-one": ("final_branch", [1.5], f"field 'final_branch' {OUTSIDE}"),
+        "target-above-one": ("regression_target", 1.5, f"field 'regression_target' {OUTSIDE}"),
         "zero-direction": ("direction", 0, "field 'direction' must be -1 or 1, got 0"),
         "string-direction": ("direction", "1", "field 'direction' must be -1 or 1, got '1'"),
         "all-zero-onehot": ("class_onehot", [0.0] * 5, NOT_ONE_HOT),
@@ -1324,10 +1349,71 @@ class TestErrorsNameTheirInput:
         assert capsys.readouterr().err == f"error: {bad}: line 2: {message}\n"
         assert not out.exists()
 
+    def test_least_positive_power_preprocesses_and_trains(self, workdir, tmp_path, capsys):
+        # 5e-324 W encodes to LOWEST_FEATURE, the bottom of the range read_encoded accepts.
+        rows = (workdir / "corpus.csv").read_text().splitlines()
+        fields = rows[1].split(",")
+        fields[3] = "5e-324"
+        corpus, encoded, model = tmp_path / "corpus.csv", tmp_path / "enc.jsonl", tmp_path / "m.json"
+        corpus.write_text("\n".join([rows[0], ",".join(fields), *rows[2:]]) + "\n")
+        preprocess = ["preprocess", "--in", str(corpus), "--layout", "a1", "--out", str(encoded)]
+        assert main(preprocess) == EXIT_OK
+        assert json.loads(encoded.read_text().splitlines()[0])["initial_branch"][0] == LOWEST_FEATURE
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps({"max_epochs": 2}))
+        train = ["train", "--variant", "a1", "--data", str(encoded), "--config", str(config)]
+        assert main([*train, "--out", str(model)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    MODEL_RECORD_FAULTS = {
+        "shape-string": (
+            ["layers", 1], "shape", [3, "2"],
+            "layer 2: field 'shape' must be two integers >= 1, got [3, '2']",
+        ),
+        "topology-string": (
+            [], "merge_topology", "initial",
+            "field 'merge_topology' must be an object, got 'initial'",
+        ),
+        "branch-unlisted": (
+            ["merge_topology"], "branches", ["first", "final"],
+            "layer 1: field 'branch' must be one of ['first', 'final', 'trunk'], got 'initial'",
+        ),
+        "aux_width-negative": (
+            ["merge_topology"], "aux_width", -1,
+            "merge_topology: field 'aux_width' must be an integer >= 0, got -1",
+        ),
+        "layer-string": (["layers"], 0, "initial", "layer 1 must be an object, got 'initial'"),
+        "activation-number": (
+            ["layers", 0], "activation", 5, "layer 1: field 'activation' must be a string, got 5"
+        ),
+        "l2-string": (["layers", 6], "l2", "0", "layer 7: field 'l2' must be a number, got '0'"),
+    }
+
+    @pytest.mark.parametrize("path,key,value,message", MODEL_RECORD_FAULTS.values(),
+                             ids=MODEL_RECORD_FAULTS)
+    def test_malformed_model_record(self, workdir, tmp_path, capsys, path, key, value, message):
+        doc = json.loads((workdir / "model_a1.json").read_text())
+        record = doc
+        for step in path:
+            record = record[step]
+        record[key] = value
+        bad, out = tmp_path / "model.json", tmp_path / "report.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["evaluate", "--model", str(bad), "--data", str(workdir / "corpus.csv"),
+                     "--out", str(out)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {bad}: corrupt model document: {message}\n"
+        assert not out.exists()
+
     CONFIGS = {
         "train-list": ("train", [1], "expected a JSON object"),
         "pipeline-list": ("pipeline", [1], "expected a JSON object"),
-        "policy-unknown-key": ("pipeline", {"policy": {"bogus": 1}}, "unknown key 'bogus' in policy"),
+        "policy-unknown-key": ("pipeline", {"policy": {"bogus": 1}}, "unknown key 'policy'"),
+        **{
+            f"{command}-{key}": (command, {key: value}, f"unknown key {key!r}")
+            for command in ("train", "pipeline")
+            for key, value in REMOVED_KEYS.items()
+        },
     }
 
     @pytest.mark.parametrize("command,doc,message", CONFIGS.values(), ids=CONFIGS)

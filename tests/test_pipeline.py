@@ -1,6 +1,10 @@
 """Tests for the per-variant steps that rtp train, rtp evaluate and the
 pipeline share, and for the pipeline's settings."""
 
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,7 +22,7 @@ from rtp.model_zoo import (
 )
 from rtp.pipeline import PipelineConfig, run_pipeline, score_classifier, training_config
 from rtp.preprocess import encode_table
-from rtp.training import MONITORED_METRICS
+from rtp.training import MONITORED_METRICS, TrainingConfig
 
 
 def encoded():
@@ -62,6 +66,32 @@ class TestPipelineConfig:
     def test_bool_is_not_a_count(self):
         with pytest.raises(ValueError, match="corpus_n must be an integer >= 1, got True"):
             PipelineConfig(corpus_n=True)
+
+
+# Settings that are module constants now; no config may name them.
+REMOVED_SETTINGS = {
+    "test_fraction", "augment_change", "policy",
+    "base_noise_sigma", "directional_bias", "reg_rod_scale", "max_delta_rho",
+    "adam_betas", "adam_eps", "shuffle_each_epoch",
+}
+
+
+def readme_settings(opening: str) -> set[str]:
+    """The backquoted names of README's paragraph that holds `opening`."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    paragraph = next(p for p in text.split("\n\n") if opening in p)
+    return set(re.findall(r"`([^`]+)`", paragraph))
+
+
+@pytest.mark.parametrize(
+    "opening,settings",
+    [("Training settings are checked", TrainingConfig), ("A `pipeline` config is", PipelineConfig)],
+    ids=["training", "pipeline"],
+)
+def test_readme_names_every_setting_and_no_removed_one(opening, settings):
+    named = readme_settings(opening)
+    assert named & REMOVED_SETTINGS == set()
+    assert {f.name for f in fields(settings)} - named == set()
 
 
 class TestScoreClassifier:

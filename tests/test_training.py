@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rtp.domain import settings_from
 from rtp.engine import data_loss, forward, regularization_loss
 from rtp.model_zoo import build_variant
 from rtp.training import (
@@ -81,12 +82,16 @@ class TestTrainingConfig:
         ],
     )
     def test_invalid_values_name_the_field(self, field, value):
-        with pytest.raises(ValueError, match=f"^{field} must be"):
-            TrainingConfig(**{field: value})
+        # The Adam constants and the reshuffle are no settings: any value of
+        # theirs is refused as an unknown key.
+        removed = field in ("adam_betas", "adam_eps", "shuffle_each_epoch")
+        message = f"^unknown key '{field}'$" if removed else f"^{field} must be"
+        with pytest.raises(ValueError, match=message):
+            settings_from(TrainingConfig, {field: value})
 
     def test_boundary_values_accepted(self):
         # A zero learning rate freezes the weights; numpy integers are integers.
-        TrainingConfig(learning_rate=0.0, adam_betas=[0.0, 0.5], batch_size=np.int64(1))
+        TrainingConfig(learning_rate=0.0, batch_size=np.int64(1))
 
 
 class TestOptimizers:
