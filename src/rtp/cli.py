@@ -39,14 +39,7 @@ from .ingest import (
 )
 from .model_zoo import REGRESSOR_IDS, stage_inputs
 from .pipeline import PipelineConfig, check_overrides, fit_variant, run_pipeline, score_classifier
-from .preprocess import (
-    LN_FULL_POWER,
-    VARIANTS,
-    encode_table,
-    read_encoded,
-    undersample,
-    write_encoded,
-)
+from .preprocess import LN_FULL_POWER, VARIANTS, encode_table, undersample
 from .training import DivergenceError
 
 EXIT_OK = 0
@@ -145,53 +138,32 @@ def _cmd_augment(args) -> int:
 
 
 def _kept_rows(path, verb: str):
-    """The encoded rows of the CSV at `path` that the exclusion rules keep,
-    and what they excluded; DataError names the exclusions if none is left."""
+    """The encoded rows of the CSV at `path` that the exclusion rules keep;
+    DataError names the exclusions if none is left."""
     with _reading(path):
         kept, n = filter_report(read_log(path))
-        tally = f"excluded: {n.too_long} too long, {n.shutdown} shutdowns, {n.no_change} unchanged"
         if not kept:
-            raise DataError(f"no row left to {verb} ({tally})")
-        return encode_table(kept), tally
-
-
-def _cmd_preprocess(args) -> int:
-    table, excluded = _kept_rows(args.infile, "encode")
-    if args.balance:
-        with _reading(args.infile):
-            table = undersample(table, _effective_seed(args))
-    write_encoded(table, VARIANTS[args.layout], args.out)
-    if args.verbose:
-        print(f"encoded {len(table)} samples ({excluded})")
-    return EXIT_OK
+            tally = f"{n.too_long} too long, {n.shutdown} shutdowns, {n.no_change} unchanged"
+            raise DataError(f"no row left to {verb} (excluded: {tally})")
+        return encode_table(kept)
 
 
 def _cmd_train(args) -> int:
     seed = _effective_seed(args)
     spec = VARIANTS[args.variant]
     overrides = _read_config(args.config, lambda doc: check_overrides(doc, [args.variant]))
-    stage1_flags = {"--stage1-model": args.stage1_model, "--stage1-data": args.stage1_data}
-    for flag, value in stage1_flags.items():
-        if spec.task == "classifier" and value is not None:
-            raise UsageError(f"variant {args.variant} is a classifier; {flag} is for regressors")
-    with _reading(args.data):
-        table = read_encoded(args.data, args.variant)
+    if spec.task == "classifier" and args.stage1_model is not None:
+        raise UsageError(f"variant {args.variant} is a classifier; --stage1-model is for regressors")
+    if spec.task == "regressor" and args.stage1_model is None:
+        raise UsageError(f"variant {args.variant} is a regressor; --stage1-model is required")
+    table = _kept_rows(args.data, "train")
+    if args.balance:
+        with _reading(args.data):
+            table = undersample(table, seed)
     probs = None
     if spec.task == "regressor":
-        if not args.stage1_model or not args.stage1_data:
-            raise UsageError(
-                f"variant {args.variant} is a regressor; --stage1-model and "
-                "--stage1-data (encoded with the paired classifier layout) are required"
-            )
         classifier = _load_stage(args.stage1_model, "stage 1", "classifier")
-        with _reading(args.stage1_data):
-            stage1_table = read_encoded(args.stage1_data, classifier.variant_id)
-            if len(stage1_table) != len(table):
-                raise DataError(
-                    f"stage-1 data rows ({len(stage1_table)}) do not align with "
-                    f"training rows ({len(table)}) of {args.data}"
-                )
-        probs = run_layers(classifier, stage_inputs(stage1_table.features, classifier.variant_id))
+        probs = run_layers(classifier, stage_inputs(table.features, classifier.variant_id))
 
     with _reading(args.data):
         trained, history = fit_variant(args.variant, table, seed, overrides, probs)
@@ -215,7 +187,7 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    table, _ = _kept_rows(args.data, "evaluate")
+    table = _kept_rows(args.data, "evaluate")
     with _reading(args.model):
         model = load_any_model(args.model)
         if not isinstance(model, TwoStageModel):
@@ -315,20 +287,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--change", choices=sorted(CHANGE_BY_NAME), default="none")
     p.set_defaults(func=_cmd_augment)
 
-    p = sub.add_parser("preprocess", help="normalize, bin, and encode a corpus")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--layout", required=True, choices=VARIANTS)
-    p.add_argument("--balance", action="store_true")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_preprocess)
-
     p = sub.add_parser("train", help="train one model variant")
     p.add_argument("--variant", required=True, choices=VARIANTS)
-    p.add_argument("--data", required=True)
+    p.add_argument("--data", required=True, help="transient CSV")
+    p.add_argument("--balance", action="store_true", help="undersample to the minority class")
     p.add_argument("--config", default=None, help="JSON TrainingConfig overrides")
     p.add_argument("--out", required=True)
     p.add_argument("--stage1-model", default=None, help="classifier model (regressors only)")
-    p.add_argument("--stage1-data", default=None, help="aligned classifier-layout data")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("compose", help="chain a classifier and a regressor")

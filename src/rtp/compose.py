@@ -14,6 +14,7 @@ from .engine import (
     FORMAT_VERSION,
     ModelFormatError,
     NetworkModel,
+    check_fields,
     check_format_version,
     load_document,
     model_from_dict,
@@ -96,11 +97,24 @@ def save_two_stage(model: TwoStageModel, path: Union[str, Path]) -> None:
         handle.write("\n")
 
 
+_STAGE_RULES = {name: ("an object", lambda x: isinstance(x, dict)) for name in ("stage1", "stage2")}
+
+
 def two_stage_from_dict(doc: dict) -> TwoStageModel:
     if not isinstance(doc, dict) or doc.get("kind") != "two-stage":
         raise ModelFormatError("not a two-stage model file")
     check_format_version(doc.get("format_version"))
-    return TwoStageModel(model_from_dict(doc["stage1"]), model_from_dict(doc["stage2"]))
+    try:
+        check_fields(doc, _STAGE_RULES)
+    except ValueError as exc:
+        raise ModelFormatError(f"corrupt model document: {exc}") from exc
+    stages = []
+    for name in _STAGE_RULES:
+        try:
+            stages.append(model_from_dict(doc[name]))
+        except ModelFormatError as exc:
+            raise ModelFormatError(f"{name}: {exc}") from exc
+    return TwoStageModel(*stages)
 
 
 def load_two_stage(path: Union[str, Path]) -> TwoStageModel:

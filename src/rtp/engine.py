@@ -420,7 +420,15 @@ _LAYER_RULES = {
 }
 
 
-def _check_fields(doc: dict, rules: dict, where: str = "") -> None:
+def _numbers(n: int) -> tuple[str, Callable[[Any], bool]]:
+    """The rule of a format-1 record's list of `n` values."""
+    return (
+        f"a list of {n} numbers",
+        lambda x: isinstance(x, list) and len(x) == n and all(map(is_number, x)),
+    )
+
+
+def check_fields(doc: dict, rules: dict, where: str = "") -> None:
     """ValueError, after `where`, naming the first field of `rules` that
     `doc` lacks or whose value breaks its rule."""
     for name, (must_be, valid) in rules.items():
@@ -459,11 +467,11 @@ def model_from_dict(doc: dict) -> NetworkModel:
     check_format_version(doc["format_version"])
     try:
         version_rules = _PARAMS_RULE if doc["format_version"] == 2 else {}
-        _check_fields(doc, {**_DOCUMENT_RULES, **version_rules})
+        check_fields(doc, {**_DOCUMENT_RULES, **version_rules})
         params = None
         if version_rules:
             params = np.frombuffer(base64.b64decode(doc["params"], validate=True), dtype="<f8")
-        _check_fields(doc["merge_topology"], _TOPOLOGY_RULES, "merge_topology: ")
+        check_fields(doc["merge_topology"], _TOPOLOGY_RULES, "merge_topology: ")
         branch_names = doc["merge_topology"]["branches"]
         aux_width = doc["merge_topology"]["aux_width"]
         names = [*branch_names, "trunk"]
@@ -474,7 +482,11 @@ def model_from_dict(doc: dict) -> NetworkModel:
         for number, layer_doc in enumerate(doc["layers"], start=1):
             if not isinstance(layer_doc, dict):
                 raise ValueError(f"layer {number} must be an object, got {layer_doc!r}")
-            _check_fields(layer_doc, {**branch_rule, **_LAYER_RULES}, f"layer {number}: ")
+            check_fields(layer_doc, {**branch_rule, **_LAYER_RULES}, f"layer {number}: ")
+            if params is None:
+                n_in, n_out = layer_doc["shape"]
+                rules = {"weights": _numbers(n_in * n_out), "biases": _numbers(n_out)}
+                check_fields(layer_doc, rules, f"layer {number}: ")
             layer = _layer_from_dict(layer_doc, params, used)
             used += layer.weights.size + layer.n_out
             if layer_doc["branch"] == "trunk":

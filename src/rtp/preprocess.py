@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,10 +21,6 @@ from .engine import HEAD_SIGMOID, HEAD_SOFTMAX
 from .ingest import DataError, ObservationTable
 
 LN_FULL_POWER = math.log(FULL_POWER_W)
-
-# Every feature and target encode_table writes lies in [LOWEST_FEATURE, 1]:
-# the lowest is the normalized power of the least positive float, 5e-324 W.
-LOWEST_FEATURE = math.log(5e-324) / LN_FULL_POWER
 
 # Reactivity features are divided by this to keep them O(1) next to the
 # [0, 1] power and rod features (max total worth is ~15.2 $).
@@ -270,110 +264,3 @@ def encode_dataset(
     (reference_answers) calls it.
     """
     return encode_table(ObservationTable.from_observations(observations))
-
-
-def _record_columns(variant: Variant) -> tuple[np.ndarray, np.ndarray]:
-    """The feature columns of a record's initial_branch and final_branch; an
-    all-in-one variant writes its main vector as initial_branch."""
-    branches = list(input_columns(variant)[0].values())
-    return branches[0], branches[1] if len(branches) > 1 else np.empty(0, dtype=np.intp)
-
-
-def write_encoded(table: EncodedTable, variant: Variant, path: Union[str, Path]) -> None:
-    """Serialize a variant's view of an encoded table as JSON records, one per row."""
-    initial, final = _record_columns(variant)
-    with open(path, "w") as handle:
-        for initial_values, final_values, direction, onehot, target in zip(
-            table.features[:, initial].tolist(),
-            table.features[:, final].tolist(),
-            table.features[:, _DIRECTION].astype(np.int64).tolist(),
-            table.class_onehot.tolist(),
-            table.target.tolist(),
-        ):
-            record = {
-                "initial_branch": initial_values,
-                "final_branch": final_values,
-                "direction": direction,
-                "class_onehot": onehot,
-                "regression_target": target,
-                "variant_id": variant.variant_id,
-            }
-            handle.write(json.dumps(record) + "\n")
-
-
-_VECTOR_FIELDS = ("initial_branch", "final_branch", "class_onehot")
-_RECORD_FIELDS = (*_VECTOR_FIELDS, "direction", "regression_target", "variant_id")
-
-
-def _read_record(line: str, first: tuple | None) -> tuple:
-    """(variant id, initial, final, one-hot, direction, target) of one record,
-    checked against its layout's widths, the class count and the first
-    record's variant."""
-    record = json.loads(line)
-    if not isinstance(record, dict):
-        raise ValueError("expected a JSON object")
-    missing = [name for name in _RECORD_FIELDS if name not in record]
-    if missing:
-        raise ValueError(f"missing field {missing[0]!r}")
-    variant_id = record["variant_id"]
-    if variant_id not in VARIANTS:
-        raise ValueError(f"unknown variant_id {variant_id!r}")
-    if first is not None and variant_id != first[0]:
-        raise ValueError(f"variant_id {variant_id!r} differs from the first record's {first[0]!r}")
-    vectors = [np.asarray(record[name], dtype=np.float64) for name in _VECTOR_FIELDS]
-    target = np.float64(record["regression_target"])
-    for name, vector in zip(_VECTOR_FIELDS, vectors):
-        if vector.ndim != 1:
-            raise ValueError(f"field {name!r} must be a list of numbers")
-    for name, values in (*zip(_VECTOR_FIELDS, vectors), ("regression_target", target)):
-        if not np.isfinite(values).all():
-            raise ValueError(f"field {name!r} holds a non-finite number")
-        if not ((values >= LOWEST_FEATURE) & (values <= 1.0)).all():
-            raise ValueError(f"field {name!r} holds a value outside [{LOWEST_FEATURE!r}, 1]")
-    for name, vector, columns in zip(_VECTOR_FIELDS, vectors, _record_columns(VARIANTS[variant_id])):
-        if vector.size != columns.size:
-            raise ValueError(
-                f"field {name!r} has {vector.size} values, the {variant_id} layout {columns.size}"
-            )
-    onehot = vectors[2]
-    if onehot.size != N_CLASSES:
-        raise ValueError(f"field 'class_onehot' has {onehot.size} values, not {N_CLASSES}")
-    if np.count_nonzero(onehot) != 1 or onehot.sum() != 1.0:
-        raise ValueError("field 'class_onehot' is not one-hot")
-    direction = record["direction"]
-    if direction not in (-1, 1):
-        raise ValueError(f"field 'direction' must be -1 or 1, got {direction!r}")
-    return (variant_id, *vectors, int(direction), float(target))
-
-
-def read_encoded(path: Union[str, Path], variant_id: str) -> EncodedTable:
-    """Load a file written by write_encoded, for training `variant_id`.
-
-    Each record's values go to their feature columns; the columns its layout
-    does not write hold NaN. A malformed, inconsistent or missing record
-    raises DataError naming the line; so does a file with no records, or
-    one whose layout lacks a column that `variant_id` reads.
-    """
-    rows: list[tuple] = []
-    with open(path) as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                rows.append(_read_record(line, rows[0] if rows else None))
-            except (ValueError, TypeError) as exc:
-                raise DataError(f"line {line_no}: {exc}") from None
-    if not rows:
-        raise DataError("no encoded samples")
-    variant_ids, initial, final, onehot, direction, target = zip(*rows)
-    written = VARIANTS[variant_ids[0]]
-    initial_columns, final_columns = _record_columns(written)
-    read = VARIANTS[variant_id].columns
-    if not np.isin(read, [*initial_columns, *final_columns, _DIRECTION]).all():
-        lacks = f"its {written.variant_id} layout lacks features that variant {variant_id} reads"
-        raise DataError(lacks)
-    features = np.full((len(rows), 12), np.nan)
-    features[:, _DIRECTION] = direction
-    features[:, initial_columns] = initial
-    features[:, final_columns] = final
-    return EncodedTable(features, np.argmax(onehot, axis=1), np.array(target))

@@ -4,9 +4,12 @@ import base64
 import csv
 import hashlib
 import json
+import math
 import os
+import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,25 +18,30 @@ import pytest
 from rtp import cli, compose, seeds
 from rtp.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from rtp.domain import config_for_date
-from rtp.engine import forward, save_model
+from rtp.engine import forward, load_model, run_layers, save_model
 from rtp.ingest import (
     CSV_HEADER,
     ObservationTable,
+    filter_report,
     read_log,
     read_observations,
     row_to_observation,
+    write_observations,
 )
 from rtp.model_zoo import build_variant, pair_for_regressor, stage_inputs
-from rtp.pipeline import PipelineConfig, run_pipeline
+from rtp.pipeline import PipelineConfig, fit_variant, run_pipeline
 from rtp.preprocess import (
-    LOWEST_FEATURE,
-    VARIANTS,
+    LN_FULL_POWER,
     classify_power,
     encode_table,
-    read_encoded,
     undersample_indices,
-    write_encoded,
 )
+
+# The committed format-1 model file of an a1 classifier.
+FORMAT1_MODEL = Path(__file__).parent / "fixtures" / "model_a1_v1.json"
+
+# A value that deletes the field it is given for.
+MISSING = object()
 
 # Settings that are constants now, each with the value it always held: a
 # config that names one is refused as an unknown key.
@@ -57,28 +65,14 @@ def workdir(tmp_path_factory):
     train_config = root / "train.json"
     train_config.write_text(json.dumps({"max_epochs": 3, "early_stop_patience": 2}))
 
-    for layout in ("a1", "b2"):
-        assert (
-            main(
-                [
-                    "--seed", "0",
-                    "preprocess",
-                    "--in", str(corpus),
-                    "--layout", layout,
-                    "--balance",
-                    "--out", str(root / f"enc_{layout}.jsonl"),
-                ]
-            )
-            == EXIT_OK
-        )
-
     assert (
         main(
             [
                 "--seed", "0",
                 "train",
                 "--variant", "a1",
-                "--data", str(root / "enc_a1.jsonl"),
+                "--data", str(corpus),
+                "--balance",
                 "--config", str(train_config),
                 "--out", str(root / "model_a1.json"),
             ]
@@ -91,10 +85,10 @@ def workdir(tmp_path_factory):
                 "--seed", "0",
                 "train",
                 "--variant", "b2",
-                "--data", str(root / "enc_b2.jsonl"),
+                "--data", str(corpus),
+                "--balance",
                 "--config", str(train_config),
                 "--stage1-model", str(root / "model_a1.json"),
-                "--stage1-data", str(root / "enc_a1.jsonl"),
                 "--out", str(root / "model_b2.json"),
             ]
         )
@@ -118,12 +112,32 @@ class TestArtifacts:
     def test_corpus_parses(self, workdir):
         assert len(read_observations(workdir / "corpus.csv")) == 120
 
-    def test_balanced_encodings_align(self, workdir):
-        a1 = read_encoded(workdir / "enc_a1.jsonl", "a1")
-        b2 = read_encoded(workdir / "enc_b2.jsonl", "b2")
-        assert len(a1) == len(b2) > 0
-        # Same seed and labels, so the balanced row order matches across layouts.
-        np.testing.assert_array_equal(a1.class_index, b2.class_index)
+    def test_balance_trains_on_the_undersampled_rows(self, workdir, tmp_path):
+        # train --balance writes the model that train writes on a CSV of the
+        # rows undersample keeps, in their order.
+        rows, _ = filter_report(read_log(workdir / "corpus.csv"))
+        balanced = rows.take(undersample_indices(encode_table(rows).class_index.tolist(), 0))
+        write_observations(balanced, tmp_path / "balanced.csv")
+        out = tmp_path / "model_a1.json"
+        assert main(["--seed", "0", "train", "--variant", "a1",
+                     "--data", str(tmp_path / "balanced.csv"),
+                     "--config", str(workdir / "train.json"), "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == (workdir / "model_a1.json").read_bytes()
+
+    def test_stage1_of_another_layout(self, workdir, tmp_path):
+        # b2 reads reactivities, d1 rod heights; both come from the one CSV.
+        d1, out = tmp_path / "model_d1.json", tmp_path / "model_b2.json"
+        save_model(build_variant("d1", seed=3), d1)
+        config = workdir / "train.json"
+        assert main(["--seed", "0", "train", "--variant", "b2", "--data", str(workdir / "corpus.csv"),
+                     "--config", str(config), "--stage1-model", str(d1),
+                     "--out", str(out)]) == EXIT_OK
+        table = encode_table(filter_report(read_log(workdir / "corpus.csv"))[0])
+        probs = run_layers(load_model(d1), stage_inputs(table.features, "d1"))
+        overrides = json.loads(config.read_text())
+        expected = tmp_path / "expected.json"
+        save_model(fit_variant("b2", table, 0, overrides, probs)[0], expected)
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_augment(self, workdir, tmp_path):
         out = tmp_path / "augmented.csv"
@@ -419,17 +433,10 @@ class TestPinnedOutputs:
 
 class TestPinnedCommandBytes:
     # sha256 of each command's output on the module's seed-0 corpus and
-    # models, taken before encoding became one layout-free feature matrix.
-    # The digests hold for the same numpy build.
+    # models, taken before encoding became one layout-free feature matrix and
+    # before rtp train read the CSV itself. The digests hold for the same
+    # numpy build.
     COMMANDS = {
-        "preprocess-a1": ["preprocess", "--in", "{corpus}", "--layout", "a1", "--out", "{out}"],
-        "preprocess-a1-balance": [
-            "--seed", "3", "preprocess", "--in", "{corpus}", "--layout", "a1", "--balance", "--out", "{out}"
-        ],
-        "preprocess-e1": ["preprocess", "--in", "{corpus}", "--layout", "e1", "--out", "{out}"],
-        "preprocess-e1-balance": [
-            "--seed", "3", "preprocess", "--in", "{corpus}", "--layout", "e1", "--balance", "--out", "{out}"
-        ],
         "predict": ["predict", "--model", "{twostage}", "--in", "{corpus}", "--out", "{out}"],
         "evaluate-two-stage": [
             "evaluate", "--model", "{twostage}", "--data", "{corpus}", "--out", "{out}", "--errors", "{errors}"
@@ -439,10 +446,6 @@ class TestPinnedCommandBytes:
         ],
     }
     SHA256 = {
-        "preprocess-a1": ["0e8a77b26abf15a4e79f41d5d15fca22feaef9a4d4b62ab86fc6bf64d2b141c2"],
-        "preprocess-a1-balance": ["ff88d9223495cbd4e716e9d22ebc1723c92db0814e90cbc5a24164ecae0b0b4d"],
-        "preprocess-e1": ["a0110918d91e925cd70b78f66c4086f64cf0c54317a4cc3fa458702c333d0e83"],
-        "preprocess-e1-balance": ["3c240a2c476da393d6feff969f67438508fe44cb1490c51b41597d97156f423e"],
         "predict": ["4841dbfdf3fcd6fe07535dfa746c28512fc8c28c317cdd3a8a210aeb8d458b5a"],
         "evaluate-two-stage": [
             "35b4e381a0cf818b30f10f6b372f1ee8c1ae741ef209d00239a3fb6c03c2b64b",
@@ -514,8 +517,8 @@ class TestPipelineCommand:
         assert report["balanced_n"] == 5 * counts.min() > 0
 
     def test_train_writes_the_pipeline_models(self, tmp_path):
-        # rtp train on the pipeline's own balanced rows writes the pipeline's
-        # model files byte for byte: both take the same variant path.
+        # rtp train on a CSV of the pipeline's own balanced rows writes the
+        # pipeline's model files byte for byte: both take the same variant path.
         seed, ids = 7, ["a1", "e1", "b2", "d2"]
         pipeline_dir = tmp_path / "pipeline"
         overrides = {"max_epochs": 4}
@@ -532,20 +535,18 @@ class TestPipelineCommand:
             corpus.take(split[round(0.3 * len(corpus)):]),
             read_observations(pipeline_dir / "augmented.csv"),
         ])
-        table = encode_table(train_pool)
-        balanced = undersample_indices(table.class_index.tolist(), seeds.subseed(seed, "balance"))
+        classes = encode_table(train_pool).class_index.tolist()
+        balanced = undersample_indices(classes, seeds.subseed(seed, "balance"))
+        write_observations(train_pool.take(balanced), tmp_path / "balanced.csv")
         train_config = tmp_path / "train.json"
         train_config.write_text(json.dumps(overrides))
         for vid in ids:
-            write_encoded(table.take(balanced), VARIANTS[vid], tmp_path / f"enc_{vid}.jsonl")
-        for vid in ids:
             command = ["--seed", str(seed), "train", "--variant", vid,
-                       "--data", str(tmp_path / f"enc_{vid}.jsonl"),
+                       "--data", str(tmp_path / "balanced.csv"),
                        "--config", str(train_config), "--out", str(tmp_path / f"model_{vid}.json")]
             if vid in ids[2:]:
                 cid = pair_for_regressor(vid)
-                command += ["--stage1-model", str(tmp_path / f"model_{cid}.json"),
-                            "--stage1-data", str(tmp_path / f"enc_{cid}.jsonl")]
+                command += ["--stage1-model", str(tmp_path / f"model_{cid}.json")]
             assert main(command) == EXIT_OK
             trained = (tmp_path / f"model_{vid}.json").read_bytes()
             assert trained == (pipeline_dir / f"model_{vid}.json").read_bytes(), vid
@@ -568,27 +569,16 @@ class TestPipelineCommand:
 
 
 class TestExitCodes:
-    def test_unknown_layout_is_usage_error(self, workdir):
-        code = main(
-            [
-                "preprocess",
-                "--in", str(workdir / "corpus.csv"),
-                "--layout", "q9",
-                "--out", "/dev/null",
-            ]
-        )
-        assert code == EXIT_USAGE
-
     def test_missing_required_flag_is_usage_error(self):
         assert main(["synthesize", "--n", "10"]) == EXIT_USAGE
 
     def test_missing_file_is_data_error(self, tmp_path):
         code = main(
             [
-                "preprocess",
-                "--in", str(tmp_path / "nope.csv"),
-                "--layout", "a1",
-                "--out", str(tmp_path / "out.jsonl"),
+                "train",
+                "--variant", "a1",
+                "--data", str(tmp_path / "nope.csv"),
+                "--out", str(tmp_path / "model.json"),
             ]
         )
         assert code == EXIT_DATA
@@ -617,10 +607,10 @@ class TestExitCodes:
         bad.write_text("nope\n")
         code = main(
             [
-                "preprocess",
-                "--in", str(bad),
-                "--layout", "a1",
-                "--out", str(tmp_path / "out.jsonl"),
+                "train",
+                "--variant", "a1",
+                "--data", str(bad),
+                "--out", str(tmp_path / "model.json"),
             ]
         )
         assert code == EXIT_DATA
@@ -636,7 +626,7 @@ class TestExitCodes:
         "out-dir-is-a-file": (["pipeline", "--out-dir", "{file}"], {}, "file"),
         "model-not-utf8": (PREDICT, {"model": "latin"}, "latin"),
         "csv-not-utf8": (PREDICT, {"rows": "latin"}, "latin"),
-        "jsonl-not-utf8": (TRAIN, {}, "latin"),
+        "data-not-utf8": (TRAIN, {}, "latin"),
     }
 
     @pytest.mark.parametrize("command,swap,named", PATH_ERRORS.values(), ids=PATH_ERRORS)
@@ -682,38 +672,32 @@ class TestExitCodes:
             save_model(relabelled, model)
         out = tmp_path / "out.json"
         code = main([
-            "train", "--variant", "b2", "--data", str(workdir / "enc_b2.jsonl"),
-            "--stage1-model", str(model), "--stage1-data", str(workdir / "enc_a1.jsonl"),
-            "--out", str(out),
+            "train", "--variant", "b2", "--data", str(workdir / "corpus.csv"),
+            "--stage1-model", str(model), "--out", str(out),
         ])
         assert code == EXIT_DATA
         assert capsys.readouterr().err == f"error: {model}: {message}\n"
         assert not out.exists()
 
-    def test_train_data_without_the_variants_columns_names_file_and_variant(self, workdir, capsys):
-        data = workdir / "enc_a1.jsonl"
-        code = main(["train", "--variant", "b1", "--data", str(data), "--out", "/dev/null"])
-        assert code == EXIT_DATA
-        assert capsys.readouterr().err == (
-            f"error: {data}: its a1 layout lacks features that variant b1 reads\n"
-        )
-
-    def test_regressor_without_stage1_is_usage_error(self, workdir):
+    def test_regressor_without_stage1_is_usage_error(self, workdir, capsys):
         code = main(
             [
                 "train",
                 "--variant", "b2",
-                "--data", str(workdir / "enc_b2.jsonl"),
+                "--data", str(workdir / "corpus.csv"),
                 "--out", "/dev/null",
             ]
         )
         assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "usage error: variant b2 is a regressor; --stage1-model is required\n"
+        )
 
-    @pytest.mark.parametrize("flag", ["--stage1-model", "--stage1-data"])
+    @pytest.mark.parametrize("flag", ["--stage1-model"])
     def test_classifier_with_a_stage1_flag_is_usage_error(self, workdir, tmp_path, capsys, flag):
         out = tmp_path / "model.json"
         code = main([
-            "train", "--variant", "a1", "--data", str(workdir / "enc_a1.jsonl"),
+            "train", "--variant", "a1", "--data", str(workdir / "corpus.csv"),
             flag, str(tmp_path / "nonexistent"), "--out", str(out),
         ])
         assert code == EXIT_USAGE
@@ -742,46 +726,6 @@ class TestExitCodes:
         assert code == EXIT_DATA
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert not report.exists()
-
-    def test_train_on_record_without_field_names_file_and_line(self, workdir, tmp_path, capsys):
-        lines = (workdir / "enc_a1.jsonl").read_text().splitlines()
-        doc = json.loads(lines[1])
-        del doc["initial_branch"]
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text("\n".join([lines[0], json.dumps(doc), *lines[2:]]) + "\n")
-        code = main(
-            ["train", "--variant", "a1", "--data", str(bad), "--out", str(tmp_path / "m.json")]
-        )
-        assert code == EXIT_DATA
-        assert capsys.readouterr().err == f"error: {bad}: line 2: missing field 'initial_branch'\n"
-
-    def test_train_on_three_class_onehots_names_file_and_line(self, workdir, tmp_path, capsys):
-        # Every record is 3 classes wide, so no record disagrees with the first.
-        docs = [json.loads(line) for line in (workdir / "enc_a1.jsonl").read_text().splitlines()]
-        for doc in docs:
-            doc["class_onehot"] = [0.0, 1.0, 0.0]
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
-        out = tmp_path / "m.json"
-        code = main(["train", "--variant", "a1", "--data", str(bad), "--out", str(out)])
-        assert code == EXIT_DATA
-        err = capsys.readouterr().err
-        assert err == f"error: {bad}: line 1: field 'class_onehot' has 3 values, not 5\n"
-        assert not out.exists()
-
-    def test_train_on_csv_names_file_and_line(self, workdir, tmp_path, capsys):
-        code = main(
-            [
-                "train",
-                "--variant", "a1",
-                "--data", str(workdir / "corpus.csv"),
-                "--out", str(tmp_path / "m.json"),
-            ]
-        )
-        assert code == EXIT_DATA
-        assert capsys.readouterr().err == (
-            f"error: {workdir / 'corpus.csv'}: line 1: Expecting value: line 1 column 1 (char 0)\n"
-        )
 
     def test_unchained_model_file_is_data_error(self, workdir, tmp_path, capsys):
         doc = json.loads((workdir / "model_a1.json").read_text())
@@ -883,7 +827,7 @@ class TestExitCodes:
             [
                 "train",
                 "--variant", "a1",
-                "--data", str(workdir / "enc_a1.jsonl"),
+                "--data", str(workdir / "corpus.csv"),
                 "--config", str(config),
                 "--out", str(tmp_path / "model.json"),
             ]
@@ -947,7 +891,7 @@ class TestExitCodes:
             [
                 "train",
                 "--variant", "a1",
-                "--data", str(workdir / "enc_a1.jsonl"),
+                "--data", str(workdir / "corpus.csv"),
                 "--config", str(config),
                 "--out", str(out),
             ]
@@ -1017,10 +961,9 @@ class TestExitCodes:
         config.write_text(json.dumps({"monitored_metric": metric, "max_epochs": 2}))
         out = tmp_path / "model.json"
         code = main([
-            "train", "--variant", variant, "--data", str(workdir / f"enc_{variant}.jsonl"),
+            "train", "--variant", variant, "--data", str(workdir / "corpus.csv"),
             "--config", str(config), "--out", str(out),
             "--stage1-model", str(workdir / "model_a1.json"),
-            "--stage1-data", str(workdir / "enc_a1.jsonl"),
         ])
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
@@ -1056,7 +999,7 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("balance", [[], ["--balance"]])
-    def test_preprocess_with_every_row_excluded_names_data_file(
+    def test_train_with_every_row_excluded_names_data_file(
         self, workdir, tmp_path, capsys, balance
     ):
         lines = (workdir / "corpus.csv").read_text().splitlines()
@@ -1064,23 +1007,20 @@ class TestExitCodes:
         fields[4] = fields[3]  # final power equals initial: no change
         data = tmp_path / "unchanged.csv"
         data.write_text("\n".join([lines[0], ",".join(fields)]) + "\n")
-        out = tmp_path / "enc.jsonl"
-        code = main(["preprocess", "--in", str(data), "--layout", "a1", *balance,
+        out = tmp_path / "model.json"
+        code = main(["train", "--variant", "a1", "--data", str(data), *balance,
                      "--out", str(out)])
         assert code == EXIT_DATA
         assert capsys.readouterr().err == (
-            f"error: {data}: no row left to encode "
+            f"error: {data}: no row left to train "
             "(excluded: 0 too long, 0 shutdowns, 1 unchanged)\n"
         )
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag", ["--variant", "--layout"])
+    @pytest.mark.parametrize("flag", ["--variant"])
     def test_unknown_variant_is_usage_error(self, workdir, tmp_path, capsys, flag):
         out = tmp_path / "out"
-        if flag == "--variant":
-            args = ["train", "--variant", "zz", "--data", str(workdir / "enc_a1.jsonl")]
-        else:
-            args = ["preprocess", "--in", str(workdir / "corpus.csv"), "--layout", "zz"]
+        args = ["train", flag, "zz", "--data", str(workdir / "corpus.csv")]
         code = main([*args, "--out", str(out)])
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
@@ -1116,8 +1056,7 @@ class TestSeedHandling:
     SEED_COMMANDS = {
         "synthesize": ["synthesize", "--n", "5", "--out"],
         "augment": ["augment", "--in", "{corpus}", "--n", "5", "--out"],
-        "preprocess": ["preprocess", "--in", "{corpus}", "--layout", "a1", "--balance", "--out"],
-        "train": ["train", "--variant", "a1", "--data", "{enc_a1}", "--out"],
+        "train": ["train", "--variant", "a1", "--data", "{corpus}", "--balance", "--out"],
         "pipeline": ["pipeline", "--out-dir"],
     }
 
@@ -1127,8 +1066,7 @@ class TestSeedHandling:
         self, workdir, tmp_path, monkeypatch, capsys, command, source
     ):
         out = tmp_path / "out"
-        args = [arg.format(corpus=workdir / "corpus.csv", enc_a1=workdir / "enc_a1.jsonl")
-                for arg in self.SEED_COMMANDS[command]]
+        args = [arg.format(corpus=workdir / "corpus.csv") for arg in self.SEED_COMMANDS[command]]
         if source == "--seed":
             args = ["--seed", "-1", *args]
         else:
@@ -1175,7 +1113,7 @@ class TestErrorsNameTheirInput:
     CSV_COMMANDS = {
         "predict": ["predict", "--model", "{twostage}", "--in", "{csv}", "--out", "{out}"],
         "evaluate": ["evaluate", "--model", "{a1}", "--data", "{csv}", "--out", "{out}"],
-        "preprocess": ["preprocess", "--in", "{csv}", "--layout", "a1", "--out", "{out}"],
+        "train": ["train", "--variant", "a1", "--data", "{csv}", "--out", "{out}"],
         "augment": ["augment", "--in", "{csv}", "--out", "{out}", "--n", "5"],
     }
 
@@ -1196,32 +1134,18 @@ class TestErrorsNameTheirInput:
 
     def test_balance_of_a_csv_that_lacks_a_class(self, workdir, tmp_path, capsys):
         lines = (workdir / "corpus.csv").read_text().splitlines()
-        one_row, out = tmp_path / "one_row.csv", tmp_path / "enc.jsonl"
+        one_row, out = tmp_path / "one_row.csv", tmp_path / "model.json"
         one_row.write_text("\n".join(lines[:2]) + "\n")
         missing = 1 if encode_table(read_log(one_row)).class_index[0] == 0 else 0
-        code = main(["preprocess", "--in", str(one_row), "--layout", "a1", "--balance",
+        code = main(["train", "--variant", "a1", "--data", str(one_row), "--balance",
                      "--out", str(out)])
         assert code == EXIT_DATA
         assert capsys.readouterr().err == f"error: {one_row}: class {missing} has no samples\n"
         assert not out.exists()
 
-    def test_stage1_data_of_another_row_count(self, workdir, tmp_path, capsys):
-        short = tmp_path / "short.jsonl"
-        short.write_text("".join((workdir / "enc_a1.jsonl").read_text().splitlines(True)[:5]))
-        data, out = workdir / "enc_b2.jsonl", tmp_path / "model.json"
-        code = main(["train", "--variant", "b2", "--data", str(data),
-                     "--stage1-model", str(workdir / "model_a1.json"),
-                     "--stage1-data", str(short), "--out", str(out)])
-        assert code == EXIT_DATA
-        n = len(read_encoded(data, "b2"))
-        assert capsys.readouterr().err == (
-            f"error: {short}: stage-1 data rows (5) do not align with training rows ({n}) of {data}\n"
-        )
-        assert not out.exists()
-
     def test_data_too_small_for_the_check_split(self, workdir, tmp_path, capsys):
-        one_row, out = tmp_path / "one_row.jsonl", tmp_path / "model.json"
-        one_row.write_text((workdir / "enc_a1.jsonl").read_text().splitlines(True)[0])
+        one_row, out = tmp_path / "one_row.csv", tmp_path / "model.json"
+        one_row.write_text("".join((workdir / "corpus.csv").read_text().splitlines(True)[:2]))
         code = main(["train", "--variant", "a1", "--data", str(one_row), "--out", str(out)])
         assert code == EXIT_DATA
         assert capsys.readouterr().err == (
@@ -1241,9 +1165,9 @@ class TestErrorsNameTheirInput:
                   EXIT_DATA, "error"),
         "csv": (["evaluate", "--model", "{a1}", "--data", "{latin}", "--out", "{out}"],
                 EXIT_DATA, "error"),
-        "jsonl": (["train", "--variant", "a1", "--data", "{latin}", "--out", "{out}"],
-                  EXIT_DATA, "error"),
-        "config": (["train", "--variant", "a1", "--data", "{enc_a1}", "--config", "{latin}",
+        "train-data": (["train", "--variant", "a1", "--data", "{latin}", "--out", "{out}"],
+                       EXIT_DATA, "error"),
+        "config": (["train", "--variant", "a1", "--data", "{corpus}", "--config", "{latin}",
                     "--out", "{out}"], EXIT_USAGE, "usage error"),
     }
 
@@ -1252,7 +1176,7 @@ class TestErrorsNameTheirInput:
         latin, out = tmp_path / "latin.txt", tmp_path / "out"
         latin.write_bytes("{\"Дата\": 1}\n".encode("cp1251"))
         code = self.run(command, latin=latin, out=out, corpus=workdir / "corpus.csv",
-                        a1=workdir / "model_a1.json", enc_a1=workdir / "enc_a1.jsonl")
+                        a1=workdir / "model_a1.json")
         assert code == exit_code
         assert capsys.readouterr().err == (
             f"{prefix}: {latin}: 'utf-8' codec can't decode byte 0xc4 in position 2: "
@@ -1279,6 +1203,8 @@ class TestErrorsNameTheirInput:
             "head": f"invalid model: unknown head {value!r}",
             "variant_id": f"corrupt model document: variant_id must be a string or null, got {value!r}",
         }[field]
+        if kind == "two-stage":
+            message = f"stage2: {message}"
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
         assert not out.exists()
 
@@ -1320,49 +1246,22 @@ class TestErrorsNameTheirInput:
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
         assert not out.exists()
 
-    NOT_FINITE = "holds a non-finite number"
-    NOT_ONE_HOT = "field 'class_onehot' is not one-hot"
-    OUTSIDE = f"holds a value outside [{LOWEST_FEATURE!r}, 1]"
-    RECORD_FAULTS = {
-        "nan-feature": ("final_branch", [float("nan")], f"field 'final_branch' {NOT_FINITE}"),
-        "inf-feature": ("initial_branch", [0.5, float("inf")], f"field 'initial_branch' {NOT_FINITE}"),
-        "nan-target": ("regression_target", float("nan"), f"field 'regression_target' {NOT_FINITE}"),
-        "huge-negative-feature": ("initial_branch", [-1e308, 0.5], f"field 'initial_branch' {OUTSIDE}"),
-        "feature-above-one": ("final_branch", [1.5], f"field 'final_branch' {OUTSIDE}"),
-        "target-above-one": ("regression_target", 1.5, f"field 'regression_target' {OUTSIDE}"),
-        "zero-direction": ("direction", 0, "field 'direction' must be -1 or 1, got 0"),
-        "string-direction": ("direction", "1", "field 'direction' must be -1 or 1, got '1'"),
-        "all-zero-onehot": ("class_onehot", [0.0] * 5, NOT_ONE_HOT),
-        "two-hot-onehot": ("class_onehot", [1.0, 1.0, 0.0, 0.0, 0.0], NOT_ONE_HOT),
-        "scaled-onehot": ("class_onehot", [0.0, 0.5, 0.0, 0.0, 0.0], NOT_ONE_HOT),
-    }
-
-    @pytest.mark.parametrize("field,value,message", RECORD_FAULTS.values(), ids=RECORD_FAULTS)
-    def test_bad_encoded_record(self, workdir, tmp_path, capsys, field, value, message):
-        lines = (workdir / "enc_a1.jsonl").read_text().splitlines()
-        doc = json.loads(lines[1])
-        doc[field] = value
-        bad, out = tmp_path / "bad.jsonl", tmp_path / "model.json"
-        bad.write_text("\n".join([lines[0], json.dumps(doc), *lines[2:]]) + "\n")
-        code = main(["train", "--variant", "a1", "--data", str(bad), "--out", str(out)])
-        assert code == EXIT_DATA
-        assert capsys.readouterr().err == f"error: {bad}: line 2: {message}\n"
-        assert not out.exists()
-
     def test_least_positive_power_preprocesses_and_trains(self, workdir, tmp_path, capsys):
-        # 5e-324 W encodes to LOWEST_FEATURE, the bottom of the range read_encoded accepts.
+        # 5e-324 W, the least positive float, encodes to the lowest feature
+        # encode_table writes, about -60.99, and trains without a warning.
         rows = (workdir / "corpus.csv").read_text().splitlines()
         fields = rows[1].split(",")
         fields[3] = "5e-324"
-        corpus, encoded, model = tmp_path / "corpus.csv", tmp_path / "enc.jsonl", tmp_path / "m.json"
+        corpus, model = tmp_path / "corpus.csv", tmp_path / "m.json"
         corpus.write_text("\n".join([rows[0], ",".join(fields), *rows[2:]]) + "\n")
-        preprocess = ["preprocess", "--in", str(corpus), "--layout", "a1", "--out", str(encoded)]
-        assert main(preprocess) == EXIT_OK
-        assert json.loads(encoded.read_text().splitlines()[0])["initial_branch"][0] == LOWEST_FEATURE
+        lowest = encode_table(read_log(corpus)).features[0, 0]
+        assert lowest == math.log(5e-324) / LN_FULL_POWER
         config = tmp_path / "train.json"
         config.write_text(json.dumps({"max_epochs": 2}))
-        train = ["train", "--variant", "a1", "--data", str(encoded), "--config", str(config)]
-        assert main([*train, "--out", str(model)]) == EXIT_OK
+        train = ["train", "--variant", "a1", "--data", str(corpus), "--config", str(config)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*train, "--out", str(model)]) == EXIT_OK
         assert capsys.readouterr().err == ""
 
     MODEL_RECORD_FAULTS = {
@@ -1387,16 +1286,40 @@ class TestErrorsNameTheirInput:
             ["layers", 0], "activation", 5, "layer 1: field 'activation' must be a string, got 5"
         ),
         "l2-string": (["layers", 6], "l2", "0", "layer 7: field 'l2' must be a number, got '0'"),
+        # Only a format-1 record holds `weights` and `biases`; the fixture's
+        # first layer is 2 x 3, its second 1 x 2.
+        "weights-missing": (["layers", 0], "weights", MISSING, "layer 1: missing field 'weights'"),
+        "weights-one-value": (
+            ["layers", 0], "weights", [1.0],
+            "layer 1: field 'weights' must be a list of 6 numbers, got [1.0]",
+        ),
+        "weights-nested": (
+            ["layers", 1], "weights", [[1.0], [2.0]],
+            "layer 2: field 'weights' must be a list of 2 numbers, got [[1.0], [2.0]]",
+        ),
+        "biases-string": (
+            ["layers", 1], "biases", ["x", 1.0],
+            "layer 2: field 'biases' must be a list of 2 numbers, got ['x', 1.0]",
+        ),
     }
+
+    @staticmethod
+    def spoil(doc, path, key, value):
+        """`doc` with doc[path...][key] set to `value`, or deleted if MISSING."""
+        record = doc
+        for step in path:
+            record = record[step]
+        if value is MISSING:
+            del record[key]
+        else:
+            record[key] = value
+        return doc
 
     @pytest.mark.parametrize("path,key,value,message", MODEL_RECORD_FAULTS.values(),
                              ids=MODEL_RECORD_FAULTS)
     def test_malformed_model_record(self, workdir, tmp_path, capsys, path, key, value, message):
-        doc = json.loads((workdir / "model_a1.json").read_text())
-        record = doc
-        for step in path:
-            record = record[step]
-        record[key] = value
+        source = FORMAT1_MODEL if key in ("weights", "biases") else workdir / "model_a1.json"
+        doc = self.spoil(json.loads(source.read_text()), path, key, value)
         bad, out = tmp_path / "model.json", tmp_path / "report.json"
         bad.write_text(json.dumps(doc))
         code = main(["evaluate", "--model", str(bad), "--data", str(workdir / "corpus.csv"),
@@ -1404,6 +1327,35 @@ class TestErrorsNameTheirInput:
         assert code == EXIT_DATA
         assert capsys.readouterr().err == f"error: {bad}: corrupt model document: {message}\n"
         assert not out.exists()
+
+    TWO_STAGE_FAULTS = {
+        "stage1-missing": ([], "stage1", MISSING, "corrupt model document: missing field 'stage1'"),
+        "stage2-list": (
+            [], "stage2", [1], "corrupt model document: field 'stage2' must be an object, got [1]"
+        ),
+        "stage1-unversioned": (
+            ["stage1"], "format_version", MISSING,
+            "stage1: not a model document: missing format_version",
+        ),
+        "stage2-layer-shape": (
+            ["stage2", "layers", 1], "shape", [3, "2"],
+            "stage2: corrupt model document: layer 2: field 'shape' must be two integers >= 1, "
+            "got [3, '2']",
+        ),
+    }
+
+    @pytest.mark.parametrize("path,key,value,message", TWO_STAGE_FAULTS.values(),
+                             ids=TWO_STAGE_FAULTS)
+    def test_malformed_two_stage_file(self, workdir, tmp_path, capsys, path, key, value, message):
+        doc = self.spoil(json.loads((workdir / "twostage.json").read_text()), path, key, value)
+        bad, out = tmp_path / "twostage.json", tmp_path / "out"
+        bad.write_text(json.dumps(doc))
+        data = str(workdir / "corpus.csv")
+        for command in (["predict", "--model", str(bad), "--in", data],
+                        ["evaluate", "--model", str(bad), "--data", data]):
+            assert main([*command, "--out", str(out)]) == EXIT_DATA
+            assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+            assert not out.exists()
 
     CONFIGS = {
         "train-list": ("train", [1], "expected a JSON object"),
@@ -1421,9 +1373,20 @@ class TestErrorsNameTheirInput:
         config, out = tmp_path / "config.json", tmp_path / "out"
         config.write_text(json.dumps(doc))
         args = {
-            "train": ["--variant", "a1", "--data", str(workdir / "enc_a1.jsonl"), "--out", str(out)],
+            "train": ["--variant", "a1", "--data", str(workdir / "corpus.csv"), "--out", str(out)],
             "pipeline": ["--out-dir", str(out)],
         }[command]
         assert main([command, "--config", str(config), *args]) == EXIT_USAGE
         assert capsys.readouterr().err == f"usage error: {config}: {message}\n"
         assert not out.exists()
+
+
+def test_readme_quick_start_commands_parse():
+    # Every rtp command that README's Quick start shows is one the parser takes.
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("## Quick start\n")[1].split("\n## ")[0]
+    blocks = [block.split("```")[0] for block in section.split("```sh\n")[1:]]
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("rtp ")]
+    parsed = {cli.build_parser().parse_args(argv).command for argv in commands}
+    assert parsed == {"synthesize", "augment", "train", "compose", "evaluate", "predict", "pipeline"}

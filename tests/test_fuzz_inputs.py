@@ -16,7 +16,6 @@ from rtp.compose import TwoStageModel, save_two_stage
 from rtp.engine import save_model
 from rtp.ingest import CorpusSpec, filter_report, synthesize_corpus, write_observations
 from rtp.model_zoo import build_variant
-from rtp.preprocess import VARIANTS, encode_table, write_encoded
 
 CASES_PER_TARGET = 50
 
@@ -80,17 +79,13 @@ def _get(doc, path):
 
 
 def _on_json(swap):
-    """A mutation that applies swap(doc, paths, rng) to one JSON document
-    of the file, a file of JSON lines counting each line as a document."""
+    """A mutation that applies swap(doc, paths, rng) to the file's JSON document."""
 
     @wraps(swap)
     def mutate(data: bytearray, rng: random.Random) -> bytearray:
-        lines = data.decode().splitlines(keepends=True)
-        k = rng.randrange(len(lines))
-        doc = json.loads(lines[k])
+        doc = json.loads(data)
         doc = swap(doc, list(_nodes(doc)), rng)
-        lines[k] = json.dumps(doc) + "\n"
-        return bytearray("".join(lines).encode())
+        return bytearray((json.dumps(doc) + "\n").encode())
 
     return mutate
 
@@ -130,39 +125,35 @@ TARGETS = {
     "model-train-stage1": (
         "model_a1.json",
         JSON_MUTATIONS,
-        ["train", "--variant", "b2", "--data", "{enc_b2}", "--config", "{config}",
-         "--stage1-model", "{input}", "--stage1-data", "{enc_a1}", "--out", "{out}"],
+        ["train", "--variant", "b2", "--data", "{corpus}", "--config", "{config}",
+         "--stage1-model", "{input}", "--out", "{out}"],
     ),
     "twostage-predict": (
         "twostage.json",
         JSON_MUTATIONS,
         ["predict", "--model", "{input}", "--in", "{corpus}", "--out", "{out}"],
     ),
-    "jsonl-train": (
-        "enc_a1.jsonl",
-        JSON_MUTATIONS,
+    "csv-train": (
+        "corpus.csv",
+        BYTE_MUTATIONS,
         ["train", "--variant", "a1", "--data", "{input}", "--config", "{config}", "--out", "{out}"],
     ),
     "config-train": (
         "train.json",
         JSON_MUTATIONS,
-        ["train", "--variant", "a1", "--data", "{enc_a1}", "--config", "{input}", "--out", "{out}"],
+        ["train", "--variant", "a1", "--data", "{corpus}", "--config", "{input}", "--out", "{out}"],
     ),
 }
 
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """Small valid inputs of every kind: eight kept corpus rows, their a1
-    and b2 encodings, untrained a1 and b2 models, their composition, and a
-    one-epoch training config."""
+    """Small valid inputs of every kind: eight kept corpus rows, untrained
+    a1 and b2 models, their composition, and a one-epoch training config."""
     root = tmp_path_factory.mktemp("fuzz")
     rows, _ = filter_report(synthesize_corpus(CorpusSpec(n_observations=12, seed=0)))
     rows = rows.take(slice(0, 8))
     write_observations(rows, root / "corpus.csv")
-    table = encode_table(rows)
-    for vid in ("a1", "b2"):
-        write_encoded(table, VARIANTS[vid], root / f"enc_{vid}.jsonl")
     a1, b2 = build_variant("a1", seed=0), build_variant("b2", seed=0)
     save_model(a1, root / "model_a1.json")
     save_two_stage(TwoStageModel(a1, b2), root / "twostage.json")
@@ -192,8 +183,6 @@ def test_mutated_input(inputs, tmp_path, capsys, target):
         "out": tmp_path / "out",
         "corpus": inputs / "corpus.csv",
         "twostage": inputs / "twostage.json",
-        "enc_a1": inputs / "enc_a1.jsonl",
-        "enc_b2": inputs / "enc_b2.jsonl",
         "config": inputs / "train.json",
     }
     argv = [arg.format(**paths) for arg in command]

@@ -1,9 +1,7 @@
 """Tests for normalization, class binning, undersampling, and feature encoding."""
 
 import datetime as dt
-import json
 import math
-import re
 
 import numpy as np
 import pytest
@@ -20,7 +18,7 @@ from rtp.domain import (
     direction_of,
     reactivity_of_state,
 )
-from rtp.ingest import CorpusSpec, DataError, ObservationTable, row_to_observation, synthesize_corpus
+from rtp.ingest import CorpusSpec, ObservationTable, row_to_observation, synthesize_corpus
 from rtp.model_zoo import variant_spec
 from rtp.preprocess import (
     REACTIVITY_FEATURE_SCALE,
@@ -34,10 +32,8 @@ from rtp.preprocess import (
     encode_table,
     input_columns,
     normalize_power,
-    read_encoded,
     undersample,
     undersample_indices,
-    write_encoded,
 )
 
 CONFIG = DEFAULT_CONFIGS[1]
@@ -331,133 +327,6 @@ def test_zero_change_row_message_matches_encode_tables():
         encode_row(obs, CONFIG)
     message = "row 1: zero-change transient has no direction"
     assert str(by_row.value) == str(by_table.value) == message
-
-
-class TestEncodedRoundTrip:
-    def test_write_read_exact(self, tmp_path):
-        observations = [make_obs(p_f=p) for p in (50.0, 500.0, 5000.0)]
-        table = encode_dataset(observations, VARIANTS["b2"], DEFAULT_CONFIGS)
-        path = tmp_path / "encoded.jsonl"
-        write_encoded(table, VARIANTS["b2"], path)
-        back = read_encoded(path, "b2")
-        assert len(back) == len(table)
-        written = [0, 9, 10, 11]  # the columns b2's layout writes
-        np.testing.assert_array_equal(back.features[:, written], table.features[:, written])
-        assert np.isnan(np.delete(back.features, written, axis=1)).all()
-        for name in ("class_index", "target"):
-            np.testing.assert_array_equal(getattr(back, name), getattr(table, name))
-
-    def test_aio_round_trip(self, tmp_path):
-        table = encode_dataset([make_obs(), make_obs(p_f=50.0)], VARIANTS["e1"], DEFAULT_CONFIGS)
-        path = tmp_path / "encoded.jsonl"
-        write_encoded(table, VARIANTS["e1"], path)
-        back = read_encoded(path, "e1")
-        assert branches(back, "e1")[1].shape == (2, 0)
-        np.testing.assert_array_equal(branches(back, "e1")[0], branches(table, "e1")[0])
-
-    def test_reads_existing_record_format(self, tmp_path):
-        # One record exactly as earlier releases wrote it.
-        path = tmp_path / "encoded.jsonl"
-        path.write_text(
-            '{"initial_branch": [0.5, 0.25], "final_branch": [0.3], "direction": -1, '
-            '"class_onehot": [0.0, 0.0, 1.0, 0.0, 0.0], "regression_target": 0.4, '
-            '"variant_id": "a1"}\n'
-        )
-        table = read_encoded(path, "a1")
-        initial, final = branches(table, "a1")
-        assert initial.tolist() == [[0.5, 0.25]]
-        assert final.tolist() == [[0.3]]
-        assert table.features[:, 11].tolist() == [-1.0]
-        assert table.class_index.tolist() == [2]
-        assert table.target.tolist() == [0.4]
-
-    def test_any_variant_whose_columns_the_file_holds(self, tmp_path):
-        # An e1 file holds power, both reactivities and the direction: what a1 and c1 read.
-        table = encode_dataset([make_obs(), make_obs(p_f=50.0)], VARIANTS["e1"], DEFAULT_CONFIGS)
-        path = tmp_path / "encoded.jsonl"
-        write_encoded(table, VARIANTS["e1"], path)
-        for vid in ("a1", "c1"):
-            back = read_encoded(path, vid)
-            np.testing.assert_array_equal(branches(back, vid)[0], branches(table, vid)[0])
-        message = "its e1 layout lacks features that variant b1 reads"
-        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
-            read_encoded(path, "b1")
-
-
-class TestReadEncodedErrors:
-    def write_records(self, tmp_path, records):
-        path = tmp_path / "encoded.jsonl"
-        table = encode_dataset([make_obs(), make_obs(p_f=50.0)], VARIANTS["a1"], DEFAULT_CONFIGS)
-        write_encoded(table, VARIANTS["a1"], path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(records(lines)) + "\n")
-        return path
-
-    def test_missing_field_names_file_and_line(self, tmp_path):
-        def drop_initial_branch(lines):
-            doc = json.loads(lines[1])
-            del doc["initial_branch"]
-            return [lines[0], json.dumps(doc)]
-
-        path = self.write_records(tmp_path, drop_initial_branch)
-        with pytest.raises(DataError, match=r"line 2: missing field 'initial_branch'"):
-            read_encoded(path, "a1")
-
-    def test_csv_input_names_file_and_line(self, tmp_path):
-        path = tmp_path / "corpus.csv"
-        path.write_text("date,start_time\n2014-06-01,08:00\n")
-        with pytest.raises(DataError, match=r"line 1: "):
-            read_encoded(path, "a1")
-
-    def test_inconsistent_width(self, tmp_path):
-        def widen(lines):
-            doc = json.loads(lines[1])
-            doc["initial_branch"].append(0.0)
-            return [lines[0], json.dumps(doc)]
-
-        path = self.write_records(tmp_path, widen)
-        with pytest.raises(DataError, match="line 2: field 'initial_branch'"):
-            read_encoded(path, "a1")
-
-    def test_mixed_variants(self, tmp_path):
-        def relabel(lines):
-            doc = json.loads(lines[1])
-            doc["variant_id"] = "c1"
-            return [lines[0], json.dumps(doc)]
-
-        path = self.write_records(tmp_path, relabel)
-        with pytest.raises(DataError, match="line 2: variant_id 'c1'"):
-            read_encoded(path, "a1")
-
-    NOT_FINITE = "holds a non-finite number"
-    NOT_ONE_HOT = "field 'class_onehot' is not one-hot"
-    BAD_VALUES = {
-        "nan-feature": ("final_branch", [float("nan")], f"field 'final_branch' {NOT_FINITE}"),
-        "inf-feature": ("initial_branch", [0.5, float("inf")], f"field 'initial_branch' {NOT_FINITE}"),
-        "nan-target": ("regression_target", float("nan"), f"field 'regression_target' {NOT_FINITE}"),
-        "zero-direction": ("direction", 0, "field 'direction' must be -1 or 1, got 0"),
-        "string-direction": ("direction", "1", "field 'direction' must be -1 or 1, got '1'"),
-        "all-zero-onehot": ("class_onehot", [0.0] * 5, NOT_ONE_HOT),
-        "two-hot-onehot": ("class_onehot", [1.0, 1.0, 0.0, 0.0, 0.0], NOT_ONE_HOT),
-        "scaled-onehot": ("class_onehot", [0.0, 0.5, 0.0, 0.0, 0.0], NOT_ONE_HOT),
-    }
-
-    @pytest.mark.parametrize("field,value,message", BAD_VALUES.values(), ids=BAD_VALUES)
-    def test_bad_value_names_file_and_line(self, tmp_path, field, value, message):
-        def spoil(lines):
-            doc = json.loads(lines[1])
-            doc[field] = value
-            return [lines[0], json.dumps(doc)]
-
-        path = self.write_records(tmp_path, spoil)
-        with pytest.raises(DataError, match=f"^{re.escape(f'line 2: {message}')}$"):
-            read_encoded(path, "a1")
-
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
-        path.write_text("\n")
-        with pytest.raises(DataError, match="no encoded samples"):
-            read_encoded(path, "a1")
 
 
 def test_layout_table():
