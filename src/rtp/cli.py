@@ -198,31 +198,20 @@ def _cmd_evaluate(args) -> int:
                 )
             check_stage("model", model, "classifier")
 
-    report: dict
-    columns: list[list]  # per row: true class, predicted class[, absolute error]
     if isinstance(model, TwoStageModel):
         scores = evaluate_two_stage(model, table)
-        report = {
-            "classification": scores.metrics.to_dict(),
-            "confusion": scores.confusion.to_lists(),
-            "regression": scores.regression.to_dict(),
-        }
-        columns = [
-            scores.true_classes.tolist(),
-            scores.predicted_classes.tolist(),
-            scores.regression.abs_errors.tolist(),
-        ]
-        header = ["row", "true_class", "predicted_class", "abs_error_norm"]
+        predicted, report = scores.predicted_classes, scores.report
+        extra = {"abs_error_norm": scores.abs_errors.tolist()}  # more --errors columns
     else:
-        _, predicted, cm, metrics = score_classifier(model, table)
-        report = {"classification": metrics.to_dict(), "confusion": cm.to_lists()}
-        columns = [table.class_index.tolist(), predicted.tolist()]
-        header = ["row", "true_class", "predicted_class"]
+        predicted, report = score_classifier(model, table)
+        extra = {}
 
     with open(args.out, "w") as handle:
         json.dump(report, handle, sort_keys=True, indent=2)
         handle.write("\n")
     if args.errors:
+        header = ["row", "true_class", "predicted_class", *extra]
+        columns = (table.class_index.tolist(), predicted.tolist(), *extra.values())
         with open(args.errors, "w", newline="") as handle:
             handle.write(csv_line(header))
             handle.writelines(csv_line(map(str, row)) for row in zip(count(1), *columns))

@@ -21,14 +21,7 @@ from .engine import (
     model_to_dict,
     run_layers,
 )
-from .evaluate import (
-    ClassMetrics,
-    ConfusionMatrix,
-    RegressionReport,
-    class_metrics,
-    confusion,
-    regression_report,
-)
+from .evaluate import class_metrics, confusion, regression_report
 from .model_zoo import aux_width, branch_widths, stage_inputs
 from .preprocess import TASKS, VARIANTS, EncodedTable, denormalize_power, encode_row
 
@@ -191,25 +184,24 @@ def predict(
 
 @dataclass(frozen=True)
 class TwoStageEvaluation:
-    """Joint predictions on labelled rows, scored by class and by power."""
+    """Joint predictions on labelled rows, their absolute power errors
+    (normalized units), and the report that scores them: the
+    `classification`, `confusion` and `regression` blocks."""
 
-    true_classes: np.ndarray
     predicted_classes: np.ndarray
-    confusion: ConfusionMatrix
-    metrics: ClassMetrics
-    regression: RegressionReport
+    abs_errors: np.ndarray
+    report: dict
 
 
 def evaluate_two_stage(model: TwoStageModel, table: EncodedTable) -> TwoStageEvaluation:
     """Score joint predictions against the table's classes and targets; the
-    regression report conditions on rows whose class stage 1 got right."""
+    regression block conditions on rows whose class stage 1 got right."""
     _, predicted, norms = predict_arrays(model, table)
-    true = table.class_index
-    cm = confusion(true, predicted)
-    return TwoStageEvaluation(
-        true_classes=true,
-        predicted_classes=predicted,
-        confusion=cm,
-        metrics=class_metrics(cm),
-        regression=regression_report(table.target, norms, predicted == true),
-    )
+    counts = confusion(table.class_index, predicted)
+    abs_errors = np.abs(norms - table.target)
+    report = {
+        "classification": class_metrics(counts),
+        "confusion": counts.tolist(),
+        "regression": regression_report(abs_errors, predicted == table.class_index),
+    }
+    return TwoStageEvaluation(predicted, abs_errors, report)

@@ -7,6 +7,7 @@ import bisect
 import datetime as dt
 import math
 import numbers
+from collections.abc import Sized
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -86,17 +87,6 @@ _ERA_WORTHS = np.array([c.rod_worths for c in DEFAULT_CONFIGS], dtype=np.float64
 _ERA_WORTHS.setflags(write=False)
 
 
-def direction_of(obs: TransientObservation) -> int:
-    """+1 for a power increase, -1 for a decrease. Zero change is invalid here
-    because zero-change transients are excluded during ingestion."""
-    delta = obs.final.power - obs.initial.power
-    if delta > 0:
-        return 1
-    if delta < 0:
-        return -1
-    raise ValueError("zero-change transient has no direction")
-
-
 def config_for_date(date: dt.date) -> CoreConfiguration:
     """Resolve the core configuration operational on `date`.
 
@@ -144,13 +134,24 @@ def is_finite_nonnegative(value) -> bool:
     return is_number(value) and 0.0 <= value < math.inf
 
 
+def shown(value) -> str:
+    """repr(value) for a message, or, when that is over 80 characters, the
+    value's type and size, as in "a list of 29 items"."""
+    text = repr(value)
+    if len(text) <= 80:
+        return text
+    kind = type(value).__name__
+    size = f" of {len(value)} items" if isinstance(value, Sized) else ""
+    return f"{'an' if kind[0] in 'aeiou' else 'a'} {kind}{size}"
+
+
 def check_settings(settings, rules: dict) -> None:
     """Raise ValueError naming the first field of `settings` that breaks its
     rule; `rules` maps a field name to (what it must be, test of a value)."""
     for name, (must_be, valid) in rules.items():
         value = getattr(settings, name)
         if not valid(value):
-            raise ValueError(f"{name} must be {must_be}, got {value!r}")
+            raise ValueError(f"{name} must be {must_be}, got {shown(value)}")
 
 
 def settings_from(cls, doc: dict):

@@ -16,7 +16,7 @@ from typing import Any, Callable, Union
 
 import numpy as np
 
-from .domain import is_count, is_nonnegative_integer, is_number
+from .domain import is_count, is_nonnegative_integer, is_number, shown
 
 # Format 2 stores all parameters as one binary block; format 1 files still load.
 FORMAT_VERSION = 2
@@ -435,7 +435,7 @@ def check_fields(doc: dict, rules: dict, where: str = "") -> None:
         if name not in doc:
             raise ValueError(f"{where}missing field {name!r}")
         if not valid(doc[name]):
-            raise ValueError(f"{where}field {name!r} must be {must_be}, got {doc[name]!r}")
+            raise ValueError(f"{where}field {name!r} must be {must_be}, got {shown(doc[name])}")
 
 
 def _layer_from_dict(doc: dict, params: np.ndarray | None, start: int) -> DenseLayer:
@@ -481,7 +481,7 @@ def model_from_dict(doc: dict) -> NetworkModel:
         used = 0
         for number, layer_doc in enumerate(doc["layers"], start=1):
             if not isinstance(layer_doc, dict):
-                raise ValueError(f"layer {number} must be an object, got {layer_doc!r}")
+                raise ValueError(f"layer {number} must be an object, got {shown(layer_doc)}")
             check_fields(layer_doc, {**branch_rule, **_LAYER_RULES}, f"layer {number}: ")
             if params is None:
                 n_in, n_out = layer_doc["shape"]
@@ -495,7 +495,7 @@ def model_from_dict(doc: dict) -> NetworkModel:
                 branches[layer_doc["branch"]].append(layer)
         head, variant_id = doc.get("head"), doc.get("variant_id")
         if not isinstance(variant_id, (str, type(None))):
-            raise TypeError(f"variant_id must be a string or null, got {variant_id!r}")
+            raise TypeError(f"variant_id must be a string or null, got {shown(variant_id)}")
     except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
         raise ModelFormatError(f"corrupt model document: {exc}") from exc
     try:

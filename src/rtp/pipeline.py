@@ -120,16 +120,17 @@ def fit_variant(variant_id: str, table, seed: int, overrides: dict, class_probs=
 
 
 def score_classifier(model, table):
-    """A classifier's outputs on a table, its predicted classes, the confusion
-    matrix against the table's classes, and the metrics of that matrix.
+    """A classifier's predicted classes on a table, and the report that
+    scores them against the table's classes: the `classification` block and
+    the `confusion` counts.
 
     The model must take its variant's inputs, as build_variant's do and as
     compose.check_stage makes sure of for a model read from a file.
     """
     out = run_layers(model, stage_inputs(table.features, model.variant_id))
     predicted = np.argmax(out, axis=1)
-    cm = confusion(table.class_index, predicted)
-    return out, predicted, cm, class_metrics(cm)
+    counts = confusion(table.class_index, predicted)
+    return predicted, {"classification": class_metrics(counts), "confusion": counts.tolist()}
 
 
 def _train_variant(variant_id, train_table, config: PipelineConfig, class_probs=None):
@@ -209,11 +210,12 @@ def run_pipeline(config: PipelineConfig) -> dict:
     classifier_models = {}
     for vid in config.classifier_ids:
         model, summary = _train_variant(vid, encoded_train, config)
-        _, _, cm, metrics = score_classifier(model, encoded_test)
-        summary["test_accuracy"] = metrics.accuracy
-        summary["test_macro_f1"] = metrics.macro_f1
-        summary["confusion"] = cm.to_lists()
-        summary["per_class"] = metrics.to_dict()
+        _, scores = score_classifier(model, encoded_test)
+        metrics = scores["classification"]
+        summary["test_accuracy"] = metrics["accuracy"]
+        summary["test_macro_f1"] = metrics["macro_f1"]
+        summary["confusion"] = scores["confusion"]
+        summary["per_class"] = metrics
         classifier_models[vid] = model
         save_model(model, out_dir / f"model_{vid}.json")
         report["classifiers"][vid] = summary
@@ -227,8 +229,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
         train_probs = run_layers(classifier_models[cid], x)
         model, summary = _train_variant(vid, encoded_train, config, train_probs)
         pair = TwoStageModel(classifier_models[cid], model)
-        scores = evaluate_two_stage(pair, encoded_test)
-        summary["regression"] = scores.regression.to_dict()
+        summary["regression"] = evaluate_two_stage(pair, encoded_test).report["regression"]
         summary["paired_classifier"] = cid
         regressor_models[vid] = model
         save_model(model, out_dir / f"model_{vid}.json")
@@ -239,13 +240,13 @@ def run_pipeline(config: PipelineConfig) -> dict:
     if stage1_id in classifier_models and stage2_id in regressor_models:
         two_stage = TwoStageModel(classifier_models[stage1_id], regressor_models[stage2_id])
         save_two_stage(two_stage, out_dir / "twostage.json")
-        scores = evaluate_two_stage(two_stage, encoded_test)
+        scores = evaluate_two_stage(two_stage, encoded_test).report
         report["composed"] = {
             "stage1": stage1_id,
             "stage2": stage2_id,
-            "test_accuracy": scores.metrics.accuracy,
-            "test_macro_f1": scores.metrics.macro_f1,
-            "regression": scores.regression.to_dict(),
+            "test_accuracy": scores["classification"]["accuracy"],
+            "test_macro_f1": scores["classification"]["macro_f1"],
+            "regression": scores["regression"],
         }
 
     with open(out_dir / "report.json", "w") as handle:

@@ -12,7 +12,7 @@ from .domain import (
     check_settings,
     is_count,
     is_finite_nonnegative,
-    is_integer,
+    is_nonnegative_integer,
     is_number,
 )
 from .engine import (
@@ -49,7 +49,7 @@ _SETTING_RULES = {
     "early_stop_patience": ("an integer >= 1", is_count),
     "early_stop_min_delta": ("a finite number >= 0", is_finite_nonnegative),
     "monitored_metric": (f"one of {MONITORED_METRICS}", lambda x: x in MONITORED_METRICS),
-    "seed": ("an integer >= 0", lambda x: is_integer(x) and x >= 0),
+    "seed": ("an integer >= 0", is_nonnegative_integer),
 }
 
 

@@ -209,13 +209,13 @@ def test_criterion_05_metric_oracle_equivalence():
         cm = confusion(true, pred)
         metrics = class_metrics(cm)
         counts, precision, recall, f1, macro, acc = brute_force(true, pred)
-        assert cm.to_lists() == counts
+        assert cm.tolist() == counts
         for c in range(5):
-            assert abs(metrics.precision[c] - precision[c]) <= 1e-12
-            assert abs(metrics.recall[c] - recall[c]) <= 1e-12
-            assert abs(metrics.f1[c] - f1[c]) <= 1e-12
-        assert abs(metrics.macro_f1 - macro) <= 1e-12
-        assert abs(metrics.accuracy - acc) <= 1e-12
+            assert abs(metrics["precision"][c] - precision[c]) <= 1e-12
+            assert abs(metrics["recall"][c] - recall[c]) <= 1e-12
+            assert abs(metrics["f1"][c] - f1[c]) <= 1e-12
+        assert abs(metrics["macro_f1"] - macro) <= 1e-12
+        assert abs(metrics["accuracy"] - acc) <= 1e-12
     print("criterion 5 PASS: metrics match the brute-force oracle on 100 sets")
 
 

@@ -218,8 +218,8 @@ class TestArtifacts:
                 scores = compose.evaluate_two_stage(loaded, table)
                 writer.writerow(["row", "true_class", "predicted_class", "abs_error_norm"])
                 writer.writerows(zip(
-                    range(1, len(observations) + 1), scores.true_classes.tolist(),
-                    scores.predicted_classes.tolist(), scores.regression.abs_errors.tolist(),
+                    range(1, len(observations) + 1), table.class_index.tolist(),
+                    scores.predicted_classes.tolist(), scores.abs_errors.tolist(),
                 ))
             else:
                 out = forward(loaded, stage_inputs(table.features, "a1"))
@@ -1301,18 +1301,25 @@ class TestErrorsNameTheirInput:
             ["layers", 1], "biases", ["x", 1.0],
             "layer 2: field 'biases' must be a list of 2 numbers, got ['x', 1.0]",
         ),
+        # The fixture is twostage_v1.json's stage 1; a value whose repr is
+        # over 80 characters is shown by its type and size.
+        "weights-one-short": (
+            ["layers", 2], "weights", lambda weights: weights[:-1],
+            "layer 3: field 'weights' must be a list of 30 numbers, got a list of 29 items",
+        ),
     }
 
     @staticmethod
     def spoil(doc, path, key, value):
-        """`doc` with doc[path...][key] set to `value`, or deleted if MISSING."""
+        """`doc` with doc[path...][key] set to `value`, or to value(old value)
+        if it is a function, or deleted if MISSING."""
         record = doc
         for step in path:
             record = record[step]
         if value is MISSING:
             del record[key]
         else:
-            record[key] = value
+            record[key] = value(record[key]) if callable(value) else value
         return doc
 
     @pytest.mark.parametrize("path,key,value,message", MODEL_RECORD_FAULTS.values(),
@@ -1361,6 +1368,11 @@ class TestErrorsNameTheirInput:
         "train-list": ("train", [1], "expected a JSON object"),
         "pipeline-list": ("pipeline", [1], "expected a JSON object"),
         "policy-unknown-key": ("pipeline", {"policy": {"bogus": 1}}, "unknown key 'policy'"),
+        "pipeline-50-unknown-ids": (
+            "pipeline", {"classifier_ids": [f"x{i}" for i in range(50)]},
+            "classifier_ids must be a list of ids from ('a1', 'b1', 'c1', 'd1', 'e1', 'f1'), "
+            "got a list of 50 items",
+        ),
         **{
             f"{command}-{key}": (command, {key: value}, f"unknown key {key!r}")
             for command in ("train", "pipeline")

@@ -14,20 +14,10 @@ from rtp.domain import (
     ReactorState,
     TransientObservation,
     config_for_date,
-    direction_of,
     reactivity_of_state,
     rod_worths_by_ordinal,
+    shown,
 )
-
-
-def make_obs(p_i, p_f, date=dt.date(2014, 6, 1)):
-    return TransientObservation(
-        date=date,
-        start_time=dt.time(10, 0),
-        end_time=dt.time(10, 30),
-        initial=ReactorState(p_i, (12.0, 12.0, 12.0, 12.0)),
-        final=ReactorState(p_f, (13.0, 13.0, 13.0, 13.0)),
-    )
 
 
 class TestReactorState:
@@ -66,18 +56,6 @@ class TestTransientObservation:
                 initial=ReactorState(10.0, (1.0, 1.0, 1.0, 1.0)),
                 final=ReactorState(100.0, (2.0, 2.0, 2.0, 2.0)),
             )
-
-
-class TestDirection:
-    def test_up(self):
-        assert direction_of(make_obs(10.0, 100.0)) == 1
-
-    def test_down(self):
-        assert direction_of(make_obs(100.0, 10.0)) == -1
-
-    def test_zero_change_invalid(self):
-        with pytest.raises(ValueError):
-            direction_of(make_obs(50.0, 50.0))
 
 
 class TestConfigForDate:
@@ -171,3 +149,17 @@ def test_configuration_is_frozen_dataclass():
 def test_core_configuration_type():
     config = CoreConfiguration(200, (1.0, 1.0, 1.0, 1.0), dt.date(2020, 1, 1))
     assert config.total_worth() == 4.0
+
+
+@pytest.mark.parametrize(
+    "value,text",
+    [
+        ("x" * 78, repr("x" * 78)),
+        ("x" * 79, "a str of 79 items"),
+        ([0.5] * 29, "a list of 29 items"),
+        (10**100, "an int"),
+    ],
+    ids=["str-80", "str-81", "list", "int"],
+)
+def test_shown_names_a_long_value_by_type_and_size(value, text):
+    assert shown(value) == text

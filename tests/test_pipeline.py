@@ -98,12 +98,11 @@ class TestScoreClassifier:
     def test_scores_the_forward_pass(self):
         table = encoded()
         model = build_variant("a1", seed=1)
-        out, predicted, cm, metrics = score_classifier(model, table)
+        predicted, report = score_classifier(model, table)
         expected = forward(model, stage_inputs(table.features, "a1"))
-        np.testing.assert_array_equal(out, expected)
         np.testing.assert_array_equal(predicted, np.argmax(expected, axis=1))
-        assert cm.to_lists() == confusion(table.class_index, predicted).to_lists()
-        assert metrics.to_dict() == class_metrics(cm).to_dict()
+        cm = confusion(table.class_index, predicted)
+        assert report == {"classification": class_metrics(cm), "confusion": cm.tolist()}
 
     def test_calls_train_through_the_module_global(self, monkeypatch):
         calls = []
@@ -140,19 +139,19 @@ class TestRegressorScores:
             load_model(out_dir / f"model_{cid}.json"),
             load_model(out_dir / f"model_{regressor_id}.json"),
         )
-        scores = evaluate_two_stage(pair, test_table)
-        assert report["regressors"][regressor_id]["regression"] == scores.regression.to_dict()
-        assert report["classifiers"][cid]["test_accuracy"] == scores.metrics.accuracy
+        scores = evaluate_two_stage(pair, test_table).report
+        assert report["regressors"][regressor_id]["regression"] == scores["regression"]
+        assert report["classifiers"][cid]["test_accuracy"] == scores["classification"]["accuracy"]
 
     def test_composed_block_scores_an_untrained_pair(self, run):
         out_dir, report, test_table = run
         assert pair_for_regressor("d2") != "a1"
-        scores = evaluate_two_stage(load_two_stage(out_dir / "twostage.json"), test_table)
+        scores = evaluate_two_stage(load_two_stage(out_dir / "twostage.json"), test_table).report
         assert report["composed"] == {
             "stage1": "a1",
             "stage2": "d2",
-            "test_accuracy": scores.metrics.accuracy,
-            "test_macro_f1": scores.metrics.macro_f1,
-            "regression": scores.regression.to_dict(),
+            "test_accuracy": scores["classification"]["accuracy"],
+            "test_macro_f1": scores["classification"]["macro_f1"],
+            "regression": scores["regression"],
         }
         assert report["composed"]["regression"] != report["regressors"]["d2"]["regression"]

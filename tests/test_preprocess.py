@@ -15,7 +15,6 @@ from rtp.domain import (
     ReactorState,
     TransientObservation,
     config_for_date,
-    direction_of,
     reactivity_of_state,
 )
 from rtp.ingest import CorpusSpec, ObservationTable, row_to_observation, synthesize_corpus
@@ -72,7 +71,7 @@ def reference_row(obs, layout, config):
     else:
         rods_i, rods_f = [rho_i], [rho_f]
     initial, final = [normalize_power(obs.initial.power), *rods_i], rods_f
-    direction = direction_of(obs)
+    direction = 1 if obs.final.power > obs.initial.power else -1
     if layout.input_mode == "all_in_one":
         initial = initial + final + ([float(direction)] if layout.uses_direction else [])
         final = []
