@@ -321,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as exc:
         print(f"numeric divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    except (*INPUT_ERRORS, ShapeError, ProgressError, OSError, ValueError) as exc:
+    except (*INPUT_ERRORS, ShapeError, ProgressError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

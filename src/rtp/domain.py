@@ -13,6 +13,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 FULL_POWER_W = 200_000.0
+LN_FULL_POWER = math.log(FULL_POWER_W)
 MAX_ROD_TRAVEL_IN = 24.0
 N_RODS = 4
 
@@ -67,7 +68,11 @@ class CoreConfiguration:
     start_date: dt.date
 
     def total_worth(self) -> float:
-        return sum(self.rod_worths)
+        """The rod worths added one by one, in rod order, to 0.0."""
+        total = 0.0
+        for w in self.rod_worths:
+            total += w
+        return total
 
 
 # Integral rod worths in dollars (beta = 0.006 already folded in) and the
@@ -107,9 +112,16 @@ def reactivity_of_state(state: ReactorState, config: CoreConfiguration) -> float
     Linear-worth approximation: withdrawal fraction (height / 24) times the
     rod's integral worth, summed over all four rods.
     """
-    return sum(
-        (h / MAX_ROD_TRAVEL_IN) * w for h, w in zip(state.rod_heights, config.rod_worths)
-    )
+    return rod_reactivity(state.rod_heights, config.rod_worths)
+
+
+def rod_reactivity(heights, worths) -> float:
+    """reactivity_of_state of rods at `heights` with `worths`: the rods' terms
+    added one by one, in rod order, to 0.0."""
+    rho = 0.0
+    for h, w in zip(heights, worths):
+        rho += (h / MAX_ROD_TRAVEL_IN) * w
+    return rho
 
 
 def is_number(value, kind=numbers.Real) -> bool:

@@ -17,12 +17,13 @@ from .domain import (
     DEFAULT_CONFIGS,
     ERA_STARTS,
     FULL_POWER_W,
+    LN_FULL_POWER,
     MAX_ROD_TRAVEL_IN,
-    CoreConfiguration,
+    N_RODS,
     ReactorState,
     TransientObservation,
     is_nonnegative_integer,
-    reactivity_of_state,
+    rod_reactivity,
 )
 
 CSV_HEADER = [
@@ -339,45 +340,47 @@ def filter_report(table: ObservationTable) -> tuple[ObservationTable, FilterCoun
 
 
 def _rho_of_power(power: float) -> float:
-    frac = math.log(power) / math.log(FULL_POWER_W)
+    frac = math.log(power) / LN_FULL_POWER
     return RHO_AT_1W + (RHO_AT_FULL - RHO_AT_1W) * frac
 
 
 def _heights_for_reactivity(
     target: float, worths: tuple[float, ...], rng: np.random.Generator
-) -> np.ndarray:
+) -> list[float]:
     """Random rod heights whose linear-worth reactivity equals `target`.
 
     Rods are visited in a random order; each draws a withdrawal fraction
     uniformly from the interval that keeps the remaining target reachable by
     the rods still to come, and the last rod closes the balance exactly.
     """
-    worths_arr = np.asarray(worths, dtype=np.float64)
-    if not (0.0 <= target <= float(worths_arr.sum())):
+    w0, w1, w2, w3 = worths
+    if not (0.0 <= target <= ((w0 + w1) + w2) + w3):
         raise DataError(f"infeasible reactivity target {target} $ for worths {worths}")
-    order = rng.permutation(len(worths))
-    fractions = np.zeros(len(worths))
+    order = rng.permutation(N_RODS).tolist()
+    wa, wb, wc, wd = worths[order[0]], worths[order[1]], worths[order[2]], worths[order[3]]
+    heights = [0.0] * N_RODS
     remaining = target
-    for pos, rod in enumerate(order):
-        w = worths_arr[rod]
-        rest = float(worths_arr[order[pos + 1 :]].sum())
-        lo = max(0.0, (remaining - rest) / w)
-        hi = min(1.0, remaining / w)
-        f = hi if pos == len(order) - 1 else rng.uniform(lo, hi)
-        fractions[rod] = f
+    # The first three rods, each with the worth of the rods after it, added
+    # left to right.
+    for rod, w, rest in zip(order, (wa, wb, wc), ((wb + wc) + wd, wc + wd, wd)):
+        f = rng.uniform(max(0.0, (remaining - rest) / w), min(1.0, remaining / w))
+        heights[rod] = f * MAX_ROD_TRAVEL_IN
         remaining -= f * w
-    return fractions * MAX_ROD_TRAVEL_IN
+    heights[order[3]] = min(1.0, remaining / wd) * MAX_ROD_TRAVEL_IN
+    return heights
 
 
 def _synth_state(
-    power: float, config: CoreConfiguration, rng: np.random.Generator
-) -> ReactorState:
+    power: float, worths: tuple[float, ...], total_worth: float, rng: np.random.Generator
+) -> list[float]:
+    """Rod heights of a state at `power`, for rods of `worths` that add up to
+    `total_worth`."""
     rho_target = _rho_of_power(power) + rng.normal(0.0, REACTIVITY_NOISE_DOLLARS)
-    rho_target = float(np.clip(rho_target, 1.5, config.total_worth() - 0.2))
-    heights = _heights_for_reactivity(rho_target, config.rod_worths, rng)
-    heights = heights + rng.normal(0.0, ROD_NOISE_SCALE, size=heights.shape)
-    heights = np.clip(heights, 0.0, MAX_ROD_TRAVEL_IN)
-    return ReactorState(power, tuple(float(h) for h in heights))
+    # min(hi, max(lo, x)) picks what np.clip(x, lo, hi) picks, signed zeros too.
+    rho_target = min(total_worth - 0.2, max(1.5, rho_target))
+    heights = _heights_for_reactivity(rho_target, worths, rng)
+    noise = rng.normal(0.0, ROD_NOISE_SCALE, size=N_RODS).tolist()
+    return [min(MAX_ROD_TRAVEL_IN, max(0.0, h + e)) for h, e in zip(heights, noise)]
 
 
 def synthesize_corpus(spec: CorpusSpec) -> ObservationTable:
@@ -392,26 +395,28 @@ def synthesize_corpus(spec: CorpusSpec) -> ObservationTable:
     # Each era runs from its configuration's first day to the day before the
     # next one's; the last ends on CORPUS_END_DATE.
     era_ends = (*ERA_STARTS[1:], CORPUS_END_DATE.toordinal() + 1)
+    # Each configuration's rod worths and their total_worth, computed once.
+    era_worths = [(config.rod_worths, config.total_worth()) for config in DEFAULT_CONFIGS]
     values: list[tuple] = []  # day ordinal, both powers, both states' rod heights
     times: list[tuple[dt.time, dt.time]] = []
 
     while len(times) < spec.n_observations:
         era = int(rng.integers(0, len(DEFAULT_CONFIGS)))
-        config, day = DEFAULT_CONFIGS[era], int(rng.integers(ERA_STARTS[era], era_ends[era]))
+        day = int(rng.integers(ERA_STARTS[era], era_ends[era]))
 
-        idx_i, idx_f = rng.choice(len(POWER_ANCHORS), size=2, replace=False)
-        p_i = float(POWER_ANCHORS[idx_i] * math.exp(rng.normal(0.0, POWER_JITTER_SIGMA)))
-        p_f = float(POWER_ANCHORS[idx_f] * math.exp(rng.normal(0.0, POWER_JITTER_SIGMA)))
-        p_i = float(np.clip(p_i, MIN_CORPUS_POWER_W, FULL_POWER_W))
-        p_f = float(np.clip(p_f, MIN_CORPUS_POWER_W, FULL_POWER_W))
+        idx_i, idx_f = rng.choice(len(POWER_ANCHORS), size=2, replace=False).tolist()
+        p_i = POWER_ANCHORS[idx_i] * math.exp(rng.normal(0.0, POWER_JITTER_SIGMA))
+        p_f = POWER_ANCHORS[idx_f] * math.exp(rng.normal(0.0, POWER_JITTER_SIGMA))
+        p_i = min(FULL_POWER_W, max(MIN_CORPUS_POWER_W, p_i))
+        p_f = min(FULL_POWER_W, max(MIN_CORPUS_POWER_W, p_f))
         if p_f == p_i:
             continue
 
-        state_i = state_f = None
+        worths, total = era_worths[era]
         for _ in range(100):
-            state_i = _synth_state(p_i, config, rng)
-            state_f = _synth_state(p_f, config, rng)
-            d_rho = reactivity_of_state(state_f, config) - reactivity_of_state(state_i, config)
+            heights_i = _synth_state(p_i, worths, total, rng)
+            heights_f = _synth_state(p_f, worths, total, rng)
+            d_rho = rod_reactivity(heights_f, worths) - rod_reactivity(heights_i, worths)
             if d_rho != 0 and (d_rho > 0) == (p_f > p_i):
                 break
         else:
@@ -423,7 +428,7 @@ def synthesize_corpus(spec: CorpusSpec) -> ObservationTable:
         end_minute = start_minute + duration
         end = dt.time(end_minute // 60, end_minute % 60)
 
-        values.append((day, p_i, p_f, *state_i.rod_heights, *state_f.rod_heights))
+        values.append((day, p_i, p_f, *heights_i, *heights_f))
         times.append((start, end))
     columns = np.array(values)
     return ObservationTable(
@@ -449,8 +454,3 @@ def write_observations(table: ObservationTable, path: Union[str, Path]) -> None:
     with open(path, "w", newline="") as handle:
         handle.write(csv_line(CSV_HEADER))
         handle.writelines(map(csv_line, zip(*columns)))
-
-
-def read_observations(path: Union[str, Path]) -> ObservationTable:
-    """Parse and filter a transient-log CSV in one step."""
-    return filter_report(read_log(path))[0]

