@@ -7,6 +7,7 @@ path that cannot be read or written), 3 numeric divergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -27,12 +28,14 @@ from .compose import (
 )
 from .domain import N_CLASSES, is_nonnegative_integer, settings_from
 from .engine import ModelFormatError, ShapeError, load_model, run_layers, save_model
+from .files import writing
 from .ingest import (
     CorpusSpec,
     DataError,
     ParseError,
     csv_line,
     filter_report,
+    read_chunks,
     read_log,
     synthesize_corpus,
     write_observations,
@@ -206,13 +209,13 @@ def _cmd_evaluate(args) -> int:
         predicted, report = score_classifier(model, table)
         extra = {}
 
-    with open(args.out, "w") as handle:
+    with writing(args.out) as handle:
         json.dump(report, handle, sort_keys=True, indent=2)
         handle.write("\n")
     if args.errors:
         header = ["row", "true_class", "predicted_class", *extra]
         columns = (table.class_index.tolist(), predicted.tolist(), *extra.values())
-        with open(args.errors, "w", newline="") as handle:
+        with writing(args.errors) as handle:
             handle.write(csv_line(header))
             handle.writelines(csv_line(map(str, row)) for row in zip(count(1), *columns))
     if args.verbose:
@@ -223,23 +226,26 @@ def _cmd_evaluate(args) -> int:
 def _cmd_predict(args) -> int:
     with _reading(args.model):
         model = load_two_stage(args.model)
-    with _reading(args.infile):
-        table = encode_table(read_log(args.infile))
-    probs, classes, norm = predict_arrays(model, table)
-    # Element by element as denormalize_power, so each value keeps its bits.
-    watts = map(math.exp, (norm * LN_FULL_POWER).tolist())
     prob_columns = [f"prob_{i}" for i in range(N_CLASSES)]
     header = ["row", *prob_columns, "predicted_class", "power_norm", "power_watts"]
-    with open(args.out, "w", newline="") as handle:
+    # One chunk at a time: read, encode, run both stages, write its lines.
+    rows = count(1)
+    with writing(args.out) as handle, _reading(args.infile):
         handle.write(csv_line(header))
-        handle.writelines(
-            csv_line((str(i), *map(repr, row_probs), str(predicted), repr(p_norm), repr(w)))
-            for i, row_probs, predicted, p_norm, w in zip(
-                count(1), probs.tolist(), classes.tolist(), norm.tolist(), watts
+        for chunk in read_chunks(args.infile):
+            probs, classes, norm = predict_arrays(model, encode_table(chunk))
+            # Element by element as denormalize_power, so each value keeps its bits.
+            watts = map(math.exp, (norm * LN_FULL_POWER).tolist())
+            # `rows` comes last: zip stops at the first exhausted input, so
+            # it draws a number only for a row that has one.
+            handle.writelines(
+                csv_line((str(i), *map(repr, row_probs), str(predicted), repr(p_norm), repr(w)))
+                for row_probs, predicted, p_norm, w, i in zip(
+                    probs.tolist(), classes.tolist(), norm.tolist(), watts, rows
+                )
             )
-        )
     if args.verbose:
-        print(f"wrote {len(norm)} predictions to {args.out}")
+        print(f"wrote {next(rows) - 1} predictions to {args.out}")
     return EXIT_OK
 
 
@@ -267,14 +273,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synthesize", help="generate a synthetic transient corpus")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_synthesize)
 
     p = sub.add_parser("augment", help="physics-guided oversampling of a corpus")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--change", choices=sorted(CHANGE_BY_NAME), default="none")
-    p.set_defaults(func=_cmd_augment)
 
     p = sub.add_parser("train", help="train one model variant")
     p.add_argument("--variant", required=True, choices=VARIANTS)
@@ -283,38 +287,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="JSON TrainingConfig overrides")
     p.add_argument("--out", required=True)
     p.add_argument("--stage1-model", default=None, help="classifier model (regressors only)")
-    p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("compose", help="chain a classifier and a regressor")
     p.add_argument("--stage1", required=True)
     p.add_argument("--stage2", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_compose)
 
     p = sub.add_parser("evaluate", help="evaluate a model against a transient CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--errors", default=None, help="per-sample CSV output")
-    p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("predict", help="joint predictions from a two-stage model")
     p.add_argument("--model", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("pipeline", help="run the full experiment")
     p.add_argument("--config", default=None, help="JSON PipelineConfig file")
     p.add_argument("--out-dir", default=None)
-    p.set_defaults(func=_cmd_pipeline)
     return parser
+
+
+# The parser, built on the first main call rather than at import.
+_parser = functools.cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        args = _parser().parse_args(argv)
+        # Looked up by name on each call, not bound into the cached parser.
+        return globals()[f"_cmd_{args.command}"](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -22,6 +22,7 @@ from .engine import (
     run_layers,
 )
 from .evaluate import class_metrics, confusion, regression_report
+from .files import writing
 from .model_zoo import aux_width, branch_widths, stage_inputs
 from .preprocess import TASKS, VARIANTS, EncodedTable, denormalize_power, encode_row
 
@@ -85,7 +86,7 @@ def save_two_stage(model: TwoStageModel, path: Union[str, Path]) -> None:
         "stage1": model_to_dict(model.stage1),
         "stage2": model_to_dict(model.stage2),
     }
-    with open(path, "w") as handle:
+    with writing(path) as handle:
         json.dump(doc, handle, sort_keys=True)
         handle.write("\n")
 

@@ -17,6 +17,7 @@ from typing import Any, Callable, Union
 import numpy as np
 
 from .domain import is_count, is_nonnegative_integer, is_number, shown
+from .files import writing
 
 # Format 2 stores all parameters as one binary block; format 1 files still load.
 FORMAT_VERSION = 2
@@ -512,7 +513,7 @@ def model_from_dict(doc: dict) -> NetworkModel:
 
 def save_model(model: NetworkModel, path: Union[str, Path]) -> None:
     """Write the model as a format-2 JSON document; every parameter keeps its bits."""
-    with open(path, "w") as handle:
+    with writing(path) as handle:
         json.dump(model_to_dict(model), handle, sort_keys=True)
         handle.write("\n")
 

@@ -25,6 +25,7 @@ from .domain import (
     is_nonnegative_integer,
     rod_reactivity,
 )
+from .files import writing
 
 CSV_HEADER = [
     "date",
@@ -226,29 +227,30 @@ def read_log(source: Union[str, Path, TextIO]) -> ObservationTable:
     parsed, then refused if it has a UTC offset), end before start, both
     powers, power positivity, power range, then each rod height and its range.
     """
-    return ObservationTable.concat(list(_read_chunks(source)))
+    return ObservationTable.concat(list(read_chunks(source)))
 
 
 def parse_log(source: Union[str, Path, TextIO]) -> list[RawLogRow]:
     """read_log's rows as RawLogRows, built a chunk at a time."""
-    return [row for chunk in _read_chunks(source) for row in chunk.rows()]
+    return [row for chunk in read_chunks(source) for row in chunk.rows()]
 
 
-def _read_chunks(source: Union[str, Path, TextIO]) -> Iterator[ObservationTable]:
-    """The tables of successive CHUNK_ROWS-line chunks of a transient-log CSV."""
+def read_chunks(source: Union[str, Path, TextIO]) -> Iterator[ObservationTable]:
+    """The tables of successive CHUNK_ROWS-line chunks of a transient-log CSV,
+    each parsed and checked as read_log says before it is yielded; a chunk
+    with no data row yields nothing."""
     if isinstance(source, (str, Path)):
         with open(source, "r", newline="") as handle:
-            yield from _read_chunks(handle)
+            yield from read_chunks(handle)
         return
 
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError("empty CSV: no header row") from None
+    records = _records(csv.reader(source))
+    header = next(records, None)
+    if header is None:
+        raise DataError("empty CSV: no header row")
     if header != CSV_HEADER:
         raise DataError(f"unexpected CSV header {header}; expected {CSV_HEADER}")
-    lines = enumerate(reader, start=1)
+    lines = enumerate(records, start=1)
     any_rows = False
     while chunk := list(islice(lines, CHUNK_ROWS)):
         numbered = [(i, record) for i, record in chunk if record]
@@ -259,7 +261,23 @@ def _read_chunks(source: Union[str, Path, TextIO]) -> Iterator[ObservationTable]
         raise DataError("CSV contains a header but no data rows")
 
 
-def _parse_rows(row_index: tuple[int, ...], records: tuple[list[str], ...]) -> ObservationTable:
+def _records(reader: Iterator[list[str]]) -> Iterator[Union[list[str], csv.Error]]:
+    """The reader's records; one that the csv module refuses (a field over
+    its size limit) ends them as its csv.Error."""
+    while True:
+        try:
+            record = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            yield exc
+            return
+        yield record
+
+
+def _parse_rows(
+    row_index: tuple[int, ...], records: tuple[Union[list[str], csv.Error], ...]
+) -> ObservationTable:
     """The table of non-blank CSV records, numbered by `row_index`. Every
     check runs on every record; a ParseError names the first failing row and
     check."""
@@ -267,9 +285,18 @@ def _parse_rows(row_index: tuple[int, ...], records: tuple[list[str], ...]) -> O
     # per-row check order; each check sees the rows whose inputs parsed.
     errors: list[tuple[int, str]] = []
     width = len(CSV_HEADER)
-    n = next((k for k, record in enumerate(records) if len(record) != width), len(records))
+    # A refused record fails the first check, as a record of the wrong width does.
+    n = next(
+        (k for k, record in enumerate(records)
+         if isinstance(record, csv.Error) or len(record) != width),
+        len(records),
+    )
     if n < len(records):
-        errors.append((n, f"expected {width} fields, got {len(records[n])}"))
+        fault = records[n]
+        if isinstance(fault, csv.Error):
+            errors.append((n, str(fault)))
+        else:
+            errors.append((n, f"expected {width} fields, got {len(fault)}"))
     columns = list(zip(*records[:n])) or [()] * width
 
     dates = _parse_column(columns[0], dt.date.fromisoformat, "date", errors)
@@ -451,6 +478,6 @@ def write_observations(table: ObservationTable, path: Union[str, Path]) -> None:
         *([time.isoformat("minutes") for time in table.times[:, j]] for j in (0, 1)),
         *(map(repr, column) for column in np.hstack([table.powers, table.rods]).T.tolist()),
     ]
-    with open(path, "w", newline="") as handle:
+    with writing(path) as handle:
         handle.write(csv_line(CSV_HEADER))
         handle.writelines(map(csv_line, zip(*columns)))

@@ -19,6 +19,7 @@ from .compose import TwoStageModel, evaluate_two_stage, save_two_stage
 from .domain import check_settings, is_count, is_nonnegative_integer, settings_from
 from .engine import run_layers, save_model
 from .evaluate import class_metrics, confusion
+from .files import writing
 from .ingest import CorpusSpec, ObservationTable, synthesize_corpus, write_observations
 from .model_zoo import (
     CLASSIFIER_IDS,
@@ -250,7 +251,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
             "regression": scores["regression"],
         }
 
-    with open(out_dir / "report.json", "w") as handle:
+    with writing(out_dir / "report.json") as handle:
         json.dump(report, handle, sort_keys=True, indent=2)
         handle.write("\n")
     return report

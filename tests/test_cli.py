@@ -20,11 +20,14 @@ from rtp.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from rtp.domain import config_for_date
 from rtp.engine import forward, load_model, run_layers, save_model
 from rtp.ingest import (
+    CHUNK_ROWS,
     CSV_HEADER,
+    CorpusSpec,
     ObservationTable,
     filter_report,
     read_log,
     row_to_observation,
+    synthesize_corpus,
     write_observations,
 )
 from rtp.model_zoo import build_variant, pair_for_regressor, stage_inputs
@@ -247,26 +250,6 @@ class TestArtifacts:
         probs = [float(v) for v in rows[1][1:6]]
         assert sum(probs) == pytest.approx(1.0, abs=1e-9)
 
-    def test_predict_runs_the_file_in_one_batch(self, workdir, tmp_path, monkeypatch):
-        calls = []
-        original = compose.run_layers
-
-        def counting_run_layers(model, x):
-            calls.append(len(x))
-            return original(model, x)
-
-        monkeypatch.setattr(compose, "run_layers", counting_run_layers)
-        code = main(
-            [
-                "predict",
-                "--model", str(workdir / "twostage.json"),
-                "--in", str(workdir / "corpus.csv"),
-                "--out", str(tmp_path / "predictions.csv"),
-            ]
-        )
-        assert code == EXIT_OK
-        assert calls == [120, 120]  # one forward per stage, over every row
-
     def test_predict_matches_per_row_predict(self, workdir, tmp_path):
         out = tmp_path / "predictions.csv"
         args = ["--model", str(workdir / "twostage.json"), "--in", str(workdir / "corpus.csv")]
@@ -351,6 +334,101 @@ class TestArtifacts:
         assert capsys.readouterr().err == (
             f"error: {bad}: row 5: zero-change transient has no direction\n"
         )
+
+
+@pytest.fixture(scope="module")
+def long_csv(tmp_path_factory):
+    """A transient log of 2 * CHUNK_ROWS + 1 rows: two full chunks and a
+    one-row one."""
+    path = tmp_path_factory.mktemp("long") / "long.csv"
+    write_observations(synthesize_corpus(CorpusSpec(2 * CHUNK_ROWS + 1, seed=5)), path)
+    return path
+
+
+class TestStreamedPredict:
+    """rtp predict reads, encodes, runs and writes one chunk at a time, and
+    its --out is written whole or not at all."""
+
+    @staticmethod
+    def predict(workdir, infile, out):
+        return main(["predict", "--model", str(workdir / "twostage.json"),
+                     "--in", str(infile), "--out", str(out)])
+
+    def test_each_stage_runs_once_per_chunk(self, workdir, long_csv, tmp_path, monkeypatch):
+        # No per-row network passes, and no pass over more than one chunk.
+        calls = []
+        original = compose.run_layers
+
+        def counting_run_layers(model, x):
+            calls.append((model.variant_id, len(x)))
+            return original(model, x)
+
+        monkeypatch.setattr(compose, "run_layers", counting_run_layers)
+        assert self.predict(workdir, long_csv, tmp_path / "predictions.csv") == EXIT_OK
+        assert calls == [("a1", CHUNK_ROWS), ("b2", CHUNK_ROWS)] * 2 + [("a1", 1), ("b2", 1)]
+
+    def test_matches_the_whole_table(self, workdir, long_csv, tmp_path):
+        # A chunk's rows may differ from a whole-table pass in the last bit only.
+        out = tmp_path / "predictions.csv"
+        assert self.predict(workdir, long_csv, out) == EXIT_OK
+        with open(out, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        model = compose.load_two_stage(workdir / "twostage.json")
+        probs, classes, norm = compose.predict_arrays(model, encode_table(read_log(long_csv)))
+        assert [int(row["row"]) for row in rows] == list(range(1, 2 * CHUNK_ROWS + 2))
+        got_probs = np.array([[float(row[f"prob_{i}"]) for i in range(5)] for row in rows])
+        assert [int(row["predicted_class"]) for row in rows] == classes.tolist()
+        assert np.abs(got_probs - probs).max() <= 1e-12
+        assert np.abs(np.array([float(row["power_norm"]) for row in rows]) - norm).max() <= 1e-12
+
+    def test_out_may_name_the_input(self, workdir, long_csv, tmp_path):
+        expected, same = tmp_path / "expected.csv", tmp_path / "same.csv"
+        same.write_bytes(long_csv.read_bytes())
+        assert self.predict(workdir, long_csv, expected) == EXIT_OK
+        assert self.predict(workdir, same, same) == EXIT_OK
+        assert same.read_bytes() == expected.read_bytes()
+
+    def test_a_bad_last_row_leaves_the_old_output(self, workdir, long_csv, tmp_path, capsys):
+        bad, out = tmp_path / "bad.csv", tmp_path / "predictions.csv"
+        lines = long_csv.read_text().splitlines()
+        bad.write_text("\n".join([*lines[:-1], "2014-13-01" + lines[-1][10:]]) + "\n")
+        out.write_bytes(b"old output\r\n")
+        assert self.predict(workdir, bad, out) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: {bad}: row {2 * CHUNK_ROWS + 1}: field 'date': cannot parse '2014-13-01'\n"
+        )
+        assert out.read_bytes() == b"old output\r\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["bad.csv", "predictions.csv"]
+
+    def test_out_may_be_dev_null(self, workdir, long_csv):
+        assert self.predict(workdir, long_csv, os.devnull) == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "zero_row, bad_row, reported",
+        [
+            (3, CHUNK_ROWS + 10, 3),  # a zero-change row in an earlier chunk comes first
+            (3, CHUNK_ROWS - 10, CHUNK_ROWS - 10),  # a parse error in its chunk comes first
+        ],
+    )
+    def test_errors_come_in_chunk_order(
+        self, workdir, long_csv, tmp_path, capsys, zero_row, bad_row, reported
+    ):
+        with open(long_csv, newline="") as handle:
+            rows = list(csv.reader(handle))
+        header = rows[0]
+        zero = rows[zero_row]
+        zero[header.index("final_power_w")] = zero[header.index("initial_power_w")]
+        rows[bad_row][header.index("rod1_i")] = "x"
+        bad = tmp_path / "bad.csv"
+        with open(bad, "w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        assert self.predict(workdir, bad, tmp_path / "predictions.csv") == EXIT_DATA
+        message = {
+            zero_row: "zero-change transient has no direction",
+            bad_row: "field 'rod1_i': cannot parse 'x'",
+        }[reported]
+        assert capsys.readouterr().err == f"error: {bad}: row {reported}: {message}\n"
+        assert not (tmp_path / "predictions.csv").exists()
 
 
 class TestPinnedOutputs:
@@ -1107,6 +1185,20 @@ class TestErrorsNameTheirInput:
         "bad-date": (
             f"{HEADER}\n2014-13-01,10:00,10:30,100.0,1000.0,5,5,5,5,6,6,6,6\n",
             "row 1: field 'date': cannot parse '2014-13-01'",
+        ),
+        # Fields over the csv module's 131,072-character limit.
+        "huge-field": (
+            f"{HEADER}\n\n2014-06-01,10:00,10:30,100.0,1000.0,5,5,5,5,6,6,6,{'9' * 200_000}\n",
+            "row 2: field larger than field limit (131072)",
+        ),
+        "bad-date-then-huge-field": (
+            f"{HEADER}\n2014-13-01,10:00,10:30,100.0,1000.0,5,5,5,5,6,6,6,6\n"
+            f"2014-06-01,10:00,10:30,100.0,1000.0,5,5,5,5,6,6,6,{'9' * 200_000}\n",
+            "row 1: field 'date': cannot parse '2014-13-01'",
+        ),
+        "huge-header": (
+            f"{'d' * 200_000}\n",
+            f"unexpected CSV header field larger than field limit (131072); expected {CSV_HEADER}",
         ),
     }
     CSV_COMMANDS = {

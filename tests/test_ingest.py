@@ -4,6 +4,7 @@ import csv
 import datetime as dt
 import hashlib
 import io
+import itertools
 import random
 
 import numpy as np
@@ -35,6 +36,9 @@ from rtp.ingest import (
 from reference import classify_power, read_observations
 
 GOOD_ROW = "2014-06-01,10:00,10:30,100.0,1000.0,5.0,5.0,5.0,5.0,6.0,6.0,6.0,6.0"
+
+# A field longer than the csv module's default limit of 131,072 characters.
+HUGE_FIELD = "9" * 200_000
 
 
 def csv_source(*rows):
@@ -107,7 +111,13 @@ def scalar_parse(text):
     reader = csv.reader(io.StringIO(text))
     next(reader)
     rows = []
-    for i, record in enumerate(reader, start=1):
+    for i in itertools.count(1):
+        try:
+            record = next(reader)
+        except StopIteration:
+            break
+        except csv.Error as exc:  # a field over the csv module's size limit
+            return f"row {i}: {exc}"
         if not record:
             continue
 
@@ -208,6 +218,11 @@ class TestParseParity:
             ["2014-06-01,10:00", with_field("rod1_f", "x")],
             # Blank lines count in the numbering.
             [GOOD_ROW, "", "", with_field("reg_i", "-1")],
+            # A field over the csv module's limit, alone, after a bad row and
+            # before one.
+            [GOOD_ROW, "", with_field("reg_f", HUGE_FIELD)],
+            [with_field("date", "x"), with_field("reg_f", HUGE_FIELD)],
+            [with_field("rod1_i", HUGE_FIELD), with_field("date", "x")],
         ],
     )
     def test_first_failure_wins(self, rows):
