@@ -27,7 +27,7 @@ from .compose import (
     save_two_stage,
 )
 from .domain import N_CLASSES, is_nonnegative_integer, settings_from
-from .engine import ModelFormatError, ShapeError, load_model, run_layers, save_model
+from .engine import ModelFormatError, ShapeError, load_model, save_model
 from .files import writing
 from .ingest import (
     CorpusSpec,
@@ -40,7 +40,7 @@ from .ingest import (
     synthesize_corpus,
     write_observations,
 )
-from .model_zoo import REGRESSOR_IDS, stage_inputs
+from .model_zoo import REGRESSOR_IDS
 from .pipeline import PipelineConfig, check_overrides, fit_variant, run_pipeline, score_classifier
 from .preprocess import LN_FULL_POWER, VARIANTS, encode_table, undersample
 from .training import DivergenceError
@@ -129,8 +129,7 @@ def _cmd_synthesize(args) -> int:
 def _cmd_augment(args) -> int:
     if args.n < 0:
         raise UsageError(f"--n must be an integer >= 0, got {args.n}")
-    with _reading(args.infile):
-        table = read_log(args.infile)
+    table = _kept_rows(args.infile, "augment")
     generated = over_sample(
         table, n=args.n, change=CHANGE_BY_NAME[args.change], seed=_effective_seed(args)
     )
@@ -141,14 +140,14 @@ def _cmd_augment(args) -> int:
 
 
 def _kept_rows(path, verb: str):
-    """The encoded rows of the CSV at `path` that the exclusion rules keep;
+    """The rows of the CSV at `path` that the exclusion rules keep;
     DataError names the exclusions if none is left."""
     with _reading(path):
         kept, n = filter_report(read_log(path))
         if not kept:
             tally = f"{n.too_long} too long, {n.shutdown} shutdowns, {n.no_change} unchanged"
             raise DataError(f"no row left to {verb} (excluded: {tally})")
-        return encode_table(kept)
+        return kept
 
 
 def _cmd_train(args) -> int:
@@ -159,17 +158,16 @@ def _cmd_train(args) -> int:
         raise UsageError(f"variant {args.variant} is a classifier; --stage1-model is for regressors")
     if spec.task == "regressor" and args.stage1_model is None:
         raise UsageError(f"variant {args.variant} is a regressor; --stage1-model is required")
-    table = _kept_rows(args.data, "train")
+    table = encode_table(_kept_rows(args.data, "train"))
     if args.balance:
         with _reading(args.data):
             table = undersample(table, seed)
-    probs = None
+    stage1 = None
     if spec.task == "regressor":
-        classifier = _load_stage(args.stage1_model, "stage 1", "classifier")
-        probs = run_layers(classifier, stage_inputs(table.features, classifier.variant_id))
+        stage1 = _load_stage(args.stage1_model, "stage 1", "classifier")
 
     with _reading(args.data):
-        trained, history = fit_variant(args.variant, table, seed, overrides, probs)
+        trained, history = fit_variant(args.variant, table, seed, overrides, stage1)
     save_model(trained, args.out)
     if args.verbose:
         best = history.records[history.best_epoch - 1]
@@ -190,7 +188,7 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    table = _kept_rows(args.data, "evaluate")
+    table = encode_table(_kept_rows(args.data, "evaluate"))
     with _reading(args.model):
         model = load_any_model(args.model)
         if not isinstance(model, TwoStageModel):

@@ -23,7 +23,7 @@ from .engine import (
 )
 from .evaluate import class_metrics, confusion, regression_report
 from .files import writing
-from .model_zoo import aux_width, branch_widths, stage_inputs
+from .model_zoo import stage_inputs
 from .preprocess import TASKS, VARIANTS, EncodedTable, denormalize_power, encode_row
 
 
@@ -50,7 +50,7 @@ def check_stage(stage: str, model: NetworkModel, task: str) -> None:
         raise CompositionError(f"{stage} variant {vid} is not a {task}")
     if model.head != TASKS[task].head:
         raise CompositionError(f"{stage} head is {model.head}, need {TASKS[task].head}")
-    expected = branch_widths(spec)
+    expected = spec.branch_widths
     if list(model.branches) != list(expected):
         raise CompositionError(
             f"{stage} ({vid}) has branches {list(model.branches)}, its layout {list(expected)}"
@@ -61,9 +61,9 @@ def check_stage(stage: str, model: NetworkModel, task: str) -> None:
                 f"{stage} ({vid}) branch '{name}' takes {model.branch_input_width(name)} "
                 f"inputs, the {vid} layout gives {width}"
             )
-    if model.aux_width != aux_width(vid):
+    if model.aux_width != spec.aux_width:
         raise CompositionError(
-            f"{stage} ({vid}) aux width {model.aux_width} != expected {aux_width(vid)}"
+            f"{stage} ({vid}) aux width {model.aux_width} != expected {spec.aux_width}"
         )
 
 

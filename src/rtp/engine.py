@@ -172,8 +172,7 @@ def init_layer(
 
 
 def _activate(z: np.ndarray, activation: str) -> np.ndarray:
-    if activation == "relu":
-        return np.maximum(z, 0.0)
+    """The activation of pre-activation z, for every activation but relu."""
     if activation == "linear":
         return z
     if activation == "sigmoid":
@@ -184,10 +183,11 @@ def _activate(z: np.ndarray, activation: str) -> np.ndarray:
     return exp / exp.sum(axis=1, keepdims=True)
 
 
-def _activation_backward(da: np.ndarray, z: np.ndarray, a: np.ndarray, activation: str):
-    """The gradient at a layer's pre-activation z from the gradient da at its output a."""
+def _activation_backward(da: np.ndarray, a: np.ndarray, activation: str):
+    """The gradient at a layer's pre-activation from the gradient da at its
+    output a; relu's mask a > 0 is the mask z > 0 of its pre-activation z."""
     if activation == "relu":
-        return da * (z > 0.0)
+        return da * (a > 0.0)
     if activation == "linear":
         return da
     if activation == "sigmoid":
@@ -196,19 +196,19 @@ def _activation_backward(da: np.ndarray, z: np.ndarray, a: np.ndarray, activatio
 
 
 def _forward_stack(layers: list[DenseLayer], a: np.ndarray, cache: list | None = None):
-    """Run a layer stack; with a `cache` list, append each layer's (input, z, a).
+    """Run a layer stack; with a `cache` list, append each layer's (input, output).
 
-    Without a cache, relu overwrites z, so a layer holds only its input and output.
+    relu overwrites z, as its backward pass reads only the output.
     """
     for layer in layers:
         z = a @ layer.weights
         z += layer.biases
-        if cache is None and layer.activation == "relu":
+        if layer.activation == "relu":
             a_next = np.maximum(z, 0.0, out=z)
         else:
             a_next = _activate(z, layer.activation)
         if cache is not None:
-            cache.append((a, z, a_next))
+            cache.append((a, a_next))
         a = a_next
     return a
 
@@ -300,8 +300,7 @@ def _backprop_stack(layers, cache, dz, grads, input_grad: bool = True):
             return None
         da = dz @ layer.weights.T
         if i > 0:
-            _, z, a = cache[i - 1]
-            dz = _activation_backward(da, z, a, layers[i - 1].activation)
+            dz = _activation_backward(da, cache[i - 1][1], layers[i - 1].activation)
     return da
 
 
@@ -326,8 +325,7 @@ def backward_with_loss(
         dz = (output - targ) / output.shape[0]  # softmax and cross-entropy, fused
     else:
         da = np.sign(output - targ) / targ.size  # subgradient 0 at ties
-        _, z, a = trunk_cache[-1]
-        dz = _activation_backward(da, z, a, model.trunk[-1].activation)
+        dz = _activation_backward(da, trunk_cache[-1][1], model.trunk[-1].activation)
 
     grad = np.empty_like(model.params)
     views = _views(model, grad)  # branch layers first, then the trunk
@@ -338,9 +336,8 @@ def backward_with_loss(
     for (name, layers), cache in zip(model.branches.items(), caches):
         width = layers[-1].n_out if layers else model.branch_input_width(name)
         if layers:
-            _, z, a = cache[-1]
             da = d_merged[:, offset : offset + width]
-            dz = _activation_backward(da, z, a, layers[-1].activation)
+            dz = _activation_backward(da, cache[-1][1], layers[-1].activation)
             _backprop_stack(layers, cache, dz, views[: len(layers)], input_grad=False)
         del views[: len(layers)]
         offset += width

@@ -24,6 +24,7 @@ from .domain import (
     TransientObservation,
     is_nonnegative_integer,
     rod_reactivity,
+    shown,
 )
 from .files import writing
 
@@ -190,7 +191,7 @@ def _parse_column(raw: Sequence[str], parse, name: str, errors: list) -> list:
             try:
                 parse(value)
             except ValueError:
-                errors.append((k, f"field '{name}': cannot parse {value!r}"))
+                errors.append((k, f"field '{name}': cannot parse {shown(value)}"))
                 return list(map(parse, raw[:k]))
         raise
 
@@ -249,6 +250,9 @@ def read_chunks(source: Union[str, Path, TextIO]) -> Iterator[ObservationTable]:
     if header is None:
         raise DataError("empty CSV: no header row")
     if header != CSV_HEADER:
+        # Each field as shown gives it; a header the csv module refused is its csv.Error.
+        if isinstance(header, list):
+            header = f"[{', '.join(map(shown, header))}]"
         raise DataError(f"unexpected CSV header {header}; expected {CSV_HEADER}")
     lines = enumerate(records, start=1)
     any_rows = False

@@ -1,12 +1,13 @@
-"""Construction of the ten named model variants and their training defaults."""
+"""Construction of the ten named model variants and their training settings."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from .domain import N_CLASSES
 from .engine import HEAD_LAYERS, DenseLayer, NetworkModel, init_layer
-from .preprocess import TASKS, VARIANTS, EncodedTable, Variant, input_columns
+from .preprocess import TASKS, VARIANTS, Variant
 from .training import TrainingConfig
 
 CLASSIFIER_IDS = tuple(vid for vid, v in VARIANTS.items() if v.task == "classifier")
@@ -23,24 +24,10 @@ def variant_spec(variant_id: str) -> Variant:
     return VARIANTS[variant_id]
 
 
-def branch_widths(variant: Variant) -> dict[str, int]:
-    """Input width per branch of a variant, before any auxiliary inputs."""
-    return {name: columns.size for name, columns in input_columns(variant)[0].items()}
-
-
-def aux_width(variant_id: str) -> int:
-    """Width of the aux vector at the merge point: the direction, for a
-    separated variant that uses it, then a regressor's 5 class probabilities."""
-    spec = variant_spec(variant_id)
-    return input_columns(spec)[1].size + (N_CLASSES if spec.task == "regressor" else 0)
-
-
 def build_variant(variant_id: str, seed: int) -> NetworkModel:
     """Seeded construction of a variant's untrained network."""
     spec = variant_spec(variant_id)
     rng = np.random.default_rng(seed)
-    widths = branch_widths(spec)
-    aux = aux_width(variant_id)
 
     def stack(n_in: int, depth: int) -> list[DenseLayer]:
         layers = []
@@ -50,17 +37,17 @@ def build_variant(variant_id: str, seed: int) -> NetworkModel:
         return layers
 
     if spec.input_mode == "separated":
-        branches = {name: stack(width, 2) for name, width in widths.items()}
-        trunk = stack(HIDDEN_WIDTH * len(branches) + aux, 2)
+        branches = {name: stack(width, 2) for name, width in spec.branch_widths.items()}
+        trunk = stack(HIDDEN_WIDTH * len(branches) + spec.aux_width, 2)
     else:
         branches = {"main": []}
-        trunk = stack(widths["main"] + aux, 4)
+        trunk = stack(spec.branch_widths["main"] + spec.aux_width, 4)
 
     head = TASKS[spec.task].head
     activation, width = HEAD_LAYERS[head]
     trunk.append(init_layer(HIDDEN_WIDTH, width, activation, rng, l2=DEFAULT_L2))
     return NetworkModel(
-        branches=branches, aux_width=aux, trunk=trunk, head=head, variant_id=variant_id
+        branches=branches, aux_width=spec.aux_width, trunk=trunk, head=head, variant_id=variant_id
     )
 
 
@@ -73,37 +60,40 @@ def pair_for_regressor(regressor_id: str) -> str:
 
 
 def stage_inputs(
-    features: np.ndarray, variant_id: str, class_probs: np.ndarray | None = None
+    features: np.ndarray, variant_id: str, probs: np.ndarray | None = None
 ) -> np.ndarray:
     """A variant's input matrix, picked from (n, 12) feature rows: each
-    branch's columns, in branch_widths order, then the aux columns.
+    branch's columns, in its row's branch_widths order, then the aux columns.
 
-    Regressor variants require `class_probs`, the (n, 5) stage-1 output,
-    which closes the aux columns.
+    Regressor variants require `probs`, the (n, 5) stage-1 output, which
+    closes the aux columns.
     """
     spec = variant_spec(variant_id)
     x = features[:, spec.columns]
     if spec.task == "regressor":
-        if class_probs is None:
+        if probs is None:
             raise ValueError(f"regressor {variant_id!r} needs stage-1 class probabilities")
-        x = np.concatenate([x, class_probs], axis=1)
+        x = np.concatenate([x, probs], axis=1)
     return x
 
 
-def training_targets(table: EncodedTable, variant_id: str) -> np.ndarray:
-    """A classifier's one-hot classes (n, 5), or a regressor's normalized power (n, 1)."""
-    if variant_spec(variant_id).task == "classifier":
-        return table.class_onehot
-    return table.target.reshape(-1, 1)
-
-
-def default_training_config(variant_id: str, seed: int) -> TrainingConfig:
-    """A variant's optimizer and monitored metric from its table row, and its
-    task's early-stopping min delta."""
+def training_config(variant_id: str, seed: int, overrides: dict) -> TrainingConfig:
+    """A variant's training settings: its row's optimizer and monitored
+    metric, its task's early-stopping min delta, then `overrides`.
+    ValueError names a setting that TrainingConfig refuses or a metric the
+    head does not report."""
     spec = variant_spec(variant_id)
-    return TrainingConfig(
+    task = TASKS[spec.task]
+    defaults = TrainingConfig(
         monitored_metric=spec.monitored_metric,
-        early_stop_min_delta=TASKS[spec.task].early_stop_min_delta,
+        early_stop_min_delta=task.early_stop_min_delta,
         optimizer=spec.optimizer,
         seed=seed,
     )
+    config = replace(defaults, **overrides)
+    if config.monitored_metric not in task.metrics:
+        raise ValueError(
+            f"monitored_metric must be one of {task.metrics} for {spec.task} "
+            f"{variant_id}, got {config.monitored_metric!r}"
+        )
+    return config

@@ -7,7 +7,7 @@ independently reproducible and a rerun with the same seed is byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Union
 
@@ -25,13 +25,11 @@ from .model_zoo import (
     CLASSIFIER_IDS,
     REGRESSOR_IDS,
     build_variant,
-    default_training_config,
     pair_for_regressor,
     stage_inputs,
-    training_targets,
-    variant_spec,
+    training_config,
 )
-from .preprocess import TASKS, EmptyClassError, encode_table, undersample_indices
+from .preprocess import EmptyClassError, encode_table, undersample_indices
 from .training import TrainingConfig, train
 
 
@@ -86,19 +84,6 @@ class PipelineConfig:
             setattr(self, key, tuple(getattr(self, key)))
 
 
-def training_config(variant_id: str, seed: int, overrides: dict) -> TrainingConfig:
-    """A variant's training defaults, then `overrides`. ValueError names a
-    setting that TrainingConfig refuses or a metric the head does not report."""
-    config = replace(default_training_config(variant_id, seed), **overrides)
-    task = variant_spec(variant_id).task
-    if config.monitored_metric not in TASKS[task].metrics:
-        raise ValueError(
-            f"monitored_metric must be one of {TASKS[task].metrics} for {task} "
-            f"{variant_id}, got {config.monitored_metric!r}"
-        )
-    return config
-
-
 def check_overrides(overrides: dict, variant_ids) -> dict:
     """`overrides`, once TrainingConfig and the training config of each of
     `variant_ids` take them; ValueError names an unknown or refused one."""
@@ -108,17 +93,23 @@ def check_overrides(overrides: dict, variant_ids) -> dict:
     return overrides
 
 
-def fit_variant(variant_id: str, table, seed: int, overrides: dict, class_probs=None):
+def fit_variant(variant_id: str, table, seed: int, overrides: dict, stage1=None):
     """Train one variant on an encoded table; returns (model, history).
 
     The weights and the training run draw from the variant's own substreams
-    of `seed`; its training defaults apply first, then `overrides`. A
-    regressor takes its paired classifier's (n, 5) outputs as `class_probs`.
+    of `seed`, under training_config's settings with `overrides`. A
+    classifier learns the table's one-hot classes. A regressor learns its
+    normalized powers, and takes `stage1`, its trained stage-1 classifier,
+    whose outputs on the same rows close the regressor's inputs.
     """
     model = build_variant(variant_id, seeds.subseed(seed, f"init/{variant_id}"))
     config = training_config(variant_id, seeds.subseed(seed, f"train/{variant_id}"), overrides)
-    x = stage_inputs(table.features, variant_id, class_probs)
-    return train(model, x, training_targets(table, variant_id), config)
+    if stage1 is None:
+        x, targets = stage_inputs(table.features, variant_id), table.class_onehot
+    else:
+        probs = run_layers(stage1, stage_inputs(table.features, stage1.variant_id))
+        x, targets = stage_inputs(table.features, variant_id, probs), table.target.reshape(-1, 1)
+    return train(model, x, targets, config)
 
 
 def score_classifier(model, table):
@@ -135,12 +126,12 @@ def score_classifier(model, table):
     return predicted, {"classification": class_metrics(counts), "confusion": counts.tolist()}
 
 
-def _train_variant(variant_id, train_table, config: PipelineConfig, class_probs=None):
+def _train_variant(variant_id, train_table, config: PipelineConfig, stage1=None):
     """fit_variant under the pipeline's seed and overrides; returns the model
     and its history summary, with the best epoch's validation metrics (a
     regressor's val_mse is the Table-5 analogue of its "accuracy" column)."""
     trained, history = fit_variant(
-        variant_id, train_table, config.seed, config.training_overrides, class_probs
+        variant_id, train_table, config.seed, config.training_overrides, stage1
     )
     best = history.records[history.best_epoch - 1]
     summary = {
@@ -227,9 +218,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     regressor_models = {}
     for vid in config.regressor_ids:
         cid = pair_for_regressor(vid)
-        x = stage_inputs(encoded_train.features, cid)
-        train_probs = run_layers(classifier_models[cid], x)
-        model, summary = _train_variant(vid, encoded_train, config, train_probs)
+        model, summary = _train_variant(vid, encoded_train, config, classifier_models[cid])
         pair = TwoStageModel(classifier_models[cid], model)
         summary["regression"] = evaluate_two_stage(pair, encoded_test).report["regression"]
         summary["paired_classifier"] = cid

@@ -69,25 +69,21 @@ def undersample_indices(class_labels: Sequence[int], seed: int) -> list[int]:
     sampled uniformly WITH replacement (so indices can repeat), down to the
     minority count. Deterministic per seed.
     """
-    by_class: list[list[int]] = [[] for _ in range(N_CLASSES)]
-    for i, label in enumerate(class_labels):
-        by_class[label].append(i)
+    labels = np.asarray(class_labels)
+    by_class = [np.flatnonzero(labels == c) for c in range(N_CLASSES)]
     for c, members in enumerate(by_class):
-        if not members:
+        if not members.size:
             raise EmptyClassError(f"class {c} has no samples")
 
     rng = np.random.default_rng(seed)
-    size = min(len(members) for members in by_class)
-    minority = min(range(N_CLASSES), key=lambda c: len(by_class[c]))
-
-    chosen: list[int] = []
-    for c, members in enumerate(by_class):
-        if c == minority:
-            chosen.extend(members[:size])
-        else:
-            draws = rng.integers(0, len(members), size=size)
-            chosen.extend(members[int(d)] for d in draws)
-    return chosen
+    size = min(members.size for members in by_class)
+    minority = min(range(N_CLASSES), key=lambda c: by_class[c].size)
+    # Every class but the minority draws, in class order, which fixes the output per seed.
+    chosen = [
+        members[:size] if c == minority else members[rng.integers(0, members.size, size=size)]
+        for c, members in enumerate(by_class)
+    ]
+    return np.concatenate(chosen).tolist()
 
 
 def undersample(table: EncodedTable, seed: int) -> EncodedTable:
@@ -147,10 +143,18 @@ class Variant:
     monitored_metric: str
     # Its input_columns, branch by branch then aux, as one index.
     columns: np.ndarray = field(init=False, repr=False, compare=False)
+    # Each branch's input width by name, in network order.
+    branch_widths: dict[str, int] = field(init=False, repr=False, compare=False)
+    # The aux vector's width at the merge point: the aux columns, then a
+    # regressor's N_CLASSES class probabilities.
+    aux_width: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         branches, aux = input_columns(self)
+        n_probs = N_CLASSES if self.task == "regressor" else 0
         object.__setattr__(self, "columns", np.concatenate([*branches.values(), aux]))
+        object.__setattr__(self, "branch_widths", {k: c.size for k, c in branches.items()})
+        object.__setattr__(self, "aux_width", aux.size + n_probs)
 
     @property
     def layout(self) -> "Variant":

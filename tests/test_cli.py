@@ -30,13 +30,14 @@ from rtp.ingest import (
     synthesize_corpus,
     write_observations,
 )
-from rtp.model_zoo import build_variant, pair_for_regressor, stage_inputs
-from rtp.pipeline import PipelineConfig, fit_variant, run_pipeline
+from rtp.model_zoo import build_variant, pair_for_regressor, stage_inputs, training_config
+from rtp.pipeline import PipelineConfig, run_pipeline
 from rtp.preprocess import (
     LN_FULL_POWER,
     encode_table,
     undersample_indices,
 )
+from rtp.training import train
 from reference import classify_power, read_observations
 
 # The committed format-1 model file of an a1 classifier.
@@ -55,6 +56,16 @@ REMOVED_KEYS = {
     "adam_eps": 1e-8,
     "shuffle_each_epoch": True,
 }
+
+
+def _rows_with_a_long_one(workdir, n):
+    """The header and the first `n` data lines of the workdir corpus, the
+    last of them made to last 90 minutes, which the exclusion rules drop."""
+    lines = (workdir / "corpus.csv").read_text().splitlines(True)[: n + 1]
+    fields = lines[-1].split(",")
+    fields[1:3] = ["10:00", "11:30"]
+    lines[-1] = ",".join(fields)
+    return lines
 
 
 @pytest.fixture(scope="module")
@@ -136,9 +147,12 @@ class TestArtifacts:
                      "--out", str(out)]) == EXIT_OK
         table = encode_table(filter_report(read_log(workdir / "corpus.csv"))[0])
         probs = run_layers(load_model(d1), stage_inputs(table.features, "d1"))
+        model = build_variant("b2", seeds.subseed(0, "init/b2"))
         overrides = json.loads(config.read_text())
+        settings = training_config("b2", seeds.subseed(0, "train/b2"), overrides)
+        x, targets = stage_inputs(table.features, "b2", probs), table.target.reshape(-1, 1)
         expected = tmp_path / "expected.json"
-        save_model(fit_variant("b2", table, 0, overrides, probs)[0], expected)
+        save_model(train(model, x, targets, settings)[0], expected)
         assert out.read_bytes() == expected.read_bytes()
 
     def test_augment(self, workdir, tmp_path):
@@ -155,6 +169,13 @@ class TestArtifacts:
         )
         assert code == EXIT_OK
         assert len(read_observations(out)) == 40
+
+    def test_augment_draws_only_the_rows_the_exclusion_rules_keep(self, workdir, tmp_path):
+        data, out = tmp_path / "two_rows.csv", tmp_path / "augmented.csv"
+        data.write_text("".join(_rows_with_a_long_one(workdir, 2)))
+        assert main(["--seed", "0", "augment", "--in", str(data), "--out", str(out),
+                     "--n", "20"]) == EXIT_OK
+        assert filter_report(read_log(out))[1].retained == 20
 
     def test_evaluate_classifier(self, workdir, tmp_path):
         report_path = tmp_path / "report.json"
@@ -1094,6 +1115,17 @@ class TestExitCodes:
         )
         assert not out.exists()
 
+    def test_augment_with_every_row_excluded_names_data_file(self, workdir, tmp_path, capsys):
+        data, out = tmp_path / "long.csv", tmp_path / "augmented.csv"
+        data.write_text("".join(_rows_with_a_long_one(workdir, 1)))
+        code = main(["augment", "--in", str(data), "--out", str(out), "--n", "5"])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: {data}: no row left to augment "
+            "(excluded: 1 too long, 0 shutdowns, 0 unchanged)\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--variant"])
     def test_unknown_variant_is_usage_error(self, workdir, tmp_path, capsys, flag):
         out = tmp_path / "out"
@@ -1199,6 +1231,15 @@ class TestErrorsNameTheirInput:
         "huge-header": (
             f"{'d' * 200_000}\n",
             f"unexpected CSV header field larger than field limit (131072); expected {CSV_HEADER}",
+        ),
+        # Values whose repr is over 80 characters are named by type and size.
+        "long-header": (
+            f"{'d' * 100_000}\n",
+            f"unexpected CSV header [a str of 100000 items]; expected {CSV_HEADER}",
+        ),
+        "long-field": (
+            f"{HEADER}\n2014-06-01,10:00,10:30,100.0,1000.0,5,5,5,5,6,6,6,{'x' * 100_000}\n",
+            "row 1: field 'reg_f': cannot parse a str of 100000 items",
         ),
     }
     CSV_COMMANDS = {

@@ -17,6 +17,7 @@ from rtp.domain import (
     MAX_ROD_TRAVEL_IN,
     config_for_date,
     reactivity_of_state,
+    shown,
 )
 from rtp.ingest import (
     CSV_HEADER,
@@ -131,7 +132,7 @@ def scalar_parse(text):
             try:
                 parsed.append(parse(record[j]))
             except ValueError:
-                return fail(CSV_HEADER[j], f"cannot parse {record[j]!r}")
+                return fail(CSV_HEADER[j], f"cannot parse {shown(record[j])}")
             if j > 0 and parsed[j].tzinfo is not None:
                 return fail(CSV_HEADER[j], f"{record[j]!r} has a UTC offset")
         date, start, end = parsed
@@ -142,7 +143,7 @@ def scalar_parse(text):
             try:
                 powers.append(float(record[j]))
             except ValueError:
-                return fail(CSV_HEADER[j], f"cannot parse {record[j]!r}")
+                return fail(CSV_HEADER[j], f"cannot parse {shown(record[j])}")
         for j, p in zip((3, 4), powers):
             if p <= 0:
                 return fail(CSV_HEADER[j], f"{p} must be positive")
@@ -154,7 +155,7 @@ def scalar_parse(text):
             try:
                 h = float(record[j])
             except ValueError:
-                return fail(CSV_HEADER[j], f"cannot parse {record[j]!r}")
+                return fail(CSV_HEADER[j], f"cannot parse {shown(record[j])}")
             if not (0.0 <= h <= MAX_ROD_TRAVEL_IN):
                 return fail(CSV_HEADER[j], f"{h} outside [0.0, {MAX_ROD_TRAVEL_IN}]")
             rods.append(h)

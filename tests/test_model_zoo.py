@@ -6,19 +6,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rtp import pipeline
 from rtp.domain import DEFAULT_CONFIGS, ReactorState, TransientObservation
 from rtp.engine import HEAD_SIGMOID, HEAD_SOFTMAX, forward
 from rtp.model_zoo import (
     CLASSIFIER_IDS,
     HIDDEN_WIDTH,
     REGRESSOR_IDS,
-    aux_width,
-    branch_widths,
     build_variant,
-    default_training_config,
     pair_for_regressor,
     stage_inputs,
-    training_targets,
+    training_config,
     variant_spec,
 )
 from rtp.preprocess import TASKS, VARIANTS, encode_dataset
@@ -53,23 +51,23 @@ class TestVariantSpec:
 class TestWidths:
     def test_branch_widths(self):
         # [DERIVED] power + rod features per state, direction folded into AIO.
-        assert branch_widths(VARIANTS["a1"]) == {"initial": 2, "final": 1}
-        assert branch_widths(VARIANTS["b1"]) == {"initial": 5, "final": 4}
-        assert branch_widths(VARIANTS["c1"]) == {"initial": 2, "final": 1}
-        assert branch_widths(VARIANTS["d1"]) == {"initial": 5, "final": 4}
-        assert branch_widths(VARIANTS["e1"]) == {"main": 4}
-        assert branch_widths(VARIANTS["f1"]) == {"main": 10}
-        assert branch_widths(VARIANTS["a2"]) == {"initial": 5, "final": 4}
-        assert branch_widths(VARIANTS["b2"]) == {"initial": 2, "final": 1}
-        assert branch_widths(VARIANTS["c2"]) == {"main": 10}
-        assert branch_widths(VARIANTS["d2"]) == {"main": 4}
+        assert VARIANTS["a1"].branch_widths == {"initial": 2, "final": 1}
+        assert VARIANTS["b1"].branch_widths == {"initial": 5, "final": 4}
+        assert VARIANTS["c1"].branch_widths == {"initial": 2, "final": 1}
+        assert VARIANTS["d1"].branch_widths == {"initial": 5, "final": 4}
+        assert VARIANTS["e1"].branch_widths == {"main": 4}
+        assert VARIANTS["f1"].branch_widths == {"main": 10}
+        assert VARIANTS["a2"].branch_widths == {"initial": 5, "final": 4}
+        assert VARIANTS["b2"].branch_widths == {"initial": 2, "final": 1}
+        assert VARIANTS["c2"].branch_widths == {"main": 10}
+        assert VARIANTS["d2"].branch_widths == {"main": 4}
 
     def test_aux_widths(self):
         expected = {
             "a1": 1, "b1": 1, "c1": 0, "d1": 0, "e1": 0, "f1": 0,
             "a2": 6, "b2": 6, "c2": 5, "d2": 5,
         }
-        assert {vid: aux_width(vid) for vid in expected} == expected
+        assert {vid: VARIANTS[vid].aux_width for vid in expected} == expected
 
 
 class TestBuildVariant:
@@ -182,16 +180,16 @@ class TestModelInputs:
 
     def test_no_aux_for_directionless(self):
         x = stage_inputs(sample_batch("c1").features, "c1")
-        assert aux_width("c1") == 0
-        assert x.shape[1] == sum(branch_widths(VARIANTS["c1"]).values())
+        assert VARIANTS["c1"].aux_width == 0
+        assert x.shape[1] == sum(VARIANTS["c1"].branch_widths.values())
 
     def test_regressor_requires_probs(self):
         samples = sample_batch("b2")
         with pytest.raises(ValueError):
             stage_inputs(samples.features, "b2")
         probs = np.full((6, 5), 0.2)
-        x = stage_inputs(samples.features, "b2", class_probs=probs)
-        aux = x[:, sum(branch_widths(VARIANTS["b2"]).values()) :]
+        x = stage_inputs(samples.features, "b2", probs)
+        aux = x[:, sum(VARIANTS["b2"].branch_widths.values()) :]
         assert aux.shape == (6, 6)
         # Direction first, then the five probabilities.
         np.testing.assert_array_equal(aux[:, 1:], probs)
@@ -204,38 +202,47 @@ class TestModelInputs:
         probs = np.full((6, 5), 0.2)
         for vid in REGRESSOR_IDS:
             model = build_variant(vid, seed=0)
-            out = forward(model, stage_inputs(sample_batch(vid).features, vid, class_probs=probs))
+            out = forward(model, stage_inputs(sample_batch(vid).features, vid, probs))
             assert out.shape == (6, 1)
 
 
 class TestTargets:
-    def test_classification_targets(self):
-        targets = training_targets(sample_batch("a1"), "a1")
+    """The targets that fit_variant trains a variant on."""
+
+    @staticmethod
+    def trained_on(monkeypatch, variant_id, table, stage1=None):
+        calls = []
+        monkeypatch.setattr(pipeline, "train", lambda *args: calls.append(args))
+        pipeline.fit_variant(variant_id, table, 0, {}, stage1)
+        return calls[0][2]
+
+    def test_classification_targets(self, monkeypatch):
+        targets = self.trained_on(monkeypatch, "a1", sample_batch("a1"))
         assert targets.shape == (6, 5)
         np.testing.assert_array_equal(targets.sum(axis=1), np.ones(6))
 
-    def test_regression_targets(self):
+    def test_regression_targets(self, monkeypatch):
         table = sample_batch("a2")
-        targets = training_targets(table, "a2")
+        targets = self.trained_on(monkeypatch, "a2", table, build_variant("b1", seed=0))
         assert targets.shape == (6, 1)
         np.testing.assert_array_equal(targets[:, 0], table.target)
 
 
 class TestDefaultTrainingConfig:
     def test_classifier_defaults(self):
-        config = default_training_config("a1", seed=0)
+        config = training_config("a1", 0, {})
         assert config.monitored_metric == "val_accuracy"
         assert config.early_stop_min_delta == 0.005
         assert config.optimizer == "adam"
 
     def test_aio_classifiers_use_sgd(self):
-        assert default_training_config("e1", seed=0).optimizer == "sgd"
-        assert default_training_config("f1", seed=0).optimizer == "sgd"
-        assert default_training_config("b1", seed=0).optimizer == "adam"
+        assert training_config("e1", 0, {}).optimizer == "sgd"
+        assert training_config("f1", 0, {}).optimizer == "sgd"
+        assert training_config("b1", 0, {}).optimizer == "adam"
 
     def test_regressor_defaults(self):
-        sep = default_training_config("a2", seed=0)
-        aio = default_training_config("c2", seed=0)
+        sep = training_config("a2", 0, {})
+        aio = training_config("c2", 0, {})
         assert sep.monitored_metric == "val_loss"
         assert aio.monitored_metric == "val_mse"
         assert sep.early_stop_min_delta == 0.0005

@@ -19,8 +19,9 @@ from rtp.model_zoo import (
     build_variant,
     pair_for_regressor,
     stage_inputs,
+    training_config,
 )
-from rtp.pipeline import PipelineConfig, run_pipeline, score_classifier, training_config
+from rtp.pipeline import PipelineConfig, run_pipeline, score_classifier
 from rtp.preprocess import encode_table
 from rtp.training import MONITORED_METRICS, TrainingConfig
 
