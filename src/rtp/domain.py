@@ -148,12 +148,14 @@ def is_finite_nonnegative(value) -> bool:
 
 def shown(value) -> str:
     """repr(value) for a message, or, when that is over 80 characters, the
-    value's type and size, as in "a list of 29 items"."""
+    value's type and size, as in "a list of 29 items" or "a str of 79
+    characters"."""
     text = repr(value)
     if len(text) <= 80:
         return text
     kind = type(value).__name__
-    size = f" of {len(value)} items" if isinstance(value, Sized) else ""
+    unit = "characters" if isinstance(value, str) else "items"
+    size = f" of {len(value)} {unit}" if isinstance(value, Sized) else ""
     return f"{'an' if kind[0] in 'aeiou' else 'a'} {kind}{size}"
 
 

@@ -183,15 +183,16 @@ def _activate(z: np.ndarray, activation: str) -> np.ndarray:
     return exp / exp.sum(axis=1, keepdims=True)
 
 
-def _activation_backward(da: np.ndarray, a: np.ndarray, activation: str):
+def _activation_backward(da: np.ndarray, a: np.ndarray, activation: str, out=None):
     """The gradient at a layer's pre-activation from the gradient da at its
-    output a; relu's mask a > 0 is the mask z > 0 of its pre-activation z."""
+    output a, written into `out` if given (which may be da itself); relu's
+    mask a > 0 is the mask z > 0 of its pre-activation z."""
     if activation == "relu":
-        return da * (a > 0.0)
+        return np.multiply(da, a > 0.0, out=out)
     if activation == "linear":
         return da
     if activation == "sigmoid":
-        return da * (a * (1.0 - a))
+        return np.multiply(da, a * (1.0 - a), out=out)
     raise ValueError("softmax gradient is fused with the cross-entropy loss")
 
 
@@ -272,11 +273,19 @@ def data_loss(prediction: np.ndarray, target: np.ndarray, kind: str) -> float:
     targ = np.atleast_2d(np.asarray(target, dtype=np.float64))
     if pred.shape != targ.shape:
         raise ShapeError(f"prediction shape {pred.shape} != target shape {targ.shape}")
+    return _data_loss(pred, targ, kind)
+
+
+def _data_loss(pred: np.ndarray, targ: np.ndarray, kind: str) -> float:
+    """data_loss of two float64 matrices of one shape, unchecked. The ufuncs
+    are the ones np.clip and np.mean(np.sum(...)) run, so the bits are theirs."""
     if kind == LOSS_CCE:
-        clamped = np.clip(pred, CCE_CLAMP, 1.0)
-        return float(-np.mean(np.sum(targ * np.log(clamped), axis=1)))
+        clamped = np.minimum(np.maximum(pred, CCE_CLAMP), 1.0)
+        rows = np.add.reduce(targ * np.log(clamped), axis=1)
+        return float(-(np.add.reduce(rows) / rows.size))
     if kind == LOSS_MAE:
-        return float(np.mean(np.abs(pred - targ)))
+        errors = np.abs(pred - targ)
+        return float(np.add.reduce(errors, axis=None) / errors.size)
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
@@ -291,7 +300,7 @@ def _backprop_stack(layers, cache, dz, grads, input_grad: bool = True):
         layer = layers[i]
         dw, db = grads[i]
         np.matmul(cache[i][0].T, dz, out=dw)
-        np.sum(dz, axis=0, out=db)
+        np.add.reduce(dz, axis=0, out=db)
         if layer.l1:
             dw += layer.l1 * np.sign(layer.weights)
         if layer.l2:
@@ -300,19 +309,27 @@ def _backprop_stack(layers, cache, dz, grads, input_grad: bool = True):
             return None
         da = dz @ layer.weights.T
         if i > 0:
-            dz = _activation_backward(da, cache[i - 1][1], layers[i - 1].activation)
+            dz = _activation_backward(da, cache[i - 1][1], layers[i - 1].activation, out=da)
     return da
 
 
+def gradient_buffer(model: NetworkModel) -> tuple[np.ndarray, list]:
+    """A vector laid out like model.params and its per-layer (weights,
+    biases) views, for backward_with_loss to write gradients into."""
+    grad = np.empty_like(model.params)
+    return grad, _views(model, grad)
+
+
 def backward_with_loss(
-    model: NetworkModel, x: np.ndarray, target: np.ndarray
+    model: NetworkModel, x: np.ndarray, target: np.ndarray, out: tuple | None = None
 ) -> tuple[np.ndarray, float]:
     """Gradient of the total loss (the model's data loss plus L1/L2 penalty)
     w.r.t. model.params (same layout), and the data loss from the same
     forward pass on the input matrix `x`.
 
-    The returned vector is the only parameter-sized array a call allocates:
-    each layer's gradient and penalty are written into their views of it.
+    Each layer's gradient and penalty are written into their views of the
+    returned vector: a fresh one, or the vector of `out`, a
+    gradient_buffer(model) that a training loop makes once and reuses.
     """
     caches: list = []
     output = run_layers(model, _check_input(model, x), caches)
@@ -325,23 +342,22 @@ def backward_with_loss(
         dz = (output - targ) / output.shape[0]  # softmax and cross-entropy, fused
     else:
         da = np.sign(output - targ) / targ.size  # subgradient 0 at ties
-        dz = _activation_backward(da, trunk_cache[-1][1], model.trunk[-1].activation)
+        dz = _activation_backward(da, trunk_cache[-1][1], model.trunk[-1].activation, out=da)
 
-    grad = np.empty_like(model.params)
-    views = _views(model, grad)  # branch layers first, then the trunk
+    grad, views = gradient_buffer(model) if out is None else out
     d_merged = _backprop_stack(
         model.trunk, trunk_cache, dz, views[-len(model.trunk) :], any(model.branches.values())
     )
-    offset = 0
+    offset = first = 0  # column of d_merged, index of views
     for (name, layers), cache in zip(model.branches.items(), caches):
         width = layers[-1].n_out if layers else model.branch_input_width(name)
         if layers:
             da = d_merged[:, offset : offset + width]
             dz = _activation_backward(da, cache[-1][1], layers[-1].activation)
-            _backprop_stack(layers, cache, dz, views[: len(layers)], input_grad=False)
-        del views[: len(layers)]
+            _backprop_stack(layers, cache, dz, views[first : first + len(layers)], input_grad=False)
+        first += len(layers)
         offset += width
-    return grad, data_loss(output, targ, model.loss_kind)
+    return grad, _data_loss(output, targ, model.loss_kind)
 
 
 def clone_model(model: NetworkModel) -> NetworkModel:

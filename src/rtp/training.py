@@ -22,6 +22,7 @@ from .engine import (
     clone_model,
     data_loss,
     forward,
+    gradient_buffer,
     regularization_loss,
 )
 from .ingest import DataError
@@ -122,8 +123,11 @@ class Adam:
         v *= self.beta2
         np.square(grad, out=a)
         v += np.multiply(a, 1.0 - self.beta2, out=a)
-        np.divide(m, correction1, out=a)
-        a *= self.lr
+        if correction1 == 1.0:  # from t = 356 at beta1 0.9; m / 1.0 is m, bit for bit
+            np.multiply(m, self.lr, out=a)
+        else:
+            np.divide(m, correction1, out=a)
+            a *= self.lr
         np.divide(v, correction2, out=b)
         np.sqrt(b, out=b)
         b += self.eps
@@ -154,11 +158,12 @@ def _evaluate_metrics(model: NetworkModel, x, targets) -> dict[str, float]:
     return metrics
 
 
-def _train_epoch(model, optimizer, x, targets, rows, batch_size: int, epoch: int) -> float:
+def _train_epoch(model, optimizer, x, targets, rows, batch_size: int, epoch: int, buffer) -> float:
     """One optimizer step per minibatch of `rows`, in order; the mean batch loss.
 
     The rows are gathered once, so each batch is a slice of them; the copy
-    lives only for the epoch.
+    lives only for the epoch. Every step's gradient is written into
+    `buffer`, a gradient_buffer(model).
     """
     epoch_x = x[rows]
     epoch_targets = targets[rows]
@@ -166,7 +171,7 @@ def _train_epoch(model, optimizer, x, targets, rows, batch_size: int, epoch: int
     for batch_no, start in enumerate(range(0, rows.size, batch_size), start=1):
         stop = start + batch_size
         batch_targets = epoch_targets[start:stop]
-        grad, batch_loss = backward_with_loss(model, epoch_x[start:stop], batch_targets)
+        grad, batch_loss = backward_with_loss(model, epoch_x[start:stop], batch_targets, out=buffer)
         if not math.isfinite(batch_loss):
             raise DivergenceError(epoch, batch_no)
         total += batch_loss * len(batch_targets)
@@ -203,6 +208,7 @@ def train(
     n_train = train_idx.size
 
     optimizer = _make_optimizer(config)
+    buffer = gradient_buffer(model)
     mode = "max" if config.monitored_metric == "val_accuracy" else "min"
 
     history = TrainingHistory()
@@ -212,7 +218,9 @@ def train(
 
     for epoch in range(1, config.max_epochs + 1):
         order = train_idx[rng.permutation(n_train)]
-        epoch_loss = _train_epoch(model, optimizer, x, targets, order, config.batch_size, epoch)
+        epoch_loss = _train_epoch(
+            model, optimizer, x, targets, order, config.batch_size, epoch, buffer
+        )
 
         val_metrics = _evaluate_metrics(model, val_x, val_targets)
         record = {"epoch": epoch, "train_batch_loss": epoch_loss}

@@ -1235,11 +1235,11 @@ class TestErrorsNameTheirInput:
         # Values whose repr is over 80 characters are named by type and size.
         "long-header": (
             f"{'d' * 100_000}\n",
-            f"unexpected CSV header [a str of 100000 items]; expected {CSV_HEADER}",
+            f"unexpected CSV header [a str of 100000 characters]; expected {CSV_HEADER}",
         ),
         "long-field": (
             f"{HEADER}\n2014-06-01,10:00,10:30,100.0,1000.0,5,5,5,5,6,6,6,{'x' * 100_000}\n",
-            "row 1: field 'reg_f': cannot parse a str of 100000 items",
+            "row 1: field 'reg_f': cannot parse a str of 100000 characters",
         ),
     }
     CSV_COMMANDS = {

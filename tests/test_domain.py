@@ -155,7 +155,7 @@ def test_core_configuration_type():
     "value,text",
     [
         ("x" * 78, repr("x" * 78)),
-        ("x" * 79, "a str of 79 items"),
+        ("x" * 79, "a str of 79 characters"),
         ([0.5] * 29, "a list of 29 items"),
         (10**100, "an int"),
     ],

@@ -2,6 +2,7 @@
 
 import base64
 import json
+import math
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -27,6 +28,7 @@ from rtp.engine import (
     clone_model,
     data_loss,
     forward,
+    gradient_buffer,
     init_layer,
     load_model,
     model_from_dict,
@@ -77,6 +79,23 @@ def total_loss(model, inputs, target, kind):
     """Data loss of a fresh forward pass plus the L1/L2 penalty."""
     pred = np.atleast_2d(forward(model, inputs))
     return data_loss(pred, target, kind) + regularization_loss(model)
+
+
+def reference_data_loss(pred, target, kind):
+    """data_loss as the np.clip and np.mean expressions it replaces."""
+    if kind == LOSS_CCE:
+        clamped = np.clip(pred, CCE_CLAMP, 1.0)
+        return float(-np.mean(np.sum(target * np.log(clamped), axis=1)))
+    return float(np.mean(np.abs(pred - target)))
+
+
+def variant_batch(model, rng, n):
+    """n seeded input rows as wide as `model` takes, and targets for its head."""
+    width = sum(map(model.branch_input_width, model.branches)) + model.aux_width
+    inputs = rng.random((n, width))
+    if model.loss_kind == LOSS_CCE:
+        return inputs, np.eye(5)[rng.integers(0, 5, size=n)]
+    return inputs, rng.random((n, 1))
 
 
 def numeric_gradients(model, inputs, target, kind, step=1e-6):
@@ -200,6 +219,42 @@ class TestLoss:
         with pytest.raises(ShapeError):
             data_loss(np.zeros((2, 5)), np.zeros((3, 5)), LOSS_CCE)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 32, 33, 257])
+    def test_cce_matches_clip_and_mean_bitwise(self, n):
+        rng = np.random.default_rng(40 + n)
+        for trial in range(50):
+            logits = rng.normal(scale=rng.choice([0.1, 3.0, 40.0]), size=(n, 5))
+            pred = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+            edits = rng.random((n, 5))
+            pred[edits < 0.05] = 0.0
+            pred[(edits >= 0.05) & (edits < 0.1)] = 1.0
+            pred[(edits >= 0.1) & (edits < 0.15)] = rng.choice([1e-13, 1e-300, 5e-324, -0.0])
+            if trial % 2:  # soft targets as well as one-hot rows
+                target = rng.dirichlet(np.ones(5), size=n)
+            else:
+                target = np.eye(5)[rng.integers(0, 5, size=n)]
+            if trial == 49:
+                pred[rng.integers(n), rng.integers(5)] = np.nan
+            got = data_loss(pred, target, LOSS_CCE)
+            want = reference_data_loss(pred, target, LOSS_CCE)
+            assert same_bits(np.float64(got), np.float64(want)), (n, trial)
+        assert math.isnan(got)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 1), (32, 1), (33, 1), (257, 1), (32, 5)])
+    def test_mae_matches_mean_bitwise(self, shape):
+        rng = np.random.default_rng(50 + shape[0] * shape[1])
+        for trial in range(50):
+            pred = rng.random(shape) * 10.0 ** rng.integers(-8, 3)
+            target = rng.random(shape)
+            ties = rng.random(shape) < 0.1
+            pred[ties] = target[ties]
+            if trial == 49:
+                pred.flat[rng.integers(pred.size)] = np.nan
+            got = data_loss(pred, target, LOSS_MAE)
+            want = reference_data_loss(pred, target, LOSS_MAE)
+            assert same_bits(np.float64(got), np.float64(want)), (shape, trial)
+        assert math.isnan(got)
+
     def test_regularization_hand_value(self):
         w = np.array([[1.0, -2.0]])
         layer = DenseLayer(w, np.zeros(2), "linear", l1=0.1, l2=0.01)
@@ -254,6 +309,29 @@ class TestBackward:
         grad, _ = backward_with_loss(model, inputs, target)
         n_params = sum(layer.weights.size + layer.biases.size for layer in model.all_layers())
         assert grad.shape == model.params.shape == (n_params,)
+
+    def test_plain_calls_return_fresh_vectors(self):
+        rng = np.random.default_rng(20)
+        model = build_variant("a1", seed=0)
+        inputs, target = variant_batch(model, rng, 4)
+        first, _ = backward_with_loss(model, inputs, target)
+        second, _ = backward_with_loss(model, inputs, target)
+        assert not np.shares_memory(first, second)
+        np.testing.assert_array_equal(first, second)
+
+    @pytest.mark.parametrize("variant_id", ["a1", "b2", "f1"])
+    def test_buffered_call_matches_plain_call_bitwise(self, variant_id):
+        rng = np.random.default_rng(21)
+        model = build_variant(variant_id, seed=0)
+        model.params[...] = rng.normal(scale=0.3, size=model.params.size)
+        buffer = gradient_buffer(model)
+        for n in (1, 7, 32):
+            inputs, target = variant_batch(model, rng, n)
+            plain, plain_loss = backward_with_loss(model, inputs, target)
+            buffered, loss = backward_with_loss(model, inputs, target, out=buffer)
+            assert buffered is buffer[0]  # each call overwrites the last one's values
+            np.testing.assert_array_equal(buffered, plain)
+            assert same_bits(np.float64(loss), np.float64(plain_loss))
 
 
 def with_penalty(model, l1, l2):
@@ -315,6 +393,16 @@ class TestStepAllocation:
         backward_with_loss(model, inputs, target)
         peak = traced_peak(lambda: backward_with_loss(model, inputs, target))
         assert peak < 2 * model.params.nbytes
+
+    def test_one_row_step_into_a_buffer_allocates_less_than_half_params(self):
+        # The largest array left is one layer's L2 term: the trunk's first
+        # weight matrix, 38% of a1's parameters.
+        model = build_variant("a1", seed=0)
+        inputs, target = variant_batch(model, np.random.default_rng(32), 1)
+        buffer = gradient_buffer(model)
+        backward_with_loss(model, inputs, target, out=buffer)
+        peak = traced_peak(lambda: backward_with_loss(model, inputs, target, out=buffer))
+        assert peak < model.params.nbytes / 2
 
 
 class TestModelValidation:
