@@ -188,6 +188,8 @@ def _cmd_compose(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    if args.errors is not None and os.path.realpath(args.errors) == os.path.realpath(args.out):
+        raise UsageError(f"--errors and --out name the same file: {args.errors}")
     table = encode_table(_kept_rows(args.data, "evaluate"))
     with _reading(args.model):
         model = load_any_model(args.model)
@@ -200,9 +202,8 @@ def _cmd_evaluate(args) -> int:
             check_stage("model", model, "classifier")
 
     if isinstance(model, TwoStageModel):
-        scores = evaluate_two_stage(model, table)
-        predicted, report = scores.predicted_classes, scores.report
-        extra = {"abs_error_norm": scores.abs_errors.tolist()}  # more --errors columns
+        predicted, abs_errors, report = evaluate_two_stage(model, table)
+        extra = {"abs_error_norm": abs_errors.tolist()}  # more --errors columns
     else:
         predicted, report = score_classifier(model, table)
         extra = {}
@@ -251,7 +252,7 @@ def _cmd_pipeline(args) -> int:
     config = _read_config(args.config, lambda doc: settings_from(PipelineConfig, doc))
     if args.out_dir:
         config.out_dir = args.out_dir
-    if args.seed is not None or os.environ.get("RTP_SEED"):
+    if args.seed is not None or "RTP_SEED" in os.environ:
         config.seed = _effective_seed(args)
     report = run_pipeline(config)
     if args.verbose:

@@ -56,9 +56,9 @@ def check_stage(stage: str, model: NetworkModel, task: str) -> None:
             f"{stage} ({vid}) has branches {list(model.branches)}, its layout {list(expected)}"
         )
     for name, width in expected.items():
-        if model.branch_input_width(name) != width:
+        if model.branch_widths[name] != width:
             raise CompositionError(
-                f"{stage} ({vid}) branch '{name}' takes {model.branch_input_width(name)} "
+                f"{stage} ({vid}) branch '{name}' takes {model.branch_widths[name]} "
                 f"inputs, the {vid} layout gives {width}"
             )
     if model.aux_width != spec.aux_width:
@@ -126,13 +126,23 @@ def load_any_model(path: Union[str, Path]) -> Union[TwoStageModel, NetworkModel]
     return load_document(path, from_dict)
 
 
+def run_stage(
+    model: NetworkModel, features: np.ndarray, probs: np.ndarray | None = None
+) -> np.ndarray:
+    """A trained network's output on (n, 12) feature rows: its variant's
+    input matrix, closed by `probs` for a regressor, run through its layers.
+    The only place a network meets feature rows; nothing is checked, so the
+    model must take its variant's inputs, as build_variant's do and as
+    check_stage makes sure of for a model read from a file."""
+    return run_layers(model, stage_inputs(features, model.variant_id, probs))
+
+
 def _run_stages(model: TwoStageModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stage 1's class probabilities (n, 5) and stage 2's normalized powers
     (n, 1) on (n, 12) feature rows, the probabilities closing stage 2's aux
-    vector. The only chaining of the two stages; nothing is checked, because
-    TwoStageModel checked each stage's input widths when it was built."""
-    probs = run_layers(model.stage1, stage_inputs(features, model.stage1.variant_id))
-    return probs, run_layers(model.stage2, stage_inputs(features, model.stage2.variant_id, probs))
+    vector. The only chaining of the two stages."""
+    probs = run_stage(model.stage1, features)
+    return probs, run_stage(model.stage2, features, probs)
 
 
 def predict_arrays(
@@ -183,20 +193,13 @@ def predict(
     return _joint(probs[0].tolist(), int(probs.argmax()), float(norm[0, 0]))
 
 
-@dataclass(frozen=True)
-class TwoStageEvaluation:
-    """Joint predictions on labelled rows, their absolute power errors
-    (normalized units), and the report that scores them: the
-    `classification`, `confusion` and `regression` blocks."""
-
-    predicted_classes: np.ndarray
-    abs_errors: np.ndarray
-    report: dict
-
-
-def evaluate_two_stage(model: TwoStageModel, table: EncodedTable) -> TwoStageEvaluation:
-    """Score joint predictions against the table's classes and targets; the
-    regression block conditions on rows whose class stage 1 got right."""
+def evaluate_two_stage(
+    model: TwoStageModel, table: EncodedTable
+) -> tuple[np.ndarray, np.ndarray, dict]:
+    """The predicted classes on a table's rows, their absolute power errors
+    (normalized units), and the report that scores them against the table's
+    classes and targets: the `classification`, `confusion` and `regression`
+    blocks, the last conditioned on rows whose class stage 1 got right."""
     _, predicted, norms = predict_arrays(model, table)
     counts = confusion(table.class_index, predicted)
     abs_errors = np.abs(norms - table.target)
@@ -205,4 +208,4 @@ def evaluate_two_stage(model: TwoStageModel, table: EncodedTable) -> TwoStageEva
         "confusion": counts.tolist(),
         "regression": regression_report(abs_errors, predicted == table.class_index),
     }
-    return TwoStageEvaluation(predicted, abs_errors, report)
+    return predicted, abs_errors, report

@@ -78,6 +78,7 @@ class NetworkModel:
     layer in all_layers() order, each layer's weights (row-major) before its
     biases; every layer's arrays are views into it. `l1` and `l2` hold each
     parameter's penalty coefficient in the same layout (zero on biases).
+    `branch_widths` maps each branch to its input width, in branch order.
     """
 
     branches: dict[str, list[DenseLayer]]
@@ -85,6 +86,7 @@ class NetworkModel:
     trunk: list[DenseLayer]
     head: str
     variant_id: str | None = None
+    branch_widths: dict[str, int] = field(init=False, repr=False, compare=False)
     params: np.ndarray = field(init=False, repr=False, compare=False)
     l1: np.ndarray = field(init=False, repr=False, compare=False)
     l2: np.ndarray = field(init=False, repr=False, compare=False)
@@ -112,6 +114,9 @@ class NetworkModel:
             raise ValueError(
                 f"trunk input width {self.trunk[0].n_in} != branches {widths} + aux {self.aux_width}"
             )
+        self.branch_widths = {
+            name: layers[0].n_in if layers else left for name, layers in self.branches.items()
+        }
         layers = self.all_layers()
         if any(layer.activation == "softmax" for layer in layers[:-1]):
             raise ValueError("softmax is only valid as the head activation")
@@ -134,15 +139,6 @@ class NetworkModel:
 
     def all_layers(self) -> list[DenseLayer]:
         return [layer for layers in [*self.branches.values(), self.trunk] for layer in layers]
-
-    def branch_input_width(self, name: str) -> int:
-        layers = self.branches[name]
-        if layers:
-            return layers[0].n_in
-        # A branch with no layers feeds the merge directly; its width is
-        # whatever the trunk expects after the other branches and aux.
-        others = sum(ls[-1].n_out for ls in self.branches.values() if ls)
-        return self.trunk[0].n_in - self.aux_width - others
 
 
 def _views(model: NetworkModel, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -218,7 +214,7 @@ def _check_input(model: NetworkModel, x: np.ndarray) -> np.ndarray:
     """`x` as a float64 matrix; ShapeError unless it is 2-D and as wide as
     the model's branch inputs and aux input together."""
     x = np.asarray(x, dtype=np.float64)
-    width = sum(map(model.branch_input_width, model.branches)) + model.aux_width
+    width = sum(model.branch_widths.values()) + model.aux_width
     if x.ndim != 2 or x.shape[1] != width:
         raise ShapeError(f"input has shape {x.shape}, expected (n, {width})")
     return x
@@ -242,7 +238,7 @@ def run_layers(model: NetworkModel, x: np.ndarray, caches: list | None = None) -
     pieces = []
     start = 0
     for name, layers in model.branches.items():
-        stop = start + model.branch_input_width(name)
+        stop = start + model.branch_widths[name]
         a = x[:, start:stop]
         if layers:
             # The columns are a strided view of x, and BLAS computes the
@@ -350,7 +346,7 @@ def backward_with_loss(
     )
     offset = first = 0  # column of d_merged, index of views
     for (name, layers), cache in zip(model.branches.items(), caches):
-        width = layers[-1].n_out if layers else model.branch_input_width(name)
+        width = layers[-1].n_out if layers else model.branch_widths[name]
         if layers:
             da = d_merged[:, offset : offset + width]
             dz = _activation_backward(da, cache[-1][1], layers[-1].activation)

@@ -15,9 +15,9 @@ import numpy as np
 
 from . import seeds
 from .augment import over_sample
-from .compose import TwoStageModel, evaluate_two_stage, save_two_stage
+from .compose import TwoStageModel, evaluate_two_stage, run_stage, save_two_stage
 from .domain import check_settings, is_count, is_nonnegative_integer, settings_from
-from .engine import run_layers, save_model
+from .engine import save_model
 from .evaluate import class_metrics, confusion
 from .files import writing
 from .ingest import CorpusSpec, ObservationTable, synthesize_corpus, write_observations
@@ -107,7 +107,7 @@ def fit_variant(variant_id: str, table, seed: int, overrides: dict, stage1=None)
     if stage1 is None:
         x, targets = stage_inputs(table.features, variant_id), table.class_onehot
     else:
-        probs = run_layers(stage1, stage_inputs(table.features, stage1.variant_id))
+        probs = run_stage(stage1, table.features)
         x, targets = stage_inputs(table.features, variant_id, probs), table.target.reshape(-1, 1)
     return train(model, x, targets, config)
 
@@ -115,13 +115,9 @@ def fit_variant(variant_id: str, table, seed: int, overrides: dict, stage1=None)
 def score_classifier(model, table):
     """A classifier's predicted classes on a table, and the report that
     scores them against the table's classes: the `classification` block and
-    the `confusion` counts.
-
-    The model must take its variant's inputs, as build_variant's do and as
-    compose.check_stage makes sure of for a model read from a file.
-    """
-    out = run_layers(model, stage_inputs(table.features, model.variant_id))
-    predicted = np.argmax(out, axis=1)
+    the `confusion` counts. The model must take its variant's inputs, as
+    compose.run_stage says."""
+    predicted = np.argmax(run_stage(model, table.features), axis=1)
     counts = confusion(table.class_index, predicted)
     return predicted, {"classification": class_metrics(counts), "confusion": counts.tolist()}
 
@@ -220,7 +216,8 @@ def run_pipeline(config: PipelineConfig) -> dict:
         cid = pair_for_regressor(vid)
         model, summary = _train_variant(vid, encoded_train, config, classifier_models[cid])
         pair = TwoStageModel(classifier_models[cid], model)
-        summary["regression"] = evaluate_two_stage(pair, encoded_test).report["regression"]
+        _, _, scores = evaluate_two_stage(pair, encoded_test)
+        summary["regression"] = scores["regression"]
         summary["paired_classifier"] = cid
         regressor_models[vid] = model
         save_model(model, out_dir / f"model_{vid}.json")
@@ -231,7 +228,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     if stage1_id in classifier_models and stage2_id in regressor_models:
         two_stage = TwoStageModel(classifier_models[stage1_id], regressor_models[stage2_id])
         save_two_stage(two_stage, out_dir / "twostage.json")
-        scores = evaluate_two_stage(two_stage, encoded_test).report
+        _, _, scores = evaluate_two_stage(two_stage, encoded_test)
         report["composed"] = {
             "stage1": stage1_id,
             "stage2": stage2_id,

@@ -14,7 +14,8 @@ import numpy as np
 def _entropy(root_seed: int, name: str) -> list[int]:
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
-    return [root_seed & 0xFFFFFFFFFFFFFFFF, *words]
+    # SeedSequence takes the root seed whole, of any size, so no two alias.
+    return [root_seed, *words]
 
 
 def subseed(root_seed: int, name: str) -> int:

@@ -238,11 +238,11 @@ class TestArtifacts:
         with open(expected, "w", newline="") as handle:
             writer = csv.writer(handle)
             if isinstance(loaded, compose.TwoStageModel):
-                scores = compose.evaluate_two_stage(loaded, table)
+                predicted, abs_errors, _ = compose.evaluate_two_stage(loaded, table)
                 writer.writerow(["row", "true_class", "predicted_class", "abs_error_norm"])
                 writer.writerows(zip(
                     range(1, len(observations) + 1), table.class_index.tolist(),
-                    scores.predicted_classes.tolist(), scores.abs_errors.tolist(),
+                    predicted.tolist(), abs_errors.tolist(),
                 ))
             else:
                 out = forward(loaded, stage_inputs(table.features, "a1"))
@@ -825,6 +825,22 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert not report.exists()
 
+    @pytest.mark.parametrize("errors", ["report.json", "./report.json", "link.json", "/dev/null"])
+    def test_evaluate_refuses_errors_at_the_report_path(self, tmp_path, capsys, errors):
+        report = tmp_path / "report.json"
+        report.write_bytes(b"kept\n")
+        (tmp_path / "link.json").symlink_to(report)
+        out = "/dev/null" if errors == "/dev/null" else str(report)
+        errors = os.path.join(tmp_path, errors)  # an absolute path stays as it is
+        # Neither the model nor the data exists: the paths are refused first.
+        code = main(["evaluate", "--model", str(tmp_path / "none.json"),
+                     "--data", str(tmp_path / "none.csv"), "--out", out, "--errors", errors])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"usage error: --errors and --out name the same file: {errors}\n"
+        )
+        assert report.read_bytes() == b"kept\n"
+
     def test_unchained_model_file_is_data_error(self, workdir, tmp_path, capsys):
         doc = json.loads((workdir / "model_a1.json").read_text())
         first_trunk = next(i for i, layer in enumerate(doc["layers"]) if layer["branch"] == "trunk")
@@ -1182,6 +1198,15 @@ class TestSeedHandling:
             monkeypatch.setenv("RTP_SEED", "-1")
         assert main([*args, str(out)]) == EXIT_USAGE
         assert capsys.readouterr().err == f"usage error: {source} must be an integer >= 0, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", SEED_COMMANDS)
+    def test_empty_env_seed_is_usage_error(self, workdir, tmp_path, monkeypatch, capsys, command):
+        out = tmp_path / "out"
+        args = [arg.format(corpus=workdir / "corpus.csv") for arg in self.SEED_COMMANDS[command]]
+        monkeypatch.setenv("RTP_SEED", "")
+        assert main([*args, str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "usage error: RTP_SEED must be an integer >= 0, got ''\n"
         assert not out.exists()
 
     def test_env_seed_matches_flag(self, tmp_path, monkeypatch):

@@ -91,7 +91,7 @@ def reference_data_loss(pred, target, kind):
 
 def variant_batch(model, rng, n):
     """n seeded input rows as wide as `model` takes, and targets for its head."""
-    width = sum(map(model.branch_input_width, model.branches)) + model.aux_width
+    width = sum(model.branch_widths.values()) + model.aux_width
     inputs = rng.random((n, width))
     if model.loss_kind == LOSS_CCE:
         return inputs, np.eye(5)[rng.integers(0, 5, size=n)]
@@ -474,6 +474,14 @@ class TestModelValidation:
         model = build_classifier(rng)
         with pytest.raises(ValueError, match="trunk input width"):
             NetworkModel(model.branches, model.aux_width + 1, model.trunk, model.head)
+
+    def test_branch_without_layers_takes_the_width_left_over(self):
+        rng = np.random.default_rng(33)
+        branches = {"initial": [init_layer(2, 6, "relu", rng)], "final": []}
+        trunk = [init_layer(6 + 3 + 1, 5, "softmax", rng)]
+        model = NetworkModel(branches, 1, trunk, HEAD_SOFTMAX)
+        assert list(model.branch_widths.items()) == [("initial", 2), ("final", 3)]
+        assert forward(model, rng.random((4, 2 + 3 + 1))).shape == (4, 5)
 
     def test_at_most_one_branch_without_layers(self):
         head = DenseLayer(np.ones((2, 1)), np.zeros(1), "sigmoid")

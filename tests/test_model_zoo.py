@@ -89,7 +89,12 @@ class TestBuildVariant:
         assert model.branches == {"main": []}
         assert len(model.trunk) == 5  # four hidden plus the head
         assert model.trunk[0].n_in == 10
-        assert model.branch_input_width("main") == 10
+        assert model.branch_widths == {"main": 10}
+
+    @pytest.mark.parametrize("vid", VARIANTS)
+    def test_model_states_its_variants_branch_widths(self, vid):
+        widths = build_variant(vid, seed=0).branch_widths
+        assert list(widths.items()) == list(VARIANTS[vid].branch_widths.items())
 
     def test_regressor_head(self):
         model = build_variant("b2", seed=0)

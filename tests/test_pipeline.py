@@ -140,14 +140,14 @@ class TestRegressorScores:
             load_model(out_dir / f"model_{cid}.json"),
             load_model(out_dir / f"model_{regressor_id}.json"),
         )
-        scores = evaluate_two_stage(pair, test_table).report
+        _, _, scores = evaluate_two_stage(pair, test_table)
         assert report["regressors"][regressor_id]["regression"] == scores["regression"]
         assert report["classifiers"][cid]["test_accuracy"] == scores["classification"]["accuracy"]
 
     def test_composed_block_scores_an_untrained_pair(self, run):
         out_dir, report, test_table = run
         assert pair_for_regressor("d2") != "a1"
-        scores = evaluate_two_stage(load_two_stage(out_dir / "twostage.json"), test_table).report
+        _, _, scores = evaluate_two_stage(load_two_stage(out_dir / "twostage.json"), test_table)
         assert report["composed"] == {
             "stage1": "a1",
             "stage2": "d2",
