@@ -3,10 +3,20 @@
 from __future__ import annotations
 
 import os
+import re
 import stat
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, TextIO, Union
+
+_STANDARD = {"/dev/stdout": 1, "/dev/stderr": 2}
+
+
+def _descriptor(path: Union[str, Path]) -> Union[int, None]:
+    """The open descriptor of this process that `path` names, or None."""
+    path = os.path.abspath(path)
+    found = re.fullmatch(r"/(?:dev|proc/self)/fd/(\d+)", path)
+    return int(found[1]) if found else _STANDARD.get(path)
 
 
 @contextmanager
@@ -19,19 +29,25 @@ def writing(path: Union[str, Path]) -> Iterator[TextIO]:
     failed or interrupted run leaves neither a partial file nor a changed old
     one, and the target may be a file the block is still reading. A new
     target gets the mode open(path, "w") would give it, a replaced one keeps
-    its own. An existing target that is not a regular file (/dev/null, a
-    FIFO) is written in place. There is no fsync: the guarantee covers a
-    failing process, not a power loss.
+    its own. A path that names an open descriptor (/dev/stdout, /dev/stderr,
+    /dev/fd/N, /proc/self/fd/N) is written through that descriptor, as print
+    writes to stdout: nothing is truncated, so `>> log` keeps the log's
+    earlier lines. Any other target that is not a regular file (/dev/null, a
+    pipe, a FIFO) is written in place. There is no fsync: the guarantee
+    covers a failing process, not a power loss.
     """
-    target = os.path.realpath(path)
+    descriptor = _descriptor(path)
     try:
-        mode = os.stat(target).st_mode
+        mode = os.stat(path).st_mode
     except FileNotFoundError:
         mode = None
-    in_place = mode is not None and not stat.S_ISREG(mode)
+    in_place = descriptor is not None or (mode is not None and not stat.S_ISREG(mode))
+    target = os.path.realpath(path)
     head, name = os.path.split(target)
-    temp = target if in_place else os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
+    temp = path if in_place else os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
     try:
+        if descriptor is not None:
+            temp = os.dup(descriptor)  # closing the handle leaves the descriptor open
         # "x" creates the file as "w" would, with the same permissions.
         handle = open(temp, "w" if in_place else "x", newline="")
     except OSError as exc:

@@ -38,7 +38,7 @@ TEST_FRACTION = 0.3
 
 
 def _ids_from(known: tuple[str, ...]):
-    return lambda x: isinstance(x, (tuple, list)) and all(v in known for v in x)
+    return lambda x: isinstance(x, (tuple, list)) and all(v in known and x.count(v) == 1 for v in x)
 
 
 # What each setting must be, and the test for it, in field order.
@@ -48,8 +48,8 @@ _CONFIG_RULES = {
     "seed": ("an integer >= 0", is_nonnegative_integer),
     "corpus_n": ("an integer >= 1", is_count),
     "augment_n": ("an integer >= 0", is_nonnegative_integer),
-    "classifier_ids": (f"a list of ids from {CLASSIFIER_IDS}", _ids_from(CLASSIFIER_IDS)),
-    "regressor_ids": (f"a list of ids from {REGRESSOR_IDS}", _ids_from(REGRESSOR_IDS)),
+    "classifier_ids": (f"a list of distinct ids from {CLASSIFIER_IDS}", _ids_from(CLASSIFIER_IDS)),
+    "regressor_ids": (f"a list of distinct ids from {REGRESSOR_IDS}", _ids_from(REGRESSOR_IDS)),
     "compose_pair": (
         "a classifier id, then a regressor id",
         lambda x: isinstance(x, (tuple, list))
@@ -122,22 +122,37 @@ def score_classifier(model, table):
     return predicted, {"classification": class_metrics(counts), "confusion": counts.tolist()}
 
 
-def _train_variant(variant_id, train_table, config: PipelineConfig, stage1=None):
-    """fit_variant under the pipeline's seed and overrides; returns the model
-    and its history summary, with the best epoch's validation metrics (a
-    regressor's val_mse is the Table-5 analogue of its "accuracy" column)."""
-    trained, history = fit_variant(
-        variant_id, train_table, config.seed, config.training_overrides, stage1
-    )
-    best = history.records[history.best_epoch - 1]
-    summary = {
-        "variant": variant_id,
-        "epochs": history.n_epochs,
-        "best_epoch": history.best_epoch,
-        "stopped_early": history.stopped_early,
-    }
-    summary.update({f"best_{k}": v for k, v in best.items() if k.startswith("val_")})
-    return trained, summary
+def fit_chain(classifier_id, regressor_ids, train_table, test_table, seed: int, overrides: dict):
+    """Train and score one chain, a classifier and then each of
+    `regressor_ids` fed by it, under fit_variant's `seed` and `overrides`;
+    returns each variant's (model, report row) in chain order and writes no
+    file. A row summarizes the history, with the best epoch's validation
+    metrics (a regressor's val_mse is the Table-5 analogue of its "accuracy"
+    column), and the test score: a regressor's is its two-stage pair's."""
+
+    def fit(variant_id, stage1=None):
+        trained, history = fit_variant(variant_id, train_table, seed, overrides, stage1)
+        best = history.records[history.best_epoch - 1]
+        return trained, {
+            "variant": variant_id,
+            "epochs": history.n_epochs,
+            "best_epoch": history.best_epoch,
+            "stopped_early": history.stopped_early,
+            **{f"best_{k}": v for k, v in best.items() if k.startswith("val_")},
+        }
+
+    classifier, row = fit(classifier_id)
+    _, scores = score_classifier(classifier, test_table)
+    metrics = scores["classification"]
+    row.update(test_accuracy=metrics["accuracy"], test_macro_f1=metrics["macro_f1"])
+    row.update(confusion=scores["confusion"], per_class=metrics)
+    chain = [(classifier, row)]
+    for vid in regressor_ids:
+        model, row = fit(vid, classifier)
+        _, _, scores = evaluate_two_stage(TwoStageModel(classifier, model), test_table)
+        row.update(regression=scores["regression"], paired_classifier=classifier_id)
+        chain.append((model, row))
+    return chain
 
 
 def run_pipeline(config: PipelineConfig) -> dict:
@@ -191,42 +206,26 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "augmented_n": len(augmented),
         "balanced_n": len(balanced_idx),
         "test_n": len(test_rows),
-        "classifiers": {},
-        "regressors": {},
+        # In config order, as --verbose prints them; filled chain by chain.
+        "classifiers": dict.fromkeys(config.classifier_ids),
+        "regressors": dict.fromkeys(config.regressor_ids),
     }
 
-    # Stage 5: classifiers, each scored on the test split.
-    classifier_models = {}
-    for vid in config.classifier_ids:
-        model, summary = _train_variant(vid, encoded_train, config)
-        _, scores = score_classifier(model, encoded_test)
-        metrics = scores["classification"]
-        summary["test_accuracy"] = metrics["accuracy"]
-        summary["test_macro_f1"] = metrics["macro_f1"]
-        summary["confusion"] = scores["confusion"]
-        summary["per_class"] = metrics
-        classifier_models[vid] = model
-        save_model(model, out_dir / f"model_{vid}.json")
-        report["classifiers"][vid] = summary
-
-    # Stage 6: regressors, fed by their paired classifier's output and scored
-    # on the test split as that two-stage pair.
-    regressor_models = {}
-    for vid in config.regressor_ids:
-        cid = pair_for_regressor(vid)
-        model, summary = _train_variant(vid, encoded_train, config, classifier_models[cid])
-        pair = TwoStageModel(classifier_models[cid], model)
-        _, _, scores = evaluate_two_stage(pair, encoded_test)
-        summary["regression"] = scores["regression"]
-        summary["paired_classifier"] = cid
-        regressor_models[vid] = model
-        save_model(model, out_dir / f"model_{vid}.json")
-        report["regressors"][vid] = summary
+    # Stages 5 and 6: one chain per classifier, in classifier_ids order.
+    models = {}
+    shared = (encoded_train, encoded_test, config.seed, config.training_overrides)
+    for cid in config.classifier_ids:
+        feeds = [vid for vid in config.regressor_ids if pair_for_regressor(vid) == cid]
+        for model, row in fit_chain(cid, feeds, *shared):
+            vid = model.variant_id
+            models[vid] = model
+            save_model(model, out_dir / f"model_{vid}.json")
+            report["classifiers" if vid == cid else "regressors"][vid] = row
 
     # Stage 7: compose the selected pair and sanity-run it on the test set.
     stage1_id, stage2_id = config.compose_pair
-    if stage1_id in classifier_models and stage2_id in regressor_models:
-        two_stage = TwoStageModel(classifier_models[stage1_id], regressor_models[stage2_id])
+    if stage1_id in models and stage2_id in models:
+        two_stage = TwoStageModel(models[stage1_id], models[stage2_id])
         save_two_stage(two_stage, out_dir / "twostage.json")
         _, _, scores = evaluate_two_stage(two_stage, encoded_test)
         report["composed"] = {

@@ -60,7 +60,11 @@ def test_train_clock_times_every_train_call(tmp_path, monkeypatch):
     run_pipeline(config)
 
     variants = [*config.classifier_ids, *config.regressor_ids]
-    assert [vid for vid, _, _ in clock.calls] == variants
+    # Chain by chain, in classifier_ids order: a classifier, then the
+    # regressors it feeds.
+    assert [vid for vid, _, _ in clock.calls] == [
+        "a1", "b2", "b1", "a2", "c1", "d1", "e1", "d2", "f1", "c2"
+    ]
     assert all(seconds > 0 and rows > 0 for _, seconds, rows in clock.calls)
     # Every epoch but a call's last is timed, so two epochs give one row each.
     assert sorted(vid for vid, _, _ in clock.epochs) == sorted(variants)

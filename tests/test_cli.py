@@ -452,6 +452,66 @@ class TestStreamedPredict:
         assert not (tmp_path / "predictions.csv").exists()
 
 
+class TestDescriptorOut:
+    """An output path that names an open descriptor, as /dev/stdout does, is
+    written through it: a pipe gets the bytes a file would, a log opened for
+    appending keeps its earlier lines, and a --verbose line follows the
+    output."""
+
+    COMMANDS = {
+        "predict": ["predict", "--model", "{twostage}", "--in", "{corpus}", "--out", "{target}"],
+        "evaluate-errors": [
+            "evaluate", "--model", "{twostage}", "--data", "{corpus}", "--out", "{report}",
+            "--errors", "{target}",
+        ],
+    }
+
+    def command(self, workdir, tmp_path, name, target):
+        paths = {
+            "corpus": workdir / "corpus.csv",
+            "twostage": workdir / "twostage.json",
+            "report": tmp_path / "report.json",
+            "target": target,
+        }
+        return [arg.format(**paths) for arg in self.COMMANDS[name]]
+
+    def expected(self, workdir, tmp_path, name):
+        target = tmp_path / "expected.csv"
+        assert main(self.command(workdir, tmp_path, name, target)) == EXIT_OK
+        return target.read_bytes()
+
+    @staticmethod
+    def run(argv, stdout):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        return subprocess.run(
+            [sys.executable, "-m", "rtp.cli", *argv], stdout=stdout, env=env,
+            check=True, timeout=120,
+        ).stdout
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_a_pipe_gets_the_bytes_of_a_file(self, workdir, tmp_path, name):
+        expected = self.expected(workdir, tmp_path, name)
+        argv = self.command(workdir, tmp_path, name, "/dev/stdout")
+        assert self.run(argv, subprocess.PIPE) == expected
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_an_appended_log_keeps_its_earlier_lines(self, workdir, tmp_path, name):
+        expected = self.expected(workdir, tmp_path, name)
+        log = tmp_path / "log"
+        log.write_bytes(b"earlier line\n")
+        with open(log, "ab") as handle:  # as the shell opens `>> log`
+            self.run(self.command(workdir, tmp_path, name, "/dev/stdout"), handle)
+        assert log.read_bytes() == b"earlier line\n" + expected
+
+    def test_the_verbose_line_follows_the_output(self, workdir, tmp_path):
+        expected = self.expected(workdir, tmp_path, "predict")
+        log = tmp_path / "log"
+        argv = ["--verbose", *self.command(workdir, tmp_path, "predict", "/dev/stdout")]
+        with open(log, "wb") as handle:  # as the shell opens `> log`
+            self.run(argv, handle)
+        assert log.read_bytes() == expected + b"wrote 120 predictions to /dev/stdout\n"
+
+
 class TestPinnedOutputs:
     # sha256 of each file as the parent of the columnar pipeline wrote it; a
     # change to the corpus generator, the sampler or the CSV writer shows here.
@@ -596,6 +656,22 @@ class TestPipelineCommand:
         assert (out_dir / "twostage.json").exists()
         assert (out_dir / "corpus.csv").exists()
 
+
+    def test_verbose_lists_each_kind_in_config_order(self, tmp_path, capsys):
+        # The chains train b1, a2, a1 and then b2; each kind prints in its
+        # list's order.
+        config = tmp_path / "pipeline.json"
+        config.write_text(json.dumps({
+            "out_dir": str(tmp_path / "out"), "corpus_n": 300, "augment_n": 50,
+            "classifier_ids": ["b1", "a1"], "regressor_ids": ["b2", "a2"],
+            "training_overrides": {"max_epochs": 1},
+        }))
+        assert main(["--verbose", "pipeline", "--config", str(config)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(": ", 1)[0] for line in lines] == ["b1", "a1", "b2", "a2"]
+        assert [line.split(": ", 1)[1].split()[0] for line in lines] == [
+            "accuracy", "accuracy", "test", "test"
+        ]
 
     def test_pipeline_without_variants_balances_the_pool(self, tmp_path):
         config = PipelineConfig(
@@ -1024,6 +1100,12 @@ class TestExitCodes:
         "classifier_ids-number": ({"classifier_ids": 5}, "classifier_ids"),
         "classifier_ids-unknown": ({"classifier_ids": ["zz"]}, "classifier_ids"),
         "regressor_ids-classifier": ({"regressor_ids": ["a1"]}, "regressor_ids"),
+        "classifier_ids-repeated": (
+            {"classifier_ids": ["a1", "a1"]}, "classifier_ids must be a list of distinct ids"
+        ),
+        "regressor_ids-repeated": (
+            {"regressor_ids": ["b2", "b2"]}, "regressor_ids must be a list of distinct ids"
+        ),
         "compose_pair-one-id": ({"compose_pair": ["a1"]}, "compose_pair"),
         "regressor_ids-unpaired": (
             {"classifier_ids": ["e1"], "regressor_ids": ["b2"]}, "regressor_ids"
@@ -1527,8 +1609,8 @@ class TestErrorsNameTheirInput:
         "policy-unknown-key": ("pipeline", {"policy": {"bogus": 1}}, "unknown key 'policy'"),
         "pipeline-50-unknown-ids": (
             "pipeline", {"classifier_ids": [f"x{i}" for i in range(50)]},
-            "classifier_ids must be a list of ids from ('a1', 'b1', 'c1', 'd1', 'e1', 'f1'), "
-            "got a list of 50 items",
+            "classifier_ids must be a list of distinct ids from "
+            "('a1', 'b1', 'c1', 'd1', 'e1', 'f1'), got a list of 50 items",
         ),
         # The OS refuses it only once the pipeline makes the directory.
         "pipeline-nul-out-dir": (

@@ -72,6 +72,30 @@ def test_a_device_is_written_in_place():
     assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
+@pytest.mark.parametrize("template", ["/dev/fd/{}", "/proc/self/fd/{}"])
+def test_a_descriptor_is_written_through_and_left_open(tmp_path, template):
+    log = tmp_path / "log"
+    log.write_text("earlier\n")
+    descriptor = os.open(log, os.O_WRONLY | os.O_APPEND)
+    try:
+        with writing(template.format(descriptor)) as handle:
+            handle.write("written\n")
+        os.write(descriptor, b"after\n")
+    finally:
+        os.close(descriptor)
+    assert log.read_text() == "earlier\nwritten\nafter\n"
+    assert names(tmp_path) == ["log"]
+
+
+def test_a_closed_descriptor_is_named_in_the_error():
+    descriptor = os.open(os.devnull, os.O_WRONLY)
+    os.close(descriptor)
+    with pytest.raises(OSError) as caught:
+        with writing(f"/dev/fd/{descriptor}"):
+            pass
+    assert caught.value.filename == f"/dev/fd/{descriptor}"
+
+
 def test_an_unwritable_target_is_named_in_the_error(tmp_path):
     out = tmp_path / "missing" / "out.csv"
     with pytest.raises(FileNotFoundError) as caught:

@@ -156,3 +156,34 @@ class TestRegressorScores:
             "regression": scores["regression"],
         }
         assert report["composed"]["regression"] != report["regressors"]["d2"]["regression"]
+
+
+class TestChains:
+    """The pipeline trains chain by chain: a classifier, then the listed
+    regressors it feeds. A chain's models do not depend on which other
+    chains run."""
+
+    def test_fit_chain_returns_the_chain_in_order(self):
+        table = encoded()
+        chain = pipeline.fit_chain("a1", ["b2"], table, table, 0, {"max_epochs": 1})
+        assert [(model.variant_id, row["variant"]) for model, row in chain] == [
+            ("a1", "a1"), ("b2", "b2")]
+        assert chain[1][1]["paired_classifier"] == "a1"
+
+    @staticmethod
+    def model_files(out_dir, classifier_ids, regressor_ids):
+        run_pipeline(PipelineConfig(
+            out_dir=out_dir, corpus_n=300, augment_n=50, classifier_ids=classifier_ids,
+            regressor_ids=regressor_ids, training_overrides={"max_epochs": 2},
+        ))
+        return {path.name: path.read_bytes() for path in out_dir.glob("model_*.json")}
+
+    def test_a_chain_trains_the_models_it_trains_alone(self, tmp_path):
+        # b1's pair a2 is not listed, so b1 is a chain of its own.
+        together = self.model_files(tmp_path / "together", ["a1", "b1"], ["b2"])
+        assert sorted(together) == ["model_a1.json", "model_b1.json", "model_b2.json"]
+        apart = {
+            **self.model_files(tmp_path / "a1", ["a1"], ["b2"]),
+            **self.model_files(tmp_path / "b1", ["b1"], []),
+        }
+        assert together == apart

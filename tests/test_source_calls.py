@@ -1,5 +1,6 @@
 """A trained network meets feature rows in one place only,
-rtp.compose.run_stage, so its inputs are always its variant's columns."""
+rtp.compose.run_stage, so its inputs are always its variant's columns; and a
+variant is trained in two places only, one pipeline chain and rtp train."""
 
 import ast
 from pathlib import Path
@@ -60,3 +61,7 @@ def test_only_run_stage_and_fit_variant_pick_a_network_input():
         "compose.py": ["run_stage"],
         "pipeline.py": ["fit_variant", "fit_variant"],
     }
+
+
+def test_only_fit_chain_and_rtp_train_train_a_variant():
+    assert uses_in_rtp("fit_variant") == {"cli.py": ["_cmd_train"], "pipeline.py": ["fit_chain"]}
