@@ -23,6 +23,7 @@ from .engine import (
 )
 from .evaluate import class_metrics, confusion, regression_report
 from .files import writing
+from .ingest import CHUNK_ROWS
 from .model_zoo import stage_inputs
 from .preprocess import TASKS, VARIANTS, EncodedTable, denormalize_power, encode_row
 
@@ -133,8 +134,14 @@ def run_stage(
     input matrix, closed by `probs` for a regressor, run through its layers.
     The only place a network meets feature rows; nothing is checked, so the
     model must take its variant's inputs, as build_variant's do and as
-    check_stage makes sure of for a model read from a file."""
-    return run_layers(model, stage_inputs(features, model.variant_id, probs))
+    check_stage makes sure of for a model read from a file. Rows run in
+    blocks of CHUNK_ROWS, the last taking a shorter remainder too: every block
+    but the last fills BLAS's 4-row kernel and none is a one-row tail, so each
+    row gets the bits of one pass over all rows, in under 2 * CHUNK_ROWS."""
+    x = stage_inputs(features, model.variant_id, probs)
+    cuts = range(CHUNK_ROWS, len(x) - CHUNK_ROWS + 1, CHUNK_ROWS)
+    outputs = [run_layers(model, block) for block in (np.split(x, cuts) if cuts else [x])]
+    return np.concatenate(outputs) if cuts else outputs[0]
 
 
 def _run_stages(model: TwoStageModel, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

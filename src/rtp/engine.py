@@ -16,18 +16,17 @@ from typing import Any, Callable, Union
 
 import numpy as np
 
-from .domain import is_count, is_nonnegative_integer, is_number, shown
+from .domain import N_CLASSES, is_count, is_nonnegative_integer, is_number, shown
 from .files import writing
 
 # Format 2 stores all parameters as one binary block; format 1 files still load.
 FORMAT_VERSION = 2
 READABLE_VERSIONS = (1, 2)
 
-# Model-file head names and their layers' (activation, width); softmax is domain.N_CLASSES wide.
-SOFTMAX_WIDTH = 5
-HEAD_SOFTMAX = f"softmax-{SOFTMAX_WIDTH}"
+# Model-file head names and their layers' (activation, width).
+HEAD_SOFTMAX = f"softmax-{N_CLASSES}"
 HEAD_SIGMOID = "sigmoid-1"
-HEAD_LAYERS = {HEAD_SOFTMAX: ("softmax", SOFTMAX_WIDTH), HEAD_SIGMOID: ("sigmoid", 1)}
+HEAD_LAYERS = {HEAD_SOFTMAX: ("softmax", N_CLASSES), HEAD_SIGMOID: ("sigmoid", 1)}
 
 LOSS_CCE = "categorical_cross_entropy"
 LOSS_MAE = "mean_absolute_error"
@@ -250,7 +249,6 @@ def run_layers(model: NetworkModel, x: np.ndarray, caches: list | None = None) -
     if model.aux_width:
         pieces.append(x[:, start:])
     merged = np.concatenate(pieces, axis=1) if len(pieces) > 1 else pieces[0]
-    del pieces  # merged holds their values; free them before the trunk runs
     return run(model.trunk, merged)
 
 

@@ -13,10 +13,21 @@ _STANDARD = {"/dev/stdout": 1, "/dev/stderr": 2}
 
 
 def _descriptor(path: Union[str, Path]) -> Union[int, None]:
-    """The open descriptor of this process that `path` names, or None."""
-    path = os.path.abspath(path)
-    found = re.fullmatch(r"/(?:dev|proc/self)/fd/(\d+)", path)
-    return int(found[1]) if found else _STANDARD.get(path)
+    """The open descriptor of this process that `path`, or a symbolic link on
+    the way from it to its file, names; or None. Links are followed one hop
+    at a time, since realpath would go on to the file behind the descriptor."""
+    path, seen = os.path.abspath(path), set()
+    while path not in seen:
+        found = re.fullmatch(r"/(?:dev|proc/self)/fd/(\d+)", path)
+        if found or path in _STANDARD:
+            return int(found[1]) if found else _STANDARD[path]
+        seen.add(path)
+        try:
+            hop = os.readlink(path)
+        except OSError:  # not a link, or not there
+            return None
+        path = os.path.normpath(os.path.join(os.path.dirname(path), hop))
+    return None  # a loop of links
 
 
 @contextmanager
@@ -30,11 +41,11 @@ def writing(path: Union[str, Path]) -> Iterator[TextIO]:
     one, and the target may be a file the block is still reading. A new
     target gets the mode open(path, "w") would give it, a replaced one keeps
     its own. A path that names an open descriptor (/dev/stdout, /dev/stderr,
-    /dev/fd/N, /proc/self/fd/N) is written through that descriptor, as print
-    writes to stdout: nothing is truncated, so `>> log` keeps the log's
-    earlier lines. Any other target that is not a regular file (/dev/null, a
-    pipe, a FIFO) is written in place. There is no fsync: the guarantee
-    covers a failing process, not a power loss.
+    /dev/fd/N, /proc/self/fd/N), itself or through symbolic links, is written
+    through that descriptor, as print writes to stdout: nothing is truncated,
+    so `>> log` keeps the log's earlier lines. Any other target that is not
+    a regular file (/dev/null, a pipe, a FIFO) is written in place. There is
+    no fsync: the guarantee covers a failing process, not a power loss.
     """
     descriptor = _descriptor(path)
     try:

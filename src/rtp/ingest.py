@@ -212,14 +212,14 @@ def _check_range(values: list, lo: float, hi: float, name: str, errors: list) ->
     return column
 
 
-# CSV lines parsed at a time, so that only one chunk's raw strings are alive
-# at once rather than the whole file's.
+# Data rows that read_chunks parses at a time, so that only a chunk's raw
+# strings are alive at once; and rows in a block of compose.run_stage's pass.
 CHUNK_ROWS = 256
 
 
 def read_log(source: Union[str, Path, TextIO]) -> ObservationTable:
-    """Parse a transient-log CSV into a table, column by column, CHUNK_ROWS
-    lines at a time.
+    """Parse a transient-log CSV into a table, column by column, a chunk of
+    read_chunks at a time.
 
     Rows are numbered from 1 over data rows (header excluded, blank lines
     counted) so errors point at the offending line. A failure raises
@@ -237,9 +237,10 @@ def parse_log(source: Union[str, Path, TextIO]) -> list[RawLogRow]:
 
 
 def read_chunks(source: Union[str, Path, TextIO]) -> Iterator[ObservationTable]:
-    """The tables of successive CHUNK_ROWS-line chunks of a transient-log CSV,
-    each parsed and checked as read_log says before it is yielded; a chunk
-    with no data row yields nothing."""
+    """The tables of successive chunks of CHUNK_ROWS data rows of a
+    transient-log CSV, the last taking a shorter remainder too, as
+    compose.run_stage cuts a pass into blocks; each chunk is parsed and
+    checked as read_log says before it is yielded."""
     if isinstance(source, (str, Path)):
         with open(source, "r", newline="") as handle:
             yield from read_chunks(handle)
@@ -254,15 +255,17 @@ def read_chunks(source: Union[str, Path, TextIO]) -> Iterator[ObservationTable]:
         if isinstance(header, list):
             header = f"[{', '.join(map(shown, header))}]"
         raise DataError(f"unexpected CSV header {header}; expected {CSV_HEADER}")
-    lines = enumerate(records, start=1)
-    any_rows = False
-    while chunk := list(islice(lines, CHUNK_ROWS)):
-        numbered = [(i, record) for i, record in chunk if record]
-        if numbered:
-            any_rows = True
-            yield _parse_rows(*zip(*numbered))
-    if not any_rows:
+    rows = ((i, record) for i, record in enumerate(records, start=1) if record)
+    chunk = list(islice(rows, CHUNK_ROWS))
+    if not chunk:
         raise DataError("CSV contains a header but no data rows")
+    while chunk:
+        # Only the next chunk's raw records are read ahead of the yield.
+        ahead = list(islice(rows, CHUNK_ROWS))
+        if len(ahead) < CHUNK_ROWS:
+            chunk, ahead = chunk + ahead, []
+        yield _parse_rows(*zip(*chunk))
+        chunk = ahead
 
 
 def _records(reader: Iterator[list[str]]) -> Iterator[Union[list[str], csv.Error]]:

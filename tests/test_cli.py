@@ -359,8 +359,8 @@ class TestArtifacts:
 
 @pytest.fixture(scope="module")
 def long_csv(tmp_path_factory):
-    """A transient log of 2 * CHUNK_ROWS + 1 rows: two full chunks and a
-    one-row one."""
+    """A transient log of 2 * CHUNK_ROWS + 1 rows: a full chunk, then a last
+    one that takes the one-row remainder too."""
     path = tmp_path_factory.mktemp("long") / "long.csv"
     write_observations(synthesize_corpus(CorpusSpec(2 * CHUNK_ROWS + 1, seed=5)), path)
     return path
@@ -376,7 +376,8 @@ class TestStreamedPredict:
                      "--in", str(infile), "--out", str(out)])
 
     def test_each_stage_runs_once_per_chunk(self, workdir, long_csv, tmp_path, monkeypatch):
-        # No per-row network passes, and no pass over more than one chunk.
+        # No per-row network passes, no pass over more than one chunk, and a
+        # one-row remainder joins the last chunk.
         calls = []
         original = compose.run_layers
 
@@ -386,10 +387,11 @@ class TestStreamedPredict:
 
         monkeypatch.setattr(compose, "run_layers", counting_run_layers)
         assert self.predict(workdir, long_csv, tmp_path / "predictions.csv") == EXIT_OK
-        assert calls == [("a1", CHUNK_ROWS), ("b2", CHUNK_ROWS)] * 2 + [("a1", 1), ("b2", 1)]
+        assert calls == [("a1", CHUNK_ROWS), ("b2", CHUNK_ROWS),
+                         ("a1", CHUNK_ROWS + 1), ("b2", CHUNK_ROWS + 1)]
 
     def test_matches_the_whole_table(self, workdir, long_csv, tmp_path):
-        # A chunk's rows may differ from a whole-table pass in the last bit only.
+        # A chunk's rows get the bits of a whole-table pass.
         out = tmp_path / "predictions.csv"
         assert self.predict(workdir, long_csv, out) == EXIT_OK
         with open(out, newline="") as handle:
@@ -399,8 +401,8 @@ class TestStreamedPredict:
         assert [int(row["row"]) for row in rows] == list(range(1, 2 * CHUNK_ROWS + 2))
         got_probs = np.array([[float(row[f"prob_{i}"]) for i in range(5)] for row in rows])
         assert [int(row["predicted_class"]) for row in rows] == classes.tolist()
-        assert np.abs(got_probs - probs).max() <= 1e-12
-        assert np.abs(np.array([float(row["power_norm"]) for row in rows]) - norm).max() <= 1e-12
+        assert np.array_equal(got_probs, probs)
+        assert np.array_equal(np.array([float(row["power_norm"]) for row in rows]), norm)
 
     def test_out_may_name_the_input(self, workdir, long_csv, tmp_path):
         expected, same = tmp_path / "expected.csv", tmp_path / "same.csv"
@@ -450,6 +452,91 @@ class TestStreamedPredict:
         }[reported]
         assert capsys.readouterr().err == f"error: {bad}: row {reported}: {message}\n"
         assert not (tmp_path / "predictions.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def seed0_lines(tmp_path_factory):
+    """The header and the first 1,025 data lines of the seed-0 corpus."""
+    path = tmp_path_factory.mktemp("seed0") / "corpus.csv"
+    write_observations(synthesize_corpus(CorpusSpec(1025, seed=0)), path)
+    return path.read_text().splitlines(True)
+
+
+class TestBlockRule:
+    """A row's answer does not depend on how its file is cut: rtp predict's
+    chunks and rtp evaluate's whole table give the bits of one pass over the
+    whole file."""
+
+    CASES = {"257-rows": (257, 0), "1025-rows": (1025, 0), "1025-rows-3-blank-lines": (1025, 3)}
+
+    @pytest.fixture(params=CASES.values(), ids=CASES)
+    def rows_csv(self, request, seed0_lines, tmp_path):
+        n, blanks = request.param
+        lines = seed0_lines[: n + 1]
+        lines[300:300] = ["\r\n"] * blanks
+        path = tmp_path / "rows.csv"
+        path.write_text("".join(lines))
+        return path
+
+    @staticmethod
+    def predicted(workdir, rows_csv, tmp_path):
+        out = tmp_path / "predictions.csv"
+        assert main(["predict", "--model", str(workdir / "twostage.json"),
+                     "--in", str(rows_csv), "--out", str(out)]) == EXIT_OK
+        with open(out, newline="") as handle:
+            return list(csv.DictReader(handle))
+
+    def test_predict_gives_the_whole_table_bits(self, workdir, rows_csv, tmp_path):
+        rows = self.predicted(workdir, rows_csv, tmp_path)
+        model = compose.load_two_stage(workdir / "twostage.json")
+        probs, classes, norm = compose.predict_arrays(model, encode_table(read_log(rows_csv)))
+        assert [int(row["row"]) for row in rows] == list(range(1, len(norm) + 1))
+        assert [[float(row[f"prob_{i}"]) for i in range(5)] for row in rows] == probs.tolist()
+        assert [int(row["predicted_class"]) for row in rows] == classes.tolist()
+        assert [float(row["power_norm"]) for row in rows] == norm.tolist()
+
+    def test_evaluate_errors_match_predict(self, workdir, seed0_lines, tmp_path):
+        rows_csv = tmp_path / "rows.csv"
+        rows_csv.write_text("".join(seed0_lines))
+        rows = self.predicted(workdir, rows_csv, tmp_path)
+        errors = tmp_path / "errors.csv"
+        assert main(["evaluate", "--model", str(workdir / "twostage.json"), "--data",
+                     str(rows_csv), "--out", str(tmp_path / "report.json"),
+                     "--errors", str(errors)]) == EXIT_OK
+        with open(errors, newline="") as handle:
+            got = [float(row["abs_error_norm"]) for row in csv.DictReader(handle)]
+        target = encode_table(read_log(rows_csv)).target
+        assert len(got) == len(rows) == 1025
+        assert got == [abs(float(row["power_norm"]) - t) for row, t in zip(rows, target.tolist())]
+
+    def test_evaluate_peak_memory(self, workdir, tmp_path):
+        # 50,000 rows in a fresh process, which reports its own peak resident
+        # memory. Not the pytest process's RUSAGE_CHILDREN, which keeps the
+        # largest child seen so far, nor the child's own ru_maxrss, which
+        # Linux carries across exec from the parent's peak: a child of a
+        # 300 MB process reads 321 MB there. VmHWM is the peak since exec.
+        sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
+        try:
+            import rowgen
+        finally:
+            sys.path.pop(0)
+        rows_csv = tmp_path / "rows.csv"
+        rowgen.write_csv(rowgen.generate_rows(50_000, seed=7), rows_csv)
+        script = (
+            "import sys\n"
+            "from rtp.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(*(line.split()[1] for line in open('/proc/self/status')\n"
+            "        if line.startswith('VmHWM:')))\n"
+            "sys.exit(code)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", script, "evaluate", "--model", str(workdir / "twostage.json"),
+             "--data", str(rows_csv), "--out", str(tmp_path / "report.json")],
+            env=env, stdout=subprocess.PIPE, text=True, check=True, timeout=120,
+        )
+        assert int(done.stdout) < 100 * 1024  # VmHWM is in KiB
 
 
 class TestDescriptorOut:
@@ -503,6 +590,17 @@ class TestDescriptorOut:
             self.run(self.command(workdir, tmp_path, name, "/dev/stdout"), handle)
         assert log.read_bytes() == b"earlier line\n" + expected
 
+    def test_a_link_to_stdout_keeps_the_log(self, workdir, tmp_path):
+        # `ln -s /dev/stdout lnk; rtp predict ... --out lnk >> log`
+        expected = self.expected(workdir, tmp_path, "predict")
+        log, link = tmp_path / "log", tmp_path / "lnk"
+        log.write_bytes(b"earlier line\n")
+        link.symlink_to("/dev/stdout")
+        with open(log, "ab") as handle:
+            self.run(self.command(workdir, tmp_path, "predict", link), handle)
+        assert log.read_bytes() == b"earlier line\n" + expected
+        assert link.is_symlink()
+
     def test_the_verbose_line_follows_the_output(self, workdir, tmp_path):
         expected = self.expected(workdir, tmp_path, "predict")
         log = tmp_path / "log"
@@ -552,6 +650,21 @@ class TestPinnedOutputs:
         "report.json": "9dd3e3d0f9c110d9cec109927b8dfaaca62a2c09427fd7a4d67b8217a464ea68",
         "twostage.json": "fb81f99b7a5bddbb90c5743a8a97b4e7008d561b9a050159ed1cb21d3f320128",
     }
+    # A run whose test split (600 rows) and balanced pool (1,340) are cut
+    # into blocks by compose.run_stage, taken before blocking: a1's
+    # best_val_loss, from training's unblocked epoch evaluation, differs in
+    # its last digit at two BLAS threads, so report.json has a digest each.
+    BLOCKED_PIPELINE_SHA256 = {
+        "augmented.csv": "838fdf1acc73b358bf4a1f54c53ff17dc59e48f98c6f0797c999dec2d88d56ce",
+        "corpus.csv": "3cd4c5188eabe989923f2b4bb7d40297c1e8c3a279adda32d508994f22013a8b",
+        "model_a1.json": "d6715b1af3d92b0cb92b6fbbd5d06c90aaf576668c8ebea7c2d6be4f9fad94cd",
+        "model_b2.json": "a4075bce7eeeaf7d697fdfd70c3728252dc70bb97d94ae7ecc77283ff74d5ac4",
+        "report.json": "fc86f1f91f9758475e9dacb526aa2d7c9c59b94cd04386842fa5a8c89cfde95d",
+        "twostage.json": "ea80321da63e82e0ef0b10ae38271f0f53c0821aeaf1a871303aeaef4f91cc12",
+    }
+    REPORT_SHA256_AT_TWO_THREADS = {
+        "2000": "162af801c3a211e1f35830def042b094dac64f0630ced1d3f1a316d2d146011e",
+    }
     PIPELINES = {
         "600": (
             {"seed": 0, "corpus_n": 600, "augment_n": 150,
@@ -563,16 +676,23 @@ class TestPinnedOutputs:
              "classifier_ids": ["a1", "c1"], "regressor_ids": ["b2"]},
             BRANCH_PIPELINE_SHA256,
         ),
+        "2000": (
+            {"seed": 0, "corpus_n": 2000, "augment_n": 400,
+             "classifier_ids": ["a1"], "regressor_ids": ["b2"]},
+            BLOCKED_PIPELINE_SHA256,
+        ),
     }
 
     # Two BLAS threads must give the one-thread bytes too.
     @pytest.mark.parametrize(
         "rows,blas_threads",
-        [("600", "1"), ("600", "2"), ("1000", "1"), ("1000", "2")],
-        ids=["1", "2", "1000-rows-1", "1000-rows-2"],
+        [("600", "1"), ("600", "2"), ("1000", "1"), ("1000", "2"), ("2000", "1"), ("2000", "2")],
+        ids=["1", "2", "1000-rows-1", "1000-rows-2", "2000-rows-1", "2000-rows-2"],
     )
     def test_trained_pipeline_bytes(self, tmp_path, rows, blas_threads):
         doc, expected = self.PIPELINES[rows]
+        if blas_threads == "2" and rows in self.REPORT_SHA256_AT_TWO_THREADS:
+            expected = {**expected, "report.json": self.REPORT_SHA256_AT_TWO_THREADS[rows]}
         config = tmp_path / "pipeline.json"
         config.write_text(json.dumps(doc))
         out_dir = tmp_path / "out"

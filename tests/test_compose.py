@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from rtp import compose
 from rtp.compose import (
     CompositionError,
     TwoStageModel,
@@ -15,8 +16,14 @@ from rtp.compose import (
     save_two_stage,
 )
 from rtp.domain import DEFAULT_CONFIGS, ReactorState, TransientObservation, config_for_date
-from rtp.engine import ModelFormatError, forward, load_model, save_model
-from rtp.ingest import CorpusSpec, ObservationTable, row_to_observation, synthesize_corpus
+from rtp.engine import ModelFormatError, forward, load_model, run_layers, save_model
+from rtp.ingest import (
+    CHUNK_ROWS,
+    CorpusSpec,
+    ObservationTable,
+    row_to_observation,
+    synthesize_corpus,
+)
 from rtp.model_zoo import CLASSIFIER_IDS, REGRESSOR_IDS, build_variant, stage_inputs
 from rtp.preprocess import VARIANTS, denormalize_power, encode_dataset, encode_table
 
@@ -127,6 +134,35 @@ class TestPredictBatch:
                 table = encode_table(ObservationTable.from_observations([obs]))
                 single = predict(model, obs, config_for_date(obs.date))
                 assert single == predict_batch(model, table, table)[0], (cid, rid, obs)
+
+
+@pytest.fixture(scope="module")
+def corpus_features():
+    """The (1025, 12) feature rows of the first 1,025 seed-0 corpus rows."""
+    return encode_table(synthesize_corpus(CorpusSpec(n_observations=1025, seed=0))).features
+
+
+class TestRunStageBlocks:
+    """run_stage runs CHUNK_ROWS-row blocks, the last taking a shorter
+    remainder too, and each row keeps the bits of one pass over all rows."""
+
+    @pytest.mark.parametrize("n", [1, 511, 512, 513, 767, 768, 1025])
+    def test_blocks_give_the_bits_of_one_pass(self, stages, corpus_features, monkeypatch, n):
+        classifier, regressor = stages
+        features = corpus_features[:n]
+        probs = run_layers(classifier, stage_inputs(features, "a1"))
+        norm = run_layers(regressor, stage_inputs(features, "b2", probs))
+        sizes = []
+
+        def counting_run_layers(model, x):
+            sizes.append(len(x))
+            return run_layers(model, x)
+
+        monkeypatch.setattr(compose, "run_layers", counting_run_layers)
+        assert np.array_equal(compose.run_stage(classifier, features), probs)
+        assert np.array_equal(compose.run_stage(regressor, features, probs), norm)
+        assert sum(sizes) == 2 * n
+        assert min(n, CHUNK_ROWS) <= min(sizes) and max(sizes) < 2 * CHUNK_ROWS
 
 
 class TestSerialization:

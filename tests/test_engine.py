@@ -18,7 +18,6 @@ from rtp.engine import (
     HEAD_SOFTMAX,
     LOSS_CCE,
     LOSS_MAE,
-    SOFTMAX_WIDTH,
     DenseLayer,
     ModelFormatError,
     NetworkModel,
@@ -427,7 +426,6 @@ class TestModelValidation:
     def test_softmax_head_is_the_class_count_wide(self):
         # "softmax-5" is a model-file format name; it and the head width are
         # the class count.
-        assert SOFTMAX_WIDTH == N_CLASSES
         assert HEAD_SOFTMAX == f"softmax-{N_CLASSES}" == "softmax-5"
         assert HEAD_LAYERS[HEAD_SOFTMAX] == ("softmax", N_CLASSES)
 

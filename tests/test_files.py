@@ -87,6 +87,32 @@ def test_a_descriptor_is_written_through_and_left_open(tmp_path, template):
     assert names(tmp_path) == ["log"]
 
 
+def test_a_chain_of_links_to_a_descriptor_is_written_through(tmp_path):
+    # Each relative hop is resolved against its own link's directory.
+    log = tmp_path / "log"
+    log.write_text("earlier\n")
+    (tmp_path / "sub").mkdir()
+    descriptor = os.open(log, os.O_WRONLY | os.O_APPEND)
+    try:
+        (tmp_path / "outer").symlink_to(f"/dev/fd/{descriptor}")
+        (tmp_path / "sub" / "inner").symlink_to("../outer")
+        (tmp_path / "link").symlink_to("sub/inner")
+        with writing(tmp_path / "link") as handle:
+            handle.write("written\n")
+    finally:
+        os.close(descriptor)
+    assert log.read_text() == "earlier\nwritten\n"
+    assert names(tmp_path) == ["link", "log", "outer", "sub"]
+
+
+def test_a_loop_of_links_is_an_error(tmp_path):
+    (tmp_path / "a").symlink_to("b")
+    (tmp_path / "b").symlink_to("a")
+    with pytest.raises(OSError):
+        with writing(tmp_path / "a"):
+            pass
+
+
 def test_a_closed_descriptor_is_named_in_the_error():
     descriptor = os.open(os.devnull, os.O_WRONLY)
     os.close(descriptor)

@@ -20,6 +20,7 @@ from rtp.domain import (
     shown,
 )
 from rtp.ingest import (
+    CHUNK_ROWS,
     CSV_HEADER,
     CorpusSpec,
     DataError,
@@ -29,6 +30,7 @@ from rtp.ingest import (
     RawLogRow,
     filter_report,
     parse_log,
+    read_chunks,
     read_log,
     row_to_observation,
     synthesize_corpus,
@@ -101,6 +103,28 @@ class TestParseLog:
         bad = GOOD_ROW.replace("1000.0", "oops")
         with pytest.raises(ParseError, match="row 2"):
             parse_log(csv_source(GOOD_ROW, bad))
+
+
+class TestReadChunks:
+    """read_chunks cuts a CSV into chunks of CHUNK_ROWS data rows, the last
+    taking a shorter remainder too, as compose.run_stage cuts a pass."""
+
+    @pytest.mark.parametrize(
+        "n, sizes",
+        [(1, [1]), (511, [511]), (512, [256, 256]), (767, [256, 511]),
+         (1025, [256, 256, 256, 257])],
+    )
+    def test_chunk_sizes(self, n, sizes):
+        assert CHUNK_ROWS == 256
+        assert [len(chunk) for chunk in read_chunks(csv_source(*[GOOD_ROW] * n))] == sizes
+
+    def test_blank_lines_are_not_rows(self):
+        rows = [GOOD_ROW] * 513
+        rows[99:99] = [""] * 3  # data lines 100 to 102
+        chunks = list(read_chunks(csv_source(*rows)))
+        assert [len(chunk) for chunk in chunks] == [256, 257]
+        assert chunks[0].row_index[[98, 99, -1]].tolist() == [99, 103, 259]
+        assert chunks[1].row_index[[0, -1]].tolist() == [260, 516]
 
 
 def scalar_parse(text):
