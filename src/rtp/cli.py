@@ -20,7 +20,6 @@ from .compose import (
     CompositionError,
     TwoStageModel,
     check_stage,
-    evaluate_two_stage,
     load_any_model,
     load_two_stage,
     predict_arrays,
@@ -41,7 +40,7 @@ from .ingest import (
     write_observations,
 )
 from .model_zoo import REGRESSOR_IDS
-from .pipeline import PipelineConfig, check_overrides, fit_variant, run_pipeline, score_classifier
+from .pipeline import PipelineConfig, check_overrides, fit_variant, run_pipeline, score
 from .preprocess import LN_FULL_POWER, VARIANTS, encode_table, undersample
 from .training import DivergenceError
 
@@ -201,12 +200,8 @@ def _cmd_evaluate(args) -> int:
                 )
             check_stage("model", model, "classifier")
 
-    if isinstance(model, TwoStageModel):
-        predicted, abs_errors, report = evaluate_two_stage(model, table)
-        extra = {"abs_error_norm": abs_errors.tolist()}  # more --errors columns
-    else:
-        predicted, report = score_classifier(model, table)
-        extra = {}
+    predicted, abs_errors, report = score(model, table)
+    extra = {} if abs_errors is None else {"abs_error_norm": abs_errors.tolist()}
 
     with writing(args.out) as handle:
         json.dump(report, handle, sort_keys=True, indent=2)

@@ -21,7 +21,6 @@ from .engine import (
     model_to_dict,
     run_layers,
 )
-from .evaluate import class_metrics, confusion, regression_report
 from .files import writing
 from .ingest import CHUNK_ROWS
 from .model_zoo import stage_inputs
@@ -199,20 +198,3 @@ def predict(
     probs, norm = _run_stages(model, encode_row(obs, config))
     return _joint(probs[0].tolist(), int(probs.argmax()), float(norm[0, 0]))
 
-
-def evaluate_two_stage(
-    model: TwoStageModel, table: EncodedTable
-) -> tuple[np.ndarray, np.ndarray, dict]:
-    """The predicted classes on a table's rows, their absolute power errors
-    (normalized units), and the report that scores them against the table's
-    classes and targets: the `classification`, `confusion` and `regression`
-    blocks, the last conditioned on rows whose class stage 1 got right."""
-    _, predicted, norms = predict_arrays(model, table)
-    counts = confusion(table.class_index, predicted)
-    abs_errors = np.abs(norms - table.target)
-    report = {
-        "classification": class_metrics(counts),
-        "confusion": counts.tolist(),
-        "regression": regression_report(abs_errors, predicted == table.class_index),
-    }
-    return predicted, abs_errors, report

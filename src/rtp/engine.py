@@ -259,7 +259,10 @@ def forward(model: NetworkModel, x: np.ndarray) -> np.ndarray:
 
 
 def regularization_loss(model: NetworkModel) -> float:
-    return float(model.l1 @ np.abs(model.params) + model.l2 @ np.square(model.params))
+    # np.add.reduce sums in a fixed order; a BLAS dot product splits a long
+    # vector across threads, so its last bits moved with the thread count.
+    l1 = np.add.reduce(model.l1 * np.abs(model.params))
+    return float(l1 + np.add.reduce(model.l2 * np.square(model.params)))
 
 
 def data_loss(prediction: np.ndarray, target: np.ndarray, kind: str) -> float:

@@ -15,10 +15,10 @@ import numpy as np
 
 from . import seeds
 from .augment import over_sample
-from .compose import TwoStageModel, evaluate_two_stage, run_stage, save_two_stage
+from .compose import TwoStageModel, predict_arrays, run_stage, save_two_stage
 from .domain import check_settings, is_count, is_nonnegative_integer, settings_from
 from .engine import save_model
-from .evaluate import class_metrics, confusion
+from .evaluate import class_metrics, confusion, regression_report
 from .files import writing
 from .ingest import CorpusSpec, ObservationTable, synthesize_corpus, write_observations
 from .model_zoo import (
@@ -112,14 +112,23 @@ def fit_variant(variant_id: str, table, seed: int, overrides: dict, stage1=None)
     return train(model, x, targets, config)
 
 
-def score_classifier(model, table):
-    """A classifier's predicted classes on a table, and the report that
-    scores them against the table's classes: the `classification` block and
-    the `confusion` counts. The model must take its variant's inputs, as
-    compose.run_stage says."""
-    predicted = np.argmax(run_stage(model, table.features), axis=1)
+def score(model, table):
+    """The predicted classes on a table's rows, their absolute power errors
+    (normalized units) and the report that scores them against the table's
+    classes and targets: the `classification` and `confusion` blocks, and for
+    a TwoStageModel the `regression` block, conditioned on rows whose class
+    stage 1 got right. A classifier has no power errors (None). The model
+    must take its variant's inputs, as compose.run_stage says."""
+    if isinstance(model, TwoStageModel):
+        _, predicted, norms = predict_arrays(model, table)
+        abs_errors = np.abs(norms - table.target)
+    else:
+        predicted, abs_errors = np.argmax(run_stage(model, table.features), axis=1), None
     counts = confusion(table.class_index, predicted)
-    return predicted, {"classification": class_metrics(counts), "confusion": counts.tolist()}
+    report = {"classification": class_metrics(counts), "confusion": counts.tolist()}
+    if abs_errors is not None:
+        report["regression"] = regression_report(abs_errors, predicted == table.class_index)
+    return predicted, abs_errors, report
 
 
 def fit_chain(classifier_id, regressor_ids, train_table, test_table, seed: int, overrides: dict):
@@ -142,14 +151,14 @@ def fit_chain(classifier_id, regressor_ids, train_table, test_table, seed: int, 
         }
 
     classifier, row = fit(classifier_id)
-    _, scores = score_classifier(classifier, test_table)
+    _, _, scores = score(classifier, test_table)
     metrics = scores["classification"]
     row.update(test_accuracy=metrics["accuracy"], test_macro_f1=metrics["macro_f1"])
     row.update(confusion=scores["confusion"], per_class=metrics)
     chain = [(classifier, row)]
     for vid in regressor_ids:
         model, row = fit(vid, classifier)
-        _, _, scores = evaluate_two_stage(TwoStageModel(classifier, model), test_table)
+        _, _, scores = score(TwoStageModel(classifier, model), test_table)
         row.update(regression=scores["regression"], paired_classifier=classifier_id)
         chain.append((model, row))
     return chain
@@ -227,7 +236,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     if stage1_id in models and stage2_id in models:
         two_stage = TwoStageModel(models[stage1_id], models[stage2_id])
         save_two_stage(two_stage, out_dir / "twostage.json")
-        _, _, scores = evaluate_two_stage(two_stage, encoded_test)
+        _, _, scores = score(two_stage, encoded_test)
         report["composed"] = {
             "stage1": stage1_id,
             "stage2": stage2_id,

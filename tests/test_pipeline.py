@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from rtp import pipeline, seeds
-from rtp.compose import TwoStageModel, evaluate_two_stage, load_two_stage
+from rtp.compose import TwoStageModel, load_two_stage
 from rtp.engine import forward, load_model
 from rtp.evaluate import class_metrics, confusion
 from rtp.ingest import CorpusSpec, synthesize_corpus
@@ -21,7 +21,7 @@ from rtp.model_zoo import (
     stage_inputs,
     training_config,
 )
-from rtp.pipeline import PipelineConfig, run_pipeline, score_classifier
+from rtp.pipeline import PipelineConfig, run_pipeline, score
 from rtp.preprocess import encode_table
 from rtp.training import MONITORED_METRICS, TrainingConfig
 
@@ -99,7 +99,8 @@ class TestScoreClassifier:
     def test_scores_the_forward_pass(self):
         table = encoded()
         model = build_variant("a1", seed=1)
-        predicted, report = score_classifier(model, table)
+        predicted, abs_errors, report = score(model, table)
+        assert abs_errors is None
         expected = forward(model, stage_inputs(table.features, "a1"))
         np.testing.assert_array_equal(predicted, np.argmax(expected, axis=1))
         cm = confusion(table.class_index, predicted)
@@ -140,14 +141,14 @@ class TestRegressorScores:
             load_model(out_dir / f"model_{cid}.json"),
             load_model(out_dir / f"model_{regressor_id}.json"),
         )
-        _, _, scores = evaluate_two_stage(pair, test_table)
+        _, _, scores = score(pair, test_table)
         assert report["regressors"][regressor_id]["regression"] == scores["regression"]
         assert report["classifiers"][cid]["test_accuracy"] == scores["classification"]["accuracy"]
 
     def test_composed_block_scores_an_untrained_pair(self, run):
         out_dir, report, test_table = run
         assert pair_for_regressor("d2") != "a1"
-        _, _, scores = evaluate_two_stage(load_two_stage(out_dir / "twostage.json"), test_table)
+        _, _, scores = score(load_two_stage(out_dir / "twostage.json"), test_table)
         assert report["composed"] == {
             "stage1": "a1",
             "stage2": "d2",

@@ -1,9 +1,12 @@
 """A trained network meets feature rows in one place only,
-rtp.compose.run_stage, so its inputs are always its variant's columns; and a
-variant is trained in two places only, one pipeline chain and rtp train."""
+rtp.compose.run_stage, so its inputs are always its variant's columns; a
+variant is trained in two places only, one pipeline chain and rtp train; and
+every report block is built in one place, rtp.pipeline.score."""
 
 import ast
 from pathlib import Path
+
+import pytest
 
 SOURCES = sorted((Path(__file__).parents[1] / "src" / "rtp").glob("*.py"))
 
@@ -65,3 +68,35 @@ def test_only_run_stage_and_fit_variant_pick_a_network_input():
 
 def test_only_fit_chain_and_rtp_train_train_a_variant():
     assert uses_in_rtp("fit_variant") == {"cli.py": ["_cmd_train"], "pipeline.py": ["fit_chain"]}
+
+
+def imported_names(source: str) -> set[str]:
+    """Every module and name that `source` imports, split at its dots:
+    `from .evaluate import x` and `from rtp import evaluate` both give
+    "evaluate"."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for name in [getattr(node, "module", None) or "", *(a.name for a in node.names)]:
+                found.update(filter(None, name.split(".")))
+    return found
+
+
+def test_imported_names_finds_every_form():
+    source = (
+        "from .evaluate import confusion\n"
+        "from . import engine\n"
+        "import rtp.files as f\n"
+        "def load():\n"
+        "    from rtp import ingest\n"
+    )
+    assert imported_names(source) == {"evaluate", "confusion", "engine", "rtp", "files", "ingest"}
+
+
+@pytest.mark.parametrize("name", ["confusion", "class_metrics", "regression_report"])
+def test_only_score_builds_a_report_block(name):
+    assert uses_in_rtp(name) == {"pipeline.py": ["score"]}
+
+
+def test_compose_runs_networks_and_scores_nothing():
+    assert "evaluate" not in imported_names((SOURCES[0].parent / "compose.py").read_text())
