@@ -7,6 +7,7 @@ path that cannot be read or written), 3 numeric divergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -26,7 +27,7 @@ from .compose import (
     save_two_stage,
 )
 from .domain import N_CLASSES, is_nonnegative_integer, settings_from
-from .engine import ModelFormatError, ShapeError, load_model, save_model
+from .engine import ModelFormatError, ShapeError, save_model
 from .files import writing
 from .ingest import (
     CorpusSpec,
@@ -93,9 +94,13 @@ def _read_config(path, build):
 
 
 def _load_stage(path, stage: str, task: str):
-    """The model in `path`, checked as the `task` network of `stage`."""
+    """The network in `path`, checked as the `task` network of `stage`."""
     with _reading(path):
-        model = load_model(path)
+        model = load_any_model(path)
+        if isinstance(model, TwoStageModel):
+            raise CompositionError(
+                f"a two-stage model file, not a network; {stage} needs a {task} network file"
+            )
         check_stage(stage, model, task)
     return model
 
@@ -245,8 +250,11 @@ def _cmd_predict(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     config = _read_config(args.config, lambda doc: settings_from(PipelineConfig, doc))
-    if args.out_dir:
-        config.out_dir = args.out_dir
+    if args.out_dir is not None:
+        try:
+            config = dataclasses.replace(config, out_dir=args.out_dir)
+        except ValueError as exc:
+            raise UsageError(f"--out-dir: {exc}") from exc
     if args.seed is not None or "RTP_SEED" in os.environ:
         config.seed = _effective_seed(args)
     report = run_pipeline(config)

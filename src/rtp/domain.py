@@ -106,18 +106,11 @@ def rod_worths_by_ordinal(ordinals: np.ndarray) -> np.ndarray:
     return _ERA_WORTHS[np.maximum(np.searchsorted(ERA_STARTS, ordinals, "right") - 1, 0)]
 
 
-def reactivity_of_state(state: ReactorState, config: CoreConfiguration) -> float:
-    """Total reactivity in dollars from rod withdrawal.
-
-    Linear-worth approximation: withdrawal fraction (height / 24) times the
-    rod's integral worth, summed over all four rods.
-    """
-    return rod_reactivity(state.rod_heights, config.rod_worths)
-
-
 def rod_reactivity(heights, worths) -> float:
-    """reactivity_of_state of rods at `heights` with `worths`: the rods' terms
-    added one by one, in rod order, to 0.0."""
+    """Total reactivity in dollars of rods at `heights` with integral
+    `worths`, by the linear-worth approximation: each rod's withdrawal
+    fraction (height / 24) times its worth, the terms added one by one, in
+    rod order, to 0.0."""
     rho = 0.0
     for h, w in zip(heights, worths):
         rho += (h / MAX_ROD_TRAVEL_IN) * w

@@ -252,10 +252,28 @@ def run_layers(model: NetworkModel, x: np.ndarray, caches: list | None = None) -
     return run(model.trunk, merged)
 
 
+# Rows in a block of a forward pass, and data rows in a chunk of
+# ingest.read_chunks.
+CHUNK_ROWS = 256
+
+
+def run_blocks(model: NetworkModel, x: np.ndarray) -> np.ndarray:
+    """run_layers' output on `x`, run in blocks of CHUNK_ROWS rows, a lone
+    last row joining the block before it; nothing is checked. A row's bits
+    do not depend on its block's size, except in a one-row product, which
+    BLAS computes as a matrix-vector product that rounds differently; and a
+    block this small keeps the product's operands in cache."""
+    cuts = range(CHUNK_ROWS, len(x) - 1, CHUNK_ROWS)
+    if not cuts:
+        return run_layers(model, x)
+    return np.concatenate([run_layers(model, block) for block in np.split(x, cuts)])
+
+
 def forward(model: NetworkModel, x: np.ndarray) -> np.ndarray:
     """Network output (n, outputs) for an (n, k) input matrix, laid out as
-    run_layers takes it; ShapeError if `x` is not such a matrix."""
-    return run_layers(model, _check_input(model, x))
+    run_layers takes it, in run_blocks' blocks; ShapeError if `x` is not
+    such a matrix."""
+    return run_blocks(model, _check_input(model, x))
 
 
 def regularization_loss(model: NetworkModel) -> float:

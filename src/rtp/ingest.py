@@ -26,6 +26,7 @@ from .domain import (
     rod_reactivity,
     shown,
 )
+from .engine import CHUNK_ROWS
 from .files import writing
 
 CSV_HEADER = [
@@ -212,11 +213,6 @@ def _check_range(values: list, lo: float, hi: float, name: str, errors: list) ->
     return column
 
 
-# Data rows that read_chunks parses at a time, so that only a chunk's raw
-# strings are alive at once; and rows in a block of compose.run_stage's pass.
-CHUNK_ROWS = 256
-
-
 def read_log(source: Union[str, Path, TextIO]) -> ObservationTable:
     """Parse a transient-log CSV into a table, column by column, a chunk of
     read_chunks at a time.
@@ -237,10 +233,10 @@ def parse_log(source: Union[str, Path, TextIO]) -> list[RawLogRow]:
 
 
 def read_chunks(source: Union[str, Path, TextIO]) -> Iterator[ObservationTable]:
-    """The tables of successive chunks of CHUNK_ROWS data rows of a
-    transient-log CSV, the last taking a shorter remainder too, as
-    compose.run_stage cuts a pass into blocks; each chunk is parsed and
-    checked as read_log says before it is yielded."""
+    """The tables of successive chunks of engine.CHUNK_ROWS data rows of a
+    transient-log CSV, cut as engine.run_blocks cuts a pass: a lone last row
+    joins the chunk before it. Each chunk is parsed and checked as read_log
+    says before it is yielded."""
     if isinstance(source, (str, Path)):
         with open(source, "r", newline="") as handle:
             yield from read_chunks(handle)
@@ -262,7 +258,7 @@ def read_chunks(source: Union[str, Path, TextIO]) -> Iterator[ObservationTable]:
     while chunk:
         # Only the next chunk's raw records are read ahead of the yield.
         ahead = list(islice(rows, CHUNK_ROWS))
-        if len(ahead) < CHUNK_ROWS:
+        if len(ahead) == 1:
             chunk, ahead = chunk + ahead, []
         yield _parse_rows(*zip(*chunk))
         chunk = ahead

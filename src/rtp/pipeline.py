@@ -43,8 +43,12 @@ def _ids_from(known: tuple[str, ...]):
 
 # What each setting must be, and the test for it, in field order.
 _CONFIG_RULES = {
-    # The OS refuses a path with a NUL character in it.
-    "out_dir": ("a path", lambda x: isinstance(x, (str, Path)) and "\0" not in str(x)),
+    # The OS refuses a path with a NUL character in it, and Path("") is the
+    # current directory.
+    "out_dir": (
+        "a non-empty path",
+        lambda x: isinstance(x, (str, Path)) and x != "" and "\0" not in str(x),
+    ),
     "seed": ("an integer >= 0", is_nonnegative_integer),
     "corpus_n": ("an integer >= 1", is_count),
     "augment_n": ("an integer >= 0", is_nonnegative_integer),

@@ -199,7 +199,7 @@ def encode_table(table: ObservationTable) -> EncodedTable:
     logs = np.fromiter(map(math.log, powers.flat), np.float64, powers.size)
     power_norm = logs.reshape(n, 2) / LN_FULL_POWER
     features[:, _POWER] = power_norm[:, 0]
-    # Rod by rod, in order, as reactivity_of_state sums them.
+    # Rod by rod, in order, as domain.rod_reactivity sums them.
     terms = (rods.reshape(n, 2, 4) * rod_worths_by_ordinal(table.date)[:, None, :]).T
     rho = ((terms[0] + terms[1]) + terms[2]) + terms[3]
     np.divide(rho.T, REACTIVITY_FEATURE_SCALE, out=features[:, _RHO_I : _RHO_F + 1])

@@ -3,7 +3,7 @@ definitions that the columnar code in rtp must reproduce."""
 
 import math
 
-from rtp.domain import CLASS_CEILINGS, LN_FULL_POWER
+from rtp.domain import CLASS_CEILINGS, LN_FULL_POWER, rod_reactivity
 from rtp.ingest import filter_report, read_log
 
 
@@ -26,6 +26,12 @@ def classify_power(power: float) -> int:
         if power <= ceiling:
             return index
     raise PowerRangeError(f"power {power} W exceeds top ceiling {CLASS_CEILINGS[-1]} W")
+
+
+def reactivity_of_state(state, config) -> float:
+    """Total reactivity in dollars of a ReactorState under a
+    CoreConfiguration, as the encoder's reactivity columns must give it."""
+    return rod_reactivity(state.rod_heights, config.rod_worths)
 
 
 def read_observations(path):

@@ -16,7 +16,6 @@ from rtp.domain import (
     FULL_POWER_W,
     MAX_ROD_TRAVEL_IN,
     config_for_date,
-    reactivity_of_state,
 )
 from rtp.engine import (
     HEAD_SIGMOID,
@@ -46,7 +45,7 @@ from rtp.preprocess import (
     undersample_indices,
 )
 from rtp.training import TrainingConfig, accuracy, train
-from reference import normalize_power, read_observations
+from reference import normalize_power, reactivity_of_state, read_observations
 
 ACCEPTANCE_SEED = 0
 

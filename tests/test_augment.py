@@ -21,9 +21,9 @@ from rtp.domain import (
     ReactorState,
     TransientObservation,
     config_for_date,
-    reactivity_of_state,
 )
 from rtp.ingest import SHUTDOWN_POWER_W, ObservationTable, row_to_observation
+from reference import reactivity_of_state
 
 
 def make_obs(p_i=500.0, p_f=5000.0, heights_i=(8.0, 8.0, 8.0, 12.0), heights_f=(10.0, 10.0, 10.0, 12.0)):

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rtp import cli, compose, pipeline, seeds
+from rtp import cli, compose, engine, pipeline, seeds
 from rtp.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from rtp.domain import config_for_date
 from rtp.engine import forward, load_model, run_layers, save_model
@@ -379,13 +379,13 @@ class TestStreamedPredict:
         # No per-row network passes, no pass over more than one chunk, and a
         # one-row remainder joins the last chunk.
         calls = []
-        original = compose.run_layers
+        original = engine.run_layers
 
         def counting_run_layers(model, x):
             calls.append((model.variant_id, len(x)))
             return original(model, x)
 
-        monkeypatch.setattr(compose, "run_layers", counting_run_layers)
+        monkeypatch.setattr(engine, "run_layers", counting_run_layers)
         assert self.predict(workdir, long_csv, tmp_path / "predictions.csv") == EXIT_OK
         assert calls == [("a1", CHUNK_ROWS), ("b2", CHUNK_ROWS),
                          ("a1", CHUNK_ROWS + 1), ("b2", CHUNK_ROWS + 1)]
@@ -1246,6 +1246,7 @@ class TestExitCodes:
         "policy-field-string": (
             {"policy": {"base_noise_sigma": "0.1"}}, "unknown key 'policy'\n"
         ),
+        "out_dir-empty": ({"out_dir": ""}, "out_dir must be a non-empty path, got ''\n"),
     }
 
     @pytest.mark.parametrize("doc,message", INVALID_PIPELINE.values(), ids=INVALID_PIPELINE)
@@ -1261,6 +1262,23 @@ class TestExitCodes:
         assert err.startswith(f"usage error: {config}: {message}")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("with_config", [False, True])
+    def test_empty_out_dir_flag_is_usage_error(self, tmp_path, monkeypatch, capsys, with_config):
+        # An empty --out-dir would be the current directory; the flag, not
+        # the config file, is named.
+        config = tmp_path / "config" / "pipeline.json"
+        config.parent.mkdir()
+        config.write_text(json.dumps({"out_dir": str(tmp_path / "out")}))
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        args = ["pipeline", "--out-dir", "", *(["--config", str(config)] if with_config else [])]
+        assert main(args) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "usage error: --out-dir: out_dir must be a non-empty path, got ''\n"
+        )
+        assert list(work.iterdir()) == [] and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "classifiers,regressors,metric",
@@ -1524,6 +1542,29 @@ class TestErrorsNameTheirInput:
         )
         assert not out.exists()
 
+    STAGE_FLAGS = {
+        "train-stage1-model": (["train", "--variant", "b2", "--data", "{corpus}",
+                                "--stage1-model", "{two}", "--out", "{out}"], "stage 1", "classifier"),
+        "compose-stage1": (["compose", "--stage1", "{two}", "--stage2", "{b2}", "--out", "{out}"],
+                           "stage 1", "classifier"),
+        "compose-stage2": (["compose", "--stage1", "{a1}", "--stage2", "{two}", "--out", "{out}"],
+                           "stage 2", "regressor"),
+    }
+
+    @pytest.mark.parametrize("command,stage,task", STAGE_FLAGS.values(), ids=STAGE_FLAGS)
+    def test_a_two_stage_file_where_a_network_is_needed(
+        self, workdir, tmp_path, capsys, command, stage, task
+    ):
+        two, out = workdir / "twostage.json", tmp_path / "out.json"
+        paths = {"two": two, "out": out, "corpus": workdir / "corpus.csv",
+                 "a1": workdir / "model_a1.json", "b2": workdir / "model_b2.json"}
+        assert main([arg.format(**paths) for arg in command]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: {two}: a two-stage model file, not a network; "
+            f"{stage} needs a {task} network file\n"
+        )
+        assert not out.exists()
+
     def test_compose_with_a_regressor_as_stage1(self, workdir, tmp_path, capsys):
         b2, out = workdir / "model_b2.json", tmp_path / "composed.json"
         code = main(["compose", "--stage1", str(b2), "--stage2", str(b2), "--out", str(out)])
@@ -1746,7 +1787,7 @@ class TestErrorsNameTheirInput:
         ),
         # The OS refuses it only once the pipeline makes the directory.
         "pipeline-nul-out-dir": (
-            "pipeline", {"out_dir": "a\0b"}, "out_dir must be a path, got 'a\\x00b'"
+            "pipeline", {"out_dir": "a\0b"}, "out_dir must be a non-empty path, got 'a\\x00b'"
         ),
         **{
             f"{command}-{key}": (command, {key: value}, f"unknown key {key!r}")

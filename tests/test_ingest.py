@@ -16,7 +16,6 @@ from rtp.domain import (
     FULL_POWER_W,
     MAX_ROD_TRAVEL_IN,
     config_for_date,
-    reactivity_of_state,
     shown,
 )
 from rtp.ingest import (
@@ -36,7 +35,7 @@ from rtp.ingest import (
     synthesize_corpus,
     write_observations,
 )
-from reference import classify_power, read_observations
+from reference import classify_power, reactivity_of_state, read_observations
 
 GOOD_ROW = "2014-06-01,10:00,10:30,100.0,1000.0,5.0,5.0,5.0,5.0,6.0,6.0,6.0,6.0"
 
@@ -106,13 +105,13 @@ class TestParseLog:
 
 
 class TestReadChunks:
-    """read_chunks cuts a CSV into chunks of CHUNK_ROWS data rows, the last
-    taking a shorter remainder too, as compose.run_stage cuts a pass."""
+    """read_chunks cuts a CSV into chunks of CHUNK_ROWS data rows, a lone
+    last row joining the chunk before it, as engine.run_blocks cuts a pass."""
 
     @pytest.mark.parametrize(
         "n, sizes",
-        [(1, [1]), (511, [511]), (512, [256, 256]), (767, [256, 511]),
-         (1025, [256, 256, 256, 257])],
+        [(1, [1]), (511, [256, 255]), (512, [256, 256]), (767, [256, 256, 255]),
+         (1025, [256, 256, 256, 257]), (513, [256, 257])],
     )
     def test_chunk_sizes(self, n, sizes):
         assert CHUNK_ROWS == 256

@@ -15,7 +15,6 @@ from rtp.domain import (
     ReactorState,
     TransientObservation,
     config_for_date,
-    reactivity_of_state,
 )
 from rtp.ingest import CorpusSpec, ObservationTable, row_to_observation, synthesize_corpus
 from rtp.model_zoo import variant_spec
@@ -31,7 +30,7 @@ from rtp.preprocess import (
     undersample,
     undersample_indices,
 )
-from reference import PowerRangeError, classify_power, normalize_power
+from reference import PowerRangeError, classify_power, normalize_power, reactivity_of_state
 
 CONFIG = DEFAULT_CONFIGS[1]
 

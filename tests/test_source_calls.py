@@ -1,7 +1,8 @@
 """A trained network meets feature rows in one place only,
-rtp.compose.run_stage, so its inputs are always its variant's columns; a
-variant is trained in two places only, one pipeline chain and rtp train; and
-every report block is built in one place, rtp.pipeline.score."""
+rtp.compose.run_stage, so its inputs are always its variant's columns; every
+forward pass is cut into blocks in one place, the engine; a variant is
+trained in two places only, one pipeline chain and rtp train; and every
+report block is built in one place, rtp.pipeline.score."""
 
 import ast
 from pathlib import Path
@@ -56,7 +57,21 @@ def test_checker_finds_every_use_and_its_function():
 
 
 def test_only_run_stage_runs_a_network_outside_the_engine():
-    assert uses_in_rtp("run_layers", skip="engine.py") == {"compose.py": ["run_stage"]}
+    assert uses_in_rtp("run_blocks", skip="engine.py") == {"compose.py": ["run_stage"]}
+
+
+def test_only_the_engine_runs_layers():
+    assert list(uses_in_rtp("run_layers")) == ["engine.py"]
+
+
+def test_the_engine_alone_sets_the_block_size_and_only_read_chunks_reads_it_elsewhere():
+    assigned = [
+        path.name for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name) and node.id == "CHUNK_ROWS" and isinstance(node.ctx, ast.Store)
+    ]
+    assert assigned == ["engine.py"]
+    found = uses_in_rtp("CHUNK_ROWS", skip="engine.py")
+    assert {file: set(where) for file, where in found.items()} == {"ingest.py": {"read_chunks"}}
 
 
 def test_only_run_stage_and_fit_variant_pick_a_network_input():

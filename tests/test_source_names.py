@@ -1,6 +1,8 @@
-"""Every module-level name that the rtp package defines is read somewhere."""
+"""Every module-level name that the rtp package defines is read somewhere,
+and README's Library layout lists every module."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -75,3 +77,13 @@ def test_every_defined_name_is_read():
     sources = {path.name: path.read_text() for path in SOURCES}
     readers = [path.read_text() for path in READERS if path != Path(__file__)]
     assert unread_names(sources, readers) == []
+
+
+def test_readme_layout_lists_every_module():
+    # README's Library layout names each module of src/rtp once, in a line
+    # of its own; __init__.py is not listed.
+    text = (ROOT / "README.md").read_text()
+    layout = text.split("## Library layout", 1)[1].split("```")[1]
+    listed = re.findall(r"^  (\w+\.py) ", layout, flags=re.MULTILINE)
+    modules = [path.name for path in SOURCES if path.name != "__init__.py"]
+    assert sorted(listed) == modules
