@@ -1,7 +1,8 @@
 """Command-line entry point for the full prediction pipeline and its stages.
 
-Exit codes: 0 success, 1 usage error, 2 data error (a malformed input, or a
-path that cannot be read or written), 3 numeric divergence.
+Exit codes: 0 success, 1 usage error, 2 data error (a malformed input, a
+path that cannot be read or written, or an allocation that cannot be made),
+3 numeric divergence.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from itertools import count
 
@@ -32,17 +34,17 @@ from .files import writing
 from .ingest import (
     CorpusSpec,
     DataError,
+    ObservationTable,
     ParseError,
     csv_line,
     filter_report,
     read_chunks,
-    read_log,
     synthesize_corpus,
     write_observations,
 )
 from .model_zoo import REGRESSOR_IDS
 from .pipeline import PipelineConfig, check_overrides, fit_variant, run_pipeline, score
-from .preprocess import LN_FULL_POWER, VARIANTS, encode_table, undersample
+from .preprocess import LN_FULL_POWER, VARIANTS, EncodedTable, encode_table, undersample
 from .training import DivergenceError
 
 EXIT_OK = 0
@@ -133,7 +135,7 @@ def _cmd_synthesize(args) -> int:
 def _cmd_augment(args) -> int:
     if args.n < 0:
         raise UsageError(f"--n must be an integer >= 0, got {args.n}")
-    table = _kept_rows(args.infile, "augment")
+    table = ObservationTable.concat(list(_kept_rows(args.infile, "augment")))
     generated = over_sample(
         table, n=args.n, change=CHANGE_BY_NAME[args.change], seed=_effective_seed(args)
     )
@@ -144,14 +146,17 @@ def _cmd_augment(args) -> int:
 
 
 def _kept_rows(path, verb: str):
-    """The rows of the CSV at `path` that the exclusion rules keep;
-    DataError names the exclusions if none is left."""
+    """The rows of the CSV at `path` that the exclusion rules keep, a chunk at
+    a time; once the file is read, DataError names the exclusions if none is left."""
+    n = Counter()
     with _reading(path):
-        kept, n = filter_report(read_log(path))
-        if not kept:
-            tally = f"{n.too_long} too long, {n.shutdown} shutdowns, {n.no_change} unchanged"
+        for chunk in read_chunks(path):
+            kept, counts = filter_report(chunk)
+            n.update(dataclasses.asdict(counts))
+            yield kept
+        if not n["retained"]:
+            tally = "{too_long} too long, {shutdown} shutdowns, {no_change} unchanged".format_map(n)
             raise DataError(f"no row left to {verb} (excluded: {tally})")
-        return kept
 
 
 def _cmd_train(args) -> int:
@@ -162,7 +167,7 @@ def _cmd_train(args) -> int:
         raise UsageError(f"variant {args.variant} is a classifier; --stage1-model is for regressors")
     if spec.task == "regressor" and args.stage1_model is None:
         raise UsageError(f"variant {args.variant} is a regressor; --stage1-model is required")
-    table = encode_table(_kept_rows(args.data, "train"))
+    table = EncodedTable.concat(list(map(encode_table, _kept_rows(args.data, "train"))))
     if args.balance:
         with _reading(args.data):
             table = undersample(table, seed)
@@ -194,7 +199,7 @@ def _cmd_compose(args) -> int:
 def _cmd_evaluate(args) -> int:
     if args.errors is not None and os.path.realpath(args.errors) == os.path.realpath(args.out):
         raise UsageError(f"--errors and --out name the same file: {args.errors}")
-    table = encode_table(_kept_rows(args.data, "evaluate"))
+    table = EncodedTable.concat(list(map(encode_table, _kept_rows(args.data, "evaluate"))))
     with _reading(args.model):
         model = load_any_model(args.model)
         if not isinstance(model, TwoStageModel):
@@ -329,6 +334,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DIVERGENCE
     except (*INPUT_ERRORS, ShapeError, ProgressError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_DATA
 
 

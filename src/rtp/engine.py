@@ -259,14 +259,22 @@ CHUNK_ROWS = 256
 
 def run_blocks(model: NetworkModel, x: np.ndarray) -> np.ndarray:
     """run_layers' output on `x`, run in blocks of CHUNK_ROWS rows, a lone
-    last row joining the block before it; nothing is checked. A row's bits
-    do not depend on its block's size, except in a one-row product, which
-    BLAS computes as a matrix-vector product that rounds differently; and a
-    block this small keeps the product's operands in cache."""
-    cuts = range(CHUNK_ROWS, len(x) - 1, CHUNK_ROWS)
-    if not cuts:
+    last row joining the block before it; nothing is checked. For some layer
+    shapes BLAS computes the last n mod 4 rows of a product by other kernels,
+    which round differently, so the last block of a pass of more than one row
+    is padded to a multiple of 4 rows with copies of its last row, whose
+    outputs are dropped. A row's bits then do not depend on the rows around
+    it, except in a one-row pass, which BLAS computes as a matrix-vector
+    product that rounds differently. A block this small keeps the product's
+    operands in cache."""
+    n = len(x)
+    cuts = range(CHUNK_ROWS, n - 1, CHUNK_ROWS)
+    pad = -n % 4 if n > 1 else 0
+    if not cuts and not pad:
         return run_layers(model, x)
-    return np.concatenate([run_layers(model, block) for block in np.split(x, cuts)])
+    blocks = np.split(x, cuts)
+    blocks[-1] = np.concatenate([blocks[-1], x[[-1] * pad]])
+    return np.concatenate([run_layers(model, block) for block in blocks])[:n]
 
 
 def forward(model: NetworkModel, x: np.ndarray) -> np.ndarray:

@@ -213,30 +213,21 @@ def _check_range(values: list, lo: float, hi: float, name: str, errors: list) ->
     return column
 
 
-def read_log(source: Union[str, Path, TextIO]) -> ObservationTable:
-    """Parse a transient-log CSV into a table, column by column, a chunk of
-    read_chunks at a time.
-
-    Rows are numbered from 1 over data rows (header excluded, blank lines
-    counted) so errors point at the offending line. A failure raises
-    ParseError for the first failing row and, within it, the first failing
-    check in this order: field count, date, start and end time (each
-    parsed, then refused if it has a UTC offset), end before start, both
-    powers, power positivity, power range, then each rod height and its range.
-    """
-    return ObservationTable.concat(list(read_chunks(source)))
-
-
 def parse_log(source: Union[str, Path, TextIO]) -> list[RawLogRow]:
-    """read_log's rows as RawLogRows, built a chunk at a time."""
+    """read_chunks' rows as RawLogRows, built a chunk at a time."""
     return [row for chunk in read_chunks(source) for row in chunk.rows()]
 
 
 def read_chunks(source: Union[str, Path, TextIO]) -> Iterator[ObservationTable]:
     """The tables of successive chunks of engine.CHUNK_ROWS data rows of a
     transient-log CSV, cut as engine.run_blocks cuts a pass: a lone last row
-    joins the chunk before it. Each chunk is parsed and checked as read_log
-    says before it is yielded."""
+    joins the chunk before it. Rows are numbered from 1 over data rows
+    (header excluded, blank lines counted). Each chunk is parsed, column by
+    column, and checked before it is yielded: a ParseError names the first
+    failing row and, within it, the first failing check in this order: field
+    count, date, start and end time (each parsed, then refused if it has a
+    UTC offset), end before start, both powers, power positivity, power
+    range, then each rod height and its range."""
     if isinstance(source, (str, Path)):
         with open(source, "r", newline="") as handle:
             yield from read_chunks(handle)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -44,14 +44,14 @@ class EncodedTable:
     def __len__(self) -> int:
         return self.target.shape[0]
 
+    @classmethod
+    def concat(cls, tables: Sequence["EncodedTable"]) -> "EncodedTable":
+        """The tables' rows one after another."""
+        return cls(*(np.concatenate([getattr(t, f.name) for t in tables]) for f in fields(cls)))
+
     def take(self, idx) -> "EncodedTable":
         """The rows at `idx`, in that order (indices may repeat)."""
-        return replace(
-            self,
-            features=self.features[idx],
-            class_index=self.class_index[idx],
-            target=self.target[idx],
-        )
+        return EncodedTable(*(getattr(self, f.name)[idx] for f in fields(self)))
 
     @property
     def class_onehot(self) -> np.ndarray:

@@ -25,7 +25,6 @@ from rtp.ingest import (
     CorpusSpec,
     ObservationTable,
     filter_report,
-    read_log,
     row_to_observation,
     synthesize_corpus,
     write_observations,
@@ -38,7 +37,7 @@ from rtp.preprocess import (
     undersample_indices,
 )
 from rtp.training import train
-from reference import classify_power, read_observations
+from reference import classify_power, read_observations, read_table
 
 # The committed format-1 model file of an a1 classifier.
 FORMAT1_MODEL = Path(__file__).parent / "fixtures" / "model_a1_v1.json"
@@ -66,6 +65,15 @@ def _rows_with_a_long_one(workdir, n):
     fields[1:3] = ["10:00", "11:30"]
     lines[-1] = ",".join(fields)
     return lines
+
+
+def _excluded_rows(workdir, n):
+    """`n` data lines made from the workdir corpus's first one, each dropped
+    by the exclusion rules: too long, a shutdown and unchanged in turn."""
+    fields = (workdir / "corpus.csv").read_text().splitlines()[1].split(",")
+    edits = [{1: "10:00", 2: "11:30"}, {4: "0.5"}, {4: fields[3]}]
+    return [",".join(edits[k % 3].get(i, v) for i, v in enumerate(fields)) + "\n"
+            for k in range(n)]
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +136,7 @@ class TestArtifacts:
     def test_balance_trains_on_the_undersampled_rows(self, workdir, tmp_path):
         # train --balance writes the model that train writes on a CSV of the
         # rows undersample keeps, in their order.
-        rows, _ = filter_report(read_log(workdir / "corpus.csv"))
+        rows, _ = filter_report(read_table(workdir / "corpus.csv"))
         balanced = rows.take(undersample_indices(encode_table(rows).class_index.tolist(), 0))
         write_observations(balanced, tmp_path / "balanced.csv")
         out = tmp_path / "model_a1.json"
@@ -145,7 +153,7 @@ class TestArtifacts:
         assert main(["--seed", "0", "train", "--variant", "b2", "--data", str(workdir / "corpus.csv"),
                      "--config", str(config), "--stage1-model", str(d1),
                      "--out", str(out)]) == EXIT_OK
-        table = encode_table(filter_report(read_log(workdir / "corpus.csv"))[0])
+        table = encode_table(filter_report(read_table(workdir / "corpus.csv"))[0])
         probs = run_layers(load_model(d1), stage_inputs(table.features, "d1"))
         model = build_variant("b2", seeds.subseed(0, "init/b2"))
         overrides = json.loads(config.read_text())
@@ -175,7 +183,28 @@ class TestArtifacts:
         data.write_text("".join(_rows_with_a_long_one(workdir, 2)))
         assert main(["--seed", "0", "augment", "--in", str(data), "--out", str(out),
                      "--n", "20"]) == EXIT_OK
-        assert filter_report(read_log(out))[1].retained == 20
+        assert filter_report(read_table(out))[1].retained == 20
+
+    def test_a_chunk_with_no_kept_row_changes_nothing(self, workdir, tmp_path):
+        # Read in chunks of CHUNK_ROWS, a file whose first chunk is all
+        # excluded rows gives what its kept rows alone give.
+        lines = (workdir / "corpus.csv").read_text().splitlines(True)
+        padded = tmp_path / "padded.csv"
+        padded.write_text("".join([lines[0], *_excluded_rows(workdir, CHUNK_ROWS), *lines[1:]]))
+        outputs = {}
+        for name, data in [("plain", workdir / "corpus.csv"), ("padded", padded)]:
+            report, errors, model, augmented = (
+                tmp_path / f"{name}_{suffix}"
+                for suffix in ["report.json", "errors.csv", "a1.json", "augmented.csv"]
+            )
+            assert main(["evaluate", "--model", str(workdir / "twostage.json"), "--data", str(data),
+                         "--out", str(report), "--errors", str(errors)]) == EXIT_OK
+            assert main(["--seed", "0", "train", "--variant", "a1", "--data", str(data),
+                         "--config", str(workdir / "train.json"), "--out", str(model)]) == EXIT_OK
+            assert main(["--seed", "0", "augment", "--in", str(data), "--out", str(augmented),
+                         "--n", "20"]) == EXIT_OK
+            outputs[name] = [path.read_bytes() for path in (report, errors, model, augmented)]
+        assert outputs["padded"] == outputs["plain"]
 
     def test_evaluate_classifier(self, workdir, tmp_path):
         report_path = tmp_path / "report.json"
@@ -310,7 +339,7 @@ class TestArtifacts:
         args = ["--model", str(workdir / "twostage.json"), "--in", str(workdir / "corpus.csv")]
         assert main(["predict", *args, "--out", str(out)]) == EXIT_OK
         model = compose.load_two_stage(workdir / "twostage.json")
-        table = encode_table(read_log(workdir / "corpus.csv"))
+        table = encode_table(read_table(workdir / "corpus.csv"))
         expected = tmp_path / "expected.csv"
         with open(expected, "w", newline="") as handle:
             writer = csv.writer(handle)
@@ -377,7 +406,8 @@ class TestStreamedPredict:
 
     def test_each_stage_runs_once_per_chunk(self, workdir, long_csv, tmp_path, monkeypatch):
         # No per-row network passes, no pass over more than one chunk, and a
-        # one-row remainder joins the last chunk.
+        # one-row remainder joins the last chunk, which is padded to a
+        # multiple of 4 rows.
         calls = []
         original = engine.run_layers
 
@@ -388,7 +418,7 @@ class TestStreamedPredict:
         monkeypatch.setattr(engine, "run_layers", counting_run_layers)
         assert self.predict(workdir, long_csv, tmp_path / "predictions.csv") == EXIT_OK
         assert calls == [("a1", CHUNK_ROWS), ("b2", CHUNK_ROWS),
-                         ("a1", CHUNK_ROWS + 1), ("b2", CHUNK_ROWS + 1)]
+                         ("a1", CHUNK_ROWS + 4), ("b2", CHUNK_ROWS + 4)]
 
     def test_matches_the_whole_table(self, workdir, long_csv, tmp_path):
         # A chunk's rows get the bits of a whole-table pass.
@@ -397,7 +427,7 @@ class TestStreamedPredict:
         with open(out, newline="") as handle:
             rows = list(csv.DictReader(handle))
         model = compose.load_two_stage(workdir / "twostage.json")
-        probs, classes, norm = compose.predict_arrays(model, encode_table(read_log(long_csv)))
+        probs, classes, norm = compose.predict_arrays(model, encode_table(read_table(long_csv)))
         assert [int(row["row"]) for row in rows] == list(range(1, 2 * CHUNK_ROWS + 2))
         got_probs = np.array([[float(row[f"prob_{i}"]) for i in range(5)] for row in rows])
         assert [int(row["predicted_class"]) for row in rows] == classes.tolist()
@@ -489,11 +519,21 @@ class TestBlockRule:
     def test_predict_gives_the_whole_table_bits(self, workdir, rows_csv, tmp_path):
         rows = self.predicted(workdir, rows_csv, tmp_path)
         model = compose.load_two_stage(workdir / "twostage.json")
-        probs, classes, norm = compose.predict_arrays(model, encode_table(read_log(rows_csv)))
+        probs, classes, norm = compose.predict_arrays(model, encode_table(read_table(rows_csv)))
         assert [int(row["row"]) for row in rows] == list(range(1, len(norm) + 1))
         assert [[float(row[f"prob_{i}"]) for i in range(5)] for row in rows] == probs.tolist()
         assert [int(row["predicted_class"]) for row in rows] == classes.tolist()
         assert [float(row["power_norm"]) for row in rows] == norm.tolist()
+
+    def test_a_row_keeps_its_answer_at_every_file_length(self, workdir, seed0_lines, tmp_path):
+        # Cutting the file anywhere leaves each row the line it gets in the
+        # whole file, whatever the number of rows in the last chunk.
+        rows_csv = tmp_path / "rows.csv"
+        rows_csv.write_text("".join(seed0_lines))
+        whole = self.predicted(workdir, rows_csv, tmp_path)
+        for n in [2, 3, 5, 6, 7, 255, 258, 259, 510, *range(1010, 1025)]:
+            rows_csv.write_text("".join(seed0_lines[: n + 1]))
+            assert self.predicted(workdir, rows_csv, tmp_path) == whole[:n], n
 
     def test_evaluate_errors_match_predict(self, workdir, seed0_lines, tmp_path):
         rows_csv = tmp_path / "rows.csv"
@@ -505,7 +545,7 @@ class TestBlockRule:
                      "--errors", str(errors)]) == EXIT_OK
         with open(errors, newline="") as handle:
             got = [float(row["abs_error_norm"]) for row in csv.DictReader(handle)]
-        target = encode_table(read_log(rows_csv)).target
+        target = encode_table(read_table(rows_csv)).target
         assert len(got) == len(rows) == 1025
         assert got == [abs(float(row["power_norm"]) - t) for row, t in zip(rows, target.tolist())]
 
@@ -536,7 +576,10 @@ class TestBlockRule:
              "--data", str(rows_csv), "--out", str(tmp_path / "report.json")],
             env=env, stdout=subprocess.PIPE, text=True, check=True, timeout=120,
         )
-        assert int(done.stdout) < 100 * 1024  # VmHWM is in KiB
+        # Parsing the whole file before filtering it peaked at 58.6 MiB (2
+        # vCPU, Python 3.11, numpy 2.4, the seed-0 a1+b2 model); filtering and
+        # encoding it a chunk at a time peaks at 52.3 MiB.
+        assert int(done.stdout) < 55 * 1024  # VmHWM is in KiB
 
 
 class TestDescriptorOut:
@@ -921,6 +964,26 @@ class TestExitCodes:
         )
         assert code == EXIT_DATA
 
+    # numpy refuses the arrays of this many rows before it allocates any.
+    HUGE_N = 100_000_000_000_000
+
+    def test_an_allocation_that_cannot_be_made_is_data_error(self, workdir, tmp_path, capsys):
+        out = tmp_path / "augmented.csv"
+        code = main(["augment", "--in", str(workdir / "corpus.csv"), "--out", str(out),
+                     "--n", str(self.HUGE_N)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_a_pipeline_that_cannot_allocate_is_data_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"corpus_n": 100, "augment_n": self.HUGE_N}))
+        code = main(["pipeline", "--config", str(config), "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+
     # Each command with a path it cannot read or write, and that path.
     PREDICT = ["predict", "--model", "{model}", "--in", "{rows}", "--out", "{out}"]
     AUGMENT = ["augment", "--in", "{dir}", "--out", "{out}", "--n", "5"]
@@ -1119,7 +1182,7 @@ class TestExitCodes:
         def no_read(path):
             raise AssertionError(f"read {path} before the model was checked")
 
-        monkeypatch.setattr(cli, "read_log", no_read)
+        monkeypatch.setattr(cli, "read_chunks", no_read)
         code = main(["predict", "--model", str(bad), "--in", str(workdir / "corpus.csv"),
                      "--out", str(tmp_path / "predictions.csv")])
         assert code == EXIT_DATA
@@ -1363,6 +1426,27 @@ class TestExitCodes:
         )
         assert not out.exists()
 
+    EVERY_ROW_EXCLUDED = [
+        ["evaluate", "--model", "{dir}/twostage.json", "--data", "{data}", "--out", "{out}"],
+        ["train", "--variant", "a1", "--data", "{data}", "--out", "{out}"],
+        ["augment", "--in", "{data}", "--out", "{out}", "--n", "5"],
+    ]
+
+    @pytest.mark.parametrize("command", EVERY_ROW_EXCLUDED, ids=lambda command: command[0])
+    def test_exclusions_are_counted_over_every_chunk(self, workdir, tmp_path, capsys, command):
+        # 600 rows are read in chunks of 256, 256 and 88; the message counts
+        # the rows of all three.
+        header = (workdir / "corpus.csv").read_text().splitlines(True)[0]
+        data, out = tmp_path / "excluded.csv", tmp_path / "out"
+        data.write_text("".join([header, *_excluded_rows(workdir, 600)]))
+        code = main([arg.format(dir=workdir, data=data, out=out) for arg in command])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: {data}: no row left to {command[0]} "
+            "(excluded: 200 too long, 200 shutdowns, 200 unchanged)\n"
+        )
+        assert not out.exists()
+
     def test_augment_with_every_row_excluded_names_data_file(self, workdir, tmp_path, capsys):
         data, out = tmp_path / "long.csv", tmp_path / "augmented.csv"
         data.write_text("".join(_rows_with_a_long_one(workdir, 1)))
@@ -1525,7 +1609,7 @@ class TestErrorsNameTheirInput:
         lines = (workdir / "corpus.csv").read_text().splitlines()
         one_row, out = tmp_path / "one_row.csv", tmp_path / "model.json"
         one_row.write_text("\n".join(lines[:2]) + "\n")
-        missing = 1 if encode_table(read_log(one_row)).class_index[0] == 0 else 0
+        missing = 1 if encode_table(read_table(one_row)).class_index[0] == 0 else 0
         code = main(["train", "--variant", "a1", "--data", str(one_row), "--balance",
                      "--out", str(out)])
         assert code == EXIT_DATA
@@ -1666,7 +1750,7 @@ class TestErrorsNameTheirInput:
         fields[3] = "5e-324"
         corpus, model = tmp_path / "corpus.csv", tmp_path / "m.json"
         corpus.write_text("\n".join([rows[0], ",".join(fields), *rows[2:]]) + "\n")
-        lowest = encode_table(read_log(corpus)).features[0, 0]
+        lowest = encode_table(read_table(corpus)).features[0, 0]
         assert lowest == math.log(5e-324) / LN_FULL_POWER
         config = tmp_path / "train.json"
         config.write_text(json.dumps({"max_epochs": 2}))

@@ -41,6 +41,7 @@ from rtp.engine import (
 )
 from rtp.model_zoo import build_variant
 from rtp.training import TrainingConfig, train
+from reference import in_whole_passes
 
 
 def build_classifier(rng, n_initial=2, n_final=1, aux=1, hidden=6):
@@ -203,7 +204,9 @@ BLOCK_CASES = [1, 2, 3, 255, 256, 257, 258, 259, 511, 512, 513, 514, 767, 1025, 
 
 class TestRunBlocks:
     """run_blocks cuts a pass into CHUNK_ROWS-row blocks, a lone last row
-    joining the block before it, and gives the bits of one unblocked pass."""
+    joining the block before it, pads the last block of a pass of more than
+    one row to a multiple of 4 rows, and gives each row the bits it gets
+    inside a CHUNK_ROWS-row pass."""
 
     @pytest.fixture(scope="class")
     def variants(self):
@@ -227,18 +230,18 @@ class TestRunBlocks:
     @pytest.mark.parametrize("n", BLOCK_CASES)
     def test_blocks_give_the_bits_of_one_pass(self, variants, monkeypatch, n):
         for model, inputs in variants:
-            whole = run_layers(model, inputs[:n])
+            reference = in_whole_passes(model, inputs[:n])
             blocked, sizes = self.counted(monkeypatch, lambda: run_blocks(model, inputs[:n]))
-            assert blocked.tobytes() == whole.tobytes(), model.variant_id
-            assert sum(sizes) == n
-            assert max(sizes) <= CHUNK_ROWS + 1 and (min(sizes) > 1 or n == 1), sizes
+            assert blocked.tobytes() == reference.tobytes(), model.variant_id
+            assert sum(sizes) == (n if n == 1 else n + -n % 4)
+            assert max(sizes) <= CHUNK_ROWS + 4 and all(size % 4 == 0 or n == 1 for size in sizes)
 
     def test_forward_runs_blocked(self, variants, monkeypatch):
         for model, inputs in variants:
-            whole = run_layers(model, inputs)
             out, sizes = self.counted(monkeypatch, lambda: forward(model, inputs))
-            assert out.tobytes() == whole.tobytes(), model.variant_id
-            assert sizes == [CHUNK_ROWS] * 4 + [len(inputs) - 4 * CHUNK_ROWS]
+            assert out.tobytes() == in_whole_passes(model, inputs).tobytes(), model.variant_id
+            assert len(out) == len(inputs) == 4 * CHUNK_ROWS + 95
+            assert sizes == [CHUNK_ROWS] * 4 + [96]
 
 
 class TestLoss:

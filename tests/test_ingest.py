@@ -30,12 +30,11 @@ from rtp.ingest import (
     filter_report,
     parse_log,
     read_chunks,
-    read_log,
     row_to_observation,
     synthesize_corpus,
     write_observations,
 )
-from reference import classify_power, reactivity_of_state, read_observations
+from reference import classify_power, reactivity_of_state, read_observations, read_table
 
 GOOD_ROW = "2014-06-01,10:00,10:30,100.0,1000.0,5.0,5.0,5.0,5.0,6.0,6.0,6.0,6.0"
 
@@ -187,7 +186,7 @@ def scalar_parse(text):
 
 
 def parse_outcome(text):
-    """read_log's rows (through parse_log) or its ParseError message."""
+    """read_chunks' rows (through parse_log) or its ParseError message."""
     try:
         return parse_log(io.StringIO(text))
     except ParseError as exc:
@@ -213,7 +212,7 @@ BAD_VALUES = [
 
 
 class TestParseParity:
-    """read_log gives the reference rule's message for the first failing
+    """read_chunks gives the reference rule's message for the first failing
     row and field, and its values, bit for bit, when nothing fails."""
 
     @pytest.mark.parametrize("name, value", BAD_VALUES)
@@ -319,25 +318,25 @@ class TestFilters:
         return f"2014-06-01,{start},{end},{p_i},{p_f},5.0,5.0,5.0,5.0,6.0,6.0,6.0,6.0"
 
     def test_too_long_excluded(self):
-        kept, counts = filter_report(read_log(csv_source(self.row(end="11:01"))))
+        kept, counts = filter_report(read_table(csv_source(self.row(end="11:01"))))
         assert len(kept) == 0
         assert counts.too_long == 1
 
     def test_exactly_one_hour_kept(self):
-        kept, counts = filter_report(read_log(csv_source(self.row(end="11:00"))))
+        kept, counts = filter_report(read_table(csv_source(self.row(end="11:00"))))
         assert counts.retained == 1
 
     def test_shutdown_excluded(self):
-        kept, counts = filter_report(read_log(csv_source(self.row(p_f="0.5"))))
+        kept, counts = filter_report(read_table(csv_source(self.row(p_f="0.5"))))
         assert len(kept) == 0
         assert counts.shutdown == 1
 
     def test_final_power_of_one_watt_kept(self):
-        _, counts = filter_report(read_log(csv_source(self.row(p_f="1.0"))))
+        _, counts = filter_report(read_table(csv_source(self.row(p_f="1.0"))))
         assert counts.retained == 1
 
     def test_no_change_excluded(self):
-        kept, counts = filter_report(read_log(csv_source(self.row(p_f="100.0"))))
+        kept, counts = filter_report(read_table(csv_source(self.row(p_f="100.0"))))
         assert len(kept) == 0
         assert counts.no_change == 1
 
@@ -349,7 +348,7 @@ class TestFilters:
             self.row(p_f="100.0"),
             self.row(p_i="50.0"),
         )
-        kept, counts = filter_report(read_log(source))
+        kept, counts = filter_report(read_table(source))
         assert len(kept) == 2
         assert (counts.retained, counts.too_long, counts.shutdown, counts.no_change) == (2, 1, 1, 1)
 
@@ -464,12 +463,12 @@ class TestObservationTable:
         return f"2014-06-01,{start},{end},100.0,{p_f},5.0,5.0,5.0,5.0,6.0,6.0,6.0,6.0"
 
     def test_duration_minutes(self):
-        table = read_log(csv_source(self.row("10:00", "10:30"), self.row("09:59:59", "11:00:01")))
+        table = read_table(csv_source(self.row("10:00", "10:30"), self.row("09:59:59", "11:00:01")))
         assert table.duration_minutes.tolist() == [30.0, 61.0]
 
     def test_concat_keeps_row_numbers(self):
-        first = read_log(csv_source(self.row("10:00", "10:30"), "", self.row("11:00", "11:20", "50.0")))
-        second = read_log(csv_source(self.row("12:00", "12:05", "7.5")))
+        first = read_table(csv_source(self.row("10:00", "10:30"), "", self.row("11:00", "11:20", "50.0")))
+        second = read_table(csv_source(self.row("12:00", "12:05", "7.5")))
         both = ObservationTable.concat([first, second])
         assert both.rows() == first.rows() + second.rows()
         assert both.row_index.tolist() == [1, 3, 1]
